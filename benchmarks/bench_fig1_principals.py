@@ -4,7 +4,7 @@ Claim → Evidence → Appraisal → Result, for an honest and a compromised
 attester, plus the cost of the appraisal step itself.
 """
 
-from repro.copland.evidence import MeasurementEvidence, NonceEvidence, SignedEvidence
+from repro.evidence.nodes import MeasurementEvidence, NonceEvidence, SignedEvidence
 from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.ra.appraiser import AppraisalPolicy, Appraiser
 from repro.ra.claims import Claim

@@ -38,7 +38,7 @@ def main() -> None:
 
     print("\nConcrete VM execution of the attack on (1):")
     from repro.copland.vm import CoplandVM, Place
-    from repro.copland.evidence import ParallelEvidence
+    from repro.evidence.nodes import ParallelEvidence
     from repro.crypto.hashing import digest
 
     vm = CoplandVM()

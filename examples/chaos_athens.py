@@ -20,12 +20,12 @@ What the run demonstrates:
 Run:  python examples/chaos_athens.py [--seed N] [--audit-out FILE]
                                       [--shards K] [--backend inline|mp]
 
-With ``--shards`` the campaign runs on the sharded simulation core
-(docs/SHARDING.md): the fabric is partitioned into K event loops —
-``--backend mp`` forks one worker process per shard — and the merged
-canonical audit journal is byte-identical for *any* shard count,
-which the determinism check at the end demonstrates against a
-1-shard replay.
+The campaign runs on the sharded simulation core (docs/SHARDING.md)
+partitioned into ``--shards`` K event loops (default 1, the baseline);
+``--backend mp`` forks one worker process per shard. The merged
+canonical audit journal is byte-identical for *any* shard count and
+backend, which the determinism check at the end demonstrates against a
+1-shard inline replay.
 """
 
 import argparse
@@ -42,22 +42,21 @@ def main() -> None:
         help="write the canonical audit-journal JSON to this file",
     )
     parser.add_argument(
-        "--shards", type=int, default=None, metavar="K",
-        help="run on the sharded core with K partitioned event loops",
+        "--shards", type=int, default=1, metavar="K",
+        help="partition the run into K event loops (default 1)",
     )
     parser.add_argument(
         "--backend", choices=("inline", "mp"), default="inline",
-        help="sharded backend: in-process (inline) or multiprocessing "
-        "(mp); only meaningful with --shards",
+        help="runner backend: in-process (inline) or one worker "
+        "process per shard (mp)",
     )
     args = parser.parse_args()
 
-    sharding = dict(shards=args.shards, backend=args.backend) \
-        if args.shards else {}
-    print(f"=== chaos plan (seed {args.seed}"
-          + (f", {args.shards} shards via {args.backend}" if args.shards
-             else "") + ") ===")
-    result = run_chaos_athens(seed=args.seed, **sharding)
+    print(f"=== chaos plan (seed {args.seed}, "
+          f"{args.shards} shard(s) via {args.backend}) ===")
+    result = run_chaos_athens(
+        seed=args.seed, shards=args.shards, backend=args.backend
+    )
     print(result.plan.describe())
 
     print("\n=== recovery narrative ===")
@@ -79,15 +78,12 @@ def main() -> None:
     assert open_.verdict.accepted and open_.verdict.degraded
 
     print("\n=== determinism ===")
-    # Sharded runs replay against a 1-shard run: the canonical merged
-    # journal must not depend on the partitioning. Monolithic runs
-    # replay against themselves.
-    replay_kwargs = dict(sharding, shards=1) if args.shards else {}
-    replay = run_chaos_athens(seed=args.seed, **replay_kwargs)
+    # Replay on the baseline (1 shard, inline): the canonical merged
+    # journal must depend on neither partitioning nor backend.
+    replay = run_chaos_athens(seed=args.seed)
     identical = replay.audit_export() == result.audit_export()
-    what = (f"{args.shards}-shard vs 1-shard journals"
-            if args.shards else "audit journals")
-    print(f"replay with seed {args.seed}: {what} byte-identical: "
+    print(f"replay with seed {args.seed}: {args.shards}-shard "
+          f"{args.backend} vs 1-shard inline journals byte-identical: "
           f"{identical}")
     assert identical, "same seed must replay byte-identically"
 

@@ -13,9 +13,10 @@ matrix proves each resilience mechanism fires in isolation.
 Run:  python examples/fault_matrix.py [--seed N] [--packets N]
                                       [--shards K] [--backend inline|mp]
 
-With ``--shards`` every campaign runs on the sharded simulation core
-(docs/SHARDING.md); the closing determinism check replays the matrix
-at 1 shard and compares the canonical merged journals byte for byte.
+Every campaign runs on the sharded simulation core (docs/SHARDING.md)
+partitioned into ``--shards`` K event loops (default 1, the baseline);
+the closing determinism check replays the matrix at 1 shard inline and
+compares the canonical merged journals byte for byte.
 """
 
 import argparse
@@ -28,23 +29,21 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--packets", type=int, default=18)
     parser.add_argument(
-        "--shards", type=int, default=None, metavar="K",
-        help="run each campaign on the sharded core with K event loops",
+        "--shards", type=int, default=1, metavar="K",
+        help="partition each campaign into K event loops (default 1)",
     )
     parser.add_argument(
         "--backend", choices=("inline", "mp"), default="inline",
-        help="sharded backend: in-process (inline) or multiprocessing "
-        "(mp); only meaningful with --shards",
+        help="runner backend: in-process (inline) or one worker "
+        "process per shard (mp)",
     )
     args = parser.parse_args()
 
-    sharding = dict(shards=args.shards, backend=args.backend) \
-        if args.shards else {}
-    print(f"=== fault matrix (seed {args.seed}, {args.packets} packets"
-          + (f", {args.shards} shards via {args.backend}" if args.shards
-             else "") + ") ===")
+    print(f"=== fault matrix (seed {args.seed}, {args.packets} packets, "
+          f"{args.shards} shard(s) via {args.backend}) ===")
     entries = run_fault_matrix(
-        seed=args.seed, packets=args.packets, **sharding
+        seed=args.seed, packets=args.packets,
+        shards=args.shards, backend=args.backend,
     )
     failed = []
     for kind in fault_matrix_kinds():
@@ -60,22 +59,18 @@ def main() -> None:
             failed.append(kind)
     assert not failed, f"expected signals missing for: {failed}"
 
-    if args.shards:
-        print("\n=== determinism ===")
-        replay = run_fault_matrix(
-            seed=args.seed, packets=args.packets, shards=1,
-            backend="inline",
+    print("\n=== determinism ===")
+    replay = run_fault_matrix(seed=args.seed, packets=args.packets)
+    for kind in fault_matrix_kinds():
+        a = entries[kind].result.sharded
+        b = replay[kind].result.sharded
+        identical = (
+            a.audit_export() == b.audit_export()
+            and a.stats_export() == b.stats_export()
         )
-        for kind in fault_matrix_kinds():
-            a = entries[kind].result.sharded
-            b = replay[kind].result.sharded
-            identical = (
-                a.audit_export() == b.audit_export()
-                and a.stats_export() == b.stats_export()
-            )
-            print(f"  {kind:18s} {args.shards}-shard vs 1-shard "
-                  f"byte-identical: {identical}")
-            assert identical, f"{kind}: shard count changed the story"
+        print(f"  {kind:18s} {args.shards}-shard {args.backend} vs "
+              f"1-shard inline byte-identical: {identical}")
+        assert identical, f"{kind}: shard count changed the story"
 
 
 if __name__ == "__main__":

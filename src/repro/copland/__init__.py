@@ -9,8 +9,8 @@ Layered Attestations"):
   linear (``→``), branch-sequential (``<``), branch-parallel (``~``)
   with evidence-splitting annotations, ``!`` (sign), ``#`` (hash).
 - :mod:`repro.copland.parser` — the paper's concrete syntax.
-- :mod:`repro.copland.evidence` — evidence terms (views over the
-  unified :mod:`repro.evidence` substrate).
+- evidence terms are the canonical nodes of :mod:`repro.evidence`
+  (re-exported here by name; there is no Copland-private copy).
 - :mod:`repro.copland.manifest` — place manifests: which ASPs and keys
   live where (executability checking).
 - :mod:`repro.copland.vm` — the attestation virtual machine: executes

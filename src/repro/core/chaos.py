@@ -14,10 +14,12 @@ story combining every resilience mechanism:
   (never crashing) the relying party,
 - a clock-skew fault churns the evidence cache.
 
-Determinism: :func:`run_chaos_athens` resets the trace-id allocator
-and seeds every RNG from its ``seed`` argument, so two runs with the
-same seed produce identical :class:`~repro.net.simulator.SimStats`
-and byte-identical audit-journal exports (pinned by
+Determinism: :func:`run_chaos_athens` is one :func:`chaos_spec` under
+the sharded runner, which resets the trace-id allocator, seeds every
+RNG from the ``seed`` argument and orders the journal canonically, so
+two runs with the same seed — at any shard count, on either backend —
+produce identical :class:`~repro.net.simulator.SimStats` and
+byte-identical audit-journal exports (pinned by
 ``tests/faults/test_determinism.py``).
 
 :func:`run_degraded_oob` is the minimal degraded-mode scenario: an
@@ -67,9 +69,6 @@ from repro.telemetry.health import (
 from repro.telemetry.instrument import Telemetry
 from repro.telemetry.timeseries import (
     SamplingSpec,
-    install_recorder,
-    merge_frame_streams,
-    renumber_frame_times,
     timeseries_export,
     timeseries_snapshot,
 )
@@ -181,8 +180,8 @@ class ChaosResult:
     plan: FaultPlan
     telemetry: Telemetry
     ra_counters: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: Populated only by sharded runs: the merged runner output
-    #: (windows, lookahead, canonical metric snapshot, ...).
+    #: The merged runner output (windows, lookahead, canonical metric
+    #: snapshot, ...); always set by :func:`run_chaos_athens`.
     sharded: Optional[ShardedResult] = field(default=None, repr=False)
     #: Flight-recorder output (``sampling=`` runs only): canonical
     #: merged frames, byte-identical across shard counts.
@@ -313,11 +312,10 @@ def _chaos_build(
     a time this way. ``reprovision_at=None`` skips the operator's
     scripted recovery.
 
-    Works on the monolithic :class:`Simulator` (where ``schedule_on`` /
-    ``schedule_replicated`` are plain ``schedule``) and on a
-    :class:`~repro.net.sharding.ShardSimulator`, where each shard
-    builds this complete world and the ownership gates arrange
-    single-writer execution. Notably ``rp.send`` is *replicated*: nonce
+    Every shard builds this complete world and the ownership gates
+    arrange single-writer execution (on a plain :class:`Simulator`
+    ``schedule_on`` / ``schedule_replicated`` are plain ``schedule``).
+    Notably ``rp.send`` is *replicated*: nonce
     issuance and the policy-by-nonce table must exist in the
     destination's shard for appraisal, while the actual transmit is
     gated to h-src's owner.
@@ -449,13 +447,6 @@ def _verdict_markers(verdicts):
     return first_rejection, recovered_at
 
 
-def _fold_alerts_into_journal(telemetry: Telemetry, health) -> None:
-    """Merge alert events into the audit journal canonically (see
-    :func:`repro.telemetry.health.fold_alerts`)."""
-    if health is not None:
-        fold_alerts(telemetry.audit, health.alerts)
-
-
 def chaos_alert_coverage(
     result: ChaosResult, within_windows: int = 2
 ) -> Dict[str, Dict[str, object]]:
@@ -553,101 +544,6 @@ def assert_chaos_alert_coverage(
     return coverage
 
 
-def run_chaos_athens(
-    seed: int = 0,
-    packets: int = 30,
-    swap_at: int = 10,
-    reprovision_at: Optional[int] = 16,
-    shards: Optional[int] = None,
-    backend: str = "inline",
-    plan_factory: Optional[Callable[[int], FaultPlan]] = None,
-    sampling: Optional[SamplingSpec] = None,
-    health: Optional[Sequence[object]] = None,
-) -> ChaosResult:
-    """UC1 under chaos: flapping links, a compromise, a crashed
-    appraiser, corruption — and recovery from all of them.
-
-    ``swap_at``/``reprovision_at`` are packet indices (packets go out
-    every millisecond); everything else in the fault plan is anchored
-    to them.
-
-    With ``shards`` given, the same deployment runs partitioned under
-    the sharded runner (:mod:`repro.net.shardrun`) on the chosen
-    ``backend``; the merged result is byte-for-byte the same story.
-    ``shards=None`` is the original monolithic path.
-
-    ``sampling`` installs a flight recorder
-    (:class:`~repro.telemetry.timeseries.SamplingSpec`); ``health``
-    runs the given rules (default vocabulary:
-    :func:`standard_chaos_rules`) over the recorded frames at window
-    close, with alert events folded into the audit journal. Passing
-    ``health`` without ``sampling`` uses :func:`chaos_sampling_spec`.
-    Both the frame stream and the alert timeline are byte-identical
-    across shard counts and backends.
-    """
-    if health is not None and sampling is None:
-        sampling = chaos_sampling_spec()
-    if shards is not None:
-        return _run_chaos_sharded(
-            seed, packets, swap_at, reprovision_at, shards, backend,
-            plan_factory, sampling=sampling, health=health,
-        )
-    reset_trace_ids()  # byte-identical replay needs a fresh id sequence
-    telemetry = Telemetry(active=True)
-    sim = Simulator(_chaos_topology(), seed=seed, telemetry=telemetry)
-    ctx = _chaos_build(
-        sim,
-        packets=packets,
-        swap_at=swap_at,
-        reprovision_at=reprovision_at,
-        plan_factory=plan_factory,
-    )
-    recorder = (
-        install_recorder(sim, sampling) if sampling is not None else None
-    )
-    sim.run()
-
-    frames: List[Dict[str, object]] = []
-    frames_dropped = 0
-    health_report: Optional[HealthReport] = None
-    if recorder is not None:
-        recorder.finish(sim.clock.now)
-        # Canonicalize through the same merge the sharded parent uses,
-        # so monolith output is byte-identical to every shard count.
-        frames = renumber_frame_times(
-            merge_frame_streams([recorder.frames]), sampling.interval_s
-        )
-        frames_dropped = recorder.frames_dropped
-        if health is not None:
-            health_report = evaluate_health(
-                frames, list(health), sampling.interval_s
-            )
-            _fold_alerts_into_journal(telemetry, health_report)
-
-    rp = ctx["rp"]
-    first_rejection, recovered_at = _verdict_markers(rp.verdicts)
-    return ChaosResult(
-        packets_sent=packets,
-        verdicts=list(rp.verdicts),
-        first_rejection=first_rejection,
-        recovered_at=recovered_at,
-        exfiltrated=len(ctx["spy"].received_packets),
-        collector_records=len(ctx["collector"].control_received),
-        stats=sim.stats,
-        fault_stats=ctx["injector"].stats,
-        plan=ctx["plan"],
-        telemetry=telemetry,
-        ra_counters={
-            switch.name: _ra_counters_of(switch)
-            for switch in ctx["switches"]
-        },
-        frames=frames,
-        frames_dropped=frames_dropped,
-        sampling=sampling,
-        health=health_report,
-    )
-
-
 def _chaos_harvest(sim, ctx):
     """Per-shard picklable output: each observation is reported by the
     shard owning its vantage point, and the parent reassembles."""
@@ -674,18 +570,15 @@ def _chaos_harvest(sim, ctx):
     }
 
 
-def _run_chaos_sharded(
-    seed: int,
-    packets: int,
-    swap_at: int,
-    reprovision_at: Optional[int],
-    shards: int,
-    backend: str,
+def chaos_spec(
+    packets: int = 30,
+    swap_at: int = 10,
+    reprovision_at: Optional[int] = 16,
     plan_factory: Optional[Callable[[int], FaultPlan]] = None,
     sampling: Optional[SamplingSpec] = None,
-    health: Optional[Sequence[object]] = None,
-) -> ChaosResult:
-    spec = ScenarioSpec(
+) -> ScenarioSpec:
+    """The chaos deployment as a runner-ready :class:`ScenarioSpec`."""
+    return ScenarioSpec(
         topology=_chaos_topology,
         build=partial(
             _chaos_build,
@@ -697,17 +590,57 @@ def _run_chaos_sharded(
         harvest=_chaos_harvest,
         sampling=sampling,
     )
-    result = run_sharded(spec, shards=shards, backend=backend, seed=seed)
+
+
+def run_chaos_athens(
+    seed: int = 0,
+    packets: int = 30,
+    swap_at: int = 10,
+    reprovision_at: Optional[int] = 16,
+    shards: int = 1,
+    backend: str = "inline",
+    plan_factory: Optional[Callable[[int], FaultPlan]] = None,
+    sampling: Optional[SamplingSpec] = None,
+    health: Optional[Sequence[object]] = None,
+) -> ChaosResult:
+    """UC1 under chaos: flapping links, a compromise, a crashed
+    appraiser, corruption — and recovery from all of them.
+
+    ``swap_at``/``reprovision_at`` are packet indices (packets go out
+    every millisecond); everything else in the fault plan is anchored
+    to them.
+
+    The deployment is a :func:`chaos_spec` run under the sharded runner
+    (:mod:`repro.net.shardrun`) on ``shards`` event loops of the chosen
+    ``backend``; ``shards=1`` inline is the baseline, and every other
+    configuration tells byte-for-byte the same story.
+
+    ``sampling`` installs a flight recorder
+    (:class:`~repro.telemetry.timeseries.SamplingSpec`); ``health``
+    runs the given rules (default vocabulary:
+    :func:`standard_chaos_rules`) over the merged frames, with alert
+    events folded into the audit journal. Passing ``health`` without
+    ``sampling`` uses :func:`chaos_sampling_spec`. Both the frame
+    stream and the alert timeline are byte-identical across shard
+    counts and backends.
+    """
+    if health is not None and sampling is None:
+        sampling = chaos_sampling_spec()
+    result = run_sharded(
+        chaos_spec(packets, swap_at, reprovision_at, plan_factory, sampling),
+        shards=shards,
+        backend=backend,
+        seed=seed,
+    )
     health_report: Optional[HealthReport] = None
-    if sampling is not None and health is not None:
+    if health is not None:
         # Post-merge evaluation in the parent: a pure function of the
         # canonical frame stream, so the alert timeline cannot depend
         # on the partitioning.
         health_report = evaluate_health(
             result.frames, list(health), sampling.interval_s
         )
-        if result.telemetry is not None:
-            _fold_alerts_into_journal(result.telemetry, health_report)
+        fold_alerts(result.telemetry.audit, health_report.alerts)
     verdicts = next(
         (out["verdicts"] for out in result.outputs
          if out["verdicts"] is not None),
@@ -848,7 +781,7 @@ class FaultMatrixEntry:
 def run_fault_matrix(
     seed: int = 0,
     packets: int = 18,
-    shards: Optional[int] = None,
+    shards: int = 1,
     backend: str = "inline",
     kinds: Optional[Sequence[str]] = None,
 ) -> Dict[str, FaultMatrixEntry]:
@@ -858,8 +791,8 @@ def run_fault_matrix(
     injected fault family (its RNG stream keyed off ``seed`` and the
     kind, so families are independent and shard-count-invariant) and
     records whether the family's expected protocol signal actually
-    appeared. ``shards``/``backend`` run every campaign under the
-    sharded runner, which is how CI's chaos-smoke job replays the
+    appeared. ``shards``/``backend`` pick the runner configuration for
+    every campaign, which is how CI's chaos-smoke job replays the
     matrix on the multiprocessing backend.
     """
     entries: Dict[str, FaultMatrixEntry] = {}

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -56,9 +56,7 @@ from repro.net.routing import (
     predict_multipath_path,
 )
 from repro.net.shardrun import ScenarioSpec, ShardedResult, run_sharded
-from repro.net.simulator import Node, Simulator
-from repro.telemetry.instrument import Telemetry
-from repro.telemetry.tracing import reset_trace_ids
+from repro.net.simulator import Node
 from repro.telemetry.health import (
     AbsenceRule,
     HealthReport,
@@ -70,9 +68,6 @@ from repro.telemetry.health import (
 )
 from repro.telemetry.timeseries import (
     SamplingSpec,
-    install_recorder,
-    merge_frame_streams,
-    renumber_frame_times,
     timeseries_export,
     timeseries_snapshot,
 )
@@ -287,26 +282,6 @@ class FabricRunResult:
     @property
     def packets_transmitted(self) -> int:
         return self.result.stats.packets_transmitted
-
-
-def run_fabric_monolith(
-    shape: Optional[FabricShape] = None,
-    seed: int = 0,
-    chaos: bool = False,
-) -> Tuple[Simulator, int]:
-    """The same workload on the unpartitioned :class:`Simulator`.
-
-    The scaling benchmark's baseline row: no windows, no barriers, no
-    merge — just the plain event loop. ``schedule_on`` is an identity
-    on the monolith, so the build is shared verbatim with the sharded
-    path. Returns ``(sim, packets_delivered)``.
-    """
-    shape = shape or FabricShape()
-    sim = Simulator(fabric_topology(shape), seed=seed)
-    ctx = _fabric_build(sim, shape=shape, chaos=chaos)
-    sim.run()
-    delivered = sum(len(host.received) for host in ctx["hosts"].values())
-    return sim, delivered
 
 
 def run_fabric(
@@ -1057,18 +1032,15 @@ class FabricTrafficResult:
     ecn_delivered: int = 0
     congestion_repicks: int = 0
     victim: Optional[str] = None
+    #: The merged runner output (always set by :func:`run_fabric_traffic`).
     result: Optional[ShardedResult] = None
     #: Flight-recorder output (``sampling=`` runs only): canonical
     #: merged frames, byte-identical across shard counts.
-    frames: List[Dict[str, object]] = None  # type: ignore[assignment]
+    frames: List[Dict[str, object]] = field(default_factory=list)
     frames_dropped: int = 0
     sampling: Optional[SamplingSpec] = None
     #: Health evaluation over the frames (``health=`` runs only).
     health: Optional[HealthReport] = None
-
-    def __post_init__(self) -> None:
-        if self.frames is None:
-            self.frames = []
 
     def frames_export(self) -> str:
         """Canonical JSON of the frame stream (byte-identity checks)."""
@@ -1141,13 +1113,11 @@ def fabric_traffic_spec(
 def _assemble_traffic_result(
     shape: FatTreeShape,
     seed: int,
-    outputs: List[Dict[str, object]],
-    result: Optional[ShardedResult],
-    frames: Optional[List[Dict[str, object]]] = None,
-    frames_dropped: int = 0,
-    sampling: Optional[SamplingSpec] = None,
-    health: Optional[HealthReport] = None,
+    result: ShardedResult,
+    sampling: Optional[SamplingSpec],
+    health: Optional[HealthReport],
 ) -> FabricTrafficResult:
+    outputs = result.outputs
     arrivals: Dict[int, List[float]] = {}
     verdicts: Dict[int, Tuple[int, int]] = {}
     tx_by_port: Dict[str, Dict[int, int]] = {}
@@ -1183,8 +1153,8 @@ def _assemble_traffic_result(
         tx_by_port=tx_by_port,
         victim=victim,
         result=result,
-        frames=list(frames) if frames is not None else [],
-        frames_dropped=frames_dropped,
+        frames=list(result.frames),
+        frames_dropped=result.frames_dropped,
         sampling=sampling,
         health=health,
     )
@@ -1201,17 +1171,29 @@ def run_fabric_traffic(
     sampling: Optional[SamplingSpec] = None,
     health: Optional[Sequence[object]] = None,
 ) -> FabricTrafficResult:
-    """Run the attested fat-tree campaign sharded; merged result.
+    """Run the attested fat-tree campaign; merged result.
+
+    ``shards=1`` on the inline backend is the baseline every other
+    shard count and backend reproduces byte for byte.
 
     ``sampling=`` installs a per-shard flight recorder (frames merge
     canonically, see docs/MONITORING.md); ``health=`` evaluates rules
     over the merged frames post-merge and folds the alert timeline
     into the audit journal. Passing ``health=`` alone implies the
-    default :func:`fabric_sampling_spec`.
+    default :func:`fabric_sampling_spec`; it needs live telemetry (the
+    recorder samples the metrics registry and the alerts land in the
+    journal), so ``health=`` with ``telemetry_active=False`` is
+    rejected up front.
     """
     shape = shape or FatTreeShape()
-    if health is not None and sampling is None:
-        sampling = fabric_sampling_spec()
+    if health is not None:
+        if not telemetry_active:
+            raise ValueError(
+                "health= rules evaluate recorded frames and fold alerts "
+                "into the audit journal; they need telemetry_active=True"
+            )
+        if sampling is None:
+            sampling = fabric_sampling_spec()
     result = run_sharded(
         fabric_traffic_spec(shape, sampling=sampling),
         shards=shards,
@@ -1222,84 +1204,13 @@ def run_fabric_traffic(
         telemetry_active=telemetry_active,
     )
     health_report = None
-    if health is not None and sampling is not None:
+    if health is not None:
         health_report = evaluate_health(
             result.frames, list(health), sampling.interval_s
         )
         fold_alerts(result.telemetry.audit, health_report.alerts)
     return _assemble_traffic_result(
-        shape,
-        seed,
-        result.outputs,
-        result,
-        frames=result.frames,
-        frames_dropped=result.frames_dropped,
-        sampling=sampling,
-        health=health_report,
-    )
-
-
-def run_fabric_traffic_monolith(
-    shape: Optional[FatTreeShape] = None,
-    seed: int = 0,
-    max_events: int = 8_000_000,
-    until: Optional[float] = None,
-    sampling: Optional[SamplingSpec] = None,
-    health: Optional[Sequence[object]] = None,
-) -> FabricTrafficResult:
-    """The same campaign on the unpartitioned :class:`Simulator`.
-
-    The parity baseline: ``schedule_on``/``owns`` are identities on the
-    monolith, so build, drain, and harvest are shared verbatim with the
-    sharded path; ``result`` is ``None``. The flight recorder is
-    finished *before* harvest, matching the sharded runner (which
-    finishes it in ``finalize()``), so harvest-time appraisals land in
-    metric snapshots but never in frames on either path.
-    """
-    shape = shape or FatTreeShape()
-    if health is not None and sampling is None:
-        sampling = fabric_sampling_spec()
-    # The recorder samples the metrics registry, so a sampling= run
-    # needs live telemetry — the same Telemetry(active=True) every
-    # shard of the sharded runner builds. Without sampling the
-    # monolith keeps its historical null-telemetry default.
-    telemetry = Telemetry(active=True) if sampling is not None else None
-    if telemetry is not None:
-        reset_trace_ids()
-    sim = Simulator(
-        _fabric_traffic_topology(shape), seed=seed, telemetry=telemetry
-    )
-    ctx = _fabric_traffic_build(sim, shape=shape)
-    if sampling is not None:
-        install_recorder(sim, sampling)
-    sim.run(until=until, max_events=max_events)
-    _fabric_traffic_drain(sim, ctx)
-    sim.run(until=until, max_events=max_events)
-    frames: List[Dict[str, object]] = []
-    frames_dropped = 0
-    if sampling is not None:
-        recorder = sim.recorder
-        recorder.finish(sim.clock.now)
-        frames = renumber_frame_times(
-            merge_frame_streams([recorder.frames]), sampling.interval_s
-        )
-        frames_dropped = recorder.frames_dropped
-    output = _fabric_traffic_harvest(sim, ctx)
-    health_report = None
-    if health is not None and sampling is not None:
-        health_report = evaluate_health(
-            frames, list(health), sampling.interval_s
-        )
-        fold_alerts(sim.telemetry.audit, health_report.alerts)
-    return _assemble_traffic_result(
-        shape,
-        seed,
-        [output],
-        None,
-        frames=frames,
-        frames_dropped=frames_dropped,
-        sampling=sampling,
-        health=health_report,
+        shape, seed, result, sampling, health_report
     )
 
 
@@ -1316,9 +1227,7 @@ __all__ = [
     "fabric_topology",
     "fabric_traffic_spec",
     "run_fabric",
-    "run_fabric_monolith",
     "run_fabric_traffic",
-    "run_fabric_traffic_monolith",
     "run_sharded",
     "standard_fabric_rules",
 ]

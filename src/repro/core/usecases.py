@@ -127,9 +127,10 @@ class ConfigAssuranceResult:
     first_rejection: Optional[int]
     swap_at: Optional[int]
     exfiltrated: int
-    #: Populated only by sharded runs (``shards=`` given): the merged
-    #: runner output, carrying the canonical audit/metrics/stats the
-    #: determinism tests compare across shard counts.
+    #: The merged runner output, carrying the canonical
+    #: audit/metrics/stats (and the run's private ``telemetry``) the
+    #: determinism tests compare across shard counts; always set by
+    #: :func:`run_config_assurance`.
     sharded: Optional[ShardedResult] = field(default=None, repr=False)
 
     @property
@@ -138,102 +139,6 @@ class ConfigAssuranceResult:
         if self.swap_at is None or self.first_rejection is None:
             return None
         return max(0, self.first_rejection - self.swap_at)
-
-
-def run_config_assurance(
-    packets: int = 20,
-    swap_at: Optional[int] = 10,
-    sampling: Optional[SamplingSpec] = None,
-    switch_count: int = 2,
-    batching: Optional[BatchingSpec] = None,
-    shards: Optional[int] = None,
-    backend: str = "inline",
-    seed: int = 0,
-) -> ConfigAssuranceResult:
-    """UC1 / the Athens affair, end to end.
-
-    A chain of ``switch_count`` attesting switches runs vetted
-    ``firewall_v5``; at packet ``swap_at`` an attacker (who *is* the
-    P4Runtime master) installs the rogue variant that clones traffic to
-    a spy port. The relying party appraises each delivered packet's
-    path evidence: the program measurement changes, so appraisal
-    rejects from the swap on — with per-packet attestation, at the very
-    first rogue packet.
-
-    With ``shards`` given, the deployment runs under the sharded
-    runner (:mod:`repro.net.shardrun`) partitioned into that many
-    event loops on the chosen ``backend``; the result additionally
-    carries the merged :class:`~repro.net.shardrun.ShardedResult` in
-    ``.sharded``. ``shards=None`` is the original monolithic path.
-    """
-    if shards is not None:
-        return _run_config_assurance_sharded(
-            packets, swap_at, sampling, switch_count, batching,
-            shards, backend, seed,
-        )
-    config = EvidenceConfig(
-        detail=DetailLevel.MINIMAL,
-        composition=CompositionMode.CHAINED,
-        sampling=sampling or SamplingSpec(),
-        batching=batching,
-    )
-    genuine = firewall_program()
-    sim, src, dst, switches = _pera_chain(
-        switch_count, config, programs=[genuine] * switch_count
-    )
-    # The spy host hangs off s1's port 3.
-    sim.topology.add_node("h-spy", kind="host")
-    sim.topology.add_link("s1", 3, "h-spy", 1)
-    spy = Host("h-spy", mac=0x3, ip=ip_to_int("10.9.9.9"))
-    sim.bind(spy)
-
-    appraiser = _appraiser_for(
-        switches, [genuine] * switch_count,
-        allow_sampling=sampling is not None
-        and sampling.mode is not SamplingMode.EVERY_PACKET,
-    )
-    policy = compile_policy_for_path(
-        ap1_bank_path_attestation(),
-        path=["h-src"] + [s.name for s in switches] + ["h-dst"],
-        bindings={"client": "h-dst"},
-        composition=CompositionMode.CHAINED,
-    )
-    shim_body = encode_compiled_policy(policy)
-
-    for index in range(packets):
-        def fire(seq=index):
-            if swap_at is not None and seq == swap_at:
-                _uc1_athens_swap(switches[0])
-            src.send_udp(
-                dst_mac=dst.mac, dst_ip=dst.ip, src_port=1000, dst_port=2000,
-                payload=seq.to_bytes(4, "big"),
-                ra_shim=RaShimHeader(
-                    flags=RaShimHeader.FLAG_POLICY, body=shim_body
-                ),
-            )
-        sim.schedule(index * 1e-3, fire)
-    sim.run()
-    if batching is not None:
-        # Seal any epoch still open (max_delay_s=0 configs) and deliver
-        # the packets its seal released.
-        for switch in switches:
-            switch.flush_epochs()
-        sim.run()
-
-    verdicts = [
-        appraiser.appraise_packet(packet, compiled=policy)
-        for packet in dst.received_packets
-    ]
-    first_rejection = next(
-        (i for i, verdict in enumerate(verdicts) if not verdict.accepted), None
-    )
-    return ConfigAssuranceResult(
-        packets_sent=packets,
-        verdicts=verdicts,
-        first_rejection=first_rejection,
-        swap_at=swap_at,
-        exfiltrated=len(spy.received_packets),
-    )
 
 
 def _install_routing_as(switch, controller: str) -> None:
@@ -264,14 +169,11 @@ def _uc1_athens_swap(switch) -> None:
     switch.notify_state_change(InertiaClass.PROGRAM)
 
 
-# --- UC1, sharded -------------------------------------------------------------
-#
-# The same deployment expressed as a ScenarioSpec for the sharded
-# runner. Every shard builds the complete world — hosts, switches,
-# programs, routing — so control-plane state and appraisal anchors are
-# replicated deterministically; the simulator's ownership gates make
-# each scheduled action (the swap on s1's shard, each send on h-src's)
-# fire exactly once across the fleet.
+# UC1 is a ScenarioSpec for the sharded runner. Every shard builds the
+# complete world — hosts, switches, programs, routing — so control-plane
+# state and appraisal anchors are replicated deterministically; the
+# simulator's ownership gates make each scheduled action (the swap on
+# s1's shard, each send on h-src's) fire exactly once across the fleet.
 
 
 def _uc1_topology(switch_count: int) -> Topology:
@@ -371,18 +273,23 @@ def _uc1_harvest(sim, ctx):
 
 
 def _uc1_drain(sim, ctx) -> None:
-    """Barrier-synced equivalent of the monolith's flush-then-run: seal
-    epochs still open on this shard's switches so their releases (and
-    parked packets) enter the next window cycle."""
+    """Barrier-synced flush-then-run: seal epochs still open on this
+    shard's switches so their releases (and parked packets) enter the
+    next window cycle."""
     for switch in ctx["switches"]:
         if sim.owns(switch.name):
             switch.flush_epochs()
 
 
-def _run_config_assurance_sharded(
-    packets, swap_at, sampling, switch_count, batching, shards, backend, seed
-) -> ConfigAssuranceResult:
-    spec = ScenarioSpec(
+def config_assurance_spec(
+    packets: int = 20,
+    swap_at: Optional[int] = 10,
+    sampling: Optional[SamplingSpec] = None,
+    switch_count: int = 2,
+    batching: Optional[BatchingSpec] = None,
+) -> ScenarioSpec:
+    """The UC1 deployment as a runner-ready :class:`ScenarioSpec`."""
+    return ScenarioSpec(
         topology=partial(_uc1_topology, switch_count),
         build=partial(
             _uc1_build,
@@ -395,7 +302,45 @@ def _run_config_assurance_sharded(
         harvest=_uc1_harvest,
         drain=_uc1_drain if batching is not None else None,
     )
-    result = run_sharded(spec, shards=shards, backend=backend, seed=seed)
+
+
+def run_config_assurance(
+    packets: int = 20,
+    swap_at: Optional[int] = 10,
+    sampling: Optional[SamplingSpec] = None,
+    switch_count: int = 2,
+    batching: Optional[BatchingSpec] = None,
+    shards: int = 1,
+    backend: str = "inline",
+    seed: int = 0,
+) -> ConfigAssuranceResult:
+    """UC1 / the Athens affair, end to end.
+
+    A chain of ``switch_count`` attesting switches runs vetted
+    ``firewall_v5``; at packet ``swap_at`` an attacker (who *is* the
+    P4Runtime master) installs the rogue variant that clones traffic to
+    a spy port. The relying party appraises each delivered packet's
+    path evidence: the program measurement changes, so appraisal
+    rejects from the swap on — with per-packet attestation, at the very
+    first rogue packet.
+
+    The deployment is a :func:`config_assurance_spec` run under the
+    sharded runner (:mod:`repro.net.shardrun`) on ``shards`` event
+    loops of the chosen ``backend`` (``shards=1`` inline is the
+    baseline); the merged :class:`~repro.net.shardrun.ShardedResult`,
+    with the run's audit journal and metrics, is in ``.sharded``. That
+    journal is the dataplane's: the harvest-time appraiser is built
+    without a telemetry argument, so its ``verdict.issued`` /
+    ``check.failed`` events go to the ambient default telemetry.
+    """
+    result = run_sharded(
+        config_assurance_spec(
+            packets, swap_at, sampling, switch_count, batching
+        ),
+        shards=shards,
+        backend=backend,
+        seed=seed,
+    )
     verdicts = next(
         (out["verdicts"] for out in result.outputs
          if out["verdicts"] is not None),

@@ -18,9 +18,10 @@ is the one canonical model they all share:
 - :mod:`repro.evidence.verify` — memoized signature verification keyed
   by (key id, message digest, signature).
 
-The historical import paths (``repro.copland.evidence``,
-``repro.pera.records``) remain as thin views/re-exports over this
-package.
+:mod:`repro.pera.records` is a view over this package
+(:class:`~repro.pera.records.HopRecord` subclasses the hop node and
+re-exports the codec constants); no other module carries evidence
+types.
 """
 
 from repro.evidence.nodes import (

@@ -3,7 +3,10 @@
 The paper's evaluation needs a network to attest: hosts, links, and
 switches on paths. This package provides byte-accurate packets and
 headers, topology graphs, routing, and a discrete-event simulator —
-the stand-in for the authors' testbed (see DESIGN.md §2).
+the stand-in for the authors' testbed (see DESIGN.md §2). Traffic
+generation lives in :mod:`repro.workload`; campaigns run as a
+:class:`~repro.net.shardrun.ScenarioSpec` under :func:`run_sharded`,
+``shards=1`` being the baseline.
 """
 
 from repro.net.headers import (
@@ -52,7 +55,6 @@ from repro.net.routing import (
     stable_flow_hash,
 )
 from repro.net.host import Host
-from repro.net.flows import Flow, FlowGenerator
 from repro.net.trace import TraceAnalysis
 
 # NOTE: repro.net.controller is intentionally NOT imported here — it
@@ -103,8 +105,6 @@ __all__ = [
     "FlowletTable",
     "RoutingMode",
     "Host",
-    "Flow",
-    "FlowGenerator",
     "PacketLogEntry",
     "TraceAnalysis",
 ]

@@ -595,33 +595,17 @@ class ShardSimulator(Simulator):
     def run(
         self, until: Optional[float] = None, max_events: int = 1_000_000
     ) -> int:
-        """Standalone drain — only meaningful for a 1-shard partition.
+        """Refused: a shard only runs under a runner.
 
-        Multi-shard simulators must run under a
-        :class:`~repro.net.shardrun.ShardedRunner`, which owns the
-        barrier protocol; calling ``run`` directly on one shard of
-        many would silently drop cross-shard traffic.
+        The :class:`~repro.net.shardrun.ShardedRunner` owns the window
+        and barrier protocol (use :func:`~repro.net.shardrun.run_sharded`,
+        at any shard count including 1); draining one shard directly
+        would silently drop cross-shard traffic.
         """
-        if self.partition.shard_count != 1:
-            raise NetworkError(
-                "a multi-shard ShardSimulator runs under a ShardedRunner; "
-                "direct run() is only valid for shard_count == 1"
-            )
-        total = 0
-        while total < max_events:
-            start = self.next_event_time()
-            if start is None:
-                break
-            if until is not None and start > until:
-                break
-            total += self.run_window(
-                float("inf"), hard_limit=until, max_events=max_events - total
-            )
-            self.run_barrier_hooks()
-        if until is not None:
-            self.clock.advance_to(until)
-        self.finalize()
-        return total
+        raise NetworkError(
+            "ShardSimulator.run() is not supported; run the scenario "
+            "with repro.net.shardrun.run_sharded"
+        )
 
 
 __all__ = [

@@ -4,9 +4,8 @@ merged, canonical result.
 Two backends run the identical barrier protocol:
 
 * ``inline`` — every shard in this process, stepped round-robin. This
-  is the reference implementation and the fast path on small machines
-  (the window engine batches heap work, so even 1 "shard" under the
-  runner outruns the monolithic event loop on fabric-scale runs).
+  is the reference implementation and the default: ``shards=1`` inline
+  is how every campaign runs unless told otherwise.
 * ``mp`` — one ``multiprocessing`` worker per shard (fork start
   method), a pipe per worker, one message round-trip per window.
 
@@ -79,8 +78,9 @@ class ScenarioSpec:
     may schedule fresh events (the canonical use: sealing still-open
     evidence epochs, whose releases forward parked packets). The
     runner then resumes the window loop, repeating until a drain round
-    leaves all shards idle — the sharded equivalent of the monolith's
-    "flush, then run() again" idiom.
+    leaves all shards idle — the barrier-synced form of the plain
+    :class:`~repro.net.simulator.Simulator`'s "flush, then run()
+    again" idiom.
 
     ``sampling``, when given, installs a
     :class:`~repro.telemetry.timeseries.FlightRecorder` on every shard;

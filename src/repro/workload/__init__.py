@@ -1,10 +1,9 @@
 """Seeded flow-level workload engine for fabric-scale campaigns.
 
-Generalizes the small :mod:`repro.net.flows` module into a traffic
-engine that drives thousands of concurrent flows through attested
-fabrics: :mod:`repro.workload.flows` schedules every packet of every
-:class:`FlowSpec` through the ownership-gated ``schedule_on`` hook (so
-the same build is correct monolithic and sharded), and
+The traffic engine that drives thousands of concurrent flows through
+attested fabrics: :mod:`repro.workload.flows` schedules every packet
+of every :class:`FlowSpec` through the ownership-gated ``schedule_on``
+hook (so the same build is correct at any shard count), and
 :mod:`repro.workload.mixes` generates datacenter-shaped flow
 populations — elephant/mice size mixes, web-like request/response
 pairs, Poisson and on-off arrival processes — from a single seed.

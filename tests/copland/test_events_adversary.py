@@ -219,7 +219,7 @@ class TestVmAttackSimulation:
         # parallel order is right-arm-first, matching this schedule —
         # the adversary repairs bmon via a hook between the arms.
         from repro.copland.parser import parse_phrase as pp
-        from repro.copland.evidence import ParallelEvidence
+        from repro.evidence.nodes import ParallelEvidence
 
         c2 = vm.execute(pp("@us [bmon us exts]"), "bank")
         us.repair_component("bmon")  # hide the tracks

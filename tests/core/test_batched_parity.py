@@ -25,15 +25,25 @@ AMORTIZED_KINDS = {AuditKind.SIGNATURE_MADE, AuditKind.EPOCH_SEALED}
 
 
 def run_mode(batching):
-    telemetry = Telemetry(active=True)
-    previous = use_default(telemetry)
+    """One UC1 run and its whole audit story in one journal.
+
+    The run journals the dataplane in ``result.sharded.telemetry``;
+    UC1's harvest-time appraiser is built without a telemetry argument
+    and journals to the ambient default. The story under test is both,
+    dataplane first.
+    """
+    ambient = Telemetry(active=True)
+    previous = use_default(ambient)
     try:
         result = run_config_assurance(
             packets=PACKETS, swap_at=SWAP_AT, batching=batching
         )
     finally:
         use_default(previous)
-    return result, telemetry
+    story = Telemetry(active=True)
+    story.audit.load(result.sharded.telemetry.audit.events)
+    story.audit.load(ambient.audit.events)
+    return result, story
 
 
 @pytest.fixture(scope="module")

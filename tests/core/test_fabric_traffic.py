@@ -1,20 +1,17 @@
-"""The fat-tree attested-traffic campaign: parity, determinism, faults.
+"""The fat-tree attested-traffic campaign: outcome, determinism, faults.
 
-One small campaign (k=4, mixed bulk/web/attested load) is run on the
-monolithic simulator and on the sharded core at 1, 2, and 4 shards;
-every view of the result — merged stats, audit ordering, per-flow
-completion times, appraisal verdicts, per-port spread — must agree.
+One small campaign (k=4, mixed bulk/web/attested load) is run at 1, 2,
+and 4 shards; every view of the result — merged stats, audit ordering,
+per-flow completion times, appraisal verdicts, per-port spread — must
+agree. (Parity of ``shards=1`` with the plain event loop lives in
+``test_plain_simulator_reference.py``.)
 """
 
 import json
 
 import pytest
 
-from repro.core.fabric import (
-    FatTreeShape,
-    run_fabric_traffic,
-    run_fabric_traffic_monolith,
-)
+from repro.core.fabric import FatTreeShape, run_fabric_traffic
 from repro.net.qdisc import QueueConfig, RecoveryConfig
 from repro.net.routing import RoutingMode
 from repro.pera.config import BatchingSpec
@@ -40,14 +37,9 @@ def sharded_runs():
     }
 
 
-@pytest.fixture(scope="module")
-def monolith_run():
-    return run_fabric_traffic_monolith(SHAPE, seed=SEED)
-
-
 class TestCampaignOutcome:
-    def test_traffic_flows_and_attestation_succeeds(self, monolith_run):
-        result = monolith_run
+    def test_traffic_flows_and_attestation_succeeds(self, sharded_runs):
+        result = sharded_runs[1]
         assert result.forwarded > 0
         assert result.unroutable == 0
         assert result.attested_hops > 0
@@ -58,11 +50,11 @@ class TestCampaignOutcome:
         assert result.oob_records > 0
         assert result.oob_verified == result.oob_records
 
-    def test_flows_complete_with_sane_fct(self, monolith_run):
-        fct = monolith_run.fct_s
+    def test_flows_complete_with_sane_fct(self, sharded_runs):
+        fct = sharded_runs[1].fct_s
         assert len(fct) > 30
         assert all(v > 0 for v in fct.values())
-        pct = monolith_run.fct_percentiles()
+        pct = sharded_runs[1].fct_percentiles()
         assert pct["p50"] <= pct["p95"] <= pct["p99"]
 
 
@@ -82,13 +74,6 @@ class TestShardedDeterminism:
             assert other.verdicts == base.verdicts
             assert other.tx_by_port == base.tx_by_port
             assert other.forwarded == base.forwarded
-
-    def test_monolith_parity(self, sharded_runs, monolith_run):
-        sharded = sharded_runs[1]
-        assert monolith_run.forwarded == sharded.forwarded
-        assert monolith_run.fct_s == sharded.fct_s
-        assert monolith_run.verdicts == sharded.verdicts
-        assert monolith_run.tx_by_port == sharded.tx_by_port
 
 
 class TestCompromise:
@@ -219,10 +204,8 @@ class TestCongestionCampaign:
         queue = QueueConfig(
             recovery=RecoveryConfig(retransmit_limit=8)
         )
-        clean = run_fabric_traffic_monolith(
-            FatTreeShape(queue=queue), seed=SEED
-        )
-        dirty = run_fabric_traffic_monolith(
+        clean = run_fabric_traffic(FatTreeShape(queue=queue), seed=SEED)
+        dirty = run_fabric_traffic(
             FatTreeShape(queue=queue, corrupt_link_rate=0.3), seed=SEED
         )
         assert dirty.verdicts == clean.verdicts
@@ -241,7 +224,7 @@ class TestCongestionCampaign:
 
     def test_incast_fan_in_bounded_by_remote_hosts(self):
         with pytest.raises(ValueError):
-            run_fabric_traffic_monolith(
+            run_fabric_traffic(
                 FatTreeShape(queue=self.QUEUE, incast_fan_in=99),
                 seed=SEED,
             )

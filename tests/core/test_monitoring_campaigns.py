@@ -7,8 +7,9 @@ Three contracts from docs/MONITORING.md, pinned end to end:
   the alert clears after recovery; a fault-free baseline raises zero
   alerts (no false positives).
 - **Determinism**: frame streams and the full timeseries export are
-  byte-identical across the monolith and shard counts {1, 2, 4} on
-  the inline backend, plus one multiprocessing case per campaign.
+  byte-identical across shard counts {1, 2, 4} on the inline backend
+  (``shards=1`` is the baseline the fixtures run), plus one
+  multiprocessing case per campaign.
 - **Integration**: alerts fold into the audit journal canonically and
   the TIMESERIES.json artifact feeds the report CLI's ``timeline`` /
   ``health`` subcommands.
@@ -28,7 +29,6 @@ from repro.core.chaos import (
 from repro.core.fabric import (
     FatTreeShape,
     run_fabric_traffic,
-    run_fabric_traffic_monolith,
     standard_fabric_rules,
 )
 from repro.faults.plan import FaultPlan
@@ -42,24 +42,24 @@ FABRIC_SHAPE = FatTreeShape()
 
 
 @pytest.fixture(scope="module")
-def chaos_monolith():
+def chaos_baseline():
     return run_chaos_athens(health=standard_chaos_rules())
 
 
 @pytest.fixture(scope="module")
-def fabric_monolith():
-    return run_fabric_traffic_monolith(
+def fabric_baseline():
+    return run_fabric_traffic(
         shape=FABRIC_SHAPE, health=standard_fabric_rules()
     )
 
 
 class TestChaosAlertCoverage:
-    def test_every_fault_family_is_detected_and_clears(self, chaos_monolith):
-        coverage = assert_chaos_alert_coverage(chaos_monolith)
+    def test_every_fault_family_is_detected_and_clears(self, chaos_baseline):
+        coverage = assert_chaos_alert_coverage(chaos_baseline)
         detected = {kind for kind in coverage}
         planned = {
             e.kind
-            for e in chaos_monolith.plan.events
+            for e in chaos_baseline.plan.events
             if e.kind in CHAOS_ALERT_FAMILIES
             and not (
                 e.kind in ("link_loss", "packet_corrupt")
@@ -69,8 +69,8 @@ class TestChaosAlertCoverage:
         assert detected == planned
         assert all(entry["cleared"] for entry in coverage.values())
 
-    def test_detection_lands_within_two_windows(self, chaos_monolith):
-        coverage = chaos_alert_coverage(chaos_monolith, within_windows=2)
+    def test_detection_lands_within_two_windows(self, chaos_baseline):
+        coverage = chaos_alert_coverage(chaos_baseline, within_windows=2)
         for kind, entry in coverage.items():
             hits = [
                 a["raised_window"]
@@ -97,8 +97,8 @@ class TestChaosAlertCoverage:
         kinds = {e.kind for e in result.telemetry.audit.events}
         assert "alert.raised" not in kinds
 
-    def test_alerts_fold_into_audit_journal(self, chaos_monolith):
-        events = chaos_monolith.telemetry.audit.events
+    def test_alerts_fold_into_audit_journal(self, chaos_baseline):
+        events = chaos_baseline.telemetry.audit.events
         kinds = [e.kind for e in events]
         assert "alert.raised" in kinds and "alert.cleared" in kinds
         assert [e.seq for e in events] == list(range(1, len(events) + 1))
@@ -109,24 +109,24 @@ class TestChaosAlertCoverage:
 
 
 class TestChaosFrameDeterminism:
-    def test_inline_shards_match_monolith(self, chaos_monolith):
-        frames = chaos_monolith.frames_export()
-        doc = chaos_monolith.timeseries_export()
+    def test_inline_shards_match_monolith(self, chaos_baseline):
+        frames = chaos_baseline.frames_export()
+        doc = chaos_baseline.timeseries_export()
         for shards in SHARD_COUNTS:
             sharded = run_chaos_athens(
                 shards=shards, health=standard_chaos_rules()
             )
             assert sharded.frames_export() == frames, f"shards={shards}"
             assert sharded.timeseries_export() == doc, f"shards={shards}"
-            assert sharded.audit_export() == chaos_monolith.audit_export()
+            assert sharded.audit_export() == chaos_baseline.audit_export()
 
-    def test_mp_backend_matches_monolith(self, chaos_monolith):
+    def test_mp_backend_matches_monolith(self, chaos_baseline):
         sharded = run_chaos_athens(
             shards=2, backend="mp", health=standard_chaos_rules()
         )
-        assert sharded.frames_export() == chaos_monolith.frames_export()
+        assert sharded.frames_export() == chaos_baseline.frames_export()
         assert (
-            sharded.timeseries_export() == chaos_monolith.timeseries_export()
+            sharded.timeseries_export() == chaos_baseline.timeseries_export()
         )
 
     def test_sampling_without_health_records_frames_only(self):
@@ -139,10 +139,10 @@ class TestChaosFrameDeterminism:
 
 
 class TestFabricFrameDeterminism:
-    def test_inline_shards_match_monolith(self, fabric_monolith):
-        frames = fabric_monolith.frames_export()
-        doc = fabric_monolith.timeseries_export()
-        assert fabric_monolith.frames, "campaign should have recorded frames"
+    def test_inline_shards_match_monolith(self, fabric_baseline):
+        frames = fabric_baseline.frames_export()
+        doc = fabric_baseline.timeseries_export()
+        assert fabric_baseline.frames, "campaign should have recorded frames"
         for shards in SHARD_COUNTS:
             sharded = run_fabric_traffic(
                 shape=FABRIC_SHAPE,
@@ -152,17 +152,17 @@ class TestFabricFrameDeterminism:
             assert sharded.frames_export() == frames, f"shards={shards}"
             assert sharded.timeseries_export() == doc, f"shards={shards}"
 
-    def test_mp_backend_matches_monolith(self, fabric_monolith):
+    def test_mp_backend_matches_monolith(self, fabric_baseline):
         sharded = run_fabric_traffic(
             shape=FABRIC_SHAPE,
             shards=2,
             backend="mp",
             health=standard_fabric_rules(),
         )
-        assert sharded.frames_export() == fabric_monolith.frames_export()
+        assert sharded.frames_export() == fabric_baseline.frames_export()
 
-    def test_default_shape_raises_no_alerts(self, fabric_monolith):
-        assert fabric_monolith.health.alerts == []
+    def test_default_shape_raises_no_alerts(self, fabric_baseline):
+        assert fabric_baseline.health.alerts == []
 
 
 #: Tight buffers + an 8-way incast: queues overflow, ECN marks, PFC
@@ -193,7 +193,7 @@ _CONGESTION_RULES = dict(queue_depth_bytes=4096.0)
 
 class TestCongestionAlerts:
     def test_congested_incast_raises_queue_and_pause_rules(self):
-        result = run_fabric_traffic_monolith(
+        result = run_fabric_traffic(
             shape=CONGESTED_SHAPE,
             health=standard_fabric_rules(**_CONGESTION_RULES),
         )
@@ -208,7 +208,7 @@ class TestCongestionAlerts:
         assert "fabric-drops" in raised
 
     def test_calm_queued_baseline_is_silent(self):
-        result = run_fabric_traffic_monolith(
+        result = run_fabric_traffic(
             shape=CALM_QUEUED_SHAPE,
             health=standard_fabric_rules(**_CONGESTION_RULES),
         )
@@ -228,12 +228,22 @@ class TestCongestionAlerts:
         assert timeline(4) == base
 
 
+class TestHealthNeedsTelemetry:
+    def test_health_without_live_telemetry_is_rejected_up_front(self):
+        with pytest.raises(ValueError, match="telemetry_active=True"):
+            run_fabric_traffic(
+                FatTreeShape(bulk_flows=2, web_sessions=0),
+                health=standard_fabric_rules(),
+                telemetry_active=False,
+            )
+
+
 class TestTimeseriesArtifact:
     def test_dump_feeds_report_subcommands(
-        self, chaos_monolith, tmp_path, capsys
+        self, chaos_baseline, tmp_path, capsys
     ):
         path = tmp_path / "TIMESERIES.json"
-        dump_timeseries(chaos_monolith.timeseries(), path)
+        dump_timeseries(chaos_baseline.timeseries(), path)
         doc = json.loads(path.read_text())
         assert doc["schema"] == TIMESERIES_SCHEMA
 

@@ -33,7 +33,6 @@ from repro.core.fabric import (
     fabric_sampling_spec,
     run_fabric,
     run_fabric_traffic,
-    run_fabric_traffic_monolith,
 )
 from repro.core.usecases import run_config_assurance
 from repro.net.qdisc import QueueConfig, RecoveryConfig
@@ -187,19 +186,6 @@ class TestCongestedDeterminism:
         assert stats["pause_frames"] > 0
         assert stats["recovery_retransmits"] > 0
 
-    def test_matches_monolith(self):
-        mono = run_fabric_traffic_monolith(
-            CONGESTED_SHAPE, seed=3, sampling=fabric_sampling_spec()
-        )
-        sharded = run_fabric_traffic(
-            CONGESTED_SHAPE, shards=4, seed=3,
-            sampling=fabric_sampling_spec(),
-        )
-        assert sharded.frames_export() == mono.frames_export()
-        assert sharded.fct_percentiles() == mono.fct_percentiles()
-        assert sharded.verdicts == mono.verdicts
-        assert sharded.ecn_delivered == mono.ecn_delivered
-
 
 class TestUC1Determinism:
     def test_shard_sweep(self):
@@ -224,22 +210,6 @@ class TestUC1Determinism:
     def test_mp_backend_agrees(self):
         assert uc1_signature(2, "mp") == uc1_signature(2, "inline")
 
-    def test_verdicts_match_monolith(self):
-        # The sharded entry point always runs with telemetry active,
-        # the monolith default does not — so verdict trace ids differ
-        # by construction; every semantic field must agree.
-        def semantic(v):
-            return (v.accepted, v.failures, v.records_checked,
-                    v.hop_count, v.functions_seen, v.degraded)
-
-        mono = run_config_assurance()
-        sharded = run_config_assurance(shards=4)
-        assert [semantic(v) for v in sharded.verdicts] == [
-            semantic(v) for v in mono.verdicts
-        ]
-        assert sharded.exfiltrated == mono.exfiltrated
-        assert sharded.first_rejection == mono.first_rejection
-
 
 class TestChaosDeterminism:
     @pytest.mark.parametrize("seed", [0, 7])
@@ -252,11 +222,3 @@ class TestChaosDeterminism:
         assert chaos_signature(4, "mp", seed=0) == chaos_signature(
             4, "inline", seed=0
         )
-
-    def test_markers_match_monolith(self):
-        mono = run_chaos_athens(seed=0)
-        sharded = run_chaos_athens(seed=0, shards=2)
-        assert sharded.first_rejection == mono.first_rejection
-        assert sharded.recovered_at == mono.recovered_at
-        assert sharded.exfiltrated == mono.exfiltrated
-        assert sharded.collector_records == mono.collector_records

@@ -1,10 +1,15 @@
 """UC1 acceptance: the Athens rejection is fully explainable post-hoc.
 
-Running the attack with tracing enabled must leave, for the first
-rejected packet, ONE trace id whose audit events span every switch on
-the 3-hop path, evidence digests that match the very records the
-packet delivered, and an ``explain()`` narrative naming the failing
-hop and check.
+Running the attack must leave, for the first rejected packet, ONE
+trace id whose audit events span every switch on the 3-hop path,
+evidence digests that match the very records the packet delivered, and
+an ``explain()`` narrative naming the failing hop and check.
+
+The dataplane half of that story is in the run's own journal
+(``result.sharded.telemetry``). The appraiser half is not: UC1's
+harvest-time appraiser is built without a telemetry argument, so its
+events go to the ambient default, as they always have on the runner
+path. The test joins the two by trace id.
 """
 
 import pytest
@@ -39,7 +44,11 @@ class TestAthensAcceptance:
         assert not verdict.accepted
         assert verdict.trace_id is not None and len(verdict.trace_id) == 12
 
-        events = telemetry.audit.for_trace(verdict.trace_id)
+        dataplane = result.sharded.telemetry.audit.for_trace(verdict.trace_id)
+        assert {e.actor for e in dataplane} >= {"s1", "s2", "s3"}
+        appraisal = telemetry.audit.for_trace(verdict.trace_id)
+        assert {e.actor for e in appraisal} == {"Appraiser"}
+        events = dataplane + appraisal
         assert events, "the rejected packet must have audit events"
         # One trace id spans the packet's whole life: origin, every
         # switch on the path, delivery, and the appraiser's verdict.
@@ -65,7 +74,7 @@ class TestAthensAcceptance:
 
         # The narrative names the failing hop (s1 ran the rogue
         # program) and the failing check.
-        text = verdict.explain(telemetry)
+        text = verdict.explain(events)
         assert f"trace {verdict.trace_id}:" in text
         assert "conclusion: REJECTED" in text
         assert "'measurement' failed" in text

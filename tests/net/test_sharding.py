@@ -204,6 +204,14 @@ class TestWindowedEngine:
         with pytest.raises(NetworkError, match="lookahead violation"):
             sim._schedule_packet_delivery("s2", 1, make_packet(), delay=0.1)
 
+    def test_direct_run_is_refused_at_any_shard_count(self):
+        # The runner owns the window/barrier protocol; even a 1-shard
+        # partition runs under run_sharded, never by draining itself.
+        part = partition_topology(chain(4), shards=1)
+        sim = ShardSimulator(chain(4), part, shard_id=0)
+        with pytest.raises(NetworkError, match="run_sharded"):
+            sim.run()
+
     def test_bad_shard_id_rejected(self):
         part = partition_topology(chain(4), shards=2)
         with pytest.raises(NetworkError):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.net.flows import Flow, FlowGenerator
 from repro.net.headers import ip_to_int
 from repro.net.host import Host
 from repro.net.packet import Packet
@@ -278,54 +277,3 @@ class TestRouting:
         assert table[("s1", "h-dst")] == 2
         assert table[("s2", "h-src")] == 1
         assert ("s1", "s1") not in table
-
-
-class TestFlows:
-    def test_flow_delivery(self):
-        sim, h1, h2 = two_hosts_one_switch()
-        gen = FlowGenerator(sim)
-        gen.schedule_flow(Flow(
-            src_host="h1", dst_host="h2", src_port=1000, dst_port=2000,
-            packet_count=5, interval_s=1e-4,
-        ))
-        sim.run()
-        assert len(h2.received_packets) == 5
-        assert gen.total_sent() == 5
-
-    def test_flow_timing(self):
-        sim, h1, h2 = two_hosts_one_switch()
-        gen = FlowGenerator(sim)
-        gen.schedule_flow(Flow(
-            src_host="h1", dst_host="h2", src_port=1, dst_port=2,
-            packet_count=2, interval_s=1.0, start_s=0.5,
-        ))
-        sim.run()
-        times = [t for t, _ in h2.received]
-        assert times[0] >= 0.5
-        assert times[1] - times[0] == pytest.approx(1.0, rel=1e-3)
-
-    def test_flow_validation(self):
-        with pytest.raises(NetworkError):
-            Flow(src_host="a", dst_host="b", src_port=1, dst_port=2,
-                 packet_count=-1)
-
-    def test_flow_endpoints_must_be_hosts(self):
-        sim, _, _ = two_hosts_one_switch()
-        gen = FlowGenerator(sim)
-        with pytest.raises(NetworkError):
-            gen.schedule_flow(Flow(
-                src_host="s1", dst_host="h2", src_port=1, dst_port=2, packet_count=1,
-            ))
-
-    def test_jitter_deterministic_with_seed(self):
-        def run_once():
-            sim, h1, h2 = two_hosts_one_switch()
-            gen = FlowGenerator(sim, seed=42)
-            gen.schedule_flow(Flow(
-                src_host="h1", dst_host="h2", src_port=1, dst_port=2,
-                packet_count=5, interval_s=1e-3, jitter_s=1e-4,
-            ))
-            sim.run()
-            return [t for t, _ in h2.received]
-
-        assert run_once() == run_once()

@@ -116,21 +116,27 @@ class TestSimulatorIntegration:
 
 
 class TestUseCaseEndToEnd:
-    """Acceptance: an ambient-enabled UC1 run yields per-switch
-    evidence counters, pipeline-stage spans and the verify-cache
-    hit rate — without the use case knowing telemetry exists."""
+    """Acceptance: an ambient-enabled UC2 run (a use case built on a
+    plain ``Simulator``, which resolves the ambient default) yields
+    per-switch evidence counters, pipeline-stage spans and the
+    verify-cache hit rate — without the use case knowing telemetry
+    exists. Campaigns under the sharded runner carry a private
+    ``Telemetry`` instead (``result.sharded.telemetry``)."""
 
-    def test_uc1_run_is_fully_observed(self):
-        from repro.core.usecases import run_config_assurance
+    def test_uc2_run_is_fully_observed(self):
+        from repro.core.usecases import run_path_authentication
         from repro.telemetry import snapshot
 
         tel = Telemetry()
         previous = use_default(tel)
         try:
-            result = run_config_assurance(packets=4, swap_at=2)
+            home = run_path_authentication(switch_count=2)
+            away = run_path_authentication(
+                switch_count=2, from_home_path=False
+            )
         finally:
             use_default(previous)
-        assert result.first_rejection is not None
+        assert home.access_granted and not away.access_granted
 
         doc = snapshot(tel)
         gauges = doc["metrics"]["gauges"]
