@@ -19,11 +19,19 @@ table records two throughput numbers per row:
   asserts on this column, with ``cpu_count`` recorded alongside so the
   context is never implicit.
 
-Busy time is measured inside each shard's window loop (barrier and
-transport costs excluded), so the critical path is the residual serial
-fraction of the *simulation* work — the quantity sharding exists to
-shrink. Every timing in this file, benchmark ``extra_info`` and report
-table alike, is reduced over its repeats by :func:`_noise_floor`.
+Busy time covers everything ``run_window`` does (exchange, pickling
+and waiting for the slower shard excluded), so the critical path is
+the residual serial fraction of the *simulation* work — the quantity
+sharding exists to shrink. Every timing in this file, benchmark
+``extra_info`` and report table alike, is reduced over its repeats by
+:func:`_noise_floor`.
+
+One more row runs the performance ledger's ``fabric_bulk`` shape (k=4
+fat-tree, 2000 bulk flows + 50 web sessions, ~25k events parked at
+build time) at 1 and 2 shards *inline* and records their wall ratio:
+with no pipe and no second process anywhere, whatever 2 shards cost
+over 1 is the engine's own per-window work. ``check_regression.py``
+gates that ratio.
 """
 
 import gc
@@ -32,7 +40,14 @@ import time
 
 import pytest
 
-from repro.core.fabric import FabricShape, fabric_spec, run_fabric
+from repro.core.fabric import (
+    FabricShape,
+    FatTreeShape,
+    fabric_spec,
+    run_fabric,
+    run_fabric_traffic,
+)
+from repro.net.routing import RoutingMode
 from repro.net.simulator import Simulator
 
 from conftest import report, table
@@ -43,6 +58,13 @@ SHARD_COUNTS = (1, 2, 4)
 
 #: Acceptance floor: critical-path throughput at 4 shards over 1 shard.
 MIN_SCALING_X4 = 2.0
+
+#: The ledger's ``fabric_bulk`` inputs (benchmarks/ledger/workloads.py).
+BULK_SHAPE = FatTreeShape(
+    k=4, bulk_flows=2000, web_sessions=50, attested_flows=0,
+    routing=RoutingMode.FLOWLET, flowlet_n_packets=32,
+)
+BULK_SEED = 3
 
 #: Repeats per config in the report table; best run wins. A single
 #: shot is fragile on a shared 1-CPU runner (one GC pause or scheduler
@@ -121,6 +143,57 @@ def test_shard_scaling_sharded(benchmark, shards):
         result.packets_transmitted / critical
     )
     assert result.delivered == SHAPE.packets_offered
+
+
+def _timed_bulk_run(shards):
+    gc.collect()
+    start = time.perf_counter()
+    result = run_fabric_traffic(
+        BULK_SHAPE, seed=BULK_SEED, shards=shards, telemetry_active=False
+    )
+    return result, time.perf_counter() - start
+
+
+def test_shard_scaling_fat_tree_bulk_inline(benchmark):
+    """Timed: the 2-shard inline run; extra_info carries its wall over
+    the identical 1-shard run (noise floor of each, interleaved so
+    host drift hits both alike)."""
+    walls = {1: [], 2: []}
+    forwarded = set()
+    for _ in range(ROUNDS):
+        for shards in walls:
+            result, wall = _timed_bulk_run(shards)
+            walls[shards].append(wall)
+            forwarded.add(result.forwarded)
+    assert len(forwarded) == 1, "shard count changed the campaign"
+    floor = {shards: _noise_floor(walls[shards]) for shards in walls}
+    ratio = floor[2] / floor[1]
+
+    # The timed row re-runs the 2-shard configuration so its median
+    # lands in BENCH_results.json for the regression gate.
+    result = benchmark.pedantic(
+        lambda: _timed_bulk_run(2)[0], rounds=1, iterations=1
+    )
+    benchmark.extra_info["cpu_count"] = os.cpu_count()
+    benchmark.extra_info["packets"] = result.forwarded
+    benchmark.extra_info["windows"] = result.result.windows
+    benchmark.extra_info["inline_x1_wall_s"] = round(floor[1], 4)
+    benchmark.extra_info["inline_x2_wall_s"] = round(floor[2], 4)
+    benchmark.extra_info["inline_x2_over_x1_wall"] = round(ratio, 3)
+    rows = [
+        {
+            "config": f"sharded x{shards} (inline)",
+            "wall s": round(floor[shards], 3),
+            "wall pkts/s": round(result.forwarded / floor[shards]),
+        }
+        for shards in walls
+    ]
+    report(
+        f"Shard engine tax, k={BULK_SHAPE.k} fat-tree bulk "
+        f"({result.forwarded} forwarded pkts, seed {BULK_SEED}, "
+        f"cpu_count={os.cpu_count()})",
+        [*table(rows), "", f"inline x2 over x1 wall: {ratio:.2f}"],
+    )
 
 
 def test_shard_scaling_report(benchmark):

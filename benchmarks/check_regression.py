@@ -20,11 +20,19 @@ Medians below ``--min-median-us`` are skipped: sub-10µs no-op anchors
 (the ``*_report`` table tests) and cache-hit micro-ops jitter far more
 than 25% on shared CI runners and carry no regression signal.
 
-The gate also enforces the flight-recorder cost budget: any benchmark
-in the *fresh* file recording a ``sampling_overhead_frac`` extra-info
-value (``bench_fabric_traffic``'s overhead test) must stay below
-``--max-sampling-overhead`` (default 0.03 — docs/MONITORING.md's <3%
-promise). This check is absolute, not baseline-relative.
+The gate also enforces two same-machine budgets recorded in the
+*fresh* file's extra-info; both are absolute, not baseline-relative:
+
+- the flight-recorder cost: any ``sampling_overhead_frac``
+  (``bench_fabric_traffic``'s overhead test) must stay below
+  ``--max-sampling-overhead`` (default 0.03 — docs/MONITORING.md's <3%
+  promise);
+- the shard engine's tax: any ``inline_x2_over_x1_wall``
+  (``bench_shard_scaling``'s fat-tree bulk row: 2 shards over 1, both
+  in one process) must stay at or below
+  :data:`MAX_INLINE_X2_OVER_X1_WALL`. A per-window pass over the
+  backlog read 2.8 here; the heap-ordered engine reads ~1.1
+  (docs/SHARDING.md).
 """
 
 from __future__ import annotations
@@ -42,6 +50,10 @@ WATCHED_MODULES = (
     "bench_fct_congestion",
 )
 
+#: Ceiling on 2-shard inline wall over 1-shard inline wall, same
+#: inputs, same process: what the window engine itself may cost.
+MAX_INLINE_X2_OVER_X1_WALL = 1.5
+
 
 def load_medians(path: str) -> Dict[str, float]:
     """Map fullname -> median seconds for the watched benchmarks."""
@@ -58,17 +70,18 @@ def load_medians(path: str) -> Dict[str, float]:
     return medians
 
 
-def load_sampling_overheads(path: str) -> Dict[str, float]:
-    """Map fullname -> recorded sampling_overhead_frac, where present."""
+def load_extra_info(path: str, key: str) -> Dict[str, float]:
+    """Map fullname -> the numeric extra-info value ``key``, where
+    a benchmark recorded one."""
     with open(path, encoding="utf-8") as handle:
         document = json.load(handle)
-    overheads: Dict[str, float] = {}
+    values: Dict[str, float] = {}
     for bench in document.get("benchmarks", []):
         fullname = bench.get("fullname", bench.get("name", ""))
-        value = bench.get("extra_info", {}).get("sampling_overhead_frac")
+        value = bench.get("extra_info", {}).get(key)
         if isinstance(value, (int, float)):
-            overheads[fullname] = float(value)
-    return overheads
+            values[fullname] = float(value)
+    return values
 
 
 def main(argv=None) -> int:
@@ -122,7 +135,8 @@ def main(argv=None) -> int:
     for name in sorted(set(fresh) - set(baseline)):
         print(f"NEW   {name}: {fresh[name] * 1e6:.1f}µs (no baseline)")
 
-    for name, overhead in sorted(load_sampling_overheads(args.fresh).items()):
+    overheads = load_extra_info(args.fresh, "sampling_overhead_frac")
+    for name, overhead in sorted(overheads.items()):
         over = overhead >= args.max_sampling_overhead
         status = "FAIL" if over else "ok"
         print(
@@ -131,6 +145,17 @@ def main(argv=None) -> int:
         )
         if over:
             failures.append((name, overhead))
+
+    ratios = load_extra_info(args.fresh, "inline_x2_over_x1_wall")
+    for name, ratio in sorted(ratios.items()):
+        over = ratio > MAX_INLINE_X2_OVER_X1_WALL
+        status = "FAIL" if over else "ok"
+        print(
+            f"{status:4}  {name}: 2 shards inline cost {ratio:.2f}x of 1 "
+            f"(gate: <={MAX_INLINE_X2_OVER_X1_WALL})"
+        )
+        if over:
+            failures.append((name, ratio))
 
     if failures:
         print(f"\n{len(failures)} benchmark gate failure(s)")

@@ -32,16 +32,29 @@ for 1, 2 or 4 shards. Three design rules make that hold:
   per-origin serials, so no draw sequence depends on the global event
   interleaving that sharding changes.
 * **Canonical exchange order.** Outbox entries carry a deterministic
-  ``(arrival_time, kind, endpoint..., per-endpoint index)`` prefix;
-  the runner sorts the merged entries on it before injecting, so the
-  receiving shard's tie-breaking sequence numbers are assigned in an
-  order independent of how many shards produced the entries.
+  ``(arrival_time, kind, endpoint..., per-endpoint index)`` prefix,
+  unique per directed link / control pair. The source shard buckets
+  its entries by destination shard; the destination sorts everything
+  it is handed on that prefix before injecting, so its tie-breaking
+  sequence numbers are assigned in an order independent of how many
+  shards produced the entries (a global sort followed by a
+  per-destination filter equals a per-destination sort).
+
+Cost model of the engine: a shard's pending events live in a binary
+heap, a window pops only its due prefix, and the earliest pending time
+is the heap's head — so a window costs O(due · log backlog) however
+much far-future work is parked. (An unsorted backlog scanned per window
+was this module's first form and made two shards 2.8× slower than one
+in a single process; ``tests/net/test_shard_engine_model.py`` guards
+the complexity.)
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import partial
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -222,11 +235,14 @@ class ShardSimulator(Simulator):
     gated on :meth:`owns`.
 
     The engine replaces the monolith's single heap with a *backlog*
-    (events at or beyond the current window) plus an *overlay* heap
-    (events landing inside the open window). ``run_window`` drains the
-    merged stream in ``(time, seq)`` order; deliveries aimed at
-    foreign-owned nodes leave through :meth:`take_outbox` instead of
-    the local queue.
+    heap (events at or beyond the current window) plus a small
+    *overlay* heap (events landing inside the open window). Opening a
+    window pops only the due prefix off the backlog, so a window costs
+    O(due · log backlog), never a pass over everything pending;
+    ``run_window`` drains the merged stream in ``(time, seq)`` order.
+    Deliveries aimed at foreign-owned nodes leave through
+    :meth:`take_outbox`, bucketed by destination shard, instead of the
+    local queue.
     """
 
     def __init__(
@@ -246,12 +262,14 @@ class ShardSimulator(Simulator):
         self.shard_id = shard_id
         self._foreign_nodes: Dict[str, Node] = {}
         # (time, seq, counted, action) tuples; seq is unique so tuple
-        # comparison never reaches the (incomparable) action.
+        # comparison never reaches the (incomparable) action. Both are
+        # heapq heaps.
         self._backlog: List[Tuple[float, int, bool, Callable[[], None]]] = []
         self._overlay: List[Tuple[float, int, bool, Callable[[], None]]] = []
         self._window_end: Optional[float] = None
         self._window_hard: Optional[float] = None
-        self._outbox: List[tuple] = []
+        # Destination shard -> this window's entries for it.
+        self._outbox: Dict[int, List[tuple]] = {}
         self._pkt_counters: Dict[Tuple[str, int], int] = {}
         self._ctl_counters: Dict[Tuple[str, str], int] = {}
         self._pause_counters: Dict[Tuple[str, int], int] = {}
@@ -350,7 +368,7 @@ class ShardSimulator(Simulator):
         ):
             heapq.heappush(self._overlay, entry)
         else:
-            self._backlog.append(entry)
+            heapq.heappush(self._backlog, entry)
 
     # --- cross-shard routing --------------------------------------------------
 
@@ -369,8 +387,8 @@ class ShardSimulator(Simulator):
         key = (peer, peer_port)
         index = self._pkt_counters.get(key, 0)
         self._pkt_counters[key] = index + 1
-        self._outbox.append(
-            (arrival, KIND_PACKET, peer, peer_port, index, packet)
+        self._post(
+            peer, (arrival, KIND_PACKET, peer, peer_port, index, packet)
         )
 
     def _schedule_control_delivery(
@@ -392,8 +410,9 @@ class ShardSimulator(Simulator):
         key = (sender, recipient)
         index = self._ctl_counters.get(key, 0)
         self._ctl_counters[key] = index + 1
-        self._outbox.append(
-            (arrival, KIND_CONTROL, sender, recipient, index, message, trace)
+        self._post(
+            recipient,
+            (arrival, KIND_CONTROL, sender, recipient, index, message, trace),
         )
 
     def _schedule_pause_delivery(
@@ -422,52 +441,70 @@ class ShardSimulator(Simulator):
         key = (to_node, to_port)
         index = self._pause_counters.get(key, 0)
         self._pause_counters[key] = index + 1
-        self._outbox.append(
-            (arrival, KIND_PAUSE, to_node, to_port, index, paused, from_node)
+        self._post(
+            to_node,
+            (arrival, KIND_PAUSE, to_node, to_port, index, paused, from_node),
         )
 
-    def take_outbox(self) -> List[tuple]:
-        """Drain and return this window's cross-shard entries."""
-        entries, self._outbox = self._outbox, []
-        return entries
+    def _post(self, target: str, entry: tuple) -> None:
+        """File a cross-shard entry under ``target``'s owner shard."""
+        dest = self.partition.owner.get(target, 0)
+        self._outbox.setdefault(dest, []).append(entry)
+
+    def take_outbox(self) -> Dict[int, Tuple[float, List[tuple]]]:
+        """Drain this window's cross-shard entries, bucketed by
+        destination shard: ``{shard: (earliest arrival, entries)}``.
+
+        The earliest arrival rides along so the runner can place the
+        next window without looking inside a bucket (under ``mp`` it
+        never unpickles one).
+        """
+        buckets, self._outbox = self._outbox, {}
+        return {
+            dest: (min(entry[0] for entry in entries), entries)
+            for dest, entries in buckets.items()
+        }
 
     def inject(self, entries: List[tuple]) -> None:
-        """Accept cross-shard entries routed here by the runner.
+        """Accept the cross-shard entries other shards filed for this
+        one, in any order.
 
-        Entries must already be in canonical order (the runner sorts
-        the merged outboxes); injection assigns local tie-breaking
-        sequence numbers in that order, which is what makes same-time
-        delivery interleaving independent of the shard count. The
-        delivery event is scheduled (counted) here and nowhere else,
-        so ``events_processed`` still sums to the monolith's count.
+        They are sorted here on the canonical ``(arrival_time, kind,
+        endpoint..., per-endpoint index)`` prefix — unique per directed
+        link / control pair, so the order is total and independent of
+        which shard produced what — and local tie-breaking sequence
+        numbers are assigned in that order, which is what makes
+        same-time delivery interleaving independent of the shard
+        count. Each delivery is pushed at exactly the arrival time the
+        sending shard computed (``now + (t - now)`` is not always
+        ``t``). The delivery event is scheduled (counted) here and
+        nowhere else, so ``events_processed`` still sums to the
+        one-shard count.
         """
-        for entry in entries:
-            if entry[1] == KIND_PACKET:
+        now = self.clock.now
+        for entry in sorted(entries, key=lambda entry: entry[:5]):
+            kind = entry[1]
+            if kind == KIND_PACKET:
                 time, _, peer, peer_port, _index, packet = entry
-                self.schedule_at(
-                    time,
-                    lambda p=peer, pp=peer_port, pk=packet: (
-                        self._deliver_packet(p, pp, pk)
-                    ),
-                )
-            elif entry[1] == KIND_CONTROL:
+                action = partial(self._deliver_packet, peer, peer_port, packet)
+            elif kind == KIND_CONTROL:
                 time, _, sender, recipient, _index, message, trace = entry
-                self.schedule_at(
-                    time,
-                    lambda s=sender, r=recipient, m=message, tr=trace: (
-                        self._deliver_control(s, r, m, tr)
-                    ),
+                action = partial(
+                    self._deliver_control, sender, recipient, message, trace
                 )
-            elif entry[1] == KIND_PAUSE:
+            elif kind == KIND_PAUSE:
                 time, _, to_node, to_port, _index, paused, from_node = entry
-                self.schedule_at(
-                    time,
-                    lambda n=to_node, p=to_port, f=paused, s=from_node: (
-                        self._deliver_pause(n, p, f, s)
-                    ),
+                action = partial(
+                    self._deliver_pause, to_node, to_port, paused, from_node
                 )
             else:
-                raise NetworkError(f"unknown outbox entry kind {entry[1]!r}")
+                raise NetworkError(f"unknown outbox entry kind {kind!r}")
+            if time < now:
+                raise NetworkError(
+                    f"cannot inject in the past (arrival {time}, now {now})"
+                )
+            self._seq += 1
+            heapq.heappush(self._backlog, (time, self._seq, True, action))
 
     # --- the windowed engine ---------------------------------------------------
 
@@ -475,7 +512,7 @@ class ShardSimulator(Simulator):
         """Earliest pending event time, or None when the shard is idle."""
         if not self._backlog:
             return None
-        return min(entry[0] for entry in self._backlog)
+        return self._backlog[0][0]
 
     def run_window(
         self,
@@ -494,17 +531,29 @@ class ShardSimulator(Simulator):
         matching the monolith, which processes events at exactly
         ``until``.
         """
+        busy_from = perf_counter()
+        backlog = self._backlog
         due: List[Tuple[float, int, bool, Callable[[], None]]] = []
-        rest: List[Tuple[float, int, bool, Callable[[], None]]] = []
-        for entry in self._backlog:
-            if entry[0] < t_end and (
-                hard_limit is None or entry[0] <= hard_limit
+        if t_end == float("inf"):
+            # One effective shard: the whole backlog (up to the hard
+            # limit) is due at once. One sort and one slice beat
+            # len(backlog) heappops, and what a sorted list leaves
+            # behind is still a heap.
+            backlog.sort()
+            cut = bisect_left(backlog, (t_end,))
+            if hard_limit is not None:
+                cut = min(
+                    cut, bisect_left(backlog, (hard_limit, float("inf")))
+                )
+            due = backlog[:cut]
+            del backlog[:cut]
+        else:
+            while (
+                backlog
+                and backlog[0][0] < t_end
+                and (hard_limit is None or backlog[0][0] <= hard_limit)
             ):
-                due.append(entry)
-            else:
-                rest.append(entry)
-        due.sort()
-        self._backlog = rest
+                due.append(heapq.heappop(backlog))
         self._window_end = t_end
         self._window_hard = hard_limit
         overlay = self._overlay
@@ -515,9 +564,15 @@ class ShardSimulator(Simulator):
         tick_due = (
             recorder.next_tick_s if recorder is not None else float("inf")
         )
-        busy_from = perf_counter()
         try:
-            while processed + uncounted < max_events:
+            # One event per iteration, at most max_events of them. A
+            # `for` on purpose: CPython 3.11 specializes a function's
+            # bytecode only after eight calls or unconditional backward
+            # jumps, and `while cond:` closes with a conditional one.
+            # At one shard this function runs once per campaign, so as
+            # a `while` the library's hottest loop stayed unspecialized
+            # (~5 % of a fat-tree campaign's wall).
+            for _ in range(max_events):
                 head = due[index] if index < len(due) else None
                 if overlay and (head is None or overlay[0] < head):
                     entry = heapq.heappop(overlay)
@@ -542,19 +597,23 @@ class ShardSimulator(Simulator):
         finally:
             # On a max_events abort (or a node behaviour raising),
             # park the unprocessed remainder back in the backlog so
-            # state stays consistent for finalization.
-            self._backlog.extend(due[index:])
-            while overlay:
-                self._backlog.append(heapq.heappop(overlay))
+            # state stays consistent for finalization or a resume.
+            for entry in due[index:]:
+                heapq.heappush(backlog, entry)
+            for entry in overlay:
+                heapq.heappush(backlog, entry)
+            overlay.clear()
             self._window_end = None
             self._window_hard = None
             self._processed_accum += processed
             self._uncounted_accum += uncounted
             # Wall-clock this shard actually computed, summed across
-            # windows: on k-core hardware the run's critical path is
-            # max over shards of this, the capacity number the scaling
-            # benchmark reports next to raw wall time. Never part of
-            # SimStats — wall time is not deterministic.
+            # windows and covering everything run_window does (opening
+            # the window included): on k-core hardware the run's
+            # critical path is max over shards of this, the capacity
+            # number the scaling benchmark reports next to raw wall
+            # time. Never part of SimStats — wall time is not
+            # deterministic.
             self.busy_seconds += perf_counter() - busy_from
         return processed
 

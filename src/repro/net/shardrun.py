@@ -9,6 +9,13 @@ Two backends run the identical barrier protocol:
 * ``mp`` — one ``multiprocessing`` worker per shard (fork start
   method), a pipe per worker, one message round-trip per window.
 
+The barrier is one *exchange* in both: each shard hands over its
+outbox already bucketed by destination shard, each bucket tagged with
+its earliest arrival time; the runner forwards buckets unopened (under
+``mp`` as the bytes the source worker pickled, so an entry is pickled
+once and unpickled once and the parent does no per-entry work) and the
+destination shard sorts what it receives canonically.
+
 Whatever the backend or shard count, the *merge* is canonical:
 :meth:`~repro.net.simulator.SimStats.merge` folds stats field-wise,
 metric snapshots merge by label
@@ -32,11 +39,11 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import pickle
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.net.sharding import (
-    KIND_CONTROL,
     Partition,
     ShardSimulator,
     partition_topology,
@@ -220,13 +227,22 @@ def _finish_shard(
     }
 
 
+def _pickled_outbox(sim: ShardSimulator) -> Dict[int, tuple]:
+    """The shard's outbox with each destination's entry list pickled:
+    the one serialization a cross-shard entry gets under ``mp``."""
+    return {
+        dest: (earliest, pickle.dumps(entries, pickle.HIGHEST_PROTOCOL))
+        for dest, (earliest, entries) in sim.take_outbox().items()
+    }
+
+
 def _shard_worker(conn, spec, partition, shard_id, opts) -> None:
     """The ``mp`` backend's per-shard process body.
 
     Protocol (one pipe round-trip per window):
 
     * worker → parent: ``("ready", next_event_time, clock_now)``
-    * parent → worker: ``("step", t_end, hard_limit, inject_entries)``
+    * parent → worker: ``("step", t_end, hard_limit, blobs)``
     * worker → parent: ``("stepped", outbox, processed, next_time,
       clock_now)``
     * parent → worker: ``("drain", t_sync)`` — advance to the global
@@ -234,6 +250,13 @@ def _shard_worker(conn, spec, partition, shard_id, opts) -> None:
     * worker → parent: ``("drained", outbox, next_time, clock_now)``
     * parent → worker: ``("finish", until)``
     * worker → parent: ``("finished", bundle)`` and exit.
+
+    Cross-shard traffic is pickled exactly once, here: ``outbox`` is
+    ``{destination shard: (earliest arrival, pickled entry list)}``,
+    and ``blobs`` are the byte strings other workers addressed to this
+    shard, relayed by the parent unopened. This worker unpickles them
+    and :meth:`~repro.net.sharding.ShardSimulator.inject` puts the
+    entries in canonical order.
 
     Any exception is shipped back as ``("error", traceback)`` so the
     parent can fail loudly instead of hanging on a dead pipe.
@@ -246,15 +269,17 @@ def _shard_worker(conn, spec, partition, shard_id, opts) -> None:
         while True:
             message = conn.recv()
             if message[0] == "step":
-                _, t_end, hard_limit, entries = message
-                sim.inject(entries)
+                _, t_end, hard_limit, blobs = message
+                sim.inject(
+                    [entry for blob in blobs for entry in pickle.loads(blob)]
+                )
                 processed = sim.run_window(
                     t_end, hard_limit=hard_limit,
                     max_events=opts["max_events"],
                 )
                 sim.run_barrier_hooks()
                 conn.send(
-                    ("stepped", sim.take_outbox(), processed,
+                    ("stepped", _pickled_outbox(sim), processed,
                      sim.next_event_time(), sim.clock.now)
                 )
             elif message[0] == "drain":
@@ -266,7 +291,7 @@ def _shard_worker(conn, spec, partition, shard_id, opts) -> None:
                 if spec.drain is not None:
                     spec.drain(sim, ctx)
                 conn.send(
-                    ("drained", sim.take_outbox(), sim.next_event_time(),
+                    ("drained", _pickled_outbox(sim), sim.next_event_time(),
                      sim.clock.now)
                 )
             elif message[0] == "finish":
@@ -330,18 +355,20 @@ class ShardedRunner:
     # --- backends -------------------------------------------------------------
 
     @staticmethod
-    def _route(partition: Partition, merged: List[tuple], pending) -> None:
-        """Canonically order the merged outboxes and route each entry
-        to its destination shard's pending queue. The sort key is the
-        entry's data prefix ``(time, kind, endpoint..., index)`` —
-        stable, total for entries from distinct endpoints, and
-        independent of which shard produced what."""
-        merged.sort(key=lambda entry: entry[:5])
-        for entry in merged:
-            # Control entries carry (sender, recipient); packet and
-            # pause entries lead with the destination endpoint.
-            target = entry[3] if entry[1] == KIND_CONTROL else entry[2]
-            pending[partition.owner[target]].append(entry)
+    def _exchange(
+        outboxes: List[Dict[int, tuple]], pending: List[List[tuple]]
+    ) -> None:
+        """Hand every outbox bucket to its destination shard, unopened.
+
+        A bucket is ``(earliest arrival, payload)``; the payload is the
+        source shard's entry list (``inline``) or its pickle (``mp``)
+        and only the destination looks inside — it sorts what it gets
+        canonically in ``inject``, so neither the order of ``outboxes``
+        nor the shard count shows in the result.
+        """
+        for outbox in outboxes:
+            for dest, bucket in outbox.items():
+                pending[dest].append(bucket)
 
     def _run_inline(self, topology, partition, until, max_events):
         reset_trace_ids()
@@ -365,18 +392,22 @@ class ShardedRunner:
                 if start is None:
                     break
                 t_end = start + partition.lookahead_s
-                merged: List[tuple] = []
+                outboxes = []
                 for shard_id, sim in enumerate(sims):
                     if pending[shard_id]:
-                        sim.inject(pending[shard_id])
+                        sim.inject([
+                            entry
+                            for _earliest, entries in pending[shard_id]
+                            for entry in entries
+                        ])
                         pending[shard_id] = []
                     sim.run_window(
                         t_end, hard_limit=until, max_events=max_events
                     )
                     sim.run_barrier_hooks()
-                    merged.extend(sim.take_outbox())
+                    outboxes.append(sim.take_outbox())
                 windows += 1
-                self._route(partition, merged, pending)
+                self._exchange(outboxes, pending)
             if self.spec.drain is None:
                 break
             drain_rounds += 1
@@ -386,13 +417,13 @@ class ShardedRunner:
                     f"{MAX_DRAIN_ROUNDS} rounds"
                 )
             t_sync = max(sim.clock.now for sim in sims)
-            merged = []
+            outboxes = []
             for sim, ctx in zip(sims, ctxs):
                 sim.clock.advance_to(t_sync)
                 sim.pump_recorder()
                 self.spec.drain(sim, ctx)
-                merged.extend(sim.take_outbox())
-            self._route(partition, merged, pending)
+                outboxes.append(sim.take_outbox())
+            self._exchange(outboxes, pending)
             if (
                 self._next_start(
                     [sim.next_event_time() for sim in sims], pending, until
@@ -413,9 +444,13 @@ class ShardedRunner:
         until: Optional[float],
     ) -> Optional[float]:
         """The next window's start time, or None when the run is over
-        (no pending work, or all of it beyond ``until``)."""
+        (no pending work, or all of it beyond ``until``). Pending
+        buckets answer with the earliest arrival they travel with; no
+        entry is looked at."""
         times = [t for t in next_times if t is not None]
-        times.extend(entry[0] for queue in pending for entry in queue)
+        times.extend(
+            earliest for queue in pending for earliest, _payload in queue
+        )
         if not times:
             return None
         start = min(times)
@@ -456,18 +491,19 @@ class ShardedRunner:
                         break
                     t_end = start + partition.lookahead_s
                     for shard_id, conn in enumerate(conns):
-                        conn.send(("step", t_end, until, pending[shard_id]))
+                        blobs = [blob for _earliest, blob in pending[shard_id]]
+                        conn.send(("step", t_end, until, blobs))
                         pending[shard_id] = []
-                    merged: List[tuple] = []
+                    outboxes = []
                     for shard_id, conn in enumerate(conns):
                         _, outbox, _processed, next_time, now = self._recv(
                             conn, "stepped"
                         )
                         next_times[shard_id] = next_time
                         clocks[shard_id] = now
-                        merged.extend(outbox)
+                        outboxes.append(outbox)
                     windows += 1
-                    self._route(partition, merged, pending)
+                    self._exchange(outboxes, pending)
                 if self.spec.drain is None:
                     break
                 drain_rounds += 1
@@ -479,13 +515,13 @@ class ShardedRunner:
                 t_sync = max(clocks)
                 for conn in conns:
                     conn.send(("drain", t_sync))
-                merged = []
+                outboxes = []
                 for shard_id, conn in enumerate(conns):
                     _, outbox, next_time, now = self._recv(conn, "drained")
                     next_times[shard_id] = next_time
                     clocks[shard_id] = now
-                    merged.extend(outbox)
-                self._route(partition, merged, pending)
+                    outboxes.append(outbox)
+                self._exchange(outboxes, pending)
                 if self._next_start(next_times, pending, until) is None:
                     break
             for conn in conns:

@@ -16,6 +16,7 @@ from repro.net.headers import EthernetHeader, ip_to_int
 from repro.net.host import Host
 from repro.net.packet import Packet
 from repro.net.sharding import (
+    KIND_CONTROL,
     Partition,
     ShardSimulator,
     partition_topology,
@@ -196,6 +197,62 @@ class TestWindowedEngine:
         result = run_sharded(two_host_spec(), shards=2)
         assert len(result.shard_busy_s) == 2
         assert result.critical_path_s == max(result.shard_busy_s)
+
+    def test_injected_entry_fires_at_its_exact_arrival_time(self):
+        # 0.2 + (0.9 - 0.2) == 0.8999999999999999: re-deriving the
+        # arrival from a delay drifts one ulp off the time the sending
+        # shard computed (and the one-shard run uses).
+        now, arrival = 0.2, 0.9
+        assert now + (arrival - now) != arrival
+        part = partition_topology(chain(4), shards=2)
+        sim = ShardSimulator(chain(4), part, shard_id=1)
+        seen = []
+
+        class Recorder(Node):
+            def handle_control(self, sender, message):
+                seen.append((sender, message, self.sim.clock.now))
+
+        sim.bind(Recorder("s3"))
+        sim.clock.advance_to(now)
+        sim.inject([(arrival, KIND_CONTROL, "s0", "s3", 0, "hello", None)])
+        assert sim.next_event_time() == arrival
+        assert sim.run_window(1.0) == 1
+        assert seen == [("s0", "hello", arrival)]
+
+    def test_inject_orders_entries_canonically(self):
+        # Buckets arrive in source-shard order; the receiving shard
+        # sorts them, so same-time deliveries fire in key order.
+        part = partition_topology(chain(4), shards=2)
+        sim = ShardSimulator(chain(4), part, shard_id=1)
+        seen = []
+
+        class Recorder(Node):
+            def handle_control(self, sender, message):
+                seen.append(message)
+
+        sim.bind(Recorder("s3"))
+        sim.inject([
+            (0.5, KIND_CONTROL, "s1", "s3", 0, "from-s1", None),
+            (0.5, KIND_CONTROL, "s0", "s3", 1, "s0-second", None),
+            (0.25, KIND_CONTROL, "s1", "s3", 1, "early", None),
+            (0.5, KIND_CONTROL, "s0", "s3", 0, "s0-first", None),
+        ])
+        sim.run_window(1.0)
+        assert seen == ["early", "s0-first", "s0-second", "from-s1"]
+
+    def test_outbox_is_bucketed_by_destination_with_earliest_arrival(self):
+        part = partition_topology(chain(4), shards=4)
+        sim = ShardSimulator(chain(4), part, shard_id=0)
+        sim._schedule_control_delivery("s0", "s2", "later", None)
+        sim._schedule_packet_delivery("s1", 1, make_packet(), delay=1e-6)
+        sim._schedule_control_delivery("s0", "s2", "again", None)
+        outbox = sim.take_outbox()
+        assert sorted(outbox) == [part.owner["s1"], part.owner["s2"]]
+        earliest, entries = outbox[part.owner["s2"]]
+        assert [entry[5] for entry in entries] == ["later", "again"]
+        assert earliest == sim.control_latency_s
+        assert outbox[part.owner["s1"]][0] == 1e-6
+        assert sim.take_outbox() == {}
 
     def test_lookahead_violation_raises(self):
         part = partition_topology(chain(4), shards=2)
