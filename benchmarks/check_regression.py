@@ -30,9 +30,8 @@ The gate also enforces two same-machine budgets recorded in the
 - the shard engine's tax: any ``inline_x2_over_x1_wall``
   (``bench_shard_scaling``'s fat-tree bulk row: 2 shards over 1, both
   in one process) must stay at or below
-  :data:`MAX_INLINE_X2_OVER_X1_WALL`. A per-window pass over the
-  backlog read 2.8 here; the heap-ordered engine reads ~1.1
-  (docs/SHARDING.md).
+  :data:`MAX_INLINE_X2_OVER_X1_WALL` (the engine reads ~1.1–1.25;
+  docs/SHARDING.md).
 """
 
 from __future__ import annotations

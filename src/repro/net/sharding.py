@@ -43,16 +43,13 @@ for 1, 2 or 4 shards. Three design rules make that hold:
 Cost model of the engine: a shard's pending events live in a binary
 heap, a window pops only its due prefix, and the earliest pending time
 is the heap's head — so a window costs O(due · log backlog) however
-much far-future work is parked. (An unsorted backlog scanned per window
-was this module's first form and made two shards 2.8× slower than one
-in a single process; ``tests/net/test_shard_engine_model.py`` guards
-the complexity.)
+much far-future work is parked
+(``tests/net/test_shard_engine_model.py`` guards the complexity).
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
 from time import perf_counter
@@ -238,11 +235,10 @@ class ShardSimulator(Simulator):
     heap (events at or beyond the current window) plus a small
     *overlay* heap (events landing inside the open window). Opening a
     window pops only the due prefix off the backlog, so a window costs
-    O(due · log backlog), never a pass over everything pending;
-    ``run_window`` drains the merged stream in ``(time, seq)`` order.
-    Deliveries aimed at foreign-owned nodes leave through
-    :meth:`take_outbox`, bucketed by destination shard, instead of the
-    local queue.
+    O(due · log backlog); ``run_window`` drains the merged stream in
+    ``(time, seq)`` order. Deliveries aimed at foreign-owned nodes
+    leave through :meth:`take_outbox`, bucketed by destination shard,
+    instead of the local queue.
     """
 
     def __init__(
@@ -448,7 +444,7 @@ class ShardSimulator(Simulator):
 
     def _post(self, target: str, entry: tuple) -> None:
         """File a cross-shard entry under ``target``'s owner shard."""
-        dest = self.partition.owner.get(target, 0)
+        dest = self.partition.owner[target]
         self._outbox.setdefault(dest, []).append(entry)
 
     def take_outbox(self) -> Dict[int, Tuple[float, List[tuple]]]:
@@ -534,26 +530,12 @@ class ShardSimulator(Simulator):
         busy_from = perf_counter()
         backlog = self._backlog
         due: List[Tuple[float, int, bool, Callable[[], None]]] = []
-        if t_end == float("inf"):
-            # One effective shard: the whole backlog (up to the hard
-            # limit) is due at once. One sort and one slice beat
-            # len(backlog) heappops, and what a sorted list leaves
-            # behind is still a heap.
-            backlog.sort()
-            cut = bisect_left(backlog, (t_end,))
-            if hard_limit is not None:
-                cut = min(
-                    cut, bisect_left(backlog, (hard_limit, float("inf")))
-                )
-            due = backlog[:cut]
-            del backlog[:cut]
-        else:
-            while (
-                backlog
-                and backlog[0][0] < t_end
-                and (hard_limit is None or backlog[0][0] <= hard_limit)
-            ):
-                due.append(heapq.heappop(backlog))
+        while (
+            backlog
+            and backlog[0][0] < t_end
+            and (hard_limit is None or backlog[0][0] <= hard_limit)
+        ):
+            due.append(heapq.heappop(backlog))
         self._window_end = t_end
         self._window_hard = hard_limit
         overlay = self._overlay
