@@ -460,27 +460,10 @@ class PathAppraiser:
         # proof afterwards. Failure messages and ``signature.verified``
         # audit events are emitted in the original per-record order, so
         # the journal stays byte-identical to sequential verification.
-        items = []
-        for record in records:
-            signer = self._signer_for(record.place)
-            if isinstance(record, BatchedHopRecord):
-                items.append(
-                    (
-                        signer,
-                        record.epoch_payload(),
-                        record.root_signature,
-                        record.epoch_payload_digest(),
-                    )
-                )
-            else:
-                items.append(
-                    (
-                        signer,
-                        record.signed_payload(),
-                        record.signature,
-                        record.payload_digest(),
-                    )
-                )
+        items = [
+            record.signature_item(self._signer_for(record.place))
+            for record in records
+        ]
         sig_ok = registry_verify_batch(self.policy.anchors, items) if items else []
         for index, record in enumerate(records):
             if isinstance(record, BatchedHopRecord):

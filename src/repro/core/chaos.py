@@ -62,16 +62,12 @@ from repro.telemetry.health import (
     HealthReport,
     RatioRule,
     ThresholdRule,
-    evaluate_health,
-    fold_alerts,
     label_filter,
+    run_health_pass,
+    run_timeseries,
 )
 from repro.telemetry.instrument import Telemetry
-from repro.telemetry.timeseries import (
-    SamplingSpec,
-    timeseries_export,
-    timeseries_snapshot,
-)
+from repro.telemetry.timeseries import SamplingSpec, timeseries_export
 from repro.telemetry.tracing import reset_trace_ids
 from repro.util.ids import spawn_seed
 
@@ -181,15 +177,22 @@ class ChaosResult:
     telemetry: Telemetry
     ra_counters: Dict[str, Dict[str, int]] = field(default_factory=dict)
     #: The merged runner output (windows, lookahead, canonical metric
-    #: snapshot, ...); always set by :func:`run_chaos_athens`.
+    #: snapshot, flight-recorder frames, ...); always set by
+    #: :func:`run_chaos_athens`.
     sharded: Optional[ShardedResult] = field(default=None, repr=False)
-    #: Flight-recorder output (``sampling=`` runs only): canonical
-    #: merged frames, byte-identical across shard counts.
-    frames: List[Dict[str, object]] = field(default_factory=list)
-    frames_dropped: int = 0
     sampling: Optional[SamplingSpec] = None
     #: Health evaluation over the frames (``health=`` runs only).
     health: Optional[HealthReport] = None
+
+    @property
+    def frames(self) -> List[Dict[str, object]]:
+        """Flight-recorder output (``sampling=`` runs only): canonical
+        merged frames, byte-identical across shard counts."""
+        return self.sharded.frames
+
+    @property
+    def frames_dropped(self) -> int:
+        return self.sharded.frames_dropped
 
     def audit_export(self) -> str:
         """Canonical JSON of the audit journal (replay comparisons)."""
@@ -201,19 +204,11 @@ class ChaosResult:
 
     def frames_export(self) -> str:
         """Canonical JSON of the frame stream (byte-identity checks)."""
-        return json.dumps(self.frames, sort_keys=True)
+        return self.sharded.frames_export()
 
     def timeseries(self) -> Dict[str, object]:
         """The ``repro.timeseries/v1`` document for this run."""
-        if self.sampling is None:
-            raise ValueError("run had no sampling= spec; no frames recorded")
-        return timeseries_snapshot(
-            self.frames,
-            self.sampling.interval_s,
-            frames_dropped=self.frames_dropped,
-            alerts=self.health.alerts if self.health is not None else (),
-            rules=self.health.rules if self.health is not None else (),
-        )
+        return run_timeseries(self.sharded, self.health)
 
     def timeseries_export(self) -> str:
         """Canonical JSON of frames + alert timeline (byte-pinned)."""
@@ -632,15 +627,7 @@ def run_chaos_athens(
         backend=backend,
         seed=seed,
     )
-    health_report: Optional[HealthReport] = None
-    if health is not None:
-        # Post-merge evaluation in the parent: a pure function of the
-        # canonical frame stream, so the alert timeline cannot depend
-        # on the partitioning.
-        health_report = evaluate_health(
-            result.frames, list(health), sampling.interval_s
-        )
-        fold_alerts(result.telemetry.audit, health_report.alerts)
+    health_report = run_health_pass(result, health)
     verdicts = next(
         (out["verdicts"] for out in result.outputs
          if out["verdicts"] is not None),
@@ -674,8 +661,6 @@ def run_chaos_athens(
             name: ra_counters[name] for name in sorted(ra_counters)
         },
         sharded=result,
-        frames=result.frames,
-        frames_dropped=result.frames_dropped,
         sampling=sampling,
         health=health_report,
     )

@@ -26,9 +26,8 @@ them.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -63,14 +62,10 @@ from repro.telemetry.health import (
     ImbalanceRule,
     LevelRule,
     ThresholdRule,
-    evaluate_health,
-    fold_alerts,
+    run_health_pass,
+    run_timeseries,
 )
-from repro.telemetry.timeseries import (
-    SamplingSpec,
-    timeseries_export,
-    timeseries_snapshot,
-)
+from repro.telemetry.timeseries import SamplingSpec, timeseries_export
 from repro.net.qdisc import QueueConfig
 from repro.net.topology import Topology, fat_tree, leaf_spine
 from repro.pera.config import (
@@ -1032,31 +1027,30 @@ class FabricTrafficResult:
     ecn_delivered: int = 0
     congestion_repicks: int = 0
     victim: Optional[str] = None
-    #: The merged runner output (always set by :func:`run_fabric_traffic`).
+    #: The merged runner output, flight-recorder frames included
+    #: (always set by :func:`run_fabric_traffic`).
     result: Optional[ShardedResult] = None
-    #: Flight-recorder output (``sampling=`` runs only): canonical
-    #: merged frames, byte-identical across shard counts.
-    frames: List[Dict[str, object]] = field(default_factory=list)
-    frames_dropped: int = 0
     sampling: Optional[SamplingSpec] = None
     #: Health evaluation over the frames (``health=`` runs only).
     health: Optional[HealthReport] = None
 
+    @property
+    def frames(self) -> List[Dict[str, object]]:
+        """Flight-recorder output (``sampling=`` runs only): canonical
+        merged frames, byte-identical across shard counts."""
+        return self.result.frames
+
+    @property
+    def frames_dropped(self) -> int:
+        return self.result.frames_dropped
+
     def frames_export(self) -> str:
         """Canonical JSON of the frame stream (byte-identity checks)."""
-        return json.dumps(self.frames, sort_keys=True)
+        return self.result.frames_export()
 
     def timeseries(self) -> Dict[str, object]:
         """The ``repro.timeseries/v1`` document for this run."""
-        if self.sampling is None:
-            raise ValueError("run had no sampling= spec; no frames recorded")
-        return timeseries_snapshot(
-            self.frames,
-            self.sampling.interval_s,
-            frames_dropped=self.frames_dropped,
-            alerts=self.health.alerts if self.health is not None else (),
-            rules=self.health.rules if self.health is not None else (),
-        )
+        return run_timeseries(self.result, self.health)
 
     def timeseries_export(self) -> str:
         """Canonical JSON of frames + alert timeline (byte-pinned)."""
@@ -1153,8 +1147,6 @@ def _assemble_traffic_result(
         tx_by_port=tx_by_port,
         victim=victim,
         result=result,
-        frames=list(result.frames),
-        frames_dropped=result.frames_dropped,
         sampling=sampling,
         health=health,
     )
@@ -1203,14 +1195,8 @@ def run_fabric_traffic(
         max_events=max_events,
         telemetry_active=telemetry_active,
     )
-    health_report = None
-    if health is not None:
-        health_report = evaluate_health(
-            result.frames, list(health), sampling.interval_s
-        )
-        fold_alerts(result.telemetry.audit, health_report.alerts)
     return _assemble_traffic_result(
-        shape, seed, result, sampling, health_report
+        shape, seed, result, sampling, run_health_pass(result, health)
     )
 
 

@@ -41,7 +41,6 @@ from repro.evidence.codec import (
     BATCHED_RECORD_TLV_TYPE,
     POLICY_TLV_TYPE,
     RECORD_TLV_TYPE,
-    LazyNode,
     decode_batched_hop_body,
     decode_hop_body,
     decode_node,
@@ -51,7 +50,6 @@ from repro.evidence.codec import (
     encode_node,
     encode_record_stack,
     iter_decode_nodes,
-    iter_lazy_nodes,
 )
 from repro.evidence.verify import (
     BatchVerifyItem,
@@ -104,8 +102,6 @@ __all__ = [
     "decode_batched_hop_body",
     "encode_record_stack",
     "decode_record_stack",
-    "LazyNode",
-    "iter_lazy_nodes",
     "hops_to_evidence",
     "BatchVerifyItem",
     "SignatureCache",

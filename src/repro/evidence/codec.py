@@ -16,15 +16,12 @@ input — they sit directly on the attack surface.
 Decoding is **zero-copy**: every decoder accepts ``bytes | memoryview``
 and walks :meth:`TlvCodec.iter_views` slices (O(1) views into the
 packet buffer) through all nesting levels, materializing owned bytes
-only at terminal fields. :func:`iter_lazy_nodes` defers even node
-construction until a consumer asks, so filtering a shim body by TLV
-type costs header walks alone.
+only at terminal fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.evidence.nodes import (
     BATCH_F_EPOCH,
@@ -101,34 +98,6 @@ def iter_decode_nodes(data: ByteSource) -> Iterator[Evidence]:
     """Decode a flat stream of evidence node TLVs."""
     for kind, body in TlvCodec.iter_views(data):
         yield _node_from_view(kind, body, depth=0)
-
-
-@dataclass
-class LazyNode:
-    """One top-level evidence TLV, materialized only on demand.
-
-    Holds the node's kind tag and a zero-copy view of its body;
-    :meth:`node` runs the actual decoder on first call and caches the
-    result. Consumers that filter a stream by kind (the appraiser
-    skipping policy TLVs, a collector counting records) never pay for
-    decoding nodes they do not touch. The view borrows the input
-    buffer — materialize before the buffer is recycled.
-    """
-
-    kind: int
-    body: memoryview
-    _node: Optional[Evidence] = field(default=None, repr=False, compare=False)
-
-    def node(self) -> Evidence:
-        if self._node is None:
-            self._node = _node_from_view(self.kind, self.body, depth=0)
-        return self._node
-
-
-def iter_lazy_nodes(data: ByteSource) -> Iterator[LazyNode]:
-    """Walk a node stream yielding unmaterialized :class:`LazyNode`s."""
-    for kind, body in TlvCodec.iter_views(data):
-        yield LazyNode(kind, body)
 
 
 _View = Tuple[int, memoryview]

@@ -266,9 +266,14 @@ class ShardSimulator(Simulator):
         self._window_hard: Optional[float] = None
         # Destination shard -> this window's entries for it.
         self._outbox: Dict[int, List[tuple]] = {}
-        self._pkt_counters: Dict[Tuple[str, int], int] = {}
-        self._ctl_counters: Dict[Tuple[str, str], int] = {}
-        self._pause_counters: Dict[Tuple[str, int], int] = {}
+        # Posts so far per (kind, endpoint, endpoint): the entry index.
+        self._post_index: Dict[tuple, int] = {}
+        # Entry kind -> deliver(a, b, *payload), what inject schedules.
+        self._deliverers: Dict[str, Callable[..., None]] = {
+            KIND_CONTROL: self._deliver_control,
+            KIND_PACKET: self._deliver_packet,
+            KIND_PAUSE: self._deliver_pause,
+        }
         self._processed_accum = 0
         self._uncounted_accum = 0
         self._finalized = False
@@ -373,19 +378,8 @@ class ShardSimulator(Simulator):
     ) -> None:
         if self.owns(peer):
             super()._schedule_packet_delivery(peer, peer_port, packet, delay)
-            return
-        arrival = self.clock.now + delay
-        if self._window_end is not None and arrival < self._window_end:
-            raise NetworkError(
-                f"lookahead violation: packet for {peer!r} arrives at "
-                f"{arrival} inside the open window ending {self._window_end}"
-            )
-        key = (peer, peer_port)
-        index = self._pkt_counters.get(key, 0)
-        self._pkt_counters[key] = index + 1
-        self._post(
-            peer, (arrival, KIND_PACKET, peer, peer_port, index, packet)
-        )
+        else:
+            self._post(peer, delay, KIND_PACKET, peer, peer_port, packet)
 
     def _schedule_control_delivery(
         self,
@@ -396,20 +390,11 @@ class ShardSimulator(Simulator):
     ) -> None:
         if self.owns(recipient):
             super()._schedule_control_delivery(sender, recipient, message, trace)
-            return
-        arrival = self.clock.now + self.control_latency_s
-        if self._window_end is not None and arrival < self._window_end:
-            raise NetworkError(
-                f"lookahead violation: control for {recipient!r} arrives at "
-                f"{arrival} inside the open window ending {self._window_end}"
+        else:
+            self._post(
+                recipient, self.control_latency_s,
+                KIND_CONTROL, sender, recipient, message, trace,
             )
-        key = (sender, recipient)
-        index = self._ctl_counters.get(key, 0)
-        self._ctl_counters[key] = index + 1
-        self._post(
-            recipient,
-            (arrival, KIND_CONTROL, sender, recipient, index, message, trace),
-        )
 
     def _schedule_pause_delivery(
         self,
@@ -423,29 +408,37 @@ class ShardSimulator(Simulator):
             super()._schedule_pause_delivery(
                 to_node, to_port, paused, from_node, delay
             )
-            return
-        # A pause frame travels its link's propagation latency; on a
-        # cut link that is at least the lookahead window, so the same
-        # conservative argument as packets applies.
+        else:
+            self._post(
+                to_node, delay, KIND_PAUSE, to_node, to_port, paused, from_node
+            )
+
+    def _post(
+        self, target: str, delay: float, kind: str, a: Any, b: Any, *payload: Any
+    ) -> None:
+        """File one cross-shard delivery under ``target``'s owner shard
+        as the entry ``(arrival, kind, a, b, index, *payload)``.
+
+        ``(a, b)`` is the directed endpoint the canonical order keys on
+        (link end, or control sender/recipient); ``index`` counts this
+        shard's posts per ``(kind, a, b)``. Every kind crosses a cut
+        link or the control plane, whose latency is at least the
+        lookahead window, so an arrival inside the open window is a
+        broken partition — refused, never delivered late.
+        """
         arrival = self.clock.now + delay
         if self._window_end is not None and arrival < self._window_end:
             raise NetworkError(
-                f"lookahead violation: pause frame for {to_node!r} arrives "
-                f"at {arrival} inside the open window ending "
+                f"lookahead violation: {kind!r} entry for {target!r} "
+                f"arrives at {arrival} inside the open window ending "
                 f"{self._window_end}"
             )
-        key = (to_node, to_port)
-        index = self._pause_counters.get(key, 0)
-        self._pause_counters[key] = index + 1
-        self._post(
-            to_node,
-            (arrival, KIND_PAUSE, to_node, to_port, index, paused, from_node),
+        key = (kind, a, b)
+        index = self._post_index.get(key, 0)
+        self._post_index[key] = index + 1
+        self._outbox.setdefault(self.partition.owner[target], []).append(
+            (arrival, kind, a, b, index) + payload
         )
-
-    def _post(self, target: str, entry: tuple) -> None:
-        """File a cross-shard entry under ``target``'s owner shard."""
-        dest = self.partition.owner[target]
-        self._outbox.setdefault(dest, []).append(entry)
 
     def take_outbox(self) -> Dict[int, Tuple[float, List[tuple]]]:
         """Drain this window's cross-shard entries, bucketed by
@@ -479,28 +472,19 @@ class ShardSimulator(Simulator):
         """
         now = self.clock.now
         for entry in sorted(entries, key=lambda entry: entry[:5]):
-            kind = entry[1]
-            if kind == KIND_PACKET:
-                time, _, peer, peer_port, _index, packet = entry
-                action = partial(self._deliver_packet, peer, peer_port, packet)
-            elif kind == KIND_CONTROL:
-                time, _, sender, recipient, _index, message, trace = entry
-                action = partial(
-                    self._deliver_control, sender, recipient, message, trace
-                )
-            elif kind == KIND_PAUSE:
-                time, _, to_node, to_port, _index, paused, from_node = entry
-                action = partial(
-                    self._deliver_pause, to_node, to_port, paused, from_node
-                )
-            else:
+            time, kind, a, b = entry[:4]
+            deliver = self._deliverers.get(kind)
+            if deliver is None:
                 raise NetworkError(f"unknown outbox entry kind {kind!r}")
             if time < now:
                 raise NetworkError(
                     f"cannot inject in the past (arrival {time}, now {now})"
                 )
             self._seq += 1
-            heapq.heappush(self._backlog, (time, self._seq, True, action))
+            heapq.heappush(
+                self._backlog,
+                (time, self._seq, True, partial(deliver, a, b, *entry[5:])),
+            )
 
     # --- the windowed engine ---------------------------------------------------
 

@@ -1,17 +1,20 @@
 """The sharded runner: drive N :class:`ShardSimulator` loops to one
 merged, canonical result.
 
-Two backends run the identical barrier protocol:
+The barrier protocol is written once: a :class:`_Shard` answers
+``step`` / ``drain`` / ``finish``, and one loop
+(:meth:`ShardedRunner._coordinate`) ``post``s each command to every
+shard's *port*, then ``take``s every reply. A backend is its port:
 
-* ``inline`` — every shard in this process, stepped round-robin. This
-  is the reference implementation and the default: ``shards=1`` inline
-  is how every campaign runs unless told otherwise.
-* ``mp`` — one ``multiprocessing`` worker per shard (fork start
-  method), a pipe per worker, one message round-trip per window.
+* ``inline`` — the shard lives in this process and ``post`` is the
+  call itself, so shards step in shard order. The default: ``shards=1``
+  inline is how every campaign runs unless told otherwise.
+* ``mp`` — one forked ``multiprocessing`` worker per shard pumping its
+  :class:`_Shard` over a pipe, one round-trip per window.
 
-The barrier is one *exchange* in both: each shard hands over its
-outbox already bucketed by destination shard, each bucket tagged with
-its earliest arrival time; the runner forwards buckets unopened (under
+The barrier is one *exchange*: each shard hands over its outbox
+already bucketed by destination shard, each bucket tagged with its
+earliest arrival time; the runner forwards buckets unopened (under
 ``mp`` as the bytes the source worker pickled, so an entry is pickled
 once and unpickled once and the parent does no per-entry work) and the
 destination shard sorts what it receives canonically.
@@ -62,7 +65,6 @@ from repro.telemetry.timeseries import (
 from repro.telemetry.tracing import reset_trace_ids
 from repro.util.errors import NetworkError
 
-BACKENDS = ("inline", "mp")
 
 #: Runaway guard on the drain/resume cycle (a drain hook that keeps
 #: scheduling fresh work forever is a scenario bug, not a slow run).
@@ -74,8 +76,8 @@ class ScenarioSpec:
     """A sharding-ready scenario: topology + full-world build + harvest.
 
     ``topology`` may be a :class:`Topology` instance or a zero-argument
-    factory (factories rebuild per worker under ``mp``, instances are
-    shared read-only). ``build(sim)`` binds every node and schedules
+    factory, resolved once per run and shared read-only by the shards.
+    ``build(sim)`` binds every node and schedules
     all driving events; it runs once per shard and must be
     deterministic. ``harvest(sim, ctx)`` extracts the per-shard output
     (verdicts, received packets, fault stats) after finalization.
@@ -142,10 +144,6 @@ class ShardedResult:
     frames_runtime: List[Dict[str, float]] = field(default_factory=list)
 
     @property
-    def events_processed(self) -> int:
-        return self.stats.events_processed
-
-    @property
     def critical_path_s(self) -> float:
         """The slowest shard's compute time: what the run's wall clock
         converges to when every shard has its own core (the standard
@@ -166,141 +164,145 @@ class ShardedResult:
         return json.dumps(self.frames, sort_keys=True)
 
 
-def _worker_opts(runner: "ShardedRunner", max_events: int) -> Dict[str, Any]:
-    return {
-        "seed": runner.seed,
-        "control_latency_s": runner.control_latency_s,
-        "telemetry_active": runner.telemetry_active,
-        "max_events": max_events,
-    }
+def _same(bucket: List[tuple]) -> List[tuple]:
+    return bucket
 
 
-def _build_shard(
-    spec: ScenarioSpec,
-    topology: Topology,
-    partition: Partition,
-    shard_id: int,
-    opts: Dict[str, Any],
-) -> tuple:
-    """Construct one shard's simulator and run the scenario build."""
-    telemetry = Telemetry(active=opts["telemetry_active"])
-    sim = ShardSimulator(
-        topology,
-        partition,
-        shard_id,
-        seed=opts["seed"],
-        control_latency_s=opts["control_latency_s"],
-        telemetry=telemetry,
-    )
-    ctx = spec.build(sim)
-    if spec.sampling is not None:
-        install_recorder(sim, spec.sampling)
-    return sim, ctx
+class _Shard:
+    """One shard's side of the barrier protocol, and the ``inline``
+    port to it (``take`` hands back what the ``post``-ed call returned).
 
-
-def _finish_shard(
-    spec: ScenarioSpec, sim: ShardSimulator, ctx: Any, until: Optional[float]
-) -> Dict[str, Any]:
-    """Advance to ``until``, run the final barrier, and bundle the
-    shard's picklable contribution to the merge."""
-    if until is not None:
-        sim.clock.advance_to(until)
-    # Ticks due at the final clock fire *before* the barrier sweep, so
-    # deltas from barrier-sealed epochs land in the residual window —
-    # exactly where the monolith's end-of-run flush puts them.
-    sim.pump_recorder()
-    sim.run_barrier_hooks()
-    sim.finalize()
-    output = spec.harvest(sim, ctx) if spec.harvest is not None else None
-    recorder = sim.recorder
-    return {
-        "stats": sim.stats.as_dict(),
-        "audit": [event.as_dict() for event in sim.telemetry.audit.events],
-        "metrics": sim.telemetry.metrics.snapshot(),
-        "output": output,
-        "busy_s": sim.busy_seconds,
-        "frames": recorder.frames if recorder is not None else [],
-        "frames_dropped": (
-            recorder.frames_dropped if recorder is not None else 0
-        ),
-        "frames_runtime": recorder.runtime() if recorder is not None else {},
-    }
-
-
-def _pickled_outbox(sim: ShardSimulator) -> Dict[int, tuple]:
-    """The shard's outbox with each destination's entry list pickled:
-    the one serialization a cross-shard entry gets under ``mp``."""
-    return {
-        dest: (earliest, pickle.dumps(entries, pickle.HIGHEST_PROTOCOL))
-        for dest, (earliest, entries) in sim.take_outbox().items()
-    }
-
-
-def _shard_worker(conn, spec, partition, shard_id, opts) -> None:
-    """The ``mp`` backend's per-shard process body.
-
-    Protocol (one pipe round-trip per window):
-
-    * worker → parent: ``("ready", next_event_time, clock_now)``
-    * parent → worker: ``("step", t_end, hard_limit, blobs)``
-    * worker → parent: ``("stepped", outbox, processed, next_time,
-      clock_now)``
-    * parent → worker: ``("drain", t_sync)`` — advance to the global
-      sync time, run the scenario's drain hook
-    * worker → parent: ``("drained", outbox, next_time, clock_now)``
-    * parent → worker: ``("finish", until)``
-    * worker → parent: ``("finished", bundle)`` and exit.
-
-    Cross-shard traffic is pickled exactly once, here: ``outbox`` is
-    ``{destination shard: (earliest arrival, pickled entry list)}``,
-    and ``blobs`` are the byte strings other workers addressed to this
-    shard, relayed by the parent unopened. This worker unpickles them
-    and :meth:`~repro.net.sharding.ShardSimulator.inject` puts the
-    entries in canonical order.
-
-    Any exception is shipped back as ``("error", traceback)`` so the
-    parent can fail loudly instead of hanging on a dead pipe.
+    ``ready``, then any number of ``step`` and ``drain``, answer
+    ``(outbox, next event time, clock)``; the closing ``finish`` answers
+    the shard's picklable contribution to the merge. ``outbox`` is
+    ``{destination shard: (earliest arrival, bucket)}``, a bucket being
+    the entry list for that destination run through ``pack``; ``step``
+    opens the buckets addressed here with ``unpack``.
     """
+
+    def __init__(
+        self,
+        runner: "ShardedRunner",
+        topology: Topology,
+        partition: Partition,
+        shard_id: int,
+        max_events: int,
+        pack: Callable[[List[tuple]], Any] = _same,
+        unpack: Callable[[Any], List[tuple]] = _same,
+    ) -> None:
+        self.spec = spec = runner.spec
+        self.max_events = max_events
+        self._pack = pack
+        self._unpack = unpack
+        self.sim = ShardSimulator(
+            topology,
+            partition,
+            shard_id,
+            seed=runner.seed,
+            control_latency_s=runner.control_latency_s,
+            telemetry=Telemetry(active=runner.telemetry_active),
+        )
+        self.ctx = spec.build(self.sim)
+        if spec.sampling is not None:
+            install_recorder(self.sim, spec.sampling)
+        self._reply: Any = self.ready()
+
+    def post(self, op: str, *args: Any) -> None:
+        self._reply = getattr(self, op)(*args)
+
+    def take(self) -> Any:
+        return self._reply
+
+    def close(self) -> None:
+        pass
+
+    def ready(self) -> tuple:
+        sim = self.sim
+        outbox = {
+            dest: (earliest, self._pack(entries))
+            for dest, (earliest, entries) in sim.take_outbox().items()
+        }
+        return outbox, sim.next_event_time(), sim.clock.now
+
+    def step(
+        self, t_end: float, hard_limit: Optional[float], buckets: List[Any]
+    ) -> tuple:
+        sim = self.sim
+        sim.inject(
+            [entry for bucket in buckets for entry in self._unpack(bucket)]
+        )
+        sim.run_window(t_end, hard_limit, self.max_events)
+        sim.run_barrier_hooks()
+        return self.ready()
+
+    def drain(self, t_sync: float) -> tuple:
+        """Advance to the global sync time, run the drain hook."""
+        sim = self.sim
+        sim.clock.advance_to(t_sync)
+        # Ticks due at the sync time close before drain work (epoch
+        # flushes) mutates counters, keeping the flush deltas in the
+        # same window the monolith assigns them.
+        sim.pump_recorder()
+        if self.spec.drain is not None:
+            self.spec.drain(sim, self.ctx)
+        return self.ready()
+
+    def finish(self, until: Optional[float]) -> Dict[str, Any]:
+        """Advance to ``until``, run the final barrier, and bundle the
+        shard's picklable contribution to the merge."""
+        sim = self.sim
+        if until is not None:
+            sim.clock.advance_to(until)
+        # Ticks due at the final clock fire *before* the barrier sweep, so
+        # deltas from barrier-sealed epochs land in the residual window —
+        # exactly where the monolith's end-of-run flush puts them.
+        sim.pump_recorder()
+        sim.run_barrier_hooks()
+        sim.finalize()
+        harvest = self.spec.harvest
+        recorder = sim.recorder
+        return {
+            "stats": sim.stats.as_dict(),
+            "audit": [event.as_dict() for event in sim.telemetry.audit.events],
+            "metrics": sim.telemetry.metrics.snapshot(),
+            "output": harvest(sim, self.ctx) if harvest is not None else None,
+            "busy_s": sim.busy_seconds,
+            "frames": recorder.frames if recorder is not None else [],
+            "frames_dropped": (
+                recorder.frames_dropped if recorder is not None else 0
+            ),
+            "frames_runtime": recorder.runtime() if recorder is not None else {},
+        }
+
+
+def _dumps(entries: List[tuple]) -> bytes:
+    return pickle.dumps(entries, pickle.HIGHEST_PROTOCOL)
+
+
+def _shard_worker(conn, parent_end, *shard_args) -> None:
+    """The ``mp`` port's far end: pump one :class:`_Shard` over a pipe.
+
+    Each ``(op, *args)`` the parent posts is answered ``(op, reply)``,
+    from an unprompted ``ready`` to the ``finish`` that ends the
+    process. Buckets cross as pickles — the one serialization an entry
+    gets — so what the parent relays between workers stays unopened
+    bytes. Any exception is shipped back as ``("error", traceback)``
+    so the parent can fail loudly instead of hanging on a dead pipe.
+    """
+    # The fork's own copy of the parent's end: while it is open this
+    # worker never sees the parent hang up.
+    parent_end.close()
     try:
-        reset_trace_ids()
-        topology = spec.make_topology()
-        sim, ctx = _build_shard(spec, topology, partition, shard_id, opts)
-        conn.send(("ready", sim.next_event_time(), sim.clock.now))
+        shard = _Shard(*shard_args, pack=_dumps, unpack=pickle.loads)
+        op = "ready"
         while True:
-            message = conn.recv()
-            if message[0] == "step":
-                _, t_end, hard_limit, blobs = message
-                sim.inject(
-                    [entry for blob in blobs for entry in pickle.loads(blob)]
-                )
-                processed = sim.run_window(
-                    t_end, hard_limit=hard_limit,
-                    max_events=opts["max_events"],
-                )
-                sim.run_barrier_hooks()
-                conn.send(
-                    ("stepped", _pickled_outbox(sim), processed,
-                     sim.next_event_time(), sim.clock.now)
-                )
-            elif message[0] == "drain":
-                sim.clock.advance_to(message[1])
-                # Ticks due at the sync time close before drain work
-                # (epoch flushes) mutates counters, keeping the flush
-                # deltas in the same window the monolith assigns them.
-                sim.pump_recorder()
-                if spec.drain is not None:
-                    spec.drain(sim, ctx)
-                conn.send(
-                    ("drained", _pickled_outbox(sim), sim.next_event_time(),
-                     sim.clock.now)
-                )
-            elif message[0] == "finish":
-                conn.send(
-                    ("finished", _finish_shard(spec, sim, ctx, message[1]))
-                )
+            conn.send((op, shard.take()))
+            if op == "finish":
                 return
-            else:
-                raise NetworkError(f"unknown runner command {message[0]!r}")
+            op, *args = conn.recv()
+            if op not in ("step", "drain", "finish"):
+                raise NetworkError(f"unknown runner command {op!r}")
+            shard.post(op, *args)
     except Exception:
         import traceback
 
@@ -310,6 +312,55 @@ def _shard_worker(conn, spec, partition, shard_id, opts) -> None:
             pass
     finally:
         conn.close()
+
+
+class _PipePort:
+    """The ``mp`` port: a forked :func:`_shard_worker` behind a pipe."""
+
+    def __init__(self, *shard_args: Any) -> None:
+        mp = multiprocessing.get_context("fork")
+        self._conn, child_conn = mp.Pipe()
+        self._proc = mp.Process(
+            target=_shard_worker,
+            args=(child_conn, self._conn, *shard_args),
+            daemon=True,
+        )
+        self._proc.start()
+        child_conn.close()
+        self._posted = "ready"
+
+    def post(self, op: str, *args: Any) -> None:
+        self._conn.send((op, *args))
+        self._posted = op
+
+    def take(self) -> Any:
+        try:
+            answered, reply = self._conn.recv()
+        except EOFError:
+            raise NetworkError(
+                "shard worker died without reporting an error"
+            ) from None
+        if answered == "error":
+            raise NetworkError(f"shard worker failed:\n{reply}")
+        if answered != self._posted:
+            raise NetworkError(
+                f"shard worker protocol error: got {answered!r}, "
+                f"expected {self._posted!r}"
+            )
+        return reply
+
+    def close(self) -> None:
+        try:
+            self._conn.close()
+        except Exception:
+            pass
+        self._proc.join(timeout=30)
+        if self._proc.is_alive():
+            self._proc.terminate()
+
+
+_PORTS = {"inline": _Shard, "mp": _PipePort}
+BACKENDS = tuple(_PORTS)
 
 
 class ShardedRunner:
@@ -335,8 +386,6 @@ class ShardedRunner:
         self.control_latency_s = control_latency_s
         self.telemetry_active = telemetry_active
 
-    # --- public entry ---------------------------------------------------------
-
     def run(
         self, until: Optional[float] = None, max_events: int = 1_000_000
     ) -> ShardedResult:
@@ -344,70 +393,73 @@ class ShardedRunner:
         partition = partition_topology(
             topology, self.shards, self.control_latency_s
         )
-        if self.backend == "mp":
-            bundles, windows = self._run_mp(partition, until, max_events)
-        else:
-            bundles, windows = self._run_inline(
-                topology, partition, until, max_events
+        # Shards build in this process or in forks of it: either way
+        # from fresh trace-id sequences.
+        reset_trace_ids()
+        open_port = _PORTS[self.backend]
+        ports: List[Any] = []
+        try:
+            for shard_id in range(partition.shard_count):
+                ports.append(
+                    open_port(self, topology, partition, shard_id, max_events)
+                )
+            bundles, windows = self._coordinate(
+                ports, partition.lookahead_s, until
             )
+        finally:
+            # Last opened first: a forked worker also holds the parent's
+            # ends of the pipes opened before it, so an earlier worker
+            # sees the hang-up only once the later ones are gone.
+            for port in reversed(ports):
+                port.close()
         return self._merge(partition, bundles, windows)
 
-    # --- backends -------------------------------------------------------------
+    def _coordinate(
+        self, ports: List[Any], lookahead_s: float, until: Optional[float]
+    ) -> tuple:
+        """The runner's side of the barrier protocol: windows, drain
+        rounds, finish — each command posted to every port before any
+        reply is taken, so shards behind pipes compute concurrently.
 
-    @staticmethod
-    def _exchange(
-        outboxes: List[Dict[int, tuple]], pending: List[List[tuple]]
-    ) -> None:
-        """Hand every outbox bucket to its destination shard, unopened.
-
-        A bucket is ``(earliest arrival, payload)``; the payload is the
-        source shard's entry list (``inline``) or its pickle (``mp``)
-        and only the destination looks inside — it sorts what it gets
-        canonically in ``inject``, so neither the order of ``outboxes``
-        nor the shard count shows in the result.
+        Outbox buckets queue up unopened for their destinations, which
+        sort what they get canonically in ``inject``: neither reply
+        order nor shard count shows in the result.
         """
-        for outbox in outboxes:
-            for dest, bucket in outbox.items():
-                pending[dest].append(bucket)
+        pending: List[List[tuple]] = [[] for _ in ports]
+        next_times: List[Optional[float]] = [None] * len(ports)
+        clocks = [0.0] * len(ports)
 
-    def _run_inline(self, topology, partition, until, max_events):
-        reset_trace_ids()
-        opts = _worker_opts(self, max_events)
-        sims: List[ShardSimulator] = []
-        ctxs: List[Any] = []
-        for shard_id in range(partition.shard_count):
-            sim, ctx = _build_shard(
-                self.spec, topology, partition, shard_id, opts
+        def barrier() -> Optional[float]:
+            """Take every reply, exchange the outboxes; the next
+            window's start, or None once no work is left before
+            ``until`` (a bucket answers with its earliest arrival)."""
+            for shard_id, port in enumerate(ports):
+                outbox, next_times[shard_id], clocks[shard_id] = port.take()
+                for dest, bucket in outbox.items():
+                    pending[dest].append(bucket)
+            times = [t for t in next_times if t is not None]
+            times.extend(
+                earliest for queue in pending for earliest, _bucket in queue
             )
-            sims.append(sim)
-            ctxs.append(ctx)
-        pending: List[List[tuple]] = [[] for _ in sims]
+            start = min(times, default=None)
+            if start is not None and until is not None and start > until:
+                return None
+            return start
+
+        start = barrier()
         windows = 0
         drain_rounds = 0
         while True:
-            while True:
-                start = self._next_start(
-                    [sim.next_event_time() for sim in sims], pending, until
-                )
-                if start is None:
-                    break
-                t_end = start + partition.lookahead_s
-                outboxes = []
-                for shard_id, sim in enumerate(sims):
-                    if pending[shard_id]:
-                        sim.inject([
-                            entry
-                            for _earliest, entries in pending[shard_id]
-                            for entry in entries
-                        ])
-                        pending[shard_id] = []
-                    sim.run_window(
-                        t_end, hard_limit=until, max_events=max_events
+            while start is not None:
+                t_end = start + lookahead_s
+                for shard_id, port in enumerate(ports):
+                    port.post(
+                        "step", t_end, until,
+                        [bucket for _earliest, bucket in pending[shard_id]],
                     )
-                    sim.run_barrier_hooks()
-                    outboxes.append(sim.take_outbox())
+                    pending[shard_id] = []
                 windows += 1
-                self._exchange(outboxes, pending)
+                start = barrier()
             if self.spec.drain is None:
                 break
             drain_rounds += 1
@@ -416,146 +468,15 @@ class ShardedRunner:
                     "scenario drain hook kept scheduling work after "
                     f"{MAX_DRAIN_ROUNDS} rounds"
                 )
-            t_sync = max(sim.clock.now for sim in sims)
-            outboxes = []
-            for sim, ctx in zip(sims, ctxs):
-                sim.clock.advance_to(t_sync)
-                sim.pump_recorder()
-                self.spec.drain(sim, ctx)
-                outboxes.append(sim.take_outbox())
-            self._exchange(outboxes, pending)
-            if (
-                self._next_start(
-                    [sim.next_event_time() for sim in sims], pending, until
-                )
-                is None
-            ):
+            t_sync = max(clocks)
+            for port in ports:
+                port.post("drain", t_sync)
+            start = barrier()
+            if start is None:
                 break
-        bundles = [
-            _finish_shard(self.spec, sim, ctx, until)
-            for sim, ctx in zip(sims, ctxs)
-        ]
-        return bundles, windows
-
-    @staticmethod
-    def _next_start(
-        next_times: List[Optional[float]],
-        pending: List[List[tuple]],
-        until: Optional[float],
-    ) -> Optional[float]:
-        """The next window's start time, or None when the run is over
-        (no pending work, or all of it beyond ``until``). Pending
-        buckets answer with the earliest arrival they travel with; no
-        entry is looked at."""
-        times = [t for t in next_times if t is not None]
-        times.extend(
-            earliest for queue in pending for earliest, _payload in queue
-        )
-        if not times:
-            return None
-        start = min(times)
-        if until is not None and start > until:
-            return None
-        return start
-
-    def _run_mp(self, partition, until, max_events):
-        mp = multiprocessing.get_context("fork")
-        opts = _worker_opts(self, max_events)
-        conns = []
-        procs = []
-        try:
-            for shard_id in range(partition.shard_count):
-                parent_conn, child_conn = mp.Pipe()
-                proc = mp.Process(
-                    target=_shard_worker,
-                    args=(child_conn, self.spec, partition, shard_id, opts),
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()
-                conns.append(parent_conn)
-                procs.append(proc)
-            next_times = []
-            clocks = []
-            for conn in conns:
-                _, next_time, now = self._recv(conn, "ready")
-                next_times.append(next_time)
-                clocks.append(now)
-            pending: List[List[tuple]] = [[] for _ in conns]
-            windows = 0
-            drain_rounds = 0
-            while True:
-                while True:
-                    start = self._next_start(next_times, pending, until)
-                    if start is None:
-                        break
-                    t_end = start + partition.lookahead_s
-                    for shard_id, conn in enumerate(conns):
-                        blobs = [blob for _earliest, blob in pending[shard_id]]
-                        conn.send(("step", t_end, until, blobs))
-                        pending[shard_id] = []
-                    outboxes = []
-                    for shard_id, conn in enumerate(conns):
-                        _, outbox, _processed, next_time, now = self._recv(
-                            conn, "stepped"
-                        )
-                        next_times[shard_id] = next_time
-                        clocks[shard_id] = now
-                        outboxes.append(outbox)
-                    windows += 1
-                    self._exchange(outboxes, pending)
-                if self.spec.drain is None:
-                    break
-                drain_rounds += 1
-                if drain_rounds > MAX_DRAIN_ROUNDS:
-                    raise NetworkError(
-                        "scenario drain hook kept scheduling work after "
-                        f"{MAX_DRAIN_ROUNDS} rounds"
-                    )
-                t_sync = max(clocks)
-                for conn in conns:
-                    conn.send(("drain", t_sync))
-                outboxes = []
-                for shard_id, conn in enumerate(conns):
-                    _, outbox, next_time, now = self._recv(conn, "drained")
-                    next_times[shard_id] = next_time
-                    clocks[shard_id] = now
-                    outboxes.append(outbox)
-                self._exchange(outboxes, pending)
-                if self._next_start(next_times, pending, until) is None:
-                    break
-            for conn in conns:
-                conn.send(("finish", until))
-            bundles = [self._recv(conn, "finished")[1] for conn in conns]
-            return bundles, windows
-        finally:
-            for conn in conns:
-                try:
-                    conn.close()
-                except Exception:
-                    pass
-            for proc in procs:
-                proc.join(timeout=30)
-            for proc in procs:
-                if proc.is_alive():
-                    proc.terminate()
-
-    @staticmethod
-    def _recv(conn, expected: str):
-        try:
-            message = conn.recv()
-        except EOFError:
-            raise NetworkError(
-                "shard worker died without reporting an error"
-            ) from None
-        if message[0] == "error":
-            raise NetworkError(f"shard worker failed:\n{message[1]}")
-        if message[0] != expected:
-            raise NetworkError(
-                f"shard worker protocol error: got {message[0]!r}, "
-                f"expected {expected!r}"
-            )
-        return message
+        for port in ports:
+            port.post("finish", until)
+        return [port.take() for port in ports], windows
 
     # --- merge ----------------------------------------------------------------
 
@@ -579,22 +500,17 @@ class ShardedRunner:
             telemetry = Telemetry(active=True)
             telemetry.audit.load(audit)
             telemetry.metrics.absorb_snapshot(metrics)
+        # Without a sampling spec no shard had a recorder: no frames,
+        # none dropped, no runtime to report.
+        sampling = self.spec.sampling
         frames: List[Dict[str, object]] = []
-        frames_dropped = 0
         frames_runtime: List[Dict[str, float]] = []
-        interval_s: Optional[float] = None
-        if self.spec.sampling is not None:
-            interval_s = self.spec.sampling.interval_s
+        if sampling is not None:
             frames = merge_frame_streams(
-                [bundle.get("frames", []) for bundle in bundles]
+                [bundle["frames"] for bundle in bundles]
             )
-            renumber_frame_times(frames, interval_s)
-            frames_dropped = sum(
-                int(bundle.get("frames_dropped", 0)) for bundle in bundles
-            )
-            frames_runtime = [
-                dict(bundle.get("frames_runtime", {})) for bundle in bundles
-            ]
+            renumber_frame_times(frames, sampling.interval_s)
+            frames_runtime = [bundle["frames_runtime"] for bundle in bundles]
         return ShardedResult(
             shards=partition.shard_count,
             backend=self.backend,
@@ -606,12 +522,12 @@ class ShardedRunner:
             windows=windows,
             partition=partition,
             telemetry=telemetry,
-            shard_busy_s=[
-                float(bundle.get("busy_s", 0.0)) for bundle in bundles
-            ],
+            shard_busy_s=[bundle["busy_s"] for bundle in bundles],
             frames=frames,
-            frames_dropped=frames_dropped,
-            sample_interval_s=interval_s,
+            frames_dropped=sum(
+                bundle["frames_dropped"] for bundle in bundles
+            ),
+            sample_interval_s=sampling.interval_s if sampling else None,
             frames_runtime=frames_runtime,
         )
 

@@ -24,16 +24,11 @@ Merkle proof exactly as it would break a per-record signature.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from repro.crypto.keys import KeyPair, KeyRegistry
+from repro.crypto.keys import KeyPair
 from repro.crypto.merkle import MerkleTree
 from repro.evidence.nodes import epoch_root_payload
-from repro.evidence.verify import (
-    SignatureCache,
-    registry_verify,
-    registry_verify_batch,
-)
 from repro.pera.config import BatchingSpec
 from repro.pera.records import BatchedHopRecord, HopRecord
 
@@ -157,110 +152,3 @@ class EpochBatcher:
         if epoch_id != self.epoch_id or not self._pending:
             return None
         return self.seal(reason=reason, on_sealed=on_sealed)
-
-
-class EpochRootVerifier:
-    """The verifier-side dual of :class:`EpochBatcher`.
-
-    Where the batcher amortizes *signing* over an epoch, this amortizes
-    *verification* over many epochs: callers enqueue the batched
-    records they intend to appraise, distinct (signer, epoch) roots are
-    deduplicated, and :meth:`flush` settles every pending root
-    signature through one multi-scalar batched check — so an appraiser
-    draining a burst of records from many switches pays one Ed25519
-    batch equation, not one verification per epoch.
-
-    Verdicts land in the shared memoized verify cache, so subsequent
-    per-record :meth:`BatchedHopRecord.verify_root` calls (and any
-    interleaved sequential appraisal) are dict hits with identical
-    accounting.
-    """
-
-    def __init__(
-        self,
-        anchors: KeyRegistry,
-        cache: Optional[SignatureCache] = None,
-    ) -> None:
-        self.anchors = anchors
-        self.cache = cache
-        self._pending: List[Tuple[str, BatchedHopRecord]] = []
-        self._queued: set = set()
-
-    @property
-    def pending_count(self) -> int:
-        """Distinct (signer, epoch) roots awaiting the next flush."""
-        return len(self._pending)
-
-    def add(self, record: BatchedHopRecord, signer: Optional[str] = None) -> None:
-        """Queue one record's epoch root for the next batched flush."""
-        signer = signer or record.place
-        dedup = (signer, record.epoch_payload_digest(), record.root_signature)
-        if dedup in self._queued:
-            return
-        self._queued.add(dedup)
-        self._pending.append((signer, record))
-
-    def flush(self) -> Dict[Tuple[str, bytes, bytes], bool]:
-        """Settle every queued root in one batched check.
-
-        Returns ``{(signer, epoch_payload_digest, root_signature):
-        verdict}`` for the roots settled by this flush — the signature
-        is part of the key because a forged signature over a genuine
-        epoch payload is a *distinct* root claim and must not collide
-        with the genuine one. The memo cache keeps the verdicts for
-        every later per-record check.
-        """
-        if not self._pending:
-            return {}
-        pending, self._pending = self._pending, []
-        self._queued.clear()
-        items = [
-            (
-                signer,
-                record.epoch_payload(),
-                record.root_signature,
-                record.epoch_payload_digest(),
-            )
-            for signer, record in pending
-        ]
-        verdicts = registry_verify_batch(self.anchors, items, cache=self.cache)
-        return {
-            (signer, record.epoch_payload_digest(), record.root_signature): verdict
-            for (signer, record), verdict in zip(pending, verdicts)
-        }
-
-    def verify_records(
-        self,
-        records: Sequence[BatchedHopRecord],
-        signers: Optional[Sequence[Optional[str]]] = None,
-    ) -> List[bool]:
-        """Batch-verify ``records`` end to end (roots, then proofs).
-
-        Equivalent to ``record.verify(anchors, signer=...)`` per record:
-        the epoch roots settle in one batched check and each record
-        then pays its Merkle proof walk only under a valid root.
-        """
-        for index, record in enumerate(records):
-            signer = signers[index] if signers is not None else None
-            self.add(record, signer=signer)
-        roots = self.flush()
-        results: List[bool] = []
-        for index, record in enumerate(records):
-            signer = signers[index] if signers is not None else None
-            signer = signer or record.place
-            root_ok = roots.get(
-                (signer, record.epoch_payload_digest(), record.root_signature)
-            )
-            if root_ok is None:
-                # Root settled by an earlier flush — the memo cache has
-                # the verdict; this is a dict hit, not a verification.
-                root_ok = registry_verify(
-                    self.anchors,
-                    signer,
-                    record.epoch_payload(),
-                    record.root_signature,
-                    message_digest=record.epoch_payload_digest(),
-                    cache=self.cache,
-                )
-            results.append(root_ok and record.proof_ok())
-        return results

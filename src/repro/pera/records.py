@@ -29,6 +29,7 @@ from repro.evidence.codec import (  # noqa: F401  (re-exports)
 )
 from repro.evidence.nodes import BatchedHopEvidence, HopEvidence
 from repro.evidence.verify import (
+    BatchVerifyItem,
     SignatureCache,
     registry_verify,
     registry_verify_batch,
@@ -47,6 +48,22 @@ def _share_payload(node: HopEvidence, record: HopEvidence) -> None:
     cached = node.__dict__.get("_payload")
     if cached is not None:
         object.__setattr__(record, "_payload", cached)
+
+
+def _inertia_measurements(
+    node: HopEvidence,
+) -> Tuple[Tuple[InertiaClass, bytes], ...]:
+    """A decoded node's measurement codes as PERA inertia classes.
+
+    The codes are bytes off the wire: an unknown one is a
+    :class:`CodecError`, like every other malformed input.
+    """
+    try:
+        return tuple(
+            (InertiaClass(code), value) for code, value in node.measurements
+        )
+    except ValueError as exc:
+        raise CodecError(f"unknown inertia class in hop record: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -78,17 +95,24 @@ class HopRecord(HopEvidence):
             signature=keys.sign(self.signed_payload()),
         )
 
-    def verify(self, anchors: KeyRegistry, signer: Optional[str] = None) -> bool:
-        """Verify the signature against the anchor of ``signer`` (defaults
-        to the record's own place name). Verdicts are memoized keyed by
-        (key id, payload digest, signature)."""
-        return registry_verify(
-            anchors,
+    def signature_item(self, signer: Optional[str] = None) -> BatchVerifyItem:
+        """The ``(signer, payload, signature, payload digest)`` a
+        verifier settles for this record, singly
+        (:func:`registry_verify`) or many at once
+        (:func:`registry_verify_batch`). ``signer`` defaults to the
+        record's own place name."""
+        return (
             signer or self.place,
             self.signed_payload(),
             self.signature,
-            message_digest=self.payload_digest(),
+            self.payload_digest(),
         )
+
+    def verify(self, anchors: KeyRegistry, signer: Optional[str] = None) -> bool:
+        """Verify the signature against the anchor of ``signer``.
+        Verdicts are memoized keyed by (key id, payload digest,
+        signature)."""
+        return registry_verify(anchors, *self.signature_item(signer))
 
     # --- wire form ---------------------------------------------------------
 
@@ -99,15 +123,9 @@ class HopRecord(HopEvidence):
     @classmethod
     def from_node(cls, node: HopEvidence) -> "HopRecord":
         """Specialize a canonical hop node with PERA's inertia classes."""
-        try:
-            measurements = tuple(
-                (InertiaClass(code), value) for code, value in node.measurements
-            )
-        except ValueError as exc:
-            raise CodecError(f"unknown inertia class in hop record: {exc}") from exc
         record = cls(
             place=node.place,
-            measurements=measurements,
+            measurements=_inertia_measurements(node),
             sequence=node.sequence,
             ingress_port=node.ingress_port,
             chain_head=node.chain_head,
@@ -179,15 +197,9 @@ class BatchedHopRecord(BatchedHopEvidence, HopRecord):
     @classmethod
     def from_batched_node(cls, node: BatchedHopEvidence) -> "BatchedHopRecord":
         """Specialize a decoded batched node with PERA's inertia classes."""
-        try:
-            measurements = tuple(
-                (InertiaClass(code), value) for code, value in node.measurements
-            )
-        except ValueError as exc:
-            raise CodecError(f"unknown inertia class in hop record: {exc}") from exc
         record = cls(
             place=node.place,
-            measurements=measurements,
+            measurements=_inertia_measurements(node),
             sequence=node.sequence,
             ingress_port=node.ingress_port,
             chain_head=node.chain_head,
@@ -203,17 +215,20 @@ class BatchedHopRecord(BatchedHopEvidence, HopRecord):
         _share_payload(node, record)
         return record
 
+    def signature_item(self, signer: Optional[str] = None) -> BatchVerifyItem:
+        """The epoch-root signature: the one this record rests on."""
+        return (
+            signer or self.place,
+            self.epoch_payload(),
+            self.root_signature,
+            self.epoch_payload_digest(),
+        )
+
     def verify_root(
         self, anchors: KeyRegistry, signer: Optional[str] = None
     ) -> bool:
         """Verify the epoch-root signature (memoized once per epoch)."""
-        return registry_verify(
-            anchors,
-            signer or self.place,
-            self.epoch_payload(),
-            self.root_signature,
-            message_digest=self.epoch_payload_digest(),
-        )
+        return registry_verify(anchors, *self.signature_item(signer))
 
     def verify(self, anchors: KeyRegistry, signer: Optional[str] = None) -> bool:
         """Root signature valid *and* proof binds this payload to it."""
@@ -252,28 +267,10 @@ def verify_record_batch(
     their per-record Merkle proof walk, short-circuited exactly like
     the sequential path (no proof walk under a bad root).
     """
-    items = []
-    for index, record in enumerate(records):
-        signer = signers[index] if signers is not None else None
-        signer = signer or record.place
-        if isinstance(record, BatchedHopRecord):
-            items.append(
-                (
-                    signer,
-                    record.epoch_payload(),
-                    record.root_signature,
-                    record.epoch_payload_digest(),
-                )
-            )
-        else:
-            items.append(
-                (
-                    signer,
-                    record.signed_payload(),
-                    record.signature,
-                    record.payload_digest(),
-                )
-            )
+    items = [
+        record.signature_item(signers[index] if signers is not None else None)
+        for index, record in enumerate(records)
+    ]
     verdicts = registry_verify_batch(anchors, items, cache=cache)
     return [
         ok and (record.proof_ok() if isinstance(record, BatchedHopRecord) else True)

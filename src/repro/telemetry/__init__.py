@@ -48,7 +48,6 @@ from repro.telemetry.export import (
     chrome_trace,
     dump_audit,
     dump_json,
-    dump_run,
     snapshot,
     summary,
     write_chrome_trace,
@@ -122,7 +121,6 @@ __all__ = [
     "chrome_trace",
     "write_chrome_trace",
     "summary",
-    "dump_run",
     "TraceContext",
     "start_trace",
     "new_trace_id",

@@ -245,18 +245,3 @@ def summary(telemetry: Telemetry, max_rows: Optional[int] = None) -> str:
                 "(oldest-first; raise the ring bound to keep more)"
             )
     return "\n".join(lines) if lines else "(no telemetry recorded)"
-
-
-def dump_run(
-    telemetry: Telemetry,
-    json_path: Optional[Pathish] = None,
-    trace_path: Optional[Pathish] = None,
-    timebase: str = "wall",
-) -> List[pathlib.Path]:
-    """Write whichever artifacts were asked for; returns paths written."""
-    written: List[pathlib.Path] = []
-    if json_path is not None:
-        written.append(dump_json(telemetry, json_path))
-    if trace_path is not None:
-        written.append(write_chrome_trace(telemetry, trace_path, timebase))
-    return written

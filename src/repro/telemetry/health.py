@@ -46,7 +46,11 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.telemetry.audit import AuditKind, merge_audit_events
 from repro.telemetry.metrics import parse_name
-from repro.telemetry.timeseries import Frame, apply_delta
+from repro.telemetry.timeseries import (
+    Frame,
+    apply_delta,
+    timeseries_snapshot,
+)
 
 #: The ``actor`` stamped on alert events (no node owns the health layer).
 HEALTH_ACTOR = "health"
@@ -478,6 +482,40 @@ def fold_alerts(journal, alerts: Sequence[Mapping[str, object]]) -> None:
     journal.load(docs)
 
 
+def run_health_pass(run, rules) -> Optional[HealthReport]:
+    """A campaign's post-merge health pass over ``run`` (a
+    :class:`~repro.net.shardrun.ShardedResult`): evaluate ``rules``
+    over its frames and fold the alerts into its journal. ``None``
+    rules mean no pass.
+
+    A pure function of the canonical frame stream, run in the parent
+    after the merge, so the alert timeline cannot depend on the
+    partitioning.
+    """
+    if rules is None:
+        return None
+    report = evaluate_health(run.frames, list(rules), run.sample_interval_s)
+    fold_alerts(run.telemetry.audit, report.alerts)
+    return report
+
+
+def run_timeseries(
+    run, report: Optional[HealthReport] = None
+) -> Dict[str, object]:
+    """The ``repro.timeseries/v1`` document for ``run`` (a
+    :class:`~repro.net.shardrun.ShardedResult`), with the alert
+    timeline of its health ``report`` when one ran."""
+    if run.sample_interval_s is None:
+        raise ValueError("run had no sampling= spec; no frames recorded")
+    return timeseries_snapshot(
+        run.frames,
+        run.sample_interval_s,
+        frames_dropped=run.frames_dropped,
+        alerts=report.alerts if report is not None else (),
+        rules=report.rules if report is not None else (),
+    )
+
+
 __all__ = [
     "AbsenceRule",
     "HEALTH_ACTOR",
@@ -490,4 +528,6 @@ __all__ = [
     "evaluate_health",
     "fold_alerts",
     "label_filter",
+    "run_health_pass",
+    "run_timeseries",
 ]

@@ -26,7 +26,7 @@ from repro.evidence import (
     encode_record_stack,
     iter_decode_nodes,
 )
-from repro.evidence.codec import POLICY_TLV_TYPE, RECORD_TLV_TYPE, iter_lazy_nodes
+from repro.evidence.codec import POLICY_TLV_TYPE, RECORD_TLV_TYPE
 from repro.evidence.nodes import (
     HOP_F_MEASUREMENT,
     HOP_F_SEQUENCE,
@@ -247,12 +247,3 @@ def test_duplicated_payload_field_is_not_seeded():
     assert decoded == hop
     assert decoded.__dict__.get("_payload") is None
     assert decoded.signed_payload() == hop.signed_payload()
-
-
-@settings(max_examples=50, deadline=None)
-@given(nodes=st.lists(evidence_trees, max_size=4))
-def test_lazy_nodes_materialize_on_demand(nodes):
-    stream = b"".join(encode_node(n) for n in nodes)
-    lazy = list(iter_lazy_nodes(memoryview(stream)))
-    assert [entry.kind for entry in lazy] == [n.KIND for n in nodes]
-    assert [entry.node() for entry in lazy] == nodes

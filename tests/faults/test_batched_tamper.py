@@ -21,7 +21,6 @@ from repro.core.wire import encode_compiled_policy
 from repro.evidence.verify import SignatureCache
 from repro.net.headers import RaShimHeader
 from repro.pera.config import BatchingSpec, CompositionMode, EvidenceConfig
-from repro.pera.epoch import EpochRootVerifier
 from repro.pera.records import (
     BatchedHopRecord,
     decode_record_stack,
@@ -274,17 +273,3 @@ class TestBatchedVsSequentialParity:
         batched = verify_record_batch(anchors, records, cache=SignatureCache())
         assert batched == sequential
         assert sequential == [True, True, False, False, False, False, False]
-
-    def test_epoch_root_verifier_matches_per_record_verify(self, delivered):
-        stacks, hop_count, switches, program = delivered
-        anchors = _appraiser(switches, program, Telemetry()).policy.anchors
-        records = self._variants(stacks)
-        verifier = EpochRootVerifier(anchors, cache=SignatureCache())
-        for record in records:
-            verifier.add(record)
-        # Genuine records of one epoch dedup to a single pending root;
-        # each forged header is a distinct root to settle.
-        assert verifier.pending_count < len(records)
-        assert verifier.verify_records(records) == [
-            r.verify(anchors) for r in records
-        ]

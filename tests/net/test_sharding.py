@@ -8,6 +8,8 @@ The end-to-end byte-identity contract lives in
 ``tests/core/test_sharded_determinism.py``.
 """
 
+import multiprocessing
+import os
 import random
 
 import pytest
@@ -149,28 +151,35 @@ def make_packet():
     return Packet(eth=EthernetHeader(dst=2, src=1))
 
 
-def two_host_spec():
-    """h-a on shard 0 sends one packet to h-b on shard 1."""
+def two_host_spec(s2=None, drain=None):
+    """h-a on shard 0 sends one packet to h-b on shard 1. ``s2`` swaps
+    the behaviour of that shard-1 switch, ``drain`` is the scenario's
+    drain hook (``ctx["send"]`` sends the packet again)."""
     def build(sim):
-        topo_hosts = {}
         a = Host("h-a", mac=1, ip=ip_to_int("10.0.0.1"))
         b = Host("h-b", mac=2, ip=ip_to_int("10.0.1.1"))
         sim.bind(a)
         sim.bind(b)
-        for name in ("s0", "s1", "s2", "s3"):
+        for name in ("s0", "s1", "s3"):
             sim.bind(_ForwardRight(name))
-        topo_hosts["a"], topo_hosts["b"] = a, b
-        sim.schedule_on("h-a", 0.0, lambda: a.send_udp(
-            dst_mac=2, dst_ip=b.ip, src_port=1, dst_port=2, payload=b"x",
-        ))
-        return topo_hosts
+        sim.bind((s2 or _ForwardRight)("s2"))
+
+        def send():
+            a.send_udp(
+                dst_mac=2, dst_ip=b.ip, src_port=1, dst_port=2, payload=b"x",
+            )
+
+        sim.schedule_on("h-a", 0.0, send)
+        return {"a": a, "b": b, "send": send}
 
     def harvest(sim, ctx):
         return {
             "delivered": len(ctx["b"].received) if sim.owns("h-b") else 0,
         }
 
-    return ScenarioSpec(topology=lambda: chain(4), build=build, harvest=harvest)
+    return ScenarioSpec(
+        topology=lambda: chain(4), build=build, harvest=harvest, drain=drain
+    )
 
 
 class _ForwardRight(Node):
@@ -273,6 +282,91 @@ class TestWindowedEngine:
         part = partition_topology(chain(4), shards=2)
         with pytest.raises(NetworkError):
             ShardSimulator(chain(4), part, shard_id=2)
+
+
+class _Crash(Node):
+    """A behaviour that fails on its first packet: raises ``crash``
+    when it is an exception, else kills its process without a word."""
+
+    def __init__(self, name, crash):
+        super().__init__(name)
+        self.crash = crash
+
+    def handle_packet(self, packet, in_port):
+        if isinstance(self.crash, Exception):
+            raise self.crash
+        os._exit(self.crash)
+
+
+def _resend_once_after(delay_s):
+    """A drain hook whose first round schedules the packet again."""
+    def drain(sim, ctx):
+        if "resent" not in ctx:
+            ctx["resent"] = True
+            sim.schedule_on("h-a", delay_s, ctx["send"])
+    return drain
+
+
+MP = pytest.param(
+    "mp",
+    marks=pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the mp backend forks its workers",
+    ),
+)
+BOTH_BACKENDS = ["inline", MP]
+
+
+class TestBarrierProtocolSafetyPaths:
+    """The runner's failure and cut-off paths, once for both ports at
+    two shards."""
+
+    @pytest.mark.parametrize("backend", BOTH_BACKENDS)
+    def test_behaviour_raising_mid_window_surfaces(self, backend):
+        spec = two_host_spec(
+            s2=lambda name: _Crash(name, RuntimeError("s2 blew up"))
+        )
+        expected = (
+            pytest.raises(RuntimeError, match="s2 blew up")
+            if backend == "inline"
+            else pytest.raises(
+                NetworkError, match=r"shard worker failed:[\s\S]*s2 blew up"
+            )
+        )
+        with expected:
+            run_sharded(spec, shards=2, backend=backend)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("backend", [MP])
+    def test_worker_dying_silently_is_reported(self, backend):
+        spec = two_host_spec(s2=lambda name: _Crash(name, 3))
+        with pytest.raises(NetworkError, match="died without reporting"):
+            run_sharded(spec, shards=2, backend=backend)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("backend", BOTH_BACKENDS)
+    def test_drain_hook_that_never_settles_trips_the_guard(self, backend):
+        spec = two_host_spec(
+            drain=lambda sim, ctx: sim.schedule(1e-6, lambda: None)
+        )
+        with pytest.raises(NetworkError, match="kept scheduling work after 64"):
+            run_sharded(spec, shards=2, backend=backend)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("backend", BOTH_BACKENDS)
+    def test_until_between_drain_rounds_cuts_both_backends_alike(self, backend):
+        # The first drain round schedules a second packet one second
+        # out; until=0.5 lands between that round and the next.
+        resending = two_host_spec(drain=_resend_once_after(1.0))
+        one_packet = run_sharded(two_host_spec(), shards=1)
+        both_packets = run_sharded(resending, shards=1)
+        assert both_packets.stats.events_processed == (
+            2 * one_packet.stats.events_processed
+        )
+        cut = run_sharded(resending, shards=2, backend=backend, until=0.5)
+        assert cut.stats.as_dict() == one_packet.stats.as_dict()
+        uncut = run_sharded(resending, shards=2, backend=backend)
+        assert uncut.stats.as_dict() == both_packets.stats.as_dict()
 
 
 class TestOwnershipGates:

@@ -8,7 +8,6 @@ from repro.telemetry import (
     Telemetry,
     chrome_trace,
     dump_json,
-    dump_run,
     snapshot,
     summary,
     write_chrome_trace,
@@ -98,15 +97,15 @@ class TestSummary:
         assert "... 3 more" in text
 
 
-class TestDumpRun:
-    def test_writes_only_what_was_asked(self, tmp_path):
+class TestAutoDump:
+    def test_flush_writes_only_what_was_registered(self, tmp_path):
         tel = worked_telemetry()
-        assert dump_run(tel) == []
-        written = dump_run(
-            tel,
+        assert tel.flush() == []
+        tel.auto_dump(
             json_path=tmp_path / "t.json",
             trace_path=tmp_path / "t_trace.json",
         )
+        written = tel.flush()
         assert [p.name for p in written] == ["t.json", "t_trace.json"]
         for path in written:
             json.loads(path.read_text())
