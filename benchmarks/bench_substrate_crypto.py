@@ -16,8 +16,9 @@ from repro.copland.parser import parse_request
 from repro.crypto.ed25519 import SigningKey, _point_decompress, verify_batch
 from repro.crypto.hashing import HashChain, digest
 from repro.crypto.merkle import MerkleTree
+from repro.evidence.codec import decode_hop_body, encode_hop_body
+from repro.evidence.nodes import HopEvidence
 from repro.pera.inertia import InertiaClass
-from repro.pera.records import HopRecord
 from repro.util.tlv import Tlv, TlvCodec
 
 from conftest import report, table
@@ -29,7 +30,7 @@ VERIFY_KEY = KEY.verify_key()
 MESSAGE = bytes(range(256))
 SIGNATURE = KEY.sign(MESSAGE)
 
-RECORD = HopRecord(
+RECORD = HopEvidence(
     place="s1",
     measurements=(
         (InertiaClass.HARDWARE, b"\x01" * 32),
@@ -40,7 +41,7 @@ RECORD = HopRecord(
 ).sign_with(
     __import__("repro.crypto.keys", fromlist=["KeyPair"]).KeyPair.generate("s1")
 )
-RECORD_BYTES = RECORD.encode()
+RECORD_BYTES = encode_hop_body(RECORD)
 
 AP1_TEXT = (
     "*RP1 <n> : @Switch [attest(Hardware, Program) -> # -> !] "
@@ -82,11 +83,11 @@ def test_merkle_build_64(benchmark):
 
 
 def test_hop_record_encode(benchmark):
-    benchmark(RECORD.encode)
+    benchmark(lambda: encode_hop_body(RECORD))
 
 
 def test_hop_record_decode(benchmark):
-    benchmark(lambda: HopRecord.decode(RECORD_BYTES))
+    benchmark(lambda: decode_hop_body(RECORD_BYTES))
 
 
 def test_tlv_round_trip(benchmark):
@@ -241,8 +242,8 @@ def test_substrate_report(benchmark):
         ),
         "point decompress (cached)": _time(VERIFY_KEY.point, rounds=2000),
         "sha256 digest (256B)": _time(lambda: digest(MESSAGE)),
-        "hop record encode": _time(RECORD.encode),
-        "hop record decode": _time(lambda: HopRecord.decode(RECORD_BYTES)),
+        "hop record encode": _time(lambda: encode_hop_body(RECORD)),
+        "hop record decode": _time(lambda: decode_hop_body(RECORD_BYTES)),
     }
     rows = [
         {"operation": name, "µs/op": round(seconds * 1e6, 1)}

@@ -28,9 +28,9 @@ from repro.crypto.hashing import HashChain, digest
 from repro.crypto.keys import KeyRegistry
 from repro.faults.retry import FailMode
 from repro.net.packet import Packet
-from repro.pera.inertia import InertiaClass
+from repro.evidence.codec import decode_record_stack
+from repro.evidence.nodes import BatchedHopEvidence, HopEvidence, InertiaClass
 from repro.evidence.verify import registry_verify_batch
-from repro.pera.records import BatchedHopRecord, HopRecord, decode_record_stack
 from repro.util.errors import CodecError
 from repro.pisa.program import DataplaneProgram
 from repro.ra.nonce import NonceManager
@@ -291,7 +291,7 @@ class PathAppraiser:
         return verdict
 
     def _check_packet_binding(
-        self, packet: Packet, records: List[HopRecord], failures: List[str]
+        self, packet: Packet, records: List[HopEvidence], failures: List[str]
     ) -> None:
         """Verify per-hop packet digests (traffic-path composition).
 
@@ -341,7 +341,7 @@ class PathAppraiser:
 
     def appraise_records(
         self,
-        records: List[HopRecord],
+        records: List[HopEvidence],
         hop_count: int,
         compiled: Optional[CompiledPolicy] = None,
         trace: Optional[TraceContext] = None,
@@ -386,7 +386,7 @@ class PathAppraiser:
     def _emit_verdict_event(
         self,
         verdict: PathVerdict,
-        records: List[HopRecord],
+        records: List[HopEvidence],
         trace: Optional[TraceContext],
     ) -> None:
         self.telemetry.audit_event(
@@ -401,7 +401,7 @@ class PathAppraiser:
 
     def _appraise_records(
         self,
-        records: List[HopRecord],
+        records: List[HopEvidence],
         hop_count: int,
         compiled: Optional[CompiledPolicy] = None,
         trace: Optional[TraceContext] = None,
@@ -448,7 +448,7 @@ class PathAppraiser:
         return self.policy.pseudonym_signers.get(place, place)
 
     def _check_signatures(
-        self, records: List[HopRecord], failures: List[str]
+        self, records: List[HopEvidence], failures: List[str]
     ) -> None:
         tel = self.telemetry
         # Collect every record's pending (signer, payload, signature)
@@ -466,7 +466,7 @@ class PathAppraiser:
         ]
         sig_ok = registry_verify_batch(self.policy.anchors, items) if items else []
         for index, record in enumerate(records):
-            if isinstance(record, BatchedHopRecord):
+            if isinstance(record, BatchedHopEvidence):
                 root_ok = sig_ok[index]
                 proof_ok = root_ok and record.proof_ok()
                 ok = root_ok and proof_ok
@@ -502,7 +502,7 @@ class PathAppraiser:
                 )
 
     def _check_measurements(
-        self, records: List[HopRecord], failures: List[str]
+        self, records: List[HopEvidence], failures: List[str]
     ) -> None:
         for index, record in enumerate(records):
             signer = self._signer_for(record.place)
@@ -522,7 +522,7 @@ class PathAppraiser:
                         "measurement does not match the vetted value"
                     )
 
-    def _check_chain(self, records: List[HopRecord], failures: List[str]) -> None:
+    def _check_chain(self, records: List[HopEvidence], failures: List[str]) -> None:
         chained = [r for r in records if r.chain_head is not None]
         if not chained:
             return
@@ -544,7 +544,7 @@ class PathAppraiser:
 
     def _check_coverage(
         self,
-        records: List[HopRecord],
+        records: List[HopEvidence],
         hop_count: int,
         compiled: Optional[CompiledPolicy],
         failures: List[str],
@@ -566,7 +566,7 @@ class PathAppraiser:
                 )
 
     def _observed_functions(
-        self, records: List[HopRecord]
+        self, records: List[HopEvidence]
     ) -> List[Tuple[str, str]]:
         """(place, function-name) per record, where the program
         measurement maps to a known function."""

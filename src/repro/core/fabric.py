@@ -75,7 +75,8 @@ from repro.pera.config import (
     EvidenceConfig,
 )
 from repro.pera.inertia import InertiaClass
-from repro.pera.records import HopRecord, verify_record_batch
+from repro.evidence.nodes import HopEvidence
+from repro.pera.records import verify_record_batch
 from repro.pisa.programs import fabric_multipath_program, fabric_rogue_program
 from repro.util.ids import spawn_seed
 from repro.workload.flows import (
@@ -915,7 +916,7 @@ def _fabric_traffic_harvest(sim, ctx):
         collected = [
             message
             for _, _sender, message in ctx["collector"].control_received
-            if isinstance(message, HopRecord)
+            if isinstance(message, HopEvidence)
         ]
         oob_records = len(collected)
         oob_verified = sum(verify_record_batch(anchors, collected))

@@ -19,7 +19,7 @@ from repro.netkat.ast import Predicate, Value
 from repro.netkat.parser import parse_predicate
 from repro.netkat.semantics import NkPacket, eval_predicate
 from repro.pera.config import EvidenceConfig
-from repro.pera.records import HopRecord
+from repro.evidence.nodes import HopEvidence
 from repro.pera.switch import PeraSwitch
 from repro.pisa.pipeline import DROP_PORT, PacketContext
 from repro.telemetry.audit import AuditKind
@@ -163,9 +163,9 @@ class NetworkAwarePeraSwitch(PeraSwitch):
     def _produce_with_directive(
         self,
         ctx: PacketContext,
-        prior_records: List[HopRecord],
+        prior_records: List[HopEvidence],
         directive: HopDirective,
-    ) -> HopRecord:
+    ) -> HopEvidence:
         """Produce a record at the policy's requested design point."""
         requested = EvidenceConfig(
             detail=directive.detail,

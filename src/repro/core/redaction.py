@@ -23,7 +23,8 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.crypto.merkle import MerkleProof, MerkleTree
-from repro.pera.records import HopRecord
+from repro.evidence.codec import encode_hop_body
+from repro.evidence.nodes import HopEvidence
 from repro.util.errors import VerificationError
 
 _ROOT_DOMAIN = b"redacted-path-evidence|"
@@ -33,7 +34,7 @@ _ROOT_DOMAIN = b"redacted-path-evidence|"
 class DisclosedRecord:
     """One revealed hop: the record plus its membership proof."""
 
-    record: HopRecord
+    record: HopEvidence
     proof: MerkleProof
 
 
@@ -69,7 +70,7 @@ class RedactedEvidence:
             failures.append("redaction root signature invalid")
         pseudonym_signers = pseudonym_signers or {}
         for index, item in enumerate(self.disclosed):
-            if not item.proof.verify(item.record.encode(), self.root):
+            if not item.proof.verify(encode_hop_body(item.record), self.root):
                 failures.append(
                     f"disclosed record {index}: not a member of the "
                     "committed evidence set"
@@ -88,7 +89,7 @@ class RedactedEvidence:
 
 
 def redact(
-    records: Sequence[HopRecord],
+    records: Sequence[HopEvidence],
     disclose_indices: Sequence[int],
     holder_keys: KeyPair,
 ) -> RedactedEvidence:
@@ -100,7 +101,7 @@ def redact(
             raise VerificationError(
                 f"disclosure index {index} out of range [0, {len(records)})"
             )
-    tree = MerkleTree([record.encode() for record in records])
+    tree = MerkleTree([encode_hop_body(record) for record in records])
     disclosed = tuple(
         DisclosedRecord(record=records[i], proof=tree.prove(i))
         for i in sorted(set(disclose_indices))

@@ -50,7 +50,8 @@ from repro.pera.config import (
     EvidenceConfig,
 )
 from repro.pera.inertia import InertiaClass
-from repro.pera.records import decode_record_stack, verify_record_batch
+from repro.evidence.codec import decode_record_stack, encode_hop_body
+from repro.pera.records import verify_record_batch
 from repro.pera.sampling import SamplingMode, SamplingSpec
 from repro.pisa.programs import (
     athens_rogue_program,
@@ -646,7 +647,7 @@ def run_audit_trail(c2_flows: int = 3, benign_flows: int = 5) -> AuditTrailResul
         switch.ra_stats.packets_attested += 1
         record = switch._produce_record(ctx, [])
         delivered = sim.send_control("scanner", "collector", record,
-                                     size_hint=len(record.encode()))
+                                     size_hint=len(encode_hop_body(record)))
         if not delivered:
             findings_lost += 1
 
@@ -666,7 +667,7 @@ def run_audit_trail(c2_flows: int = 3, benign_flows: int = 5) -> AuditTrailResul
 
     # The collector commits the attested findings into a Merkle log.
     records = [message for _, _, message in collector.control_received]
-    leaves = [record.encode() for record in records] or [b"empty"]
+    leaves = [encode_hop_body(record) for record in records] or [b"empty"]
     tree = MerkleTree(leaves)
     proofs_verify = all(
         tree.prove(i).verify(leaf, tree.root) for i, leaf in enumerate(leaves)

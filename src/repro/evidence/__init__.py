@@ -8,9 +8,12 @@ is the one canonical model they all share:
 
 - :mod:`repro.evidence.nodes` — content-addressed evidence node types
   mirroring Copland's evidence grammar (empty, nonce, measurement,
-  signature, hash, sequence, parallel) plus the hop-composed record of
-  an attesting PERA switch. Wire form and SHA-256 digest are computed
-  once per node and cached.
+  signature, hash, sequence, parallel) plus the hop record of an
+  attesting PERA switch (:class:`HopEvidence`, epoch-batched
+  :class:`BatchedHopEvidence`) and the
+  :class:`~repro.evidence.nodes.InertiaClass` codes its measurements
+  are tagged with. Wire form and SHA-256 digest are
+  computed once per node and cached.
 - :mod:`repro.evidence.codec` — the single TLV wire codec (encode is
   the nodes' cached :attr:`~repro.evidence.nodes.Evidence.wire`;
   decode lives here), including the shim-body framing shared with
@@ -18,10 +21,10 @@ is the one canonical model they all share:
 - :mod:`repro.evidence.verify` — memoized signature verification keyed
   by (key id, message digest, signature).
 
-:mod:`repro.pera.records` is a view over this package
-(:class:`~repro.pera.records.HopRecord` subclasses the hop node and
-re-exports the codec constants); no other module carries evidence
-types.
+No other package carries evidence types: the switch constructs these
+nodes, the codec decodes straight into them, and the appraiser reads
+them. The package imports nothing above :mod:`repro.crypto` and
+:mod:`repro.util` (``tests/test_layering.py``).
 """
 
 from repro.evidence.nodes import (
@@ -45,7 +48,6 @@ from repro.evidence.codec import (
     decode_hop_body,
     decode_node,
     decode_record_stack,
-    encode_batched_hop_body,
     encode_hop_body,
     encode_node,
     encode_record_stack,
@@ -98,7 +100,6 @@ __all__ = [
     "iter_decode_nodes",
     "encode_hop_body",
     "decode_hop_body",
-    "encode_batched_hop_body",
     "decode_batched_hop_body",
     "encode_record_stack",
     "decode_record_stack",

@@ -21,7 +21,7 @@ only at terminal fields.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.evidence.nodes import (
     BATCH_F_EPOCH,
@@ -52,6 +52,7 @@ from repro.evidence.nodes import (
     Evidence,
     HashEvidence,
     HopEvidence,
+    InertiaClass,
     MeasurementEvidence,
     NonceEvidence,
     ParallelEvidence,
@@ -59,7 +60,7 @@ from repro.evidence.nodes import (
     SignedEvidence,
 )
 from repro.util.errors import CodecError
-from repro.util.tlv import ByteSource, Tlv, TlvCodec
+from repro.util.tlv import ByteSource, TlvCodec
 
 # Shim-body framing types (one namespace for everything riding in the
 # RA options header).
@@ -194,9 +195,10 @@ def _node_from_view(kind: int, body: memoryview, depth: int) -> Evidence:
 
 
 def encode_hop_body(hop: HopEvidence) -> bytes:
-    """The flat hop-record TLV stream (payload + signature field)."""
-    return hop.signed_payload() + Tlv(HOP_F_SIGNATURE, hop.signature).encode()
-
+    """The flat hop-record TLV stream (payload + signature field) —
+    a plain hop's node body, and what an epoch-batched record would
+    have been had it been signed on its own."""
+    return HopEvidence._body(hop)
 
 
 # The canonical payload field order emitted by ``signed_payload()``:
@@ -213,8 +215,10 @@ _CANONICAL_HOP_RANK = {
 }
 
 
-def decode_hop_body(data: ByteSource) -> HopEvidence:
-    """Decode the flat hop-record field stream into a canonical node.
+def _hop_fields(data: ByteSource) -> Tuple[dict, Optional[bytes]]:
+    """Walk the flat hop-record field stream once: the hop node's
+    constructor arguments, and the signed-payload prefix of the input
+    to seed its ``_payload`` cache with (``None`` when not canonical).
 
     When the wire layout is canonical — payload fields in the exact
     order ``signed_payload()`` emits them (each at most once, except
@@ -228,6 +232,10 @@ def decode_hop_body(data: ByteSource) -> HopEvidence:
     wire whose *content* matches what the signer signed still verifies
     regardless of field order, and a payload mismatch can never hide
     behind the seeded cache.
+
+    Measurement class codes are bytes off the wire: one outside
+    :class:`InertiaClass` is a :class:`CodecError`, like every other
+    malformed input.
     """
     view = data if isinstance(data, memoryview) else memoryview(data)
     place = None
@@ -263,7 +271,13 @@ def decode_hop_body(data: ByteSource) -> HopEvidence:
         elif tlv_type == HOP_F_MEASUREMENT:
             if len(value) < 1:
                 raise CodecError("measurement TLV too short")
-            measurements.append((value[0], bytes(value[1:])))
+            try:
+                inertia = InertiaClass(value[0])
+            except ValueError as exc:
+                raise CodecError(
+                    f"unknown inertia class in hop record: {exc}"
+                ) from exc
+            measurements.append((inertia, bytes(value[1:])))
         elif tlv_type == HOP_F_SEQUENCE:
             if len(value) != 4:
                 raise CodecError("sequence TLV must be 4 bytes")
@@ -283,7 +297,7 @@ def decode_hop_body(data: ByteSource) -> HopEvidence:
             raise CodecError(f"unknown hop-record TLV type {tlv_type}")
     if place is None:
         raise CodecError("hop record missing place")
-    hop = HopEvidence(
+    fields = dict(
         place=place,
         measurements=tuple(measurements),
         sequence=sequence,
@@ -296,53 +310,45 @@ def decode_hop_body(data: ByteSource) -> HopEvidence:
     # sequence 0); a wire without one cannot be its own signed payload.
     if canonical and sequence_seen:
         end = len(view) if payload_end is None else payload_end
-        object.__setattr__(hop, "_payload", bytes(view[:end]))
+        return fields, bytes(view[:end])
+    return fields, None
+
+
+def _build_hop(cls, fields: dict, payload: Optional[bytes]):
+    """The one constructor call per decoded hop, payload cache seeded."""
+    hop = cls(**fields)
+    if payload is not None:
+        object.__setattr__(hop, "_payload", payload)
     return hop
 
 
+def decode_hop_body(data: ByteSource) -> HopEvidence:
+    """Decode the flat hop-record field stream into a hop node."""
+    return _build_hop(HopEvidence, *_hop_fields(data))
+
+
 # --- batched hop records (epoch-root header + Merkle proof) -----------
-
-
-def encode_batched_hop_body(record: BatchedHopEvidence) -> bytes:
-    """The batched-record TLV stream (hop payload + epoch header + proof)."""
-    elements = [
-        Tlv(BATCH_F_HOP, record.signed_payload()),
-        Tlv(
-            BATCH_F_EPOCH,
-            record.epoch_id.to_bytes(8, "big")
-            + record.leaf_index.to_bytes(4, "big")
-            + record.leaf_count.to_bytes(4, "big"),
-        ),
-        Tlv(BATCH_F_ROOT, record.epoch_root),
-        Tlv(BATCH_F_ROOT_SIG, record.root_signature),
-    ]
-    for sibling, sibling_is_left in record.proof_path:
-        elements.append(
-            Tlv(
-                BATCH_F_SIBLING_LEFT if sibling_is_left else BATCH_F_SIBLING_RIGHT,
-                sibling,
-            )
-        )
-    return TlvCodec.encode(elements)
 
 
 def decode_batched_hop_body(data: ByteSource) -> BatchedHopEvidence:
     """Decode one batched hop record (strictly: fixed-width crypto fields).
 
     The hop-payload sub-stream is walked as a view and its bytes seed
-    the record's ``_payload`` cache: the Merkle leaf check in
-    ``proof_ok`` and the per-epoch digest then reuse the received wire
-    bytes instead of re-encoding the payload per packet.
+    the record's ``_payload`` cache (batched inner hops carry no
+    signature field, so the whole sub-stream is the signed prefix): the
+    Merkle leaf check in ``proof_ok`` and the per-epoch digest then
+    reuse the received wire bytes instead of re-encoding the payload
+    per packet.
     """
-    hop = None
+    hop = payload = None
     epoch_id = leaf_index = leaf_count = None
     epoch_root = None
     root_signature = None
     proof_path: List[tuple] = []
     for tlv_type, value in TlvCodec.iter_views(data):
         if tlv_type == BATCH_F_HOP:
-            hop = decode_hop_body(value)
-            if hop.signature:
+            hop, payload = _hop_fields(value)
+            if hop["signature"]:
                 raise CodecError(
                     "batched hop record must not carry a per-record signature"
                 )
@@ -374,14 +380,7 @@ def decode_batched_hop_body(data: ByteSource) -> BatchedHopEvidence:
         raise CodecError("batched record missing epoch root")
     if root_signature is None:
         raise CodecError("batched record missing epoch-root signature")
-    record = BatchedHopEvidence(
-        place=hop.place,
-        measurements=hop.measurements,
-        sequence=hop.sequence,
-        ingress_port=hop.ingress_port,
-        chain_head=hop.chain_head,
-        packet_digest=hop.packet_digest,
-        signature=b"",
+    hop.update(
         epoch_id=epoch_id,
         epoch_root=epoch_root,
         root_signature=root_signature,
@@ -389,13 +388,7 @@ def decode_batched_hop_body(data: ByteSource) -> BatchedHopEvidence:
         leaf_count=leaf_count,
         proof_path=tuple(proof_path),
     )
-    # The inner hop decoder seeded its payload cache from the wire
-    # (batched inner hops carry no signature field, so the whole
-    # sub-stream is the signed prefix); hand it to the record.
-    cached = hop.__dict__.get("_payload")
-    if cached is not None:
-        object.__setattr__(record, "_payload", cached)
-    return record
+    return _build_hop(BatchedHopEvidence, hop, payload)
 
 
 def encode_record_stack(hops: Sequence[HopEvidence]) -> bytes:

@@ -22,11 +22,14 @@ Two properties make this the system's hot-path substrate:
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterator, Optional, Tuple
+from typing import ClassVar, Iterable, Iterator, Optional, Tuple
 
 from repro.crypto.hashing import digest
+from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.crypto.merkle import MerkleProof
+from repro.evidence.verify import BatchVerifyItem, registry_verify
 from repro.util.tlv import Tlv, TlvCodec
 
 # One TLV-type namespace for evidence nodes. 0x10 and 0x20 match the
@@ -62,6 +65,27 @@ HOP_F_SIGNATURE = 5
 HOP_F_SEQUENCE = 6  # value: 4-byte attestation sequence number
 HOP_F_INGRESS_PORT = 7  # value: 2-byte ingress port
 
+
+class InertiaClass(enum.IntEnum):
+    """The five inertia classes of attestable information (paper
+    Fig. 4) — the value space of a :data:`HOP_F_MEASUREMENT` class
+    code, which is why the enum lives beside the wire field.
+
+    Ordered from highest inertia (slowest-changing) to lowest.
+    """
+
+    HARDWARE = 1
+    PROGRAM = 2
+    TABLES = 3
+    PROG_STATE = 4
+    PACKETS = 5
+
+    @property
+    def cacheable(self) -> bool:
+        """Packet-level evidence can never be reused across packets."""
+        return self is not InertiaClass.PACKETS
+
+
 # Batched-hop body field types (the 0x11 proof-bearing record).
 BATCH_F_HOP = 1  # value: flat hop-record payload TLVs (no signature)
 BATCH_F_EPOCH = 2  # value: 8B epoch id + 4B leaf index + 4B leaf count
@@ -95,6 +119,14 @@ def epoch_root_payload(
             root,
         ]
     )
+
+
+def hop_link_digest(values: Iterable[bytes]) -> bytes:
+    """The hash-chain link one hop contributes: the digest of its
+    concatenated measurement values. The attesting switch (extending
+    the chain before the record exists) and the appraiser (replaying
+    it from the record) both call this."""
+    return digest(b"".join(values), domain="hop-measurements")
 
 
 class Evidence:
@@ -331,24 +363,75 @@ class ParallelEvidence(Evidence):
 class HopEvidence(Evidence):
     """Hop-composed evidence: one attesting hop's signed contribution.
 
-    This is the canonical form of a PERA hop record (paper Fig. 3
-    "Create/Compose"): the attesting place (real name or pseudonym),
-    the per-inertia-class measurement digests (class codes are kept as
-    raw ints here — :mod:`repro.pera.inertia` gives them meaning), an
-    optional chain head and packet digest, and the root-of-trust
-    signature. Its body layout is exactly the original hop-record TLV
-    stream, so wire forms are stable across the refactor.
+    This is the one PERA hop record (paper Fig. 3 "Create/Compose"),
+    shared by the switch that produces it and the appraiser that
+    decodes it: the attesting place (real name or pseudonym), the
+    ``(InertiaClass, digest)`` measurement pairs, an optional chain
+    head (Fig. 4 "Chained"/"Traffic Path" composition) and packet
+    digest, and the root-of-trust signature. Its body layout is exactly
+    the original hop-record TLV stream, so wire forms are stable.
+
+    ``ingress_port`` reproduces the paper's UC1 example — evidence
+    "could indicate that p reached switch S1 on a specific network
+    port" — and is covered by the signature like every other field.
     """
 
     KIND: ClassVar[int] = KIND_HOP
+    # What ``Simulator.send_control`` journals as the ``control.sent``
+    # message type. It journals Python class names, and this class
+    # absorbed ``repro.pera.records.HopRecord``: the old name is pinned
+    # here so audit journals and the run-signature goldens that hash
+    # them do not move with the rename (ROADMAP 1f retires the pin).
+    CONTROL_LABEL: ClassVar[str] = "HopRecord"
 
     place: str
-    measurements: Tuple[Tuple[int, bytes], ...]  # (inertia code, digest)
+    measurements: Tuple[Tuple[InertiaClass, bytes], ...]
     sequence: int = 0
     ingress_port: Optional[int] = None
     chain_head: Optional[bytes] = None
     packet_digest: Optional[bytes] = None
     signature: bytes = b""
+
+    # --- signing --------------------------------------------------------
+
+    def sign_with(self, keys: KeyPair) -> "HopEvidence":
+        """Return a copy carrying ``keys``' signature."""
+        return HopEvidence(
+            place=self.place,
+            measurements=self.measurements,
+            sequence=self.sequence,
+            ingress_port=self.ingress_port,
+            chain_head=self.chain_head,
+            packet_digest=self.packet_digest,
+            signature=keys.sign(self.signed_payload()),
+        )
+
+    def signature_item(self, signer: Optional[str] = None) -> BatchVerifyItem:
+        """The ``(signer, payload, signature, payload digest)`` a
+        verifier settles for this record, singly
+        (:func:`registry_verify`) or many at once
+        (:func:`registry_verify_batch`). ``signer`` defaults to the
+        record's own place name."""
+        return (
+            signer or self.place,
+            self.signed_payload(),
+            self.signature,
+            self.payload_digest(),
+        )
+
+    def verify(self, anchors: KeyRegistry, signer: Optional[str] = None) -> bool:
+        """Verify the signature against the anchor of ``signer``.
+        Verdicts are memoized keyed by (key id, payload digest,
+        signature)."""
+        return registry_verify(anchors, *self.signature_item(signer))
+
+    def measurement_for(self, inertia: InertiaClass) -> Optional[bytes]:
+        for klass, value in self.measurements:
+            if klass is inertia:
+                return value
+        return None
+
+    # --- canonical bytes -------------------------------------------------
 
     def signed_payload(self) -> bytes:
         """The bytes the signature covers (everything but itself)."""
@@ -388,10 +471,7 @@ class HopEvidence(Evidence):
         """
         cached = self.__dict__.get("_link_digest")
         if cached is None:
-            cached = digest(
-                b"".join(value for _, value in self.measurements),
-                domain="hop-measurements",
-            )
+            cached = hop_link_digest(value for _, value in self.measurements)
             object.__setattr__(self, "_link_digest", cached)
         return cached
 
@@ -416,10 +496,13 @@ class BatchedHopEvidence(HopEvidence):
     The record's :meth:`signed_payload` (the same bytes a per-packet
     signature would cover) is the Merkle leaf, so any flipped payload
     byte breaks the proof exactly as it would break a signature. The
-    inherited ``signature`` field stays empty.
+    inherited ``signature`` field stays empty: trust flows
+    root-signature → Merkle proof → payload, and :meth:`verify` checks
+    both legs.
     """
 
     KIND: ClassVar[int] = KIND_BATCHED_HOP
+    CONTROL_LABEL: ClassVar[str] = "BatchedHopRecord"
 
     epoch_id: int = 0
     epoch_root: bytes = b""
@@ -427,6 +510,37 @@ class BatchedHopEvidence(HopEvidence):
     leaf_index: int = 0
     leaf_count: int = 0
     proof_path: Tuple[Tuple[bytes, bool], ...] = ()
+
+    @classmethod
+    def from_record(
+        cls,
+        record: HopEvidence,
+        epoch_id: int,
+        epoch_root: bytes,
+        root_signature: bytes,
+        proof: MerkleProof,
+    ) -> "BatchedHopEvidence":
+        """Attach an epoch-root header + inclusion proof to a record."""
+        batched = cls(
+            place=record.place,
+            measurements=record.measurements,
+            sequence=record.sequence,
+            ingress_port=record.ingress_port,
+            chain_head=record.chain_head,
+            packet_digest=record.packet_digest,
+            signature=b"",
+            epoch_id=epoch_id,
+            epoch_root=epoch_root,
+            root_signature=root_signature,
+            leaf_index=proof.leaf_index,
+            leaf_count=proof.leaf_count,
+            proof_path=proof.path,
+        )
+        # The signed payload covers exactly the fields copied above, and
+        # the seal just computed it as this record's Merkle leaf — share
+        # the cached bytes instead of re-encoding them per packet.
+        object.__setattr__(batched, "_payload", record.signed_payload())
+        return batched
 
     # --- epoch-root header ----------------------------------------------
 
@@ -465,6 +579,30 @@ class BatchedHopEvidence(HopEvidence):
         that replaces a full Ed25519 verification in batched mode.
         """
         return self.proof().verify(self.signed_payload(), self.epoch_root)
+
+    # --- verification ----------------------------------------------------
+
+    def signature_item(self, signer: Optional[str] = None) -> BatchVerifyItem:
+        """The epoch-root signature: the one this record rests on."""
+        return (
+            signer or self.place,
+            self.epoch_payload(),
+            self.root_signature,
+            self.epoch_payload_digest(),
+        )
+
+    def verify_root(
+        self, anchors: KeyRegistry, signer: Optional[str] = None
+    ) -> bool:
+        """Verify the epoch-root signature. The memoized substrate
+        verify is keyed on the *epoch payload digest* — shared by every
+        record of the epoch — so an appraiser pays one real Ed25519
+        verification per (switch, epoch)."""
+        return registry_verify(anchors, *self.signature_item(signer))
+
+    def verify(self, anchors: KeyRegistry, signer: Optional[str] = None) -> bool:
+        """Root signature valid *and* proof binds this payload to it."""
+        return self.verify_root(anchors, signer=signer) and self.proof_ok()
 
     # --- wire form -------------------------------------------------------
 

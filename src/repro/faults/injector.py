@@ -37,6 +37,7 @@ import random
 from dataclasses import dataclass, is_dataclass, replace
 from typing import Any, Dict, Optional, Set, Tuple
 
+from repro.evidence.codec import decode_record_stack
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan, link_key
 from repro.telemetry.audit import AuditKind
 from repro.util.clock import SkewedClock
@@ -349,8 +350,6 @@ class FaultInjector:
         shim = packet.ra_shim
         if shim is None or not shim.body:
             return packet
-        from repro.pera.records import decode_record_stack
-
         try:
             records = decode_record_stack(shim.body)
         except Exception:

@@ -614,6 +614,7 @@ class Simulator:
             return False
         self.stats.control_messages += 1
         self.stats.control_bytes += size_hint
+        label = getattr(message, "CONTROL_LABEL", type(message).__name__)
         tel = self.telemetry
         if tel.active:
             tel.counter(
@@ -628,9 +629,9 @@ class Simulator:
                     sender,
                     trace=trace,
                     recipient=recipient,
-                    message=type(message).__name__,
+                    message=label,
                 )
-        self._note(f"control {sender} -> {recipient}: {type(message).__name__}")
+        self._note(f"control {sender} -> {recipient}: {label}")
         self._schedule_control_delivery(sender, recipient, message, trace)
         return True
 

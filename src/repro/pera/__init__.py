@@ -13,8 +13,9 @@ Fig. 4 configuration surface:
   expire").
 - :mod:`repro.pera.sampling` — evidence frequency control (per-packet,
   1-in-N, periodic).
-- :mod:`repro.pera.records` — compact signed per-hop evidence records
-  and their wire encoding.
+- :mod:`repro.pera.records` — batched signature verification over a
+  stack of hop records (the record type itself is
+  :class:`repro.evidence.nodes.HopEvidence`).
 - :mod:`repro.pera.config` — the Fig. 4 design-space point: detail ×
   composition × sampling.
 - :mod:`repro.pera.switch` — :class:`PeraSwitch`, the attesting switch.
@@ -24,7 +25,6 @@ from repro.pera.inertia import InertiaClass, DEFAULT_TTLS
 from repro.pera.measurement import MeasurementEngine
 from repro.pera.cache import EvidenceCache
 from repro.pera.sampling import SamplingMode, SamplingSpec, Sampler
-from repro.pera.records import HopRecord
 from repro.pera.config import CompositionMode, DetailLevel, EvidenceConfig
 from repro.pera.switch import PeraSwitch
 
@@ -36,7 +36,6 @@ __all__ = [
     "SamplingMode",
     "SamplingSpec",
     "Sampler",
-    "HopRecord",
     "CompositionMode",
     "DetailLevel",
     "EvidenceConfig",

@@ -1,9 +1,8 @@
 """The evidence cache (paper Fig. 4, "Inertia").
 
 "High-inertia attestations are more easily cached since they take
-longer to expire." The cache stores *signed* canonical evidence nodes
-(:class:`~repro.pera.records.HopRecord`, a
-:class:`~repro.evidence.nodes.HopEvidence`) keyed by inertia class: a
+longer to expire." The cache stores *signed* hop records
+(:class:`~repro.evidence.nodes.HopEvidence`) keyed by inertia class: a
 cache hit reuses the measurement, its signature, *and* the node's
 cached wire form and content digest — signing and re-encoding are the
 expensive per-packet operations PERA must avoid repeating.

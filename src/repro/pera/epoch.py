@@ -5,7 +5,7 @@ The paper's Fig. 4 argues low-inertia evidence (program state, packets)
 *amortized*. An :class:`EpochBatcher` accumulates the unsigned hop
 records a switch produces during one **epoch**, builds a Merkle tree
 over their signed payloads, signs only the root, and releases each
-record as a :class:`~repro.pera.records.BatchedHopRecord` carrying the
+record as a :class:`~repro.evidence.nodes.BatchedHopEvidence` carrying the
 epoch-root header plus its O(log n) inclusion proof.
 
 An epoch seals when it reaches ``max_records``, when ``max_delay_s``
@@ -28,13 +28,16 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.crypto.keys import KeyPair
 from repro.crypto.merkle import MerkleTree
-from repro.evidence.nodes import epoch_root_payload
+from repro.evidence.nodes import (
+    BatchedHopEvidence,
+    HopEvidence,
+    epoch_root_payload,
+)
 from repro.pera.config import BatchingSpec
-from repro.pera.records import BatchedHopRecord, HopRecord
 
 # A release callback receives the proof-bearing record that replaces
 # the unsigned one passed to ``add``.
-ReleaseFn = Callable[[BatchedHopRecord], None]
+ReleaseFn = Callable[[BatchedHopEvidence], None]
 
 
 @dataclass
@@ -77,14 +80,14 @@ class EpochBatcher:
         self.spec = spec
         self.stats = EpochStats()
         self.epoch_id = 1
-        self._pending: List[Tuple[HopRecord, ReleaseFn]] = []
+        self._pending: List[Tuple[HopEvidence, ReleaseFn]] = []
 
     @property
     def open_count(self) -> int:
         """Records waiting in the currently open epoch."""
         return len(self._pending)
 
-    def add(self, record: HopRecord, release: ReleaseFn) -> None:
+    def add(self, record: HopEvidence, release: ReleaseFn) -> None:
         """Queue one unsigned record for the open epoch."""
         self._pending.append((record, release))
 
@@ -132,7 +135,7 @@ class EpochBatcher:
             on_sealed(sealed)
         for index, (record, release) in enumerate(pending):
             release(
-                BatchedHopRecord.from_record(
+                BatchedHopEvidence.from_record(
                     record, epoch_id, root, signature, tree.prove(index)
                 )
             )

@@ -6,31 +6,18 @@ change, at the other extreme, a packet might be completely different
 than those that came before it. High-inertia attestations are more
 easily cached since they take longer to expire."
 
-The default TTLs encode exactly that gradient; they are configuration,
-not physics, and every benchmark that sweeps the design space (E5)
-overrides them.
+:class:`InertiaClass` itself is defined in :mod:`repro.evidence.nodes`,
+beside the hop-record measurement field whose class code it is; this
+module holds the default TTLs, which encode exactly that gradient. They
+are configuration, not physics, and every benchmark that sweeps the
+design space (E5) overrides them.
 """
 
 from __future__ import annotations
 
-import enum
 from typing import Dict
 
-
-class InertiaClass(enum.IntEnum):
-    """Ordered from highest inertia (slowest-changing) to lowest."""
-
-    HARDWARE = 1
-    PROGRAM = 2
-    TABLES = 3
-    PROG_STATE = 4
-    PACKETS = 5
-
-    @property
-    def cacheable(self) -> bool:
-        """Packet-level evidence can never be reused across packets."""
-        return self is not InertiaClass.PACKETS
-
+from repro.evidence.nodes import InertiaClass
 
 #: Default evidence lifetimes in (simulated) seconds per class.
 DEFAULT_TTLS: Dict[InertiaClass, float] = {

@@ -3,7 +3,7 @@
 Extends :class:`~repro.pisa.switch.PisaSwitch` with the two RA blocks:
 
 - **Sign/Verify** — an Ed25519 root of trust keyed per switch.
-- **Evidence Create/Inspect/Compose** — builds :class:`HopRecord`s per
+- **Evidence Create/Inspect/Compose** — builds :class:`HopEvidence`s per
   the configured design-space point, pushes them in-band (into the RA
   shim header) or sends them out-of-band (control channel to the
   appraiser), and can inspect records on incoming packets for
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from repro.crypto.hashing import HashChain, digest
+from repro.crypto.hashing import HashChain
 from repro.crypto.keys import KeyPair
 from repro.faults.retry import RetryPolicy
 from repro.net.headers import RaShimHeader
@@ -30,11 +30,15 @@ from repro.pera.config import CompositionMode, EvidenceConfig
 from repro.pera.epoch import EpochBatcher, SealedEpoch
 from repro.pera.inertia import InertiaClass
 from repro.pera.measurement import MeasurementEngine
-from repro.pera.records import (
-    BatchedHopRecord,
-    HopRecord,
+from repro.evidence.codec import (
     decode_record_stack,
+    encode_hop_body,
     encode_record_stack,
+)
+from repro.evidence.nodes import (
+    BatchedHopEvidence,
+    HopEvidence,
+    hop_link_digest,
 )
 from repro.pera.sampling import Sampler
 from repro.pisa.pipeline import DROP_PORT, PacketContext
@@ -104,7 +108,7 @@ class PeraSwitch(PisaSwitch):
         self.ra_stats = RaStats()
         self.ra_cost = 0.0
         self._attest_sequence = 0
-        self._cache: Optional[EvidenceCache[HopRecord]] = None
+        self._cache: Optional[EvidenceCache[HopEvidence]] = None
         self._batcher: Optional[EpochBatcher] = None
         # (epoch_id, absolute deadline) of the armed epoch timer, for
         # the sharded runner's window-barrier sweep (see
@@ -117,7 +121,7 @@ class PeraSwitch(PisaSwitch):
         self.runtime.change_observers.append(self._on_control_change)
         # Evidence gate (UC3): when set, packets failing the gate drop.
         self.evidence_gate: Optional[
-            Callable[[PacketContext, List[HopRecord]], bool]
+            Callable[[PacketContext, List[HopEvidence]], bool]
         ] = None
 
     # --- lifecycle -----------------------------------------------------------
@@ -246,7 +250,7 @@ class PeraSwitch(PisaSwitch):
 
     # --- the Evidence block -----------------------------------------------------
 
-    def inspect_evidence(self, packet: Optional[Packet]) -> List[HopRecord]:
+    def inspect_evidence(self, packet: Optional[Packet]) -> List[HopEvidence]:
         """Fig. 3 'Inspect': parse the record stack off the shim body.
 
         A body that will not decode (bit corruption in flight) is
@@ -272,8 +276,8 @@ class PeraSwitch(PisaSwitch):
             return []
 
     def _produce_record(
-        self, ctx: PacketContext, prior_records: List[HopRecord]
-    ) -> HopRecord:
+        self, ctx: PacketContext, prior_records: List[HopEvidence]
+    ) -> HopEvidence:
         """Fig. 3 'Create/Compose': build this hop's signed record.
 
         Bracketed in a ``pera.attest`` span (with the signing step in
@@ -292,8 +296,8 @@ class PeraSwitch(PisaSwitch):
         return record
 
     def _produce_record_inner(
-        self, ctx: PacketContext, prior_records: List[HopRecord], span, trace
-    ) -> HopRecord:
+        self, ctx: PacketContext, prior_records: List[HopEvidence], span, trace
+    ) -> HopEvidence:
         config = self.config
         tel = self.telemetry
         cost = self.pipeline.cost_model if self.runtime.pipeline else None
@@ -347,11 +351,9 @@ class PeraSwitch(PisaSwitch):
                 else HashChain.GENESIS
             )
             chain = HashChain(head=previous)
-            link_digest = digest(
-                b"".join(value for _, value in measurements),
-                domain="hop-measurements",
+            chain_head = chain.extend(
+                hop_link_digest(value for _, value in measurements)
             )
-            chain_head = chain.extend(link_digest)
             if cost is not None:
                 self.ra_cost += cost.hash_per_byte * 64
             if tel.active:
@@ -376,7 +378,7 @@ class PeraSwitch(PisaSwitch):
                 )
 
         self._attest_sequence += 1
-        unsigned = HopRecord(
+        unsigned = HopEvidence(
             place=self.attesting_identity,
             measurements=tuple(measurements),
             sequence=self._attest_sequence,
@@ -424,7 +426,7 @@ class PeraSwitch(PisaSwitch):
             self.cache.put(InertiaClass.PROGRAM, b"", record)
         return record
 
-    def _push_in_band(self, packet: Packet, record: HopRecord) -> Packet:
+    def _push_in_band(self, packet: Packet, record: HopEvidence) -> Packet:
         """Fig. 3 (D): append this hop's record to the shim body."""
         shim = packet.ra_shim
         new_body = shim.body + encode_record_stack([record])
@@ -450,7 +452,7 @@ class PeraSwitch(PisaSwitch):
     def _enqueue_batched(
         self,
         ctx: PacketContext,
-        record: HopRecord,
+        record: HopEvidence,
         trace,
         oob: Optional[bool] = None,
         oob_target: Optional[str] = None,
@@ -488,7 +490,7 @@ class PeraSwitch(PisaSwitch):
             if packet is not None and packet.ra_shim is not None:
                 ctx.packet = packet.with_shim(packet.ra_shim.with_hop())
 
-            def release(batched: BatchedHopRecord) -> None:
+            def release(batched: BatchedHopEvidence) -> None:
                 previous_target = self.appraiser_node
                 self.appraiser_node = target
                 try:
@@ -499,12 +501,12 @@ class PeraSwitch(PisaSwitch):
         elif packet is not None and packet.ra_shim is not None:
             ctx._epoch_parked = True
 
-            def release(batched: BatchedHopRecord) -> None:
+            def release(batched: BatchedHopEvidence) -> None:
                 self._release_in_band(ctx, batched, trace)
 
         else:
 
-            def release(batched: BatchedHopRecord) -> None:
+            def release(batched: BatchedHopEvidence) -> None:
                 return None
 
         batcher.add(record, release)
@@ -512,7 +514,7 @@ class PeraSwitch(PisaSwitch):
             self._seal_epoch("count")
 
     def _release_in_band(
-        self, ctx: PacketContext, batched: BatchedHopRecord, trace
+        self, ctx: PacketContext, batched: BatchedHopEvidence, trace
     ) -> None:
         """Push the proof-bearing record and forward the parked packet.
 
@@ -611,7 +613,7 @@ class PeraSwitch(PisaSwitch):
             return
         super().emit(ctx)
 
-    def _send_out_of_band(self, record: HopRecord, trace=None) -> None:
+    def _send_out_of_band(self, record: HopEvidence, trace=None) -> None:
         """Fig. 3 (E): evidence leaves separately, to the appraiser.
 
         ``send_control`` refusing the message (crashed appraiser,
@@ -625,7 +627,7 @@ class PeraSwitch(PisaSwitch):
             raise PipelineError(
                 f"switch {self.name!r} has no out-of-band appraiser configured"
             )
-        encoded = record.encode()
+        encoded = encode_hop_body(record)
         self.ra_stats.out_of_band_sent += 1
         if self.telemetry.active:
             self.telemetry.audit_event(
@@ -647,7 +649,7 @@ class PeraSwitch(PisaSwitch):
             self._schedule_oob_retry(record, encoded, trace, attempt=1)
 
     def _schedule_oob_retry(
-        self, record: HopRecord, encoded: bytes, trace, attempt: int
+        self, record: HopEvidence, encoded: bytes, trace, attempt: int
     ) -> None:
         policy = self.retry_policy
         tel = self.telemetry

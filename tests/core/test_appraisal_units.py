@@ -9,8 +9,8 @@ from repro.core.appraisal import (
 from repro.core.compiler import CompiledPolicy, HopDirective
 from repro.crypto.hashing import HashChain, digest
 from repro.crypto.keys import KeyPair, KeyRegistry
+from repro.evidence.nodes import HopEvidence
 from repro.pera.inertia import InertiaClass
-from repro.pera.records import HopRecord
 from repro.pisa.programs import firewall_program
 
 
@@ -25,7 +25,7 @@ def chained_records(count, keys=None):
             b"".join(v for _, v in measurements), domain="hop-measurements"
         )
         head = HashChain(head=head).extend(link)
-        records.append(HopRecord(
+        records.append(HopEvidence(
             place=pair.owner, measurements=measurements,
             sequence=1, chain_head=head,
         ).sign_with(pair))
@@ -80,7 +80,7 @@ class TestAppraiseRecords:
 
         broken = [records[0], replace(records[1], chain_head=None)]
         # Re-sign the modified record so only the mixing is at fault.
-        broken[1] = HopRecord(
+        broken[1] = HopEvidence(
             place=broken[1].place, measurements=broken[1].measurements,
             sequence=broken[1].sequence, chain_head=None,
         ).sign_with(keys[1])
@@ -92,7 +92,7 @@ class TestAppraiseRecords:
     def test_unknown_place_strictness(self):
         records, keys = chained_records(1)
         stranger_keys = KeyPair.generate("stranger")
-        stranger = HopRecord(
+        stranger = HopEvidence(
             place="stranger",
             measurements=((InertiaClass.PROGRAM, b"\x09" * 32),),
             chain_head=None,
@@ -112,7 +112,7 @@ class TestAppraiseRecords:
     def test_required_function_wildcard_place(self):
         program = firewall_program()
         pair = KeyPair.generate("s0")
-        record = HopRecord(
+        record = HopEvidence(
             place="s0",
             measurements=((InertiaClass.PROGRAM, program_reference(program)),),
         ).sign_with(pair)
@@ -139,7 +139,7 @@ class TestAppraiseRecords:
     def test_required_function_at_wrong_place_rejected(self):
         program = firewall_program()
         pair = KeyPair.generate("s0")
-        record = HopRecord(
+        record = HopEvidence(
             place="s0",
             measurements=((InertiaClass.PROGRAM, program_reference(program)),),
         ).sign_with(pair)

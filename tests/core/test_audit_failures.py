@@ -172,6 +172,46 @@ class TestFailureMatrix:
         assert len(events) == 1
         assert events[0].detail["check"] == Check.SHIM
 
+    @pytest.mark.parametrize("code", [0, 6, 255])
+    def test_undefined_inertia_code_in_the_stack(self, delivered, code):
+        """A measurement class code outside ``InertiaClass`` makes the
+        stack undecodable: one ``check.failed`` (shim), one rejecting
+        verdict, no crash."""
+        from dataclasses import replace
+
+        from repro.net.packet import Packet
+
+        records, hop_count, switches, program = delivered
+        tel = Telemetry()
+        appraiser = _appraiser(switches, program, tel)
+        bad = replace(
+            records[1],
+            measurements=records[1].measurements + ((code, b"\x01" * 32),),
+        )
+        packet = Packet.udp_packet(
+            src_mac=1, dst_mac=2,
+            src_ip=ip_to_int("10.0.0.1"), dst_ip=ip_to_int("10.0.1.1"),
+            src_port=1, dst_port=2,
+            ra_shim=RaShimHeader(
+                hop_count=hop_count, body=records[0].wire + bad.wire
+            ),
+        ).with_trace(TRACE)
+        verdict = appraiser.appraise_packet(packet)
+        assert not verdict.accepted
+        assert verdict.hop_count == hop_count
+        events = _check_failures(tel)
+        assert len(events) == 1
+        assert events[0].detail["check"] == Check.SHIM
+        assert events[0].detail["message"].startswith(
+            "evidence stack undecodable: unknown inertia class"
+        )
+        assert verdict.failures == (events[0].detail["message"],)
+        verdicts = [
+            e for e in tel.audit.events if e.kind == AuditKind.VERDICT_ISSUED
+        ]
+        assert len(verdicts) == 1
+        assert verdicts[0].detail["accepted"] is False
+
     def test_each_rejection_issues_one_verdict_event(self, delivered):
         records, hop_count, switches, program = delivered
         tel = Telemetry()

@@ -204,15 +204,12 @@ class TestWireFormat:
 
     def test_coexists_with_record_stack(self):
         from repro.crypto.keys import KeyPair
+        from repro.evidence.nodes import HopEvidence
         from repro.pera.inertia import InertiaClass
-        from repro.pera.records import (
-            HopRecord,
-            decode_record_stack,
-            encode_record_stack,
-        )
+        from repro.pera.records import decode_record_stack, encode_record_stack
 
         compiled = self.make_compiled()
-        record = HopRecord(
+        record = HopEvidence(
             place="s1", measurements=((InertiaClass.PROGRAM, b"\x01" * 32),)
         ).sign_with(KeyPair.generate("s1"))
         body = encode_compiled_policy(compiled) + encode_record_stack([record])

@@ -12,13 +12,14 @@ from repro.core.policies import ap1_bank_path_attestation, ap3_path_check
 from repro.core.raswitch import NetworkAwarePeraSwitch
 from repro.core.wire import encode_compiled_policy
 from repro.crypto.keys import KeyRegistry
+from repro.evidence.nodes import HopEvidence
 from repro.net.headers import RaShimHeader, ip_to_int
 from repro.net.host import Host
 from repro.net.simulator import Simulator
 from repro.net.topology import linear_topology
 from repro.pera.config import CompositionMode, DetailLevel, EvidenceConfig
 from repro.pera.inertia import InertiaClass
-from repro.pera.records import HopRecord, decode_record_stack, encode_record_stack
+from repro.pera.records import decode_record_stack, encode_record_stack
 from repro.pera.sampling import SamplingMode, SamplingSpec
 from repro.pisa.programs import acl_program, firewall_program, ipv4_forwarding_program
 from repro.pisa.runtime import TableEntry
@@ -199,7 +200,7 @@ class TestPolicyDrivenAttestation:
         real = decode_record_stack(packet.ra_shim.body)[0]
         from repro.crypto.keys import KeyPair
 
-        forged = HopRecord(
+        forged = HopEvidence(
             place="s1", measurements=real.measurements,
             sequence=real.sequence, chain_head=real.chain_head,
         ).sign_with(KeyPair.generate("not-s1"))

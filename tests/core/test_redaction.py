@@ -4,8 +4,8 @@ import pytest
 
 from repro.core.redaction import redact
 from repro.crypto.keys import KeyPair, KeyRegistry
+from repro.evidence.nodes import HopEvidence
 from repro.pera.inertia import InertiaClass
-from repro.pera.records import HopRecord
 from repro.util.errors import VerificationError
 
 
@@ -15,7 +15,7 @@ def make_records(count=5):
     for i in range(count):
         pair = KeyPair.generate(f"s{i}")
         keys.append(pair)
-        records.append(HopRecord(
+        records.append(HopEvidence(
             place=f"s{i}",
             measurements=((InertiaClass.PROGRAM, bytes([i]) * 32),),
             sequence=i,
@@ -78,7 +78,7 @@ class TestRedaction:
 
     def test_tampered_switch_signature_rejected(self):
         records, keys = make_records(2)
-        bad = HopRecord(
+        bad = HopEvidence(
             place=records[0].place,
             measurements=records[0].measurements,
             sequence=records[0].sequence,
@@ -102,7 +102,7 @@ class TestRedaction:
 
     def test_pseudonymous_records_verify_via_mapping(self):
         pair = KeyPair.generate("s-real")
-        record = HopRecord(
+        record = HopEvidence(
             place="pseu-xyz",
             measurements=((InertiaClass.PROGRAM, b"\x01" * 32),),
         ).sign_with(pair)

@@ -6,10 +6,12 @@ makes content addressing sound across layers (a digest computed by a
 switch must equal the digest an appraiser recomputes from the wire).
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.evidence import (
+    BatchedHopEvidence,
     EmptyEvidence,
     HashEvidence,
     HopEvidence,
@@ -32,7 +34,9 @@ from repro.evidence.nodes import (
     HOP_F_SEQUENCE,
     HOP_F_SIGNATURE,
     KIND_HOP,
+    InertiaClass,
 )
+from repro.util.errors import CodecError
 from repro.util.tlv import Tlv, TlvCodec
 
 names = st.text(max_size=12)
@@ -42,7 +46,7 @@ hop_nodes = st.builds(
     HopEvidence,
     place=st.text(min_size=1, max_size=8),
     measurements=st.lists(
-        st.tuples(st.integers(min_value=0, max_value=255), st.binary(max_size=16)),
+        st.tuples(st.sampled_from(InertiaClass), st.binary(max_size=16)),
         max_size=3,
     ).map(tuple),
     sequence=st.integers(min_value=0, max_value=2**32 - 1),
@@ -207,7 +211,7 @@ def test_wire_missing_sequence_field_is_not_seeded():
     would hand the signature check bytes the signer never produced."""
     hop = HopEvidence(
         place="sw1",
-        measurements=((1, b"m"),),
+        measurements=((InertiaClass.HARDWARE, b"m"),),
         sequence=0,
         ingress_port=None,
         chain_head=None,
@@ -247,3 +251,33 @@ def test_duplicated_payload_field_is_not_seeded():
     assert decoded == hop
     assert decoded.__dict__.get("_payload") is None
     assert decoded.signed_payload() == hop.signed_payload()
+
+
+@pytest.mark.parametrize("code", [0, 6, 255])
+def test_undefined_inertia_code_is_a_codec_error(code):
+    """Measurement class codes are attacker-controlled bytes: one that
+    names no :class:`InertiaClass` fails every decoder that reaches the
+    hop body, plain or nested in an epoch-batched record."""
+    fields = dict(
+        place="s1",
+        measurements=((InertiaClass.PROGRAM, b"ok"), (code, b"\x01" * 32)),
+        sequence=1,
+    )
+    hop = HopEvidence(signature=b"\x5a" * 64, **fields)
+    batched = BatchedHopEvidence(
+        epoch_id=1,
+        epoch_root=b"\x05" * 32,
+        root_signature=b"\x06" * 64,
+        leaf_count=1,
+        **fields,
+    )
+    attempts = [
+        (decode_hop_body, encode_hop_body(hop)),
+        (decode_record_stack, hop.wire),
+        (decode_node, hop.wire),
+        (decode_record_stack, batched.wire),
+        (decode_node, batched.wire),
+    ]
+    for decoder, data in attempts:
+        with pytest.raises(CodecError, match="unknown inertia class"):
+            decoder(data)

@@ -8,7 +8,10 @@ the evidence travelled (in-band stack, out-of-band objects, VM result).
 
 from dataclasses import replace as dc_replace
 
+import repro.evidence.codec as codec
 import repro.evidence.nodes as nodes
+import repro.pera.inertia
+import repro.pera.records
 from repro.copland.parser import parse_phrase
 from repro.copland.vm import CoplandVM, Place
 from repro.crypto.hashing import HashChain, digest
@@ -22,12 +25,7 @@ from repro.evidence import (
     registry_verify,
 )
 from repro.pera.inertia import InertiaClass
-from repro.pera.records import (
-    RECORD_TLV_TYPE,
-    HopRecord,
-    decode_record_stack,
-    encode_record_stack,
-)
+from repro.pera.records import decode_record_stack, encode_record_stack
 from repro.ra.appraiser import AppraisalPolicy, Appraiser
 
 
@@ -37,7 +35,7 @@ def signed_records(count=3):
     records = []
     for index in range(count):
         place = f"s{index}"
-        unsigned = HopRecord(
+        unsigned = HopEvidence(
             place=place,
             measurements=(
                 (
@@ -96,8 +94,9 @@ class TestCoplandLayer:
 
 class TestPeraLayer:
     def test_hop_record_is_its_canonical_node(self):
-        """A PERA record and the plain substrate node with the same
-        fields share one wire form and one content digest."""
+        """A record built with :class:`InertiaClass` members and one
+        built with the bare class codes (what the wire carries) are
+        equal and share one wire form and one content digest."""
         record = signed_records(1)[0]
         node = HopEvidence(
             place=record.place,
@@ -110,6 +109,7 @@ class TestPeraLayer:
             packet_digest=record.packet_digest,
             signature=record.signature,
         )
+        assert record == node
         assert record.wire == node.wire
         assert record.content_digest == node.content_digest
         assert record.payload_digest() == node.payload_digest()
@@ -121,10 +121,13 @@ class TestPeraLayer:
         assert decode_record_stack(stack) == records
 
     def test_generic_decoder_and_pera_decoder_agree(self):
+        """The tree decoder and the stack decoder yield the same hop
+        node, of the one hop type, from the same bytes."""
         record = signed_records(1)[0]
         generic = decode_node(record.wire)
-        assert isinstance(generic, HopEvidence)
-        assert HopRecord.from_node(generic) == record
+        assert type(generic) is HopEvidence
+        assert generic == record
+        assert decode_record_stack(record.wire) == [generic]
 
 
 class TestInBandVsOutOfBand:
@@ -171,7 +174,9 @@ class TestRaLayer:
 
 class TestLegacyPaths:
     def test_old_import_paths_are_views_over_the_substrate(self):
-        """repro.pera.records re-exports the substrate's types — not
-        parallel copies."""
-        assert issubclass(HopRecord, HopEvidence)
-        assert RECORD_TLV_TYPE == nodes.KIND_HOP
+        """repro.pera.records and repro.pera.inertia re-export the
+        substrate's own objects — not parallel copies."""
+        assert repro.pera.records.decode_record_stack is codec.decode_record_stack
+        assert repro.pera.records.encode_record_stack is codec.encode_record_stack
+        assert repro.pera.inertia.InertiaClass is nodes.InertiaClass
+        assert codec.RECORD_TLV_TYPE == nodes.KIND_HOP

@@ -9,12 +9,22 @@ it linear; these tests pin that by *counting SHA-256 constructions*.
 
 from dataclasses import replace as dc_replace
 
+import pytest
+
 import repro.crypto.hashing as hashing
+import repro.evidence.nodes as nodes
 from repro.crypto.hashing import HashChain, digest
 from repro.crypto.keys import KeyPair, KeyRegistry
-from repro.evidence import MeasurementEvidence, SequenceEvidence
+from repro.evidence import (
+    BatchedHopEvidence,
+    HopEvidence,
+    MeasurementEvidence,
+    SequenceEvidence,
+)
+from repro.pera.config import BatchingSpec
+from repro.pera.epoch import EpochBatcher
 from repro.pera.inertia import InertiaClass
-from repro.pera.records import HopRecord, decode_record_stack, encode_record_stack
+from repro.pera.records import decode_record_stack, encode_record_stack
 from repro.core.appraisal import PathAppraisalPolicy, PathAppraiser
 
 
@@ -42,7 +52,7 @@ def build_path(length):
         anchors.register_pair(keys)
         value = digest(f"prog-{index}".encode(), domain="pera-program")
         references[place] = {InertiaClass.PROGRAM: value}
-        unsigned = HopRecord(
+        unsigned = HopEvidence(
             place=place,
             measurements=((InertiaClass.PROGRAM, value),),
             sequence=index,
@@ -111,3 +121,64 @@ def test_content_digest_computed_once_per_node(monkeypatch):
     node.encode()
     assert counter.count == after_first
     assert after_first == 1  # the digest covers the cached wire, once
+
+
+def _sent_records(batched, count=5):
+    """``count`` records as one switch emits them: signed one by one,
+    or sealed into one epoch (kind 0x11)."""
+    keys = KeyPair.generate("s1")
+    unsigned = [
+        HopEvidence(
+            place="s1",
+            measurements=((InertiaClass.PROGRAM, bytes([index]) * 32),),
+            sequence=index,
+        )
+        for index in range(count)
+    ]
+    if not batched:
+        return [record.sign_with(keys) for record in unsigned]
+    batcher = EpochBatcher("s1", keys, BatchingSpec(max_records=count))
+    sealed = []
+    for record in unsigned:
+        batcher.add(record, sealed.append)
+    batcher.seal()
+    return sealed
+
+
+def _hop_classes():
+    classes = [HopEvidence]
+    for cls in classes:
+        classes.extend(cls.__subclasses__())
+    return classes
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["plain", "0x11"])
+def test_decode_builds_each_hop_once_from_the_received_bytes(
+    batched, monkeypatch
+):
+    """One decode pass, one object per hop: no decode-then-rebuild. The
+    object's signed payload is the received bytes, never a re-encode."""
+    sent = _sent_records(batched)
+    stack = encode_record_stack(sent)
+    built = []
+    for cls in _hop_classes():
+        def counting_init(self, *args, _real=cls.__init__, **kwargs):
+            built.append(type(self))
+            _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    received = decode_record_stack(memoryview(stack))
+    monkeypatch.undo()
+
+    hop_type = BatchedHopEvidence if batched else HopEvidence
+    assert built == [hop_type] * len(sent)
+    assert [type(record) for record in received] == built
+    assert received == sent
+
+    def no_reencode(elements):
+        raise AssertionError("signed payload re-encoded after decode")
+
+    monkeypatch.setattr(nodes.TlvCodec, "encode", no_reencode)
+    for record, original in zip(received, sent):
+        assert record.signed_payload() in stack
+        assert record.signed_payload() == original.signed_payload()

@@ -18,14 +18,11 @@ from repro.core.compiler import compile_policy_for_path
 from repro.core.policies import ap1_bank_path_attestation
 from repro.core.usecases import _appraiser_for, _pera_chain
 from repro.core.wire import encode_compiled_policy
+from repro.evidence.nodes import BatchedHopEvidence
 from repro.evidence.verify import SignatureCache
 from repro.net.headers import RaShimHeader
 from repro.pera.config import BatchingSpec, CompositionMode, EvidenceConfig
-from repro.pera.records import (
-    BatchedHopRecord,
-    decode_record_stack,
-    verify_record_batch,
-)
+from repro.pera.records import decode_record_stack, verify_record_batch
 from repro.pisa.programs import firewall_program
 from repro.ra.nonce import NonceManager
 from repro.telemetry import AuditKind, Check, Telemetry, TraceContext
@@ -91,7 +88,7 @@ class TestBatchedTamperMatrix:
         tel = Telemetry()
         appraiser = _appraiser(switches, program, tel)
         for stack in stacks:
-            assert all(isinstance(r, BatchedHopRecord) for r in stack)
+            assert all(isinstance(r, BatchedHopEvidence) for r in stack)
             verdict = appraiser.appraise_records(stack, hop_count, trace=TRACE)
             assert verdict.accepted, verdict.failures
         assert _check_failures(tel) == []

@@ -12,12 +12,13 @@ from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.evidence.nodes import epoch_root_payload
 from repro.net.headers import RaShimHeader, ip_to_int
 from repro.net.host import Host
+from repro.evidence.nodes import BatchedHopEvidence, HopEvidence
 from repro.net.simulator import Simulator
 from repro.net.topology import linear_topology
 from repro.pera.config import BatchingSpec, CompositionMode, EvidenceConfig
 from repro.pera.epoch import EpochBatcher
 from repro.pera.inertia import InertiaClass
-from repro.pera.records import BatchedHopRecord, HopRecord, decode_record_stack
+from repro.pera.records import decode_record_stack
 from repro.pera.switch import PeraSwitch
 from repro.pisa.programs import ipv4_forwarding_program
 from repro.pisa.runtime import TableEntry
@@ -28,7 +29,7 @@ KEYS = KeyPair.generate("s1")
 
 
 def make_record(sequence=0):
-    return HopRecord(
+    return HopEvidence(
         place="s1",
         measurements=(
             (InertiaClass.HARDWARE, b"\x01" * 32),
@@ -66,7 +67,7 @@ class TestEpochBatcher:
         assert [r.sequence for r in released] == [0, 1, 2]
         anchors = anchors_for()
         for index, record in enumerate(released):
-            assert isinstance(record, BatchedHopRecord)
+            assert isinstance(record, BatchedHopEvidence)
             assert record.signature == b""
             assert record.epoch_id == sealed.epoch_id
             assert record.epoch_root == sealed.root
@@ -201,7 +202,7 @@ class TestBatchedSwitchInBand:
         epoch_ids = []
         for packet in dst.received_packets:
             (record,) = decode_record_stack(packet.ra_shim.body)
-            assert isinstance(record, BatchedHopRecord)
+            assert isinstance(record, BatchedHopEvidence)
             assert record.verify(anchors)
             epoch_ids.append(record.epoch_id)
         assert epoch_ids == [1, 1, 2, 2]
@@ -290,7 +291,7 @@ class TestBatchedSwitchOutOfBand:
         anchors = anchors_for(switches[0].keys)
         for _, sender, record in appraiser.control_received:
             assert sender == "s1"
-            assert isinstance(record, BatchedHopRecord)
+            assert isinstance(record, BatchedHopEvidence)
             assert record.verify(anchors)
 
     def test_open_epoch_holds_oob_records_until_flush(self):

@@ -11,12 +11,14 @@ from repro.net.host import Host
 from repro.net.simulator import Simulator
 from repro.net.topology import linear_topology
 from repro.pera.config import CompositionMode, EvidenceConfig
-from repro.pera.inertia import InertiaClass
-from repro.pera.records import (
-    HopRecord,
+from repro.evidence.codec import (
+    decode_hop_body,
     decode_record_stack,
+    encode_hop_body,
     encode_record_stack,
 )
+from repro.evidence.nodes import HopEvidence
+from repro.pera.inertia import InertiaClass
 from repro.pera.sampling import SamplingMode, SamplingSpec
 from repro.pera.switch import PeraSwitch
 from repro.pisa.programs import ipv4_forwarding_program
@@ -38,16 +40,16 @@ class TestHopRecord:
             packet_digest=b"\x04" * 32,
         )
         defaults.update(overrides)
-        return HopRecord(**defaults)
+        return HopEvidence(**defaults)
 
     def test_round_trip(self):
         keys = KeyPair.generate("s1")
         record = self.make_record().sign_with(keys)
-        assert HopRecord.decode(record.encode()) == record
+        assert decode_hop_body(encode_hop_body(record)) == record
 
     def test_minimal_round_trip(self):
-        record = HopRecord(place="s1", measurements=())
-        assert HopRecord.decode(record.encode()) == record
+        record = HopEvidence(place="s1", measurements=())
+        assert decode_hop_body(encode_hop_body(record)) == record
 
     def test_sign_verify(self):
         keys = KeyPair.generate("s1")
@@ -61,7 +63,7 @@ class TestHopRecord:
         anchors = KeyRegistry()
         anchors.register_pair(keys)
         record = self.make_record().sign_with(keys)
-        tampered = HopRecord(
+        tampered = HopEvidence(
             place=record.place,
             measurements=((InertiaClass.HARDWARE, b"\xff" * 32),)
             + record.measurements[1:],
@@ -98,19 +100,19 @@ class TestHopRecord:
 
     def test_malformed_record_rejected(self):
         with pytest.raises(CodecError):
-            HopRecord.decode(b"\x01\x00\x02ab" + b"\xff\x00\x01x")
+            decode_hop_body(b"\x01\x00\x02ab" + b"\xff\x00\x01x")
         with pytest.raises(CodecError, match="missing place"):
-            HopRecord.decode(b"")
+            decode_hop_body(b"")
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.binary(max_size=40))
     def test_round_trip_property(self, sequence, blob):
-        record = HopRecord(
+        record = HopEvidence(
             place="sw",
             measurements=((InertiaClass.TABLES, blob),),
             sequence=sequence,
         )
-        assert HopRecord.decode(record.encode()) == record
+        assert decode_hop_body(encode_hop_body(record)) == record
 
 
 def build_pera_chain(switch_count=3, config=None, out_of_band=False):
@@ -324,7 +326,7 @@ class TestPeraSwitchOutOfBand:
         # ...while records went out of band.
         assert len(appraiser.control_received) == 2
         record = appraiser.control_received[0][2]
-        assert isinstance(record, HopRecord)
+        assert isinstance(record, HopEvidence)
 
     def test_out_of_band_requires_appraiser(self):
         from repro.util.errors import PipelineError

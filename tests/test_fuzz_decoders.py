@@ -6,12 +6,21 @@ arrives from the network), so decoders must never raise anything but
 UnicodeDecodeError, no silent nonsense.
 """
 
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.wire import decode_compiled_policy
-from repro.evidence.codec import decode_hop_body, decode_node, iter_decode_nodes
+from repro.crypto.keys import KeyPair
+from repro.evidence.codec import (
+    decode_batched_hop_body,
+    decode_hop_body,
+    decode_node,
+    iter_decode_nodes,
+)
+from repro.evidence.nodes import HopEvidence
 from repro.net.headers import (
     EthernetHeader,
     Ipv4Header,
@@ -20,7 +29,10 @@ from repro.net.headers import (
     UdpHeader,
 )
 from repro.net.packet import Packet
-from repro.pera.records import HopRecord, decode_record_stack
+from repro.pera.config import BatchingSpec
+from repro.pera.epoch import EpochBatcher
+from repro.pera.inertia import InertiaClass
+from repro.pera.records import decode_record_stack, encode_record_stack
 from repro.util.errors import CodecError
 from repro.util.tlv import TlvCodec
 
@@ -32,12 +44,12 @@ DECODERS = [
     ("tcp", TcpHeader.decode),
     ("ra_shim", RaShimHeader.decode),
     ("packet", Packet.decode),
-    ("hop_record", HopRecord.decode),
     ("record_stack", decode_record_stack),
     ("compiled_policy", decode_compiled_policy),
     ("evidence_node", decode_node),
     ("evidence_stream", lambda data: list(iter_decode_nodes(data))),
     ("evidence_hop_body", decode_hop_body),
+    ("evidence_batched_hop_body", decode_batched_hop_body),
 ]
 
 
@@ -64,22 +76,85 @@ def test_packet_decode_round_trips_when_it_succeeds(data):
     assert again == packet
 
 
+@lru_cache(maxsize=None)
+def _genuine_stack(batched: bool) -> bytes:
+    """A one-record stack as a switch emits it: signed on its own
+    (kind 0x10) or sealed under an epoch root (kind 0x11)."""
+    keys = KeyPair.generate("s1")
+    unsigned = [
+        HopEvidence(
+            place="s1",
+            measurements=((InertiaClass.PROGRAM, bytes([index + 1]) * 32),),
+            sequence=index,
+        )
+        for index in range(3)
+    ]
+    if not batched:
+        return encode_record_stack([unsigned[1].sign_with(keys)])
+    batcher = EpochBatcher("s1", keys, BatchingSpec(max_records=3))
+    sealed = []
+    for record in unsigned:
+        batcher.add(record, sealed.append)
+    batcher.seal()
+    return encode_record_stack([sealed[1]])
+
+
+def _bitflipped(genuine: bytes, data: bytes) -> bytes:
+    mutated = bytearray(genuine)
+    for index, byte in enumerate(data[: len(mutated)]):
+        mutated[index % len(mutated)] ^= byte
+    return bytes(mutated)
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.binary(max_size=200))
 def test_bitflipped_real_records_never_crash(data):
     """Mutations of a genuine record stack fail cleanly too."""
-    from repro.crypto.keys import KeyPair
-    from repro.pera.inertia import InertiaClass
-    from repro.pera.records import encode_record_stack
-
-    record = HopRecord(
-        place="s1",
-        measurements=((InertiaClass.PROGRAM, b"\x01" * 32),),
-    ).sign_with(KeyPair.generate("s1"))
-    genuine = bytearray(encode_record_stack([record]))
-    for index, byte in enumerate(data[: len(genuine)]):
-        genuine[index % len(genuine)] ^= byte
     try:
-        decode_record_stack(bytes(genuine))
+        decode_record_stack(_bitflipped(_genuine_stack(batched=False), data))
     except CodecError:
         pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.binary(max_size=300))
+def test_bitflipped_real_batched_records_never_crash(data):
+    """...and so do mutations of a genuine epoch-batched ``0x11``
+    record: proof siblings, epoch header and the inner hop payload."""
+    try:
+        decode_record_stack(_bitflipped(_genuine_stack(batched=True), data))
+    except CodecError:
+        pass
+
+
+sparse_flips = st.lists(
+    st.tuples(st.integers(min_value=0), st.integers(min_value=1, max_value=255)),
+    max_size=3,
+)
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["plain", "0x11"])
+@settings(max_examples=200, deadline=None)
+@given(noise=st.none() | st.binary(max_size=300), flips=sparse_flips)
+def test_hop_decode_is_idempotent_when_it_succeeds(batched, noise, flips):
+    """Whenever fuzzed bytes decode as a hop or a batched hop, decoding
+    the result's own ``wire`` yields an equal node with the same
+    ``wire`` (ROADMAP 4b). The bytes are pure noise fed to the body
+    decoder, or a genuine record with a few bytes flipped — so the
+    success branch is taken, not just the ``CodecError`` one."""
+    try:
+        if noise is not None:
+            node = (decode_batched_hop_body if batched else decode_hop_body)(noise)
+        else:
+            fuzzed = bytearray(_genuine_stack(batched))
+            for position, mask in flips:
+                fuzzed[position % len(fuzzed)] ^= mask
+            node = decode_node(bytes(fuzzed))
+    except CodecError:
+        return
+    if not isinstance(node, HopEvidence):
+        return  # a flipped kind byte made it some other node
+    again = decode_node(node.wire)
+    assert type(again) is type(node)
+    assert again == node
+    assert again.wire == node.wire
