@@ -17,23 +17,16 @@ each step up the axis costs more signatures (see bench_fig3).
 from dataclasses import replace as dc_replace
 
 
-from repro.core.appraisal import (
-    PathAppraisalPolicy,
-    PathAppraiser,
-    hardware_reference,
-    program_reference,
-)
+from repro.core.appraisal import PathAppraisalPolicy, PathAppraiser
 from repro.core.compiler import compile_policy_for_path
 from repro.core.policies import ap1_bank_path_attestation
 from repro.core.raswitch import NetworkAwarePeraSwitch
 from repro.core.wire import encode_compiled_policy
-from repro.crypto.keys import KeyRegistry
 from repro.net.headers import RaShimHeader, ip_to_int
 from repro.net.host import Host
 from repro.net.simulator import Simulator
 from repro.net.topology import linear_topology
 from repro.pera.config import CompositionMode, EvidenceConfig
-from repro.pera.inertia import InertiaClass
 from repro.pera.records import decode_record_stack, encode_record_stack
 from repro.pisa.programs import ipv4_forwarding_program
 from repro.pisa.runtime import TableEntry
@@ -83,21 +76,9 @@ def run_and_capture(composition: CompositionMode):
     sim.run()
     packet = dst.received_packets[0]
 
-    anchors = KeyRegistry()
-    references, names = {}, {}
-    for switch, program in zip(switches, programs):
-        anchors.register_pair(switch.keys)
-        references[switch.name] = {
-            InertiaClass.HARDWARE: hardware_reference(
-                switch.engine.hardware_identity
-            ),
-            InertiaClass.PROGRAM: program_reference(program),
-        }
-        names[program_reference(program)] = program.full_name
-    appraiser = PathAppraiser("Appraiser", PathAppraisalPolicy(
-        anchors=anchors, reference_measurements=references,
-        program_names=names,
-    ))
+    appraiser = PathAppraiser(
+        "Appraiser", PathAppraisalPolicy.for_fleet(switches, programs)
+    )
     return packet, compiled, appraiser
 
 

@@ -6,23 +6,16 @@ linear growth of evidence size and verification work.
 """
 
 
-from repro.core.appraisal import (
-    PathAppraisalPolicy,
-    PathAppraiser,
-    hardware_reference,
-    program_reference,
-)
+from repro.core.appraisal import PathAppraisalPolicy, PathAppraiser
 from repro.core.compiler import compile_policy_for_path
 from repro.core.policies import ap1_bank_path_attestation, ap3_path_check
 from repro.core.raswitch import NetworkAwarePeraSwitch
 from repro.core.wire import encode_compiled_policy
-from repro.crypto.keys import KeyRegistry
 from repro.net.headers import RaShimHeader, ip_to_int
 from repro.net.host import Host
 from repro.net.simulator import Simulator
 from repro.net.topology import linear_topology
 from repro.pera.config import CompositionMode, EvidenceConfig
-from repro.pera.inertia import InertiaClass
 from repro.pisa.programs import acl_program, firewall_program, ipv4_forwarding_program
 from repro.pisa.runtime import TableEntry
 from repro.pisa.tables import MatchKey, MatchKind
@@ -56,21 +49,9 @@ def build_chain(programs):
 
 
 def appraiser_for(switches, programs):
-    anchors = KeyRegistry()
-    references, names = {}, {}
-    for switch, program in zip(switches, programs):
-        anchors.register_pair(switch.keys)
-        references[switch.name] = {
-            InertiaClass.HARDWARE: hardware_reference(
-                switch.engine.hardware_identity
-            ),
-            InertiaClass.PROGRAM: program_reference(program),
-        }
-        names[program_reference(program)] = program.full_name
-    return PathAppraiser("Appraiser", PathAppraisalPolicy(
-        anchors=anchors, reference_measurements=references,
-        program_names=names,
-    ))
+    return PathAppraiser(
+        "Appraiser", PathAppraisalPolicy.for_fleet(switches, programs)
+    )
 
 
 def run_ap1(path_switches: int):

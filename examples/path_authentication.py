@@ -10,23 +10,16 @@ right order (policy AP3).
 Run:  python examples/path_authentication.py
 """
 
-from repro.core.appraisal import (
-    PathAppraisalPolicy,
-    PathAppraiser,
-    hardware_reference,
-    program_reference,
-)
+from repro.core.appraisal import PathAppraisalPolicy, PathAppraiser
 from repro.core.compiler import compile_policy_for_path
 from repro.core.policies import ap3_path_check
 from repro.core.usecases import run_path_authentication
 from repro.core.raswitch import NetworkAwarePeraSwitch
 from repro.core.wire import encode_compiled_policy
-from repro.crypto.keys import KeyRegistry
 from repro.net.headers import RaShimHeader, ip_to_int
 from repro.net.host import Host
 from repro.net.simulator import Simulator
 from repro.net.topology import linear_topology
-from repro.pera.inertia import InertiaClass
 from repro.pisa.programs import acl_program, firewall_program
 from repro.pisa.runtime import TableEntry
 from repro.pisa.tables import MatchKey, MatchKind
@@ -84,23 +77,9 @@ def ap3_function_path() -> None:
     )
     sim.run()
 
-    anchors = KeyRegistry()
-    references = {}
-    program_names = {}
-    for switch, program in zip(switches, (firewall, acl)):
-        anchors.register_pair(switch.keys)
-        references[switch.name] = {
-            InertiaClass.HARDWARE: hardware_reference(
-                switch.engine.hardware_identity
-            ),
-            InertiaClass.PROGRAM: program_reference(program),
-        }
-        program_names[program_reference(program)] = program.full_name
-    appraiser = PathAppraiser("Appraiser", PathAppraisalPolicy(
-        anchors=anchors,
-        reference_measurements=references,
-        program_names=program_names,
-    ))
+    appraiser = PathAppraiser(
+        "Appraiser", PathAppraisalPolicy.for_fleet(switches, (firewall, acl))
+    )
     verdict = appraiser.appraise_packet(dst.received_packets[0], compiled)
     print(verdict.describe())
     assert verdict.accepted

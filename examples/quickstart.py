@@ -20,23 +20,16 @@ Render the audit export with ``python -m repro.telemetry.report``.
 
 import argparse
 
-from repro.core.appraisal import (
-    PathAppraisalPolicy,
-    PathAppraiser,
-    hardware_reference,
-    program_reference,
-)
+from repro.core.appraisal import PathAppraisalPolicy, PathAppraiser
 from repro.core.compiler import compile_policy_for_path
 from repro.core.policies import ap1_bank_path_attestation
 from repro.core.raswitch import NetworkAwarePeraSwitch
 from repro.core.wire import encode_compiled_policy
-from repro.crypto.keys import KeyRegistry
 from repro.net.headers import RaShimHeader, ip_to_int
 from repro.net.host import Host
 from repro.net.simulator import Simulator
 from repro.net.topology import linear_topology
 from repro.pera.config import CompositionMode, EvidenceConfig
-from repro.pera.inertia import InertiaClass
 from repro.pisa.programs import firewall_program
 from repro.pisa.runtime import TableEntry
 from repro.pisa.tables import MatchKey, MatchKind
@@ -111,20 +104,11 @@ def main(argv=None) -> None:
     sim.run()
 
     # 5. Appraise the delivered packet's path evidence.
-    anchors = KeyRegistry()
-    anchors.register_pair(switch.keys)
-    appraiser = PathAppraiser("Appraiser", telemetry=telemetry, policy=PathAppraisalPolicy(
-        anchors=anchors,
-        reference_measurements={
-            "s1": {
-                InertiaClass.HARDWARE: hardware_reference(
-                    switch.engine.hardware_identity
-                ),
-                InertiaClass.PROGRAM: program_reference(program),
-            }
-        },
-        program_names={program_reference(program): program.full_name},
-    ))
+    appraiser = PathAppraiser(
+        "Appraiser",
+        telemetry=telemetry,
+        policy=PathAppraisalPolicy.for_fleet([switch], program),
+    )
     packet = dst.received_packets[0]
     verdict = appraiser.appraise_packet(packet, compiled=policy)
     print(verdict.describe())

@@ -74,6 +74,37 @@ class PathAppraisalPolicy:
     # operators who explicitly opt in.
     fail_mode: str = FailMode.CLOSED
 
+    @classmethod
+    def for_fleet(cls, switches, programs, **fields) -> "PathAppraisalPolicy":
+        """The golden-value policy for a known fleet: every switch's
+        key anchored (in the caller's order), its chassis and the
+        program it should be running as its reference measurements.
+
+        ``programs`` is one program for the whole fleet or a sequence
+        with one per switch; ``fields`` are the remaining policy fields.
+        """
+        switches = list(switches)
+        if isinstance(programs, DataplaneProgram):
+            programs = [programs] * len(switches)
+        anchors = KeyRegistry()
+        references: Dict[str, Dict[InertiaClass, bytes]] = {}
+        program_names: Dict[bytes, str] = {}
+        for switch, program in zip(switches, programs):
+            anchors.register_pair(switch.keys)
+            references[switch.name] = {
+                InertiaClass.HARDWARE: hardware_reference(
+                    switch.engine.hardware_identity
+                ),
+                InertiaClass.PROGRAM: program_reference(program),
+            }
+            program_names[program_reference(program)] = program.full_name
+        return cls(
+            anchors=anchors,
+            reference_measurements=references,
+            program_names=program_names,
+            **fields,
+        )
+
 
 @dataclass(frozen=True)
 class PathVerdict:
@@ -167,55 +198,17 @@ class PathAppraiser:
         """
         tel = self.telemetry
         trace = packet.trace
-        trace_id = trace.trace_id if trace is not None else None
         if packet.ra_shim is None:
-            message = "packet carries no RA shim header"
-            if tel.active:
-                tel.audit_event(
-                    AuditKind.CHECK_FAILED,
-                    self.name,
-                    trace=trace,
-                    check=Check.SHIM,
-                    message=message,
-                )
-                tel.audit_event(
-                    AuditKind.VERDICT_ISSUED,
-                    self.name,
-                    trace=trace,
-                    accepted=False,
-                    records=0,
-                    failures=1,
-                )
-            return PathVerdict(
-                accepted=False, failures=(message,), trace_id=trace_id
-            )
+            return self._cannot_appraise("packet carries no RA shim header", trace)
         try:
             # memoryview: the decoder walks the shim body zero-copy.
             records = decode_record_stack(memoryview(packet.ra_shim.body))
         except CodecError as exc:
             # Corrupted-in-flight evidence must reject, not crash.
-            message = f"evidence stack undecodable: {exc}"
-            if tel.active:
-                tel.audit_event(
-                    AuditKind.CHECK_FAILED,
-                    self.name,
-                    trace=trace,
-                    check=Check.SHIM,
-                    message=message,
-                )
-                tel.audit_event(
-                    AuditKind.VERDICT_ISSUED,
-                    self.name,
-                    trace=trace,
-                    accepted=False,
-                    records=0,
-                    failures=1,
-                )
-            return PathVerdict(
-                accepted=False,
-                failures=(message,),
+            return self._cannot_appraise(
+                f"evidence stack undecodable: {exc}",
+                trace,
                 hop_count=packet.ra_shim.hop_count,
-                trace_id=trace_id,
             )
         verdict = self.appraise_records(
             records,
@@ -248,6 +241,35 @@ class PathAppraiser:
         if tel.active:
             self._emit_verdict_event(verdict, records, trace)
         return verdict
+
+    def _cannot_appraise(
+        self, message: str, trace: Optional[TraceContext], hop_count: int = 0
+    ) -> PathVerdict:
+        """Reject a packet whose shim yields no record stack to judge:
+        one ``check.failed`` (shim), one rejecting verdict."""
+        tel = self.telemetry
+        if tel.active:
+            tel.audit_event(
+                AuditKind.CHECK_FAILED,
+                self.name,
+                trace=trace,
+                check=Check.SHIM,
+                message=message,
+            )
+            tel.audit_event(
+                AuditKind.VERDICT_ISSUED,
+                self.name,
+                trace=trace,
+                accepted=False,
+                records=0,
+                failures=1,
+            )
+        return PathVerdict(
+            accepted=False,
+            failures=(message,),
+            hop_count=hop_count,
+            trace_id=trace.trace_id if trace is not None else None,
+        )
 
     def appraise_unavailable(
         self, reason: str, trace: Optional[TraceContext] = None

@@ -39,13 +39,10 @@ from repro.core.appraisal import (
     PathAppraisalPolicy,
     PathAppraiser,
     PathVerdict,
-    hardware_reference,
-    program_reference,
 )
 from repro.core.policies import ap1_bank_path_attestation
 from repro.core.raswitch import NetworkAwarePeraSwitch
 from repro.core.relying_party import RelyingParty
-from repro.crypto.keys import KeyRegistry
 from repro.faults import FailMode, FaultInjector, FaultPlan, FaultStats, RetryPolicy
 from repro.net.controller import RoutingController
 from repro.net.headers import ip_to_int
@@ -54,7 +51,6 @@ from repro.net.shardrun import ScenarioSpec, ShardedResult, run_sharded
 from repro.net.simulator import SimStats, Simulator
 from repro.net.topology import Topology, linear_topology
 from repro.pera.config import CompositionMode, DetailLevel, EvidenceConfig
-from repro.pera.inertia import InertiaClass
 from repro.pisa.programs import athens_rogue_program, firewall_program
 from repro.pisa.runtime import TableEntry
 from repro.pisa.tables import MatchKey, MatchKind
@@ -354,23 +350,9 @@ def _chaos_build(
         ))
         switches.append(switch)
 
-    anchors = KeyRegistry()
-    references: Dict[str, Dict[InertiaClass, bytes]] = {}
-    for switch in switches:
-        anchors.register_pair(switch.keys)
-        references[switch.name] = {
-            InertiaClass.HARDWARE: hardware_reference(
-                switch.engine.hardware_identity
-            ),
-            InertiaClass.PROGRAM: program_reference(genuine),
-        }
     rp = RelyingParty(
         policy=ap1_bank_path_attestation(),
-        appraisal=PathAppraisalPolicy(
-            anchors=anchors,
-            reference_measurements=references,
-            program_names={program_reference(genuine): genuine.full_name},
-        ),
+        appraisal=PathAppraisalPolicy.for_fleet(switches, genuine),
         composition=CompositionMode.TRAFFIC_PATH,
         telemetry=telemetry,
     )
@@ -871,20 +853,9 @@ def run_degraded_oob(
     ))
     sim.run()
 
-    anchors = KeyRegistry()
-    anchors.register_pair(switch.keys)
     appraiser = PathAppraiser(
         "Appraiser",
-        PathAppraisalPolicy(
-            anchors=anchors,
-            reference_measurements={"s1": {
-                InertiaClass.HARDWARE: hardware_reference(
-                    switch.engine.hardware_identity
-                ),
-                InertiaClass.PROGRAM: program_reference(genuine),
-            }},
-            fail_mode=fail_mode,
-        ),
+        PathAppraisalPolicy.for_fleet([switch], genuine, fail_mode=fail_mode),
         telemetry=telemetry,
     )
     evidence_arrived = bool(collector.control_received)

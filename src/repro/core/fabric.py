@@ -31,17 +31,12 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.appraisal import (
-    PathAppraisalPolicy,
-    PathAppraiser,
-    hardware_reference,
-    program_reference,
-)
+from repro.core.appraisal import PathAppraisalPolicy, PathAppraiser
 from repro.core.compiler import compile_policy_for_path
 from repro.core.policies import ap1_bank_path_attestation
 from repro.core.raswitch import NetworkAwarePeraSwitch
 from repro.core.wire import encode_compiled_policy
-from repro.crypto.keys import KeyRegistry
+from repro.evidence.nodes import HopEvidence
 from repro.faults import FaultInjector, FaultPlan
 from repro.net.controller import RoutingController
 from repro.net.headers import IPPROTO_UDP, RaShimHeader, ip_to_int
@@ -75,7 +70,6 @@ from repro.pera.config import (
     EvidenceConfig,
 )
 from repro.pera.inertia import InertiaClass
-from repro.evidence.nodes import HopEvidence
 from repro.pera.records import verify_record_batch
 from repro.pisa.programs import fabric_multipath_program, fabric_rogue_program
 from repro.util.ids import spawn_seed
@@ -771,21 +765,8 @@ def _fabric_traffic_build(sim, shape: FatTreeShape):
 
     # The relying party's appraiser: every switch anchored with the
     # genuine program as its reference measurement.
-    anchors = KeyRegistry()
-    references: Dict[str, Dict[InertiaClass, bytes]] = {}
-    for switch_name in sorted(switches):
-        switch = switches[switch_name]
-        anchors.register_pair(switch.keys)
-        references[switch_name] = {
-            InertiaClass.HARDWARE: hardware_reference(
-                switch.engine.hardware_identity
-            ),
-            InertiaClass.PROGRAM: program_reference(genuine),
-        }
-    appraiser = PathAppraiser(_COLLECTOR, PathAppraisalPolicy(
-        anchors=anchors,
-        reference_measurements=references,
-        program_names={program_reference(genuine): genuine.full_name},
+    appraiser = PathAppraiser(_COLLECTOR, PathAppraisalPolicy.for_fleet(
+        [switches[name] for name in sorted(switches)], genuine
     ))
 
     engine = FlowEngine(sim, sinks, shim_for=lambda f: shims.get(f.flow_id))
@@ -838,7 +819,6 @@ def _fabric_traffic_build(sim, shape: FatTreeShape):
         "engine": engine,
         "attested": attested,
         "appraiser": appraiser,
-        "anchors": anchors,
         "injector": injector,
         "victim": victim,
     }
@@ -910,7 +890,7 @@ def _fabric_traffic_harvest(sim, ctx):
     oob_records = 0
     oob_verified = 0
     if sim.owns(_COLLECTOR):
-        anchors: KeyRegistry = ctx["anchors"]
+        anchors = ctx["appraiser"].policy.anchors
         # One batched multi-scalar check over the whole out-of-band
         # stream instead of one Ed25519 verification per record.
         collected = [

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.copland.parser import parse_phrase
 from repro.copland.vm import CoplandVM, Place
@@ -28,8 +28,6 @@ from repro.core.appraisal import (
     PathAppraisalPolicy,
     PathAppraiser,
     PathVerdict,
-    hardware_reference,
-    program_reference,
 )
 from repro.core.compiler import compile_policy_for_path
 from repro.core.policies import ap1_bank_path_attestation
@@ -38,6 +36,7 @@ from repro.core.wire import encode_compiled_policy
 from repro.crypto.hashing import digest
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.merkle import MerkleTree
+from repro.evidence.codec import decode_record_stack, encode_hop_body
 from repro.net.headers import RaShimHeader, ip_to_int
 from repro.net.host import Host
 from repro.net.shardrun import ScenarioSpec, ShardedResult, run_sharded
@@ -50,7 +49,6 @@ from repro.pera.config import (
     EvidenceConfig,
 )
 from repro.pera.inertia import InertiaClass
-from repro.evidence.codec import decode_record_stack, encode_hop_body
 from repro.pera.records import verify_record_batch
 from repro.pera.sampling import SamplingMode, SamplingSpec
 from repro.pisa.programs import (
@@ -95,25 +93,10 @@ def _pera_chain(switch_count: int, config: EvidenceConfig, programs=None):
 
 
 def _appraiser_for(switches, programs, allow_sampling=False) -> PathAppraiser:
-    anchors = KeyRegistry()
-    references: Dict[str, Dict[InertiaClass, bytes]] = {}
-    program_names: Dict[bytes, str] = {}
-    for switch, program in zip(switches, programs):
-        anchors.register_pair(switch.keys)
-        references[switch.name] = {
-            InertiaClass.HARDWARE: hardware_reference(
-                switch.engine.hardware_identity
-            ),
-            InertiaClass.PROGRAM: program_reference(program),
-        }
-        program_names[program_reference(program)] = program.full_name
     return PathAppraiser(
         "Appraiser",
-        PathAppraisalPolicy(
-            anchors=anchors,
-            reference_measurements=references,
-            program_names=program_names,
-            allow_sampling=allow_sampling,
+        PathAppraisalPolicy.for_fleet(
+            switches, programs, allow_sampling=allow_sampling
         ),
     )
 
