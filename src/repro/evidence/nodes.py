@@ -6,7 +6,11 @@ principals *appraise* it. These classes are the single concrete
 representation all of them use. The shape mirrors the Copland evidence
 grammar (mt, nonce, measurement, signature, hash, sequential pair,
 parallel pair) plus one network-native node — :class:`HopEvidence`, the
-hop-composed record a PERA switch contributes per attesting hop.
+hop-composed record a PERA switch contributes per attesting hop (and
+:class:`BatchedHopEvidence`, its epoch-batched form). The switch signs
+that type, the codec decodes straight into it and the appraiser
+verifies it; :class:`InertiaClass`, the code space of its measurement
+field, is defined here for the same reason.
 
 Two properties make this the system's hot-path substrate:
 
@@ -23,7 +27,7 @@ Two properties make this the system's hot-path substrate:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import ClassVar, Iterable, Iterator, Optional, Tuple
 
 from repro.crypto.hashing import digest
@@ -377,11 +381,10 @@ class HopEvidence(Evidence):
     """
 
     KIND: ClassVar[int] = KIND_HOP
-    # What ``Simulator.send_control`` journals as the ``control.sent``
-    # message type. It journals Python class names, and this class
-    # absorbed ``repro.pera.records.HopRecord``: the old name is pinned
-    # here so audit journals and the run-signature goldens that hash
-    # them do not move with the rename (ROADMAP 1f retires the pin).
+    # ``Simulator.send_control`` journals a message's Python class name
+    # in ``control.sent``; the name of the PERA-side class this one
+    # absorbed is pinned so journals, and the goldens that hash them,
+    # do not move with the rename (ROADMAP 1f retires the pin).
     CONTROL_LABEL: ClassVar[str] = "HopRecord"
 
     place: str
@@ -396,15 +399,7 @@ class HopEvidence(Evidence):
 
     def sign_with(self, keys: KeyPair) -> "HopEvidence":
         """Return a copy carrying ``keys``' signature."""
-        return HopEvidence(
-            place=self.place,
-            measurements=self.measurements,
-            sequence=self.sequence,
-            ingress_port=self.ingress_port,
-            chain_head=self.chain_head,
-            packet_digest=self.packet_digest,
-            signature=keys.sign(self.signed_payload()),
-        )
+        return replace(self, signature=keys.sign(self.signed_payload()))
 
     def signature_item(self, signer: Optional[str] = None) -> BatchVerifyItem:
         """The ``(signer, payload, signature, payload digest)`` a
