@@ -84,11 +84,13 @@ class PathAppraisalPolicy:
         with one per switch; ``fields`` are the remaining policy fields.
         """
         switches = list(switches)
-        if isinstance(programs, DataplaneProgram):
-            programs = [programs] * len(switches)
+        programs = (
+            [programs] * len(switches)
+            if isinstance(programs, DataplaneProgram)
+            else list(programs)
+        )
         anchors = KeyRegistry()
         references: Dict[str, Dict[InertiaClass, bytes]] = {}
-        program_names: Dict[bytes, str] = {}
         for switch, program in zip(switches, programs):
             anchors.register_pair(switch.keys)
             references[switch.name] = {
@@ -97,11 +99,14 @@ class PathAppraisalPolicy:
                 ),
                 InertiaClass.PROGRAM: program_reference(program),
             }
-            program_names[program_reference(program)] = program.full_name
         return cls(
             anchors=anchors,
             reference_measurements=references,
-            program_names=program_names,
+            # One name per distinct program object, not one per switch.
+            program_names={
+                program_reference(program): program.full_name
+                for program in {id(p): p for p in programs}.values()
+            },
             **fields,
         )
 
