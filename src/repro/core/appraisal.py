@@ -84,11 +84,8 @@ class PathAppraisalPolicy:
         with one per switch; ``fields`` are the remaining policy fields.
         """
         switches = list(switches)
-        programs = (
-            [programs] * len(switches)
-            if isinstance(programs, DataplaneProgram)
-            else list(programs)
-        )
+        if isinstance(programs, DataplaneProgram):
+            programs = [programs] * len(switches)
         anchors = KeyRegistry()
         references: Dict[str, Dict[InertiaClass, bytes]] = {}
         for switch, program in zip(switches, programs):
