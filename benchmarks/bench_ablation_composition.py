@@ -17,20 +17,13 @@ each step up the axis costs more signatures (see bench_fig3).
 from dataclasses import replace as dc_replace
 
 
-from repro.core.appraisal import PathAppraisalPolicy, PathAppraiser
-from repro.core.compiler import compile_policy_for_path
-from repro.core.policies import ap1_bank_path_attestation
-from repro.core.raswitch import NetworkAwarePeraSwitch
+from repro.core.fleet import attested_chain
 from repro.core.wire import encode_compiled_policy
-from repro.net.headers import RaShimHeader, ip_to_int
-from repro.net.host import Host
 from repro.net.simulator import Simulator
 from repro.net.topology import linear_topology
 from repro.pera.config import CompositionMode, EvidenceConfig
 from repro.pera.records import decode_record_stack, encode_record_stack
 from repro.pisa.programs import ipv4_forwarding_program
-from repro.pisa.runtime import TableEntry
-from repro.pisa.tables import MatchKey, MatchKind
 
 from conftest import report, table
 
@@ -38,47 +31,15 @@ from conftest import report, table
 def run_and_capture(composition: CompositionMode):
     """Send one policy packet over 3 attesting hops; return everything
     an appraiser (and an attacker) would have."""
-    programs = [ipv4_forwarding_program() for _ in range(3)]
-    topo = linear_topology(3)
-    sim = Simulator(topo)
-    src = Host("h-src", mac=0x1, ip=ip_to_int("10.0.0.1"))
-    dst = Host("h-dst", mac=0x2, ip=ip_to_int("10.0.1.1"))
-    sim.bind(src)
-    sim.bind(dst)
-    switches = []
-    for i, program in enumerate(programs, start=1):
-        switch = NetworkAwarePeraSwitch(
-            f"s{i}", config=EvidenceConfig(composition=composition)
-        )
-        sim.bind(switch)
-        switch.runtime.arbitrate("ctl", 1)
-        switch.runtime.set_forwarding_pipeline_config("ctl", program)
-        switch.runtime.write("ctl", TableEntry(
-            table="ipv4_lpm",
-            keys=(MatchKey(MatchKind.LPM, ip_to_int("10.0.1.0"), prefix_len=24),),
-            action="forward", params=(2,),
-        ))
-        switches.append(switch)
-    compiled = compile_policy_for_path(
-        ap1_bank_path_attestation(),
-        path=["h-src", "s1", "s2", "s3", "h-dst"],
-        bindings={"client": "h-dst"},
-        composition=composition,
+    sim = Simulator(linear_topology(3))
+    chain = attested_chain(
+        sim,
+        [ipv4_forwarding_program() for _ in range(3)],
+        config=EvidenceConfig(composition=composition),
     )
-    src.send_udp(
-        dst_mac=dst.mac, dst_ip=dst.ip, src_port=1000, dst_port=2000,
-        payload=b"sanctioned-payload",
-        ra_shim=RaShimHeader(
-            flags=RaShimHeader.FLAG_POLICY,
-            body=encode_compiled_policy(compiled),
-        ),
-    )
-    sim.run()
-    packet = dst.received_packets[0]
-
-    appraiser = PathAppraiser(
-        "Appraiser", PathAppraisalPolicy.for_fleet(switches, programs)
-    )
+    compiled, shim = chain.ap1(composition)
+    packet = chain.probe(sim, shim, b"sanctioned-payload", 1000, 2000)
+    appraiser = chain.appraiser()
     return packet, compiled, appraiser
 
 

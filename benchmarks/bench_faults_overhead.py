@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.core.fleet import bring_up, forward_prefix
 from repro.core.raswitch import NetworkAwarePeraSwitch
 from repro.faults import FaultInjector, FaultPlan
 from repro.net.headers import ip_to_int
@@ -20,8 +21,6 @@ from repro.net.host import Host
 from repro.net.simulator import Simulator
 from repro.net.topology import Topology
 from repro.pisa.programs import ipv4_forwarding_program
-from repro.pisa.runtime import TableEntry
-from repro.pisa.tables import MatchKey, MatchKind
 
 from conftest import report, table
 
@@ -41,15 +40,8 @@ def build():
     switch = NetworkAwarePeraSwitch("s1")
     for node in (h1, h2, switch):
         sim.bind(node)
-    switch.runtime.arbitrate("ctl", 1)
-    switch.runtime.set_forwarding_pipeline_config(
-        "ctl", ipv4_forwarding_program()
-    )
-    switch.runtime.write("ctl", TableEntry(
-        table="ipv4_lpm",
-        keys=(MatchKey(MatchKind.LPM, ip_to_int("10.0.1.0"), prefix_len=24),),
-        action="forward", params=(2,),
-    ))
+    bring_up(switch, ipv4_forwarding_program())
+    forward_prefix(switch)
     return sim, h1, h2
 
 

@@ -12,14 +12,13 @@ Two levels of reproduction:
    channel — the same total evidence, carried on different planes.
 """
 
+from repro.core.fleet import attested_chain
 from repro.net.headers import RaShimHeader, ip_to_int
 from repro.net.host import Host
 from repro.net.simulator import Simulator
 from repro.net.topology import linear_topology
 from repro.pera.switch import PeraSwitch
 from repro.pisa.programs import ipv4_forwarding_program
-from repro.pisa.runtime import TableEntry
-from repro.pisa.tables import MatchKey, MatchKind
 from repro.ra.protocol import AttestationScenario, run_in_band, run_out_of_band
 
 from conftest import report, table
@@ -90,36 +89,20 @@ def run_dataplane_variant(out_of_band: bool, packets: int = 20):
         topo.add_node("appraiser", kind="host")
         topo.add_link("appraiser", 1, "s1", 9)
     sim = Simulator(topo)
-    src = Host("h-src", mac=0x1, ip=ip_to_int("10.0.0.1"))
-    dst = Host("h-dst", mac=0x2, ip=ip_to_int("10.0.1.1"))
-    sim.bind(src)
-    sim.bind(dst)
+    chain = attested_chain(
+        sim,
+        [ipv4_forwarding_program() for _ in range(3)],
+        switch_cls=PeraSwitch,
+        appraiser_node="appraiser" if out_of_band else None,
+        out_of_band=out_of_band,
+    )
     if out_of_band:
         sim.bind(Host("appraiser", mac=0x3, ip=ip_to_int("10.0.9.9")))
-    for i in range(1, 4):
-        switch = PeraSwitch(
-            f"s{i}",
-            appraiser_node="appraiser" if out_of_band else None,
-            out_of_band=out_of_band,
-        )
-        sim.bind(switch)
-        switch.runtime.arbitrate("ctl", 1)
-        switch.runtime.set_forwarding_pipeline_config(
-            "ctl", ipv4_forwarding_program()
-        )
-        switch.runtime.write("ctl", TableEntry(
-            table="ipv4_lpm",
-            keys=(MatchKey(MatchKind.LPM, ip_to_int("10.0.1.0"), prefix_len=24),),
-            action="forward", params=(2,),
-        ))
+    shim = RaShimHeader(flags=RaShimHeader.FLAG_POLICY)
     for index in range(packets):
-        sim.schedule(index * 1e-3, lambda: src.send_udp(
-            dst_mac=dst.mac, dst_ip=dst.ip, src_port=1, dst_port=2,
-            payload=bytes(64),
-            ra_shim=RaShimHeader(flags=RaShimHeader.FLAG_POLICY),
-        ))
+        sim.schedule(index * 1e-3, lambda: chain.send(shim, bytes(64), 1, 2))
     sim.run()
-    delivered = dst.received_packets
+    delivered = chain.dst.received_packets
     return {
         "channel": "out-of-band" if out_of_band else "in-band",
         "delivered": len(delivered),

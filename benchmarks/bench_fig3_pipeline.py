@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from repro.core.fleet import bring_up, forward_prefix
 from repro.net.headers import RaShimHeader, ip_to_int
 from repro.net.packet import Packet
 from repro.pera.config import (
@@ -21,22 +22,15 @@ from repro.pera.config import (
 from repro.pera.switch import PeraSwitch
 from repro.pisa.pipeline import CostModel, PacketContext
 from repro.pisa.programs import ipv4_forwarding_program
-from repro.pisa.runtime import TableEntry
 from repro.pisa.switch import PisaSwitch
-from repro.pisa.tables import MatchKey, MatchKind
 
 from conftest import report, table
 
 
 def make_switch(cls=PisaSwitch, **kwargs):
     switch = cls("s1", **kwargs)
-    switch.runtime.arbitrate("ctl", 1)
-    switch.runtime.set_forwarding_pipeline_config("ctl", ipv4_forwarding_program())
-    switch.runtime.write("ctl", TableEntry(
-        table="ipv4_lpm",
-        keys=(MatchKey(MatchKind.LPM, ip_to_int("10.0.1.0"), prefix_len=24),),
-        action="forward", params=(2,),
-    ))
+    bring_up(switch, ipv4_forwarding_program())
+    forward_prefix(switch)
     return switch
 
 

@@ -6,75 +6,32 @@ linear growth of evidence size and verification work.
 """
 
 
-from repro.core.appraisal import PathAppraisalPolicy, PathAppraiser
 from repro.core.compiler import compile_policy_for_path
-from repro.core.policies import ap1_bank_path_attestation, ap3_path_check
-from repro.core.raswitch import NetworkAwarePeraSwitch
-from repro.core.wire import encode_compiled_policy
-from repro.net.headers import RaShimHeader, ip_to_int
-from repro.net.host import Host
+from repro.core.fleet import attested_chain, policy_shim
+from repro.core.policies import ap3_path_check
 from repro.net.simulator import Simulator
 from repro.net.topology import linear_topology
 from repro.pera.config import CompositionMode, EvidenceConfig
 from repro.pisa.programs import acl_program, firewall_program, ipv4_forwarding_program
-from repro.pisa.runtime import TableEntry
-from repro.pisa.tables import MatchKey, MatchKind
 
 from conftest import report, table
 
 
 def build_chain(programs):
-    count = len(programs)
-    topo = linear_topology(count)
-    sim = Simulator(topo)
-    src = Host("h-src", mac=0x1, ip=ip_to_int("10.0.0.1"))
-    dst = Host("h-dst", mac=0x2, ip=ip_to_int("10.0.1.1"))
-    sim.bind(src)
-    sim.bind(dst)
-    switches = []
-    for i, program in enumerate(programs, start=1):
-        switch = NetworkAwarePeraSwitch(
-            f"s{i}", config=EvidenceConfig(composition=CompositionMode.CHAINED)
-        )
-        sim.bind(switch)
-        switch.runtime.arbitrate("ctl", 1)
-        switch.runtime.set_forwarding_pipeline_config("ctl", program)
-        switch.runtime.write("ctl", TableEntry(
-            table="ipv4_lpm",
-            keys=(MatchKey(MatchKind.LPM, ip_to_int("10.0.1.0"), prefix_len=24),),
-            action="forward", params=(2,),
-        ))
-        switches.append(switch)
-    return sim, src, dst, switches
-
-
-def appraiser_for(switches, programs):
-    return PathAppraiser(
-        "Appraiser", PathAppraisalPolicy.for_fleet(switches, programs)
+    sim = Simulator(linear_topology(len(programs)))
+    return sim, attested_chain(
+        sim, programs,
+        config=EvidenceConfig(composition=CompositionMode.CHAINED),
     )
 
 
 def run_ap1(path_switches: int):
-    programs = [ipv4_forwarding_program() for _ in range(path_switches)]
-    sim, src, dst, switches = build_chain(programs)
-    appraiser = appraiser_for(switches, programs)
-    path = ["h-src"] + [s.name for s in switches] + ["h-dst"]
-    compiled = compile_policy_for_path(
-        ap1_bank_path_attestation(), path=path,
-        bindings={"client": "h-dst"},
-        composition=CompositionMode.CHAINED,
+    sim, chain = build_chain(
+        [ipv4_forwarding_program() for _ in range(path_switches)]
     )
-    src.send_udp(
-        dst_mac=dst.mac, dst_ip=dst.ip, src_port=1, dst_port=2,
-        payload=b"x",
-        ra_shim=RaShimHeader(
-            flags=RaShimHeader.FLAG_POLICY,
-            body=encode_compiled_policy(compiled),
-        ),
-    )
-    sim.run()
-    packet = dst.received_packets[0]
-    verdict = appraiser.appraise_packet(packet, compiled)
+    compiled, shim = chain.ap1()
+    packet = chain.probe(sim, shim, b"x", 1, 2)
+    verdict = chain.appraiser().appraise_packet(packet, compiled)
     return verdict, packet.ra_shim.wire_length
 
 
@@ -82,26 +39,16 @@ def run_ap3(path_switches: int = 2):
     programs = [firewall_program(), acl_program()] + [
         ipv4_forwarding_program() for _ in range(path_switches - 2)
     ]
-    sim, src, dst, switches = build_chain(programs)
-    appraiser = appraiser_for(switches, programs)
-    path = ["h-src"] + [s.name for s in switches] + ["h-dst"]
+    sim, chain = build_chain(programs)
     compiled = compile_policy_for_path(
-        ap3_path_check(), path=path,
+        ap3_path_check(), path=chain.path,
         bindings={
             "F1": programs[0].full_name, "F2": programs[1].full_name,
             "peer1": "h-src", "peer2": "h-dst",
         },
     )
-    src.send_udp(
-        dst_mac=dst.mac, dst_ip=dst.ip, src_port=1, dst_port=2, payload=b"x",
-        ra_shim=RaShimHeader(
-            flags=RaShimHeader.FLAG_POLICY,
-            body=encode_compiled_policy(compiled),
-        ),
-    )
-    sim.run()
-    verdict = appraiser.appraise_packet(dst.received_packets[0], compiled)
-    return verdict
+    packet = chain.probe(sim, policy_shim(compiled), b"x", 1, 2)
+    return chain.appraiser().appraise_packet(packet, compiled)
 
 
 def run_ap2():

@@ -10,8 +10,8 @@ what each point costs and buys.
 Run:  python examples/design_space_tour.py
 """
 
-from repro.core.design_space import format_table, run_design_point, sweep
-from repro.pera.config import CompositionMode, DetailLevel, EvidenceConfig
+from repro.core.design_space import format_table, sweep
+from repro.pera.config import CompositionMode, DetailLevel
 from repro.pera.inertia import DEFAULT_TTLS, InertiaClass
 from repro.pera.sampling import SamplingMode, SamplingSpec
 

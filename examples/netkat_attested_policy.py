@@ -19,7 +19,6 @@ Run:  python examples/netkat_attested_policy.py
 """
 
 from repro.core.appraisal import program_reference
-from repro.crypto.keys import KeyRegistry
 from repro.net.headers import ip_to_int
 from repro.net.packet import Packet
 from repro.netkat.ast import Filter, ite, mod, pand, seq, test as tst

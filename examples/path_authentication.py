@@ -10,19 +10,13 @@ right order (policy AP3).
 Run:  python examples/path_authentication.py
 """
 
-from repro.core.appraisal import PathAppraisalPolicy, PathAppraiser
 from repro.core.compiler import compile_policy_for_path
+from repro.core.fleet import attested_chain, policy_shim
 from repro.core.policies import ap3_path_check
 from repro.core.usecases import run_path_authentication
-from repro.core.raswitch import NetworkAwarePeraSwitch
-from repro.core.wire import encode_compiled_policy
-from repro.net.headers import RaShimHeader, ip_to_int
-from repro.net.host import Host
 from repro.net.simulator import Simulator
 from repro.net.topology import linear_topology
 from repro.pisa.programs import acl_program, firewall_program
-from repro.pisa.runtime import TableEntry
-from repro.pisa.tables import MatchKey, MatchKind
 
 
 def uc2_second_factor() -> None:
@@ -40,47 +34,18 @@ def ap3_function_path() -> None:
     print("\n=== AP3: the path must cross firewall_v5 then ACL_v3 ===")
     firewall = firewall_program()
     acl = acl_program()
-    topo = linear_topology(2)
-    sim = Simulator(topo)
-    src = Host("h-src", mac=0x1, ip=ip_to_int("10.0.0.1"))
-    dst = Host("h-dst", mac=0x2, ip=ip_to_int("10.0.1.1"))
-    sim.bind(src)
-    sim.bind(dst)
-    switches = []
-    for name, program in (("s1", firewall), ("s2", acl)):
-        switch = NetworkAwarePeraSwitch(name)
-        sim.bind(switch)
-        switch.runtime.arbitrate("ctl", 1)
-        switch.runtime.set_forwarding_pipeline_config("ctl", program)
-        switch.runtime.write("ctl", TableEntry(
-            table="ipv4_lpm",
-            keys=(MatchKey(MatchKind.LPM, ip_to_int("10.0.1.0"), prefix_len=24),),
-            action="forward", params=(2,),
-        ))
-        switches.append(switch)
-
+    sim = Simulator(linear_topology(2))
+    chain = attested_chain(sim, [firewall, acl])
     compiled = compile_policy_for_path(
         ap3_path_check(),
-        path=["h-src", "s1", "s2", "h-dst"],
+        path=chain.path,
         bindings={
             "F1": firewall.full_name, "F2": acl.full_name,
             "peer1": "h-src", "peer2": "h-dst",
         },
     )
-    src.send_udp(
-        dst_mac=dst.mac, dst_ip=dst.ip, src_port=1000, dst_port=443,
-        payload=b"sensitive",
-        ra_shim=RaShimHeader(
-            flags=RaShimHeader.FLAG_POLICY,
-            body=encode_compiled_policy(compiled),
-        ),
-    )
-    sim.run()
-
-    appraiser = PathAppraiser(
-        "Appraiser", PathAppraisalPolicy.for_fleet(switches, (firewall, acl))
-    )
-    verdict = appraiser.appraise_packet(dst.received_packets[0], compiled)
+    packet = chain.probe(sim, policy_shim(compiled), b"sensitive", 1000, 443)
+    verdict = chain.appraiser().appraise_packet(packet, compiled)
     print(verdict.describe())
     assert verdict.accepted
 

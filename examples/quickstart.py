@@ -73,6 +73,8 @@ def main(argv=None) -> None:
         sim.bind(node)
 
     # 2. Install the vetted dataplane program via the P4Runtime API.
+    #    The tutorial spells the verbs out on purpose; everything else in
+    #    the tree calls repro.core.fleet (bring_up, attested_chain).
     program = firewall_program()  # the paper's firewall_v5
     switch.runtime.arbitrate("controller", election_id=1)
     switch.runtime.set_forwarding_pipeline_config("controller", program)

@@ -23,6 +23,8 @@ Modules:
 - :mod:`repro.core.appraisal` — path-evidence appraisal: signatures,
   reference values, chain replay, stripping detection, and the NetKAT
   path constraint.
+- :mod:`repro.core.fleet` — the one builder of a linear attested
+  deployment (bring-up, chain, appraiser, AP1 shim, probe).
 - :mod:`repro.core.design_space` — Fig. 4 sweep helpers.
 - :mod:`repro.core.usecases` — UC1-UC5 scenario builders.
 """

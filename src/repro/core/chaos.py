@@ -35,25 +35,19 @@ from dataclasses import dataclass, field, fields as dataclass_fields
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.appraisal import (
-    PathAppraisalPolicy,
-    PathAppraiser,
-    PathVerdict,
-)
+from repro.core.appraisal import PathAppraisalPolicy, PathVerdict
+from repro.core.fleet import athens_tap, attested_chain
 from repro.core.policies import ap1_bank_path_attestation
-from repro.core.raswitch import NetworkAwarePeraSwitch
 from repro.core.relying_party import RelyingParty
 from repro.faults import FailMode, FaultInjector, FaultPlan, FaultStats, RetryPolicy
 from repro.net.controller import RoutingController
-from repro.net.headers import ip_to_int
+from repro.net.headers import RaShimHeader, ip_to_int
 from repro.net.host import Host
 from repro.net.shardrun import ScenarioSpec, ShardedResult, run_sharded
 from repro.net.simulator import SimStats, Simulator
 from repro.net.topology import Topology, linear_topology
 from repro.pera.config import CompositionMode, DetailLevel, EvidenceConfig
 from repro.pisa.programs import athens_rogue_program, firewall_program
-from repro.pisa.runtime import TableEntry
-from repro.pisa.tables import MatchKey, MatchKind
 from repro.telemetry.health import (
     HealthReport,
     RatioRule,
@@ -137,24 +131,6 @@ CHAOS_ALERT_FAMILIES: Dict[str, str] = {
     "node_crash": "control-drops",
     "clock_skew": "clock-skew-events",
 }
-
-
-def _rogue_configure(node, actor: str) -> None:
-    """What the Athens attacker does after its program swap: restore
-    forwarding (so the tap stays invisible) and clone the victim's
-    traffic to the spy port."""
-    node.runtime.write(actor, TableEntry(
-        table="ipv4_lpm",
-        keys=(MatchKey(MatchKind.LPM, ip_to_int("10.0.1.0"), prefix_len=24),),
-        action="forward", params=(2,),
-    ))
-    node.runtime.write(actor, TableEntry(
-        table="intercept",
-        keys=(MatchKey(
-            MatchKind.TERNARY, ip_to_int("10.0.0.1"), mask=0xFFFFFFFF,
-        ),),
-        action="clone_to", params=(3,), priority=1,
-    ))
 
 
 @dataclass
@@ -272,7 +248,7 @@ def _chaos_plan(
     plan.link_flap(t(7), "s1", "s2", down_s=0.4e-3, up_s=1.1e-3, cycles=2)
     # The Athens swap: the injector *is* the attacker here.
     plan.compromise_switch(
-        t(swap_at), "s1", athens_rogue_program, configure=_rogue_configure
+        t(swap_at), "s1", athens_rogue_program, configure=athens_tap
     )
     # The appraiser mirror target dies and comes back.
     plan.crash_node(t(swap_at) + 0.5e-3, "collector")
@@ -312,43 +288,31 @@ def _chaos_build(
     gated to h-src's owner.
     """
     telemetry = sim.telemetry
-    src = Host("h-src", mac=0x1, ip=ip_to_int("10.0.0.1"))
-    dst = Host("h-dst", mac=0x2, ip=ip_to_int("10.0.1.1"))
-    spy = Host("h-spy", mac=0x3, ip=ip_to_int("10.9.9.9"))
-    collector = Host("collector", mac=0x4, ip=ip_to_int("10.0.2.1"))
-    for node in (src, dst, spy, collector):
-        sim.bind(node)
-    src.resend_budget = 2  # LinkGuardian-style local first-hop recovery
-
-    retry = RetryPolicy(max_attempts=4, base_delay_s=200e-6, max_delay_s=5e-3)
     genuine = firewall_program()
     # TRAFFIC_PATH binds each record to the packet the hop actually
     # saw, so the late corruption window is *detected* (binding check),
     # not merely survived.
-    config = EvidenceConfig(
-        detail=DetailLevel.MINIMAL, composition=CompositionMode.TRAFFIC_PATH
+    chain = attested_chain(
+        sim,
+        [genuine, genuine],
+        config=EvidenceConfig(
+            detail=DetailLevel.MINIMAL,
+            composition=CompositionMode.TRAFFIC_PATH,
+        ),
+        appraiser_node="collector",
+        mirror_out_of_band=True,
+        retry_policy=RetryPolicy(
+            max_attempts=4, base_delay_s=200e-6, max_delay_s=5e-3
+        ),
     )
-    switches = []
-    for name in ("s1", "s2"):
-        switch = NetworkAwarePeraSwitch(
-            name,
-            config=config,
-            appraiser_node="collector",
-            mirror_out_of_band=True,
-            retry_policy=retry,
-        )
-        sim.bind(switch)
-        switch.resend_budget = 2
-        switch.runtime.arbitrate("ctl", 1)
-        switch.runtime.set_forwarding_pipeline_config("ctl", firewall_program())
-        switch.runtime.write("ctl", TableEntry(
-            table="ipv4_lpm",
-            keys=(MatchKey(
-                MatchKind.LPM, ip_to_int("10.0.1.0"), prefix_len=24,
-            ),),
-            action="forward", params=(2,),
-        ))
-        switches.append(switch)
+    src, dst, switches = chain.src, chain.dst, chain.switches
+    spy = Host("h-spy", mac=0x3, ip=ip_to_int("10.9.9.9"))
+    collector = Host("collector", mac=0x4, ip=ip_to_int("10.0.2.1"))
+    sim.bind(spy)
+    sim.bind(collector)
+    # LinkGuardian-style local recovery, first hop included.
+    for node in (src, *switches):
+        node.resend_budget = 2
 
     rp = RelyingParty(
         policy=ap1_bank_path_attestation(),
@@ -696,7 +660,7 @@ def _matrix_plan(seed: int, packets: int, kind: str) -> FaultPlan:
         )
     elif kind == "compromise":
         plan.compromise_switch(
-            t(mid), "s1", athens_rogue_program, configure=_rogue_configure
+            t(mid), "s1", athens_rogue_program, configure=athens_tap
         )
     elif kind == "appraiser_outage":
         plan.crash_node(t(2), "collector")
@@ -815,27 +779,17 @@ def run_degraded_oob(
     topo.add_node("collector", kind="host")
     topo.add_link("s1", 3, "collector", 1)
     sim = Simulator(topo, seed=seed, telemetry=telemetry)
-    src = Host("h-src", mac=0x1, ip=ip_to_int("10.0.0.1"))
-    dst = Host("h-dst", mac=0x2, ip=ip_to_int("10.0.1.1"))
-    collector = Host("collector", mac=0x3, ip=ip_to_int("10.0.2.1"))
-    for node in (src, dst, collector):
-        sim.bind(node)
-    switch = NetworkAwarePeraSwitch(
-        "s1",
+    chain = attested_chain(
+        sim,
+        [firewall_program()],
         config=EvidenceConfig(detail=DetailLevel.MINIMAL),
         appraiser_node="collector",
         out_of_band=True,
         retry_policy=RetryPolicy(max_attempts=3, base_delay_s=100e-6),
     )
-    sim.bind(switch)
-    genuine = firewall_program()
-    switch.runtime.arbitrate("ctl", 1)
-    switch.runtime.set_forwarding_pipeline_config("ctl", genuine)
-    switch.runtime.write("ctl", TableEntry(
-        table="ipv4_lpm",
-        keys=(MatchKey(MatchKind.LPM, ip_to_int("10.0.1.0"), prefix_len=24),),
-        action="forward", params=(2,),
-    ))
+    switch = chain.switches[0]
+    collector = Host("collector", mac=0x3, ip=ip_to_int("10.0.2.1"))
+    sim.bind(collector)
 
     plan = FaultPlan(seed=seed)
     plan.crash_node(0.0, "collector")
@@ -844,20 +798,12 @@ def run_degraded_oob(
     injector = FaultInjector(plan)
     injector.attach(sim)
 
-    from repro.net.headers import RaShimHeader
-
-    sim.schedule(0.5e-3, lambda: src.send_udp(
-        dst_mac=dst.mac, dst_ip=dst.ip, src_port=1000, dst_port=2000,
-        payload=b"degraded",
-        ra_shim=RaShimHeader(flags=RaShimHeader.FLAG_POLICY, body=b""),
+    sim.schedule(0.5e-3, lambda: chain.send(
+        RaShimHeader(flags=RaShimHeader.FLAG_POLICY), b"degraded", 1000, 2000
     ))
     sim.run()
 
-    appraiser = PathAppraiser(
-        "Appraiser",
-        PathAppraisalPolicy.for_fleet([switch], genuine, fail_mode=fail_mode),
-        telemetry=telemetry,
-    )
+    appraiser = chain.appraiser(telemetry=telemetry, fail_mode=fail_mode)
     evidence_arrived = bool(collector.control_received)
     if evidence_arrived:
         records = [m for _, _, m in collector.control_received]

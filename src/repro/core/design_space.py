@@ -13,16 +13,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.net.headers import RaShimHeader, ip_to_int
-from repro.net.host import Host
+from repro.core.fleet import attested_chain
+from repro.net.headers import RaShimHeader
 from repro.net.simulator import Simulator
 from repro.net.topology import linear_topology
 from repro.pera.config import CompositionMode, DetailLevel, EvidenceConfig
 from repro.pera.sampling import SamplingMode, SamplingSpec
 from repro.pera.switch import PeraSwitch
 from repro.pisa.programs import ipv4_forwarding_program
-from repro.pisa.runtime import TableEntry
-from repro.pisa.tables import MatchKey, MatchKind
 
 
 @dataclass(frozen=True)
@@ -65,39 +63,22 @@ def run_design_point(
 ) -> SweepResult:
     """Send ``packet_count`` RA packets through a PERA chain at one
     design point and measure the evidence-handling behaviour."""
-    topo = linear_topology(switch_count)
-    sim = Simulator(topo)
-    src = Host("h-src", mac=0x1, ip=ip_to_int("10.0.0.1"))
-    dst = Host("h-dst", mac=0x2, ip=ip_to_int("10.0.1.1"))
-    sim.bind(src)
-    sim.bind(dst)
-    switches: List[PeraSwitch] = []
-    for i in range(1, switch_count + 1):
-        switch = PeraSwitch(f"s{i}", config=config)
-        sim.bind(switch)
-        switch.runtime.arbitrate("ctl", 1)
-        switch.runtime.set_forwarding_pipeline_config(
-            "ctl", ipv4_forwarding_program()
-        )
-        switch.runtime.write("ctl", TableEntry(
-            table="ipv4_lpm",
-            keys=(MatchKey(MatchKind.LPM, ip_to_int("10.0.1.0"), prefix_len=24),),
-            action="forward", params=(2,),
-        ))
-        switches.append(switch)
-
+    sim = Simulator(linear_topology(switch_count))
+    chain = attested_chain(
+        sim,
+        [ipv4_forwarding_program() for _ in range(switch_count)],
+        switch_cls=PeraSwitch,
+        config=config,
+    )
+    switches = chain.switches
+    shim = RaShimHeader(flags=RaShimHeader.FLAG_POLICY)
     for index in range(packet_count):
-        def fire(seq=index):
-            src.send_udp(
-                dst_mac=dst.mac, dst_ip=dst.ip,
-                src_port=1000, dst_port=2000,
-                payload=seq.to_bytes(4, "big") + bytes(60),
-                ra_shim=RaShimHeader(flags=RaShimHeader.FLAG_POLICY),
-            )
-        sim.schedule(index * inter_packet_s, fire)
+        sim.schedule(index * inter_packet_s, lambda seq=index: chain.send(
+            shim, seq.to_bytes(4, "big") + bytes(60), 1000, 2000
+        ))
     sim.run()
 
-    delivered = len(dst.received_packets)
+    delivered = len(chain.dst.received_packets)
     total_signatures = sum(s.ra_stats.signatures_produced for s in switches)
     total_cost = sum(s.ra_cost for s in switches)
     total_evidence_bytes = sum(

@@ -33,9 +33,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.appraisal import PathAppraisalPolicy, PathAppraiser
 from repro.core.compiler import compile_policy_for_path
+from repro.core.fleet import bring_up, policy_shim
 from repro.core.policies import ap1_bank_path_attestation
 from repro.core.raswitch import NetworkAwarePeraSwitch
-from repro.core.wire import encode_compiled_policy
 from repro.evidence.nodes import HopEvidence
 from repro.faults import FaultInjector, FaultPlan
 from repro.net.controller import RoutingController
@@ -392,59 +392,6 @@ def _fat_tree_hosts(shape: FatTreeShape) -> List[Tuple[str, str]]:
     return pairs
 
 
-def _fat_tree_members(
-    shape: FatTreeShape, ip_of: Dict[str, int]
-) -> Dict[str, Dict[int, Tuple[int, ...]]]:
-    """Analytic per-switch ``dst ip -> equal-cost port set`` maps.
-
-    The fat-tree is regular, so next-hop sets need no Dijkstra: an
-    edge switch reaches local hosts on their access port and everything
-    else over all of its aggregation uplinks; an aggregation switch
-    reaches its own pod's edges directly and other pods over all core
-    uplinks; a core switch faces pod ``p`` on port ``1+p``.
-    ``tests/core`` cross-checks these maps against
-    :func:`~repro.net.routing.all_pairs_next_hops`.
-    """
-    half = shape.half
-    hpe = shape.hosts_per_edge_effective
-    pw = max(2, len(str(shape.k - 1)))
-    sw = max(2, len(str(half - 1)))
-    cw = max(2, len(str(half * half - 1)))
-    pairs = _fat_tree_hosts(shape)
-    edge_uplinks = tuple(range(hpe + 1, hpe + 1 + half))
-    agg_uplinks = tuple(range(half + 1, 2 * half + 1))
-    members: Dict[str, Dict[int, Tuple[int, ...]]] = {}
-    for pod in range(shape.k):
-        for ei in range(half):
-            edge = f"p{pod:0{pw}d}e{ei:0{sw}d}"
-            table: Dict[int, Tuple[int, ...]] = {}
-            for host_edge, host in pairs:
-                if host_edge == edge:
-                    j = int(host.rsplit("-", 1)[1])
-                    table[ip_of[host]] = (1 + j,)
-                else:
-                    table[ip_of[host]] = edge_uplinks
-            members[edge] = table
-        for ai in range(half):
-            agg = f"p{pod:0{pw}d}a{ai:0{sw}d}"
-            table = {}
-            for host_edge, host in pairs:
-                if host_edge.startswith(f"p{pod:0{pw}d}e"):
-                    ei = int(host_edge[len(host_edge) - sw:])
-                    table[ip_of[host]] = (1 + ei,)
-                else:
-                    table[ip_of[host]] = agg_uplinks
-            members[agg] = table
-    for idx in range(half * half):
-        core = f"zcore{idx:0{cw}d}"
-        table = {}
-        for host_edge, host in pairs:
-            pod = int(host_edge[1:1 + pw])
-            table[ip_of[host]] = (1 + pod,)
-        members[core] = table
-    return members
-
-
 class MultipathFabricSwitch(NetworkAwarePeraSwitch):
     """An attesting fabric switch with an O(1) multipath fast path.
 
@@ -679,7 +626,16 @@ def _fabric_traffic_build(sim, shape: FatTreeShape):
         name: ip_to_int(f"10.{i // 250}.{i % 250}.1")
         for i, name in enumerate(names)
     }
-    members = _fat_tree_members(shape, ip_of)
+    # One routing table for both forwarding planes: the fast path's
+    # ``dst ip -> equal-cost port set`` maps and, below, the routes
+    # installed for the attested destinations.
+    next_hops = all_pairs_next_hops(sim.topology, names)
+    members: Dict[str, Dict[int, Tuple[int, ...]]] = {
+        name: {} for name in sim.topology.nodes_of_kind("switch")
+    }
+    for (node, host), ports in next_hops.items():
+        if node in members:  # the table also has host and collector rows
+            members[node][ip_of[host]] = ports
 
     config = EvidenceConfig(
         detail=DetailLevel.MINIMAL,
@@ -715,17 +671,12 @@ def _fabric_traffic_build(sim, shape: FatTreeShape):
     # never consults the pipeline).
     genuine = fabric_multipath_program()
     for switch_name in sorted(switches):
-        runtime = switches[switch_name].runtime
-        runtime.arbitrate("ctl", 1)
-        runtime.set_forwarding_pipeline_config("ctl", genuine)
+        bring_up(switches[switch_name], genuine)
     attested_specs = _attested_flow_specs(shape)
     attested_dsts = sorted(
         {(spec.dst, ip_of[spec.dst]) for spec in attested_specs}
     )
     controller = RoutingController(sim, name="ctl")
-    next_hops = all_pairs_next_hops(
-        sim.topology, [name for name, _ip in attested_dsts]
-    )
     controller.install_multipath_routes(
         destinations=attested_dsts, next_hops=next_hops
     )
@@ -755,10 +706,7 @@ def _fabric_traffic_build(sim, shape: FatTreeShape):
             composition=CompositionMode.CHAINED,
             out_of_band=oob,
         )
-        shims[spec.flow_id] = RaShimHeader(
-            flags=RaShimHeader.FLAG_POLICY,
-            body=encode_compiled_policy(policy),
-        )
+        shims[spec.flow_id] = policy_shim(policy)
         attested[spec.flow_id] = {
             "spec": spec, "policy": policy, "oob": oob, "path": path,
         }
@@ -797,10 +745,7 @@ def _fabric_traffic_build(sim, shape: FatTreeShape):
             dsts=attested_dsts,
             nh=next_hops,
         ):
-            switch.runtime.arbitrate("attacker", 99)
-            switch.runtime.set_forwarding_pipeline_config(
-                "attacker", fabric_rogue_program()
-            )
+            bring_up(switch, fabric_rogue_program(), "attacker", 99)
             # Keep traffic flowing: the attacker restores the victim's
             # groups and routes (ids match — same sorted destination
             # list), so only the measurement betrays the swap.
@@ -1195,6 +1140,5 @@ __all__ = [
     "fabric_traffic_spec",
     "run_fabric",
     "run_fabric_traffic",
-    "run_sharded",
     "standard_fabric_rules",
 ]

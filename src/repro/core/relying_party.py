@@ -1,8 +1,10 @@
 """The relying party, as one object.
 
-Examples and tests assemble the attestation pipeline by hand (compile
-policy → build shim → send → collect → appraise). This class is the
-packaged version — the paper's RP as an API:
+The attestation pipeline (compile policy → build shim → send → collect
+→ appraise) as the paper's RP role, with a fresh nonce per packet.
+One-shot probes over a fixed chain use
+:meth:`repro.core.fleet.Chain.ap1` / ``probe`` instead; this class is
+the long-lived version:
 
     rp = RelyingParty(
         policy=ap1_bank_path_attestation(),

@@ -1,8 +1,9 @@
 """Executable builds of the paper's motivating use cases (§2).
 
-Each function constructs a full simulated deployment, drives it, and
-returns a structured result. Examples print these; benchmarks sweep
-their parameters.
+Each function assembles its deployment through
+:mod:`repro.core.fleet` (chain, bring-up, appraiser, AP1 shim), drives
+it, and returns a structured result. Examples print these; benchmarks
+sweep their parameters.
 
 - UC1 :func:`run_config_assurance` — the Athens affair: a rogue
   program swap is detected through program attestation.
@@ -24,20 +25,20 @@ from typing import List, Optional, Tuple
 
 from repro.copland.parser import parse_phrase
 from repro.copland.vm import CoplandVM, Place
-from repro.core.appraisal import (
-    PathAppraisalPolicy,
-    PathAppraiser,
-    PathVerdict,
+from repro.core.appraisal import PathVerdict
+from repro.core.fleet import (
+    athens_tap,
+    attested_chain,
+    bring_up,
+    forward_prefix,
 )
-from repro.core.compiler import compile_policy_for_path
-from repro.core.policies import ap1_bank_path_attestation
 from repro.core.raswitch import NetworkAwarePeraSwitch
-from repro.core.wire import encode_compiled_policy
+from repro.core.redaction import redact
 from repro.crypto.hashing import digest
-from repro.crypto.keys import KeyRegistry
+from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.crypto.merkle import MerkleTree
 from repro.evidence.codec import decode_record_stack, encode_hop_body
-from repro.net.headers import RaShimHeader, ip_to_int
+from repro.net.headers import ip_to_int
 from repro.net.host import Host
 from repro.net.shardrun import ScenarioSpec, ShardedResult, run_sharded
 from repro.net.simulator import Simulator
@@ -57,48 +58,20 @@ from repro.pisa.programs import (
     ipv4_forwarding_program,
     scanner_program,
 )
+from repro.pisa.registers import Counter
 from repro.pisa.runtime import TableEntry
 from repro.pisa.tables import MatchKey, MatchKind
 
 
-def _install_routing(switch, dst_net: str, port: int) -> None:
-    switch.runtime.write("ctl", TableEntry(
-        table="ipv4_lpm",
-        keys=(MatchKey(MatchKind.LPM, ip_to_int(dst_net), prefix_len=24),),
-        action="forward", params=(port,),
-    ))
-
-
-def _pera_chain(switch_count: int, config: EvidenceConfig, programs=None):
-    """Standard h-src — s1..sN — h-dst chain of network-aware switches."""
-    topo = linear_topology(switch_count)
-    sim = Simulator(topo)
-    src = Host("h-src", mac=0x1, ip=ip_to_int("10.0.0.1"))
-    dst = Host("h-dst", mac=0x2, ip=ip_to_int("10.0.1.1"))
-    sim.bind(src)
-    sim.bind(dst)
-    switches = []
-    for i in range(1, switch_count + 1):
-        switch = NetworkAwarePeraSwitch(f"s{i}", config=config)
-        sim.bind(switch)
-        switch.runtime.arbitrate("ctl", 1)
-        program = (
-            programs[i - 1] if programs is not None
-            else ipv4_forwarding_program()
-        )
-        switch.runtime.set_forwarding_pipeline_config("ctl", program)
-        _install_routing(switch, "10.0.1.0", 2)
-        switches.append(switch)
-    return sim, src, dst, switches
-
-
-def _appraiser_for(switches, programs, allow_sampling=False) -> PathAppraiser:
-    return PathAppraiser(
-        "Appraiser",
-        PathAppraisalPolicy.for_fleet(
-            switches, programs, allow_sampling=allow_sampling
-        ),
+def _ipv4_chain(switch_count: int, composition: CompositionMode):
+    """A fresh simulator carrying a chain of vetted IPv4 routers."""
+    sim = Simulator(linear_topology(switch_count))
+    chain = attested_chain(
+        sim,
+        [ipv4_forwarding_program() for _ in range(switch_count)],
+        config=EvidenceConfig(composition=composition),
     )
+    return sim, chain
 
 
 # --- UC1: configuration assurance / Athens affair ---------------------------------
@@ -125,31 +98,12 @@ class ConfigAssuranceResult:
         return max(0, self.first_rejection - self.swap_at)
 
 
-def _install_routing_as(switch, controller: str) -> None:
-    switch.runtime.write(controller, TableEntry(
-        table="ipv4_lpm",
-        keys=(MatchKey(MatchKind.LPM, ip_to_int("10.0.1.0"), prefix_len=24),),
-        action="forward", params=(2,),
-    ))
-
-
 def _uc1_athens_swap(switch) -> None:
     """The Athens-affair compromise: an attacker with master arbitration
     installs the rogue firewall variant and an intercept rule cloning
     h-src's traffic to the spy port."""
-    switch.runtime.arbitrate("attacker", 99)
-    switch.runtime.set_forwarding_pipeline_config(
-        "attacker", athens_rogue_program()
-    )
-    _install_routing_as(switch, "attacker")
-    switch.runtime.write("attacker", TableEntry(
-        table="intercept",
-        keys=(MatchKey(
-            MatchKind.TERNARY, ip_to_int("10.0.0.1"),
-            mask=0xFFFFFFFF,
-        ),),
-        action="clone_to", params=(3,), priority=1,
-    ))
+    bring_up(switch, athens_rogue_program(), "attacker", 99)
+    athens_tap(switch, "attacker")
     switch.notify_state_change(InertiaClass.PROGRAM)
 
 
@@ -181,34 +135,17 @@ def _uc1_build(
         sampling=sampling or SamplingSpec(),
         batching=batching,
     )
-    genuine = firewall_program()
-    src = Host("h-src", mac=0x1, ip=ip_to_int("10.0.0.1"))
-    dst = Host("h-dst", mac=0x2, ip=ip_to_int("10.0.1.1"))
-    sim.bind(src)
-    sim.bind(dst)
-    switches = []
-    for i in range(1, switch_count + 1):
-        switch = NetworkAwarePeraSwitch(f"s{i}", config=config)
-        sim.bind(switch)
-        switch.runtime.arbitrate("ctl", 1)
-        switch.runtime.set_forwarding_pipeline_config("ctl", genuine)
-        _install_routing(switch, "10.0.1.0", 2)
-        switches.append(switch)
+    chain = attested_chain(
+        sim, [firewall_program()] * switch_count, config=config
+    )
     spy = Host("h-spy", mac=0x3, ip=ip_to_int("10.9.9.9"))
     sim.bind(spy)
 
-    appraiser = _appraiser_for(
-        switches, [genuine] * switch_count,
+    appraiser = chain.appraiser(
         allow_sampling=sampling is not None
         and sampling.mode is not SamplingMode.EVERY_PACKET,
     )
-    policy = compile_policy_for_path(
-        ap1_bank_path_attestation(),
-        path=["h-src"] + [s.name for s in switches] + ["h-dst"],
-        bindings={"client": "h-dst"},
-        composition=CompositionMode.CHAINED,
-    )
-    shim_body = encode_compiled_policy(policy)
+    policy, shim = chain.ap1()
 
     for index in range(packets):
         # The swap is its own event on s1's shard, scheduled ahead of
@@ -216,23 +153,18 @@ def _uc1_build(
         if swap_at is not None and index == swap_at:
             sim.schedule_on(
                 "s1", index * 1e-3,
-                lambda: _uc1_athens_swap(switches[0]),
+                lambda: _uc1_athens_swap(chain.switches[0]),
             )
         sim.schedule_on(
             "h-src", index * 1e-3,
-            lambda seq=index: src.send_udp(
-                dst_mac=dst.mac, dst_ip=dst.ip,
-                src_port=1000, dst_port=2000,
-                payload=seq.to_bytes(4, "big"),
-                ra_shim=RaShimHeader(
-                    flags=RaShimHeader.FLAG_POLICY, body=shim_body
-                ),
+            lambda seq=index: chain.send(
+                shim, seq.to_bytes(4, "big"), 1000, 2000
             ),
         )
     return {
-        "dst": dst,
+        "dst": chain.dst,
         "spy": spy,
-        "switches": switches,
+        "switches": chain.switches,
         "appraiser": appraiser,
         "policy": policy,
     }
@@ -364,27 +296,13 @@ def run_path_authentication(
     unknown network: the path's switches are not in the bank's
     reference set, so appraisal fails and access is denied.
     """
-    config = EvidenceConfig(composition=CompositionMode.CHAINED)
-    programs = [ipv4_forwarding_program() for _ in range(switch_count)]
-    sim, src, dst, switches = _pera_chain(switch_count, config, programs)
-    known = switches if from_home_path else switches[:-1]
-    appraiser = _appraiser_for(known, programs[: len(known)])
-    path = ["h-src"] + [s.name for s in switches] + ["h-dst"]
-    policy = compile_policy_for_path(
-        ap1_bank_path_attestation(),
-        path=path,
-        bindings={"client": "h-dst"},
-        composition=CompositionMode.CHAINED,
+    sim, chain = _ipv4_chain(switch_count, CompositionMode.CHAINED)
+    appraiser = chain.appraiser(
+        known=None if from_home_path else switch_count - 1
     )
-    src.send_udp(
-        dst_mac=dst.mac, dst_ip=dst.ip, src_port=4000, dst_port=443,
-        payload=b"login-attempt",
-        ra_shim=RaShimHeader(
-            flags=RaShimHeader.FLAG_POLICY, body=encode_compiled_policy(policy)
-        ),
-    )
-    sim.run()
-    verdict = appraiser.appraise_packet(dst.received_packets[0], compiled=policy)
+    policy, shim = chain.ap1()
+    packet = chain.probe(sim, shim, b"login-attempt", 4000, 443)
+    verdict = appraiser.appraise_packet(packet, compiled=policy)
     return PathAuthResult(
         verdict=verdict,
         access_granted=verdict.accepted,
@@ -420,25 +338,11 @@ def run_ap1_complete(
     adversary cannot repair ``bmon`` between the ordered measurements.
     """
     # Network half.
-    config = EvidenceConfig(composition=CompositionMode.CHAINED)
-    programs = [ipv4_forwarding_program() for _ in range(switch_count)]
-    sim, src, dst, switches = _pera_chain(switch_count, config, programs)
-    appraiser = _appraiser_for(switches, programs)
-    path = ["h-src"] + [s.name for s in switches] + ["h-dst"]
-    policy = compile_policy_for_path(
-        ap1_bank_path_attestation(), path=path,
-        bindings={"client": "h-dst"},
-        composition=CompositionMode.CHAINED,
+    sim, chain = _ipv4_chain(switch_count, CompositionMode.CHAINED)
+    policy, shim = chain.ap1()
+    path_verdict = chain.appraiser().appraise_packet(
+        chain.probe(sim, shim, b"banking-session", 4000, 443), policy
     )
-    src.send_udp(
-        dst_mac=dst.mac, dst_ip=dst.ip, src_port=4000, dst_port=443,
-        payload=b"banking-session",
-        ra_shim=RaShimHeader(
-            flags=RaShimHeader.FLAG_POLICY, body=encode_compiled_policy(policy)
-        ),
-    )
-    sim.run()
-    path_verdict = appraiser.appraise_packet(dst.received_packets[0], policy)
 
     # Host half: AP1's terminal clause, executed on the Copland VM at
     # the client: @ks [av us bmon -> !] -<- @us [bmon us exts -> !].
@@ -503,9 +407,8 @@ def run_ddos_mitigation(
     none. The egress switch gates on evidence exactly when
     ``under_attack`` is set.
     """
-    config = EvidenceConfig(composition=CompositionMode.CHAINED)
-    programs = [ipv4_forwarding_program(), ipv4_forwarding_program()]
-    sim, src, dst, switches = _pera_chain(2, config, programs)
+    sim, chain = _ipv4_chain(2, CompositionMode.CHAINED)
+    dst, switches = chain.dst, chain.switches
     # The attacker injects directly into s2 through an extra port.
     sim.topology.add_node("h-bot", kind="host")
     sim.topology.add_link("s2", 4, "h-bot", 1)
@@ -525,30 +428,17 @@ def run_ddos_mitigation(
 
         egress.evidence_gate = gate
 
-    policy = compile_policy_for_path(
-        ap1_bank_path_attestation(),
-        path=["h-src", "s1", "s2", "h-dst"],
-        bindings={"client": "h-dst"},
-        composition=CompositionMode.CHAINED,
-    )
-    shim_body = encode_compiled_policy(policy)
+    _, shim = chain.ap1()
     for index in range(legit_packets):
-        sim.schedule(index * 1e-3, lambda seq=index: src.send_udp(
-            dst_mac=dst.mac, dst_ip=dst.ip, src_port=2000, dst_port=80,
-            payload=b"L" + seq.to_bytes(4, "big"),
-            ra_shim=RaShimHeader(
-                flags=RaShimHeader.FLAG_POLICY, body=shim_body
-            ),
+        sim.schedule(index * 1e-3, lambda seq=index: chain.send(
+            shim, b"L" + seq.to_bytes(4, "big"), 2000, 80
         ))
     for index in range(attack_packets):
         # Attack traffic spoofs the shim (stolen policy bytes) but has
         # no attesting upstream hops, so it carries no valid records.
         sim.schedule(index * 0.3e-3, lambda seq=index: bot.send_udp(
             dst_mac=dst.mac, dst_ip=dst.ip, src_port=6666, dst_port=80,
-            payload=b"A" + seq.to_bytes(4, "big"),
-            ra_shim=RaShimHeader(
-                flags=RaShimHeader.FLAG_POLICY, body=shim_body
-            ),
+            payload=b"A" + seq.to_bytes(4, "big"), ra_shim=shim,
         ))
     sim.run()
     legit = [p for p in dst.received_packets if p.payload.startswith(b"L")]
@@ -602,13 +492,9 @@ def run_audit_trail(c2_flows: int = 3, benign_flows: int = 5) -> AuditTrailResul
     for node in (h_in, h_out, collector):
         sim.bind(node)
     sim.bind(switch)
-    program = scanner_program()
-    switch.runtime.arbitrate("ctl", 1)
-    switch.runtime.set_forwarding_pipeline_config("ctl", program)
-    from repro.pisa.registers import Counter
-
+    bring_up(switch, scanner_program())
     switch.pipeline.add_counter(Counter("c2_hits", size=16))
-    _install_routing(switch, "10.0.1.0", 2)
+    forward_prefix(switch)
     # C2 fingerprint: destination 10.66.0.0/16, UDP port 4444.
     switch.runtime.write("ctl", TableEntry(
         table="c2_patterns",
@@ -618,7 +504,7 @@ def run_audit_trail(c2_flows: int = 3, benign_flows: int = 5) -> AuditTrailResul
         ),
         action="count_and_punt", params=(0,), priority=5,
     ))
-    _install_routing(switch, "10.66.0.0", 2)
+    forward_prefix(switch, "10.66.0.0")
 
     # The scanner attests each punted match out of band (UC4-A).
     matches: List[bytes] = []
@@ -695,31 +581,13 @@ def run_compliance_redaction(
     officer verifies everything disclosed — and learns nothing about
     the hidden hops beyond their count.
     """
-    from repro.core.redaction import redact
-
-    config = EvidenceConfig(composition=CompositionMode.POINTWISE)
-    programs = [ipv4_forwarding_program() for _ in range(switch_count)]
-    sim, src, dst, switches = _pera_chain(switch_count, config, programs)
-    policy = compile_policy_for_path(
-        ap1_bank_path_attestation(),
-        path=["h-src"] + [s.name for s in switches] + ["h-dst"],
-        bindings={"client": "h-dst"},
-        composition=CompositionMode.POINTWISE,
-    )
-    src.send_udp(
-        dst_mac=dst.mac, dst_ip=dst.ip, src_port=9000, dst_port=443,
-        payload=b"regulated-workload",
-        ra_shim=RaShimHeader(
-            flags=RaShimHeader.FLAG_POLICY,
-            body=encode_compiled_policy(policy),
-        ),
-    )
-    sim.run()
-    records = decode_record_stack(dst.received_packets[0].ra_shim.body)
+    sim, chain = _ipv4_chain(switch_count, CompositionMode.POINTWISE)
+    switches = chain.switches
+    _, shim = chain.ap1(CompositionMode.POINTWISE)
+    packet = chain.probe(sim, shim, b"regulated-workload", 9000, 443)
+    records = decode_record_stack(packet.ra_shim.body)
 
     enterprise = KeyRegistry()
-    from repro.crypto.keys import KeyPair
-
     holder = KeyPair.generate("enterprise")
     enterprise.register_pair(holder)
     switch_anchors = KeyRegistry()
@@ -781,25 +649,11 @@ def run_cross_referenced(
     host_ok = signature_ok and measurement.value == golden
 
     # Network side: AP1-style path attestation.
-    config = EvidenceConfig(composition=CompositionMode.CHAINED)
-    programs = [ipv4_forwarding_program() for _ in range(switch_count)]
-    sim, src, dst, switches = _pera_chain(switch_count, config, programs)
-    appraiser = _appraiser_for(switches, programs)
-    path = ["h-src"] + [s.name for s in switches] + ["h-dst"]
-    policy = compile_policy_for_path(
-        ap1_bank_path_attestation(), path=path,
-        bindings={"client": "h-dst"}, composition=CompositionMode.CHAINED,
-    )
-    src.send_udp(
-        dst_mac=dst.mac, dst_ip=dst.ip, src_port=5000, dst_port=443,
-        payload=b"tls-client-hello",
-        ra_shim=RaShimHeader(
-            flags=RaShimHeader.FLAG_POLICY, body=encode_compiled_policy(policy)
-        ),
-    )
-    sim.run()
-    path_verdict = appraiser.appraise_packet(
-        dst.received_packets[0], compiled=policy
+    sim, chain = _ipv4_chain(switch_count, CompositionMode.CHAINED)
+    policy, shim = chain.ap1()
+    path_verdict = chain.appraiser().appraise_packet(
+        chain.probe(sim, shim, b"tls-client-hello", 5000, 443),
+        compiled=policy,
     )
     return CrossReferencedResult(
         host_evidence_ok=host_ok,

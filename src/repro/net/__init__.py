@@ -31,7 +31,6 @@ from repro.net.topology import (
     linear_topology,
     star_topology,
     fat_tree,
-    fat_tree_topology,
     fabric_pod_map,
     ring_topology,
     leaf_spine,
@@ -82,7 +81,6 @@ __all__ = [
     "linear_topology",
     "star_topology",
     "fat_tree",
-    "fat_tree_topology",
     "fabric_pod_map",
     "ring_topology",
     "leaf_spine",

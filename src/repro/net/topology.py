@@ -318,7 +318,7 @@ def fat_tree(
 
     Layout (k even): k pods of k/2 edge + k/2 aggregation switches,
     (k/2)^2 cores, and ``hosts_per_edge`` (default k/2) hosts per edge
-    switch. Unlike :func:`fat_tree_topology`, names sort pod-by-pod —
+    switch. Names sort pod-by-pod —
     ``p<pod>a<i>`` / ``p<pod>e<i>`` (aggregation before edge within a
     pod) with cores last as ``zcore<idx>`` — so the shard
     partitioner's sorted-contiguous chunking, and especially the
@@ -410,45 +410,3 @@ def fabric_pod_map(topology: Topology) -> Dict[str, str]:
             continue
         return {}
     return pods
-
-
-def fat_tree_topology(
-    k: int = 4, latency_s: float = 1e-6, bandwidth_bps: float = 10e9
-) -> Topology:
-    """A k-ary fat-tree (k even): (k/2)^2 core, k pods of k/2+k/2 switches.
-
-    Hosts: one per edge-switch downlink, named ``h-<pod>-<edge>-<i>``.
-    Port numbering per switch: downlinks first (1..k/2), then uplinks.
-    """
-    if k < 2 or k % 2 != 0:
-        raise NetworkError(f"fat-tree parameter k must be even and >= 2, got {k}")
-    half = k // 2
-    topo = Topology()
-    core = [[f"c{i}-{j}" for j in range(half)] for i in range(half)]
-    for row in core:
-        for name in row:
-            topo.add_node(name, kind="switch")
-    for pod in range(k):
-        aggs = [f"a{pod}-{i}" for i in range(half)]
-        edges = [f"e{pod}-{i}" for i in range(half)]
-        for name in aggs + edges:
-            topo.add_node(name, kind="switch")
-        # Edge <-> aggregation full bipartite inside the pod.
-        for ei, edge in enumerate(edges):
-            for ai, agg in enumerate(aggs):
-                topo.add_link(
-                    edge, half + 1 + ai, agg, 1 + ei, latency_s, bandwidth_bps
-                )
-        # Aggregation <-> core.
-        for ai, agg in enumerate(aggs):
-            for j in range(half):
-                topo.add_link(
-                    agg, half + 1 + j, core[ai][j], 1 + pod, latency_s, bandwidth_bps
-                )
-        # Hosts on edge downlinks.
-        for ei, edge in enumerate(edges):
-            for i in range(half):
-                host = f"h-{pod}-{ei}-{i}"
-                topo.add_node(host, kind="host")
-                topo.add_link(edge, 1 + i, host, 1, latency_s, bandwidth_bps)
-    return topo

@@ -10,11 +10,12 @@ import pytest
 
 from repro.core.appraisal import PathAppraisalPolicy, PathAppraiser
 from repro.core.compiler import compile_policy_for_path
+from repro.core.fleet import attested_chain
 from repro.core.policies import ap1_bank_path_attestation
-from repro.core.usecases import _appraiser_for, _pera_chain
-from repro.core.wire import encode_compiled_policy
 from repro.crypto.keys import KeyRegistry
 from repro.net.headers import RaShimHeader, ip_to_int
+from repro.net.simulator import Simulator
+from repro.net.topology import linear_topology
 from repro.pera.config import CompositionMode, EvidenceConfig
 from repro.pera.records import decode_record_stack
 from repro.pisa.programs import firewall_program
@@ -29,29 +30,20 @@ def delivered():
     """One honest 2-switch CHAINED run: (records, hop_count, switches)."""
     config = EvidenceConfig(composition=CompositionMode.CHAINED)
     program = firewall_program()
-    sim, src, dst, switches = _pera_chain(2, config, programs=[program] * 2)
-    policy = compile_policy_for_path(
-        ap1_bank_path_attestation(),
-        path=["h-src", "s1", "s2", "h-dst"],
-        bindings={"client": "h-dst"},
-        composition=CompositionMode.CHAINED,
+    sim = Simulator(linear_topology(2))
+    chain = attested_chain(sim, [program] * 2, config=config)
+    shim = chain.probe(sim, chain.ap1()[1], b"probe", 1000, 2000).ra_shim
+    return (
+        decode_record_stack(shim.body), shim.hop_count, chain.switches, program
     )
-    src.send_udp(
-        dst_mac=dst.mac, dst_ip=dst.ip, src_port=1000, dst_port=2000,
-        payload=b"probe",
-        ra_shim=RaShimHeader(
-            flags=RaShimHeader.FLAG_POLICY, body=encode_compiled_policy(policy)
-        ),
-    )
-    sim.run()
-    shim = dst.received_packets[0].ra_shim
-    return decode_record_stack(shim.body), shim.hop_count, switches, program
 
 
 def _appraiser(switches, program, telemetry, **kwargs):
-    base = _appraiser_for(switches, [program] * len(switches))
     return PathAppraiser(
-        "Appraiser", base.policy, telemetry=telemetry, **kwargs
+        "Appraiser",
+        PathAppraisalPolicy.for_fleet(switches, [program] * len(switches)),
+        telemetry=telemetry,
+        **kwargs,
     )
 
 

@@ -14,11 +14,10 @@ path. The test joins the two by trace id.
 
 import pytest
 
-from repro.core.compiler import compile_policy_for_path
-from repro.core.policies import ap1_bank_path_attestation
-from repro.core.usecases import _appraiser_for, _pera_chain, run_config_assurance
-from repro.core.wire import encode_compiled_policy
-from repro.net.headers import RaShimHeader
+from repro.core.fleet import attested_chain
+from repro.core.usecases import run_config_assurance
+from repro.net.simulator import Simulator
+from repro.net.topology import linear_topology
 from repro.pera.config import CompositionMode, EvidenceConfig
 from repro.pera.records import decode_record_stack
 from repro.pisa.programs import firewall_program
@@ -84,24 +83,13 @@ class TestAthensAcceptance:
         """Digest linkage, checked against the packet's own bytes."""
         config = EvidenceConfig(composition=CompositionMode.CHAINED)
         program = firewall_program()
-        sim, src, dst, switches = _pera_chain(3, config, programs=[program] * 3)
-        policy = compile_policy_for_path(
-            ap1_bank_path_attestation(),
-            path=["h-src", "s1", "s2", "s3", "h-dst"],
-            bindings={"client": "h-dst"},
-            composition=CompositionMode.CHAINED,
-        )
-        sent = src.send_udp(
-            dst_mac=dst.mac, dst_ip=dst.ip, src_port=1000, dst_port=2000,
-            payload=b"probe",
-            ra_shim=RaShimHeader(
-                flags=RaShimHeader.FLAG_POLICY,
-                body=encode_compiled_policy(policy),
-            ),
-        )
+        sim = Simulator(linear_topology(3))
+        chain = attested_chain(sim, [program] * 3, config=config)
+        policy, shim = chain.ap1()
+        sent = chain.send(shim, b"probe", 1000, 2000)
         sim.run()
 
-        packet = dst.received_packets[0]
+        packet = chain.dst.received_packets[0]
         records = decode_record_stack(packet.ra_shim.body)
         assert len(records) == 3
         events = telemetry.audit.for_trace(sent.trace.trace_id)
@@ -110,8 +98,7 @@ class TestAthensAcceptance:
         }
         assert created == {r.content_digest.hex() for r in records}
 
-        appraiser = _appraiser_for(switches, [program] * 3)
-        verdict = appraiser.appraise_packet(packet, compiled=policy)
+        verdict = chain.appraiser().appraise_packet(packet, compiled=policy)
         assert verdict.accepted
         assert verdict.trace_id == sent.trace.trace_id
         assert "conclusion: ACCEPTED" in verdict.explain(telemetry)

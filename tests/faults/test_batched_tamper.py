@@ -13,14 +13,14 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.appraisal import PathAppraiser
+from repro.core.appraisal import PathAppraisalPolicy, PathAppraiser
 from repro.core.compiler import compile_policy_for_path
+from repro.core.fleet import attested_chain
 from repro.core.policies import ap1_bank_path_attestation
-from repro.core.usecases import _appraiser_for, _pera_chain
-from repro.core.wire import encode_compiled_policy
 from repro.evidence.nodes import BatchedHopEvidence
 from repro.evidence.verify import SignatureCache
-from repro.net.headers import RaShimHeader
+from repro.net.simulator import Simulator
+from repro.net.topology import linear_topology
 from repro.pera.config import BatchingSpec, CompositionMode, EvidenceConfig
 from repro.pera.records import decode_record_stack, verify_record_batch
 from repro.pisa.programs import firewall_program
@@ -44,22 +44,12 @@ def delivered():
         batching=BatchingSpec(max_records=2, max_delay_s=0.0),
     )
     program = firewall_program()
-    sim, src, dst, switches = _pera_chain(2, config, programs=[program] * 2)
-    policy = compile_policy_for_path(
-        ap1_bank_path_attestation(),
-        path=["h-src", "s1", "s2", "h-dst"],
-        bindings={"client": "h-dst"},
-        composition=CompositionMode.CHAINED,
-    )
+    sim = Simulator(linear_topology(2))
+    chain = attested_chain(sim, [program] * 2, config=config)
+    dst, switches = chain.dst, chain.switches
+    _, shim = chain.ap1()
     for _ in range(4):
-        src.send_udp(
-            dst_mac=dst.mac, dst_ip=dst.ip, src_port=1000, dst_port=2000,
-            payload=b"probe",
-            ra_shim=RaShimHeader(
-                flags=RaShimHeader.FLAG_POLICY,
-                body=encode_compiled_policy(policy),
-            ),
-        )
+        chain.send(shim, b"probe", 1000, 2000)
     sim.run()
     assert len(dst.received_packets) == 4
     stacks = [
@@ -70,9 +60,11 @@ def delivered():
 
 
 def _appraiser(switches, program, telemetry, **kwargs):
-    base = _appraiser_for(switches, [program] * len(switches))
     return PathAppraiser(
-        "Appraiser", base.policy, telemetry=telemetry, **kwargs
+        "Appraiser",
+        PathAppraisalPolicy.for_fleet(switches, [program] * len(switches)),
+        telemetry=telemetry,
+        **kwargs,
     )
 
 

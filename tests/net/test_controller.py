@@ -6,7 +6,7 @@ from repro.net.controller import RoutingController
 from repro.net.headers import ip_to_int
 from repro.net.host import Host
 from repro.net.simulator import Simulator
-from repro.net.topology import fat_tree_topology, linear_topology, ring_topology
+from repro.net.topology import fat_tree, linear_topology, ring_topology
 from repro.pera.switch import PeraSwitch
 from repro.pisa.switch import PisaSwitch
 
@@ -47,7 +47,7 @@ class TestRoutingController:
         assert len(h3.received_packets) == 1
 
     def test_fat_tree_cross_pod(self):
-        topo = fat_tree_topology(4)
+        topo = fat_tree(4)
         sim = bind_hosts_and_switches(topo)
         RoutingController(sim).provision()
         hosts = topo.nodes_of_kind("host")

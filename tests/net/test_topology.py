@@ -5,7 +5,7 @@ import pytest
 from repro.net.topology import (
     Link,
     Topology,
-    fat_tree_topology,
+    fat_tree,
     linear_topology,
     ring_topology,
     star_topology,
@@ -128,7 +128,7 @@ class TestCannedTopologies:
 
     def test_fat_tree_counts(self):
         k = 4
-        topo = fat_tree_topology(k)
+        topo = fat_tree(k)
         switches = topo.nodes_of_kind("switch")
         hosts = topo.nodes_of_kind("host")
         assert len(switches) == (k // 2) ** 2 + k * k  # core + (agg+edge) per pod
@@ -136,12 +136,12 @@ class TestCannedTopologies:
 
     def test_fat_tree_odd_k_rejected(self):
         with pytest.raises(NetworkError):
-            fat_tree_topology(3)
+            fat_tree(3)
 
     def test_fat_tree_connected(self):
         from repro.net.routing import shortest_path
 
-        topo = fat_tree_topology(4)
+        topo = fat_tree(4)
         hosts = topo.nodes_of_kind("host")
         path = shortest_path(topo, hosts[0], hosts[-1])
         assert path[0] == hosts[0] and path[-1] == hosts[-1]

@@ -9,25 +9,18 @@ story (UC1's "tenants of a datacenter").
 
 import pytest
 
-from repro.core.appraisal import (
-    PathAppraisalPolicy,
-    PathAppraiser,
-    hardware_reference,
-    program_reference,
-)
+from repro.core.appraisal import PathAppraisalPolicy, PathAppraiser
 from repro.core.compiler import compile_policy_for_path
 from repro.core.policies import ap1_bank_path_attestation
 from repro.core.raswitch import NetworkAwarePeraSwitch
 from repro.core.wire import encode_compiled_policy
-from repro.crypto.keys import KeyRegistry
 from repro.net.controller import RoutingController
 from repro.net.headers import RaShimHeader, ip_to_int
 from repro.net.host import Host
 from repro.net.routing import shortest_path
 from repro.net.simulator import Simulator
-from repro.net.topology import fat_tree_topology
+from repro.net.topology import fat_tree as build_fat_tree
 from repro.pera.config import CompositionMode, EvidenceConfig
-from repro.pera.inertia import InertiaClass
 from repro.pera.records import decode_record_stack
 from repro.pisa.programs import ipv4_forwarding_program
 
@@ -35,7 +28,7 @@ from repro.pisa.programs import ipv4_forwarding_program
 @pytest.fixture(scope="module")
 def fat_tree():
     """A provisioned k=4 fat-tree with attesting switches everywhere."""
-    topo = fat_tree_topology(4)
+    topo = build_fat_tree(4)
     sim = Simulator(topo)
     base_ip = ip_to_int("10.0.0.0")
     hosts = {}
@@ -55,21 +48,8 @@ def fat_tree():
     programs = controller.install_programs(ipv4_forwarding_program)
     controller.install_host_routes()
 
-    anchors = KeyRegistry()
-    references, names = {}, {}
-    for name, switch in switches.items():
-        anchors.register_pair(switch.keys)
-        program = programs[name]
-        references[name] = {
-            InertiaClass.HARDWARE: hardware_reference(
-                switch.engine.hardware_identity
-            ),
-            InertiaClass.PROGRAM: program_reference(program),
-        }
-        names[program_reference(program)] = program.full_name
-    appraiser = PathAppraiser("Appraiser", PathAppraisalPolicy(
-        anchors=anchors, reference_measurements=references,
-        program_names=names,
+    appraiser = PathAppraiser("Appraiser", PathAppraisalPolicy.for_fleet(
+        switches.values(), [programs[name] for name in switches]
     ))
     return sim, topo, hosts, switches, appraiser
 
@@ -96,8 +76,8 @@ def send_attested(sim, topo, src, dst):
 class TestFatTreeAttestation:
     def test_cross_pod_flow_fully_attested(self, fat_tree):
         sim, topo, hosts, switches, appraiser = fat_tree
-        src = hosts["h-0-0-0"]
-        dst = hosts["h-3-1-1"]
+        src = hosts["h-p00e00-0"]
+        dst = hosts["h-p03e01-1"]
         dst.clear()
         path, compiled = send_attested(sim, topo, src, dst)
         sim.run()
@@ -114,8 +94,8 @@ class TestFatTreeAttestation:
 
     def test_same_edge_flow_short_path(self, fat_tree):
         sim, topo, hosts, switches, appraiser = fat_tree
-        src = hosts["h-0-0-0"]
-        dst = hosts["h-0-0-1"]
+        src = hosts["h-p00e00-0"]
+        dst = hosts["h-p00e00-1"]
         dst.clear()
         path, compiled = send_attested(sim, topo, src, dst)
         sim.run()
@@ -153,12 +133,15 @@ class TestFatTreeAttestation:
 
     def test_one_rogue_core_switch_poisons_only_crossing_flows(self, fat_tree):
         sim, topo, hosts, switches, appraiser = fat_tree
-        # Swap the program on one core switch.
+        # Swap the program on the core switch the cross-pod flow crosses
+        # (host, edge, agg, core, agg, edge, host).
         from repro.pisa.programs import athens_rogue_program
         from repro.pisa.runtime import TableEntry
         from repro.pisa.tables import MatchKey, MatchKind
 
-        rogue_name = "c0-0"
+        src, dst = hosts["h-p00e00-0"], hosts["h-p03e01-1"]
+        rogue_name = shortest_path(topo, src.name, dst.name)[3]
+        assert rogue_name.startswith("zcore")
         rogue = switches[rogue_name]
         rogue.runtime.arbitrate("attacker", 99)
         rogue.runtime.set_forwarding_pipeline_config(
@@ -176,17 +159,16 @@ class TestFatTreeAttestation:
                 action="forward", params=(port,),
             ))
 
-        src, dst = hosts["h-0-0-0"], hosts["h-3-1-1"]
         dst.clear()
         path, compiled = send_attested(sim, topo, src, dst)
         sim.run()
         packet = dst.received_packets[-1]
         verdict = appraiser.appraise_packet(packet, compiled)
-        if rogue_name in path:
-            assert not verdict.accepted
-            assert any("PROGRAM" in f for f in verdict.failures)
+        assert rogue_name in path
+        assert not verdict.accepted
+        assert any("PROGRAM" in f for f in verdict.failures)
         # A same-pod flow that avoids the core is unaffected.
-        src2, dst2 = hosts["h-1-0-0"], hosts["h-1-1-0"]
+        src2, dst2 = hosts["h-p01e00-0"], hosts["h-p01e01-0"]
         dst2.clear()
         path2, compiled2 = send_attested(sim, topo, src2, dst2)
         assert rogue_name not in path2
