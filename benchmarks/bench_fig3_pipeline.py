@@ -200,15 +200,19 @@ def test_fig3_batched_speedup(benchmark):
             {"mode": "batched overhead vs baseline", "packets/sec": f"{batched_overhead:.1f}x"},
         ]),
     )
-    # The amortization ratio: batching still wins big, but the faster
-    # windowed/base-table signing shrank the per-packet side it divides
-    # by, so the old ≥5× ratio gate is now ≥4×. This is the only hard
-    # gate here: both sides of the ratio run interleaved on the same
-    # machine in the same process, so it is immune to runner speed.
-    assert speedup >= 4.0
-    # The absolute overhead-vs-baseline ratios (chained ~49×, batched
-    # ~9× on the reference runner; ~63× chained before the widened base
-    # table and single-exponentiation decompression) are reported in
+    # The amortization ratio: epoch batching must stay clearly cheaper
+    # per packet than chained per-packet signing. Each faster signer
+    # shrinks the per-packet side it divides by: the windowed base
+    # table moved the gate from ≥5× to ≥4×, and extended-Euclid field
+    # inversion (sign 281 → 168 µs; chained ~2.5k → ~3.6–3.9k pps)
+    # reads 3.75–3.85× on a 2-core x86 host, python 3.11, so it is now
+    # ≥3×, 20 % below the lower reading. This is the only hard gate
+    # here: both sides of the ratio run interleaved on the same machine
+    # in the same process, so it is immune to runner speed.
+    assert speedup >= 3.0
+    # The absolute overhead-vs-baseline ratios (chained ~34×, batched
+    # ~9× on the reference runner; ~49× chained before extended-Euclid
+    # inversion, ~63× before the widened base table) are reported in
     # extra_info and the table only: interpreter wall-clock constants
     # shift with machine and load, so pinning them here would flake on
     # slow runners and mask regressions on fast ones. Wall-clock

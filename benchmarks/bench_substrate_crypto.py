@@ -157,8 +157,8 @@ def test_ed25519_batch_sweep(benchmark):
     per-key scalar merging is possible. Curves land in ``extra_info``
     (regression-gated via BENCH_results.json) and in
     ``CRYPTO_summary.json`` for CI artifact upload. The headline gate:
-    at batch size 64 the batched path must be ≥4× cheaper per
-    signature than sequential ``VerifyKey.verify``.
+    at batch size 64 the batched path must stay clearly cheaper per
+    signature than sequential ``VerifyKey.verify`` (≥2.5×).
     """
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     rows = []
@@ -220,8 +220,14 @@ def test_ed25519_batch_sweep(benchmark):
         json.dump(summary, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
-    # The tentpole acceptance gate: ≥4× per-signature at batch 64.
-    assert speedup_at_64 is not None and speedup_at_64 >= 4.0, rows
+    # Batching must stay clearly cheaper per signature than a single
+    # verify. The ratio's divisor fell when single verification moved to
+    # cached half-width key tables on one 128-step chain (1.5 → 1.0 ms
+    # per signature, batched ~340 → ~310 µs), so it reads 3.25–3.4× on
+    # a 2-core x86 host, python 3.11, where it read ~4.6×; ≥4× became
+    # ≥2.5×, 23 % below the lower reading, as 5× → 4× was when signing
+    # got faster.
+    assert speedup_at_64 is not None and speedup_at_64 >= 2.5, rows
     # Even with nothing to merge, the shared doubling chain and
     # half-width randomizers must still beat sequential verification.
     assert worst_speedup > 1.5, rows

@@ -11,6 +11,8 @@ of single calls hit-for-hit.
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto import ed25519
 from repro.crypto.ed25519 import (
@@ -18,13 +20,12 @@ from repro.crypto.ed25519 import (
     VerifyKey,
     _base_mul,
     _batch_randomizers,
-    _multi_scalar_mul,
+    _multi_mul,
     _odd_multiples,
     _point_equal,
     _point_mul,
     _point_negate,
-    _wnaf_digits,
-    _wnaf_mul,
+    _wnaf,
     _BASE,
     _IDENTITY,
     _L,
@@ -153,6 +154,36 @@ class TestBatchVerify:
             assert verify_batch([(key, message, signature)]) == [
                 key.verify(message, signature)
             ]
+
+    def test_distinct_signers_go_straight_to_singles(self):
+        """A 5-hop stack: one key per switch, the last hop forged. The
+        failing batch splits by signer into five exact single checks."""
+        forged = _forge(_batch(5, _signers(5)), 4)
+        stats = {}
+        results = verify_batch(forged, stats)
+        assert results == [True, True, True, True, False]
+        assert results == [k.verify(m, s) for k, m, s in forged]
+        assert stats == {"batch_checks": 1, "single_checks": 5}
+
+    def test_one_bad_signer_is_isolated_by_signer_first(self):
+        """64 items over 4 signers, one forgery: the whole batch, one
+        check per signer group, then halving inside the failing group of
+        16 (8, 4, 2: two checks each) down to the forged member and its
+        sibling, both decided by exact single checks."""
+        forged = _forge(_batch(64, _signers(4)), 42)
+        stats = {}
+        expected = [True] * 64
+        expected[42] = False
+        assert verify_batch(forged, stats) == expected
+        assert stats == {"batch_checks": 1 + 4 + 2 * 3, "single_checks": 2}
+
+    def test_forgeries_under_two_signers_are_both_isolated(self):
+        items = _batch(64, _signers(4))
+        forged = _forge(_forge(items, 5), 42)  # signers 1 and 2
+        expected = [True] * 64
+        expected[5] = expected[42] = False
+        assert verify_batch(forged) == expected
+        assert [k.verify(m, s) for k, m, s in forged] == expected
 
     def test_wrong_key_for_valid_signature_rejects(self):
         signers = _signers(2)
@@ -299,49 +330,91 @@ class TestRandomizerDeterminism:
 
 
 class TestMultiScalarEquivalence:
-    """The wNAF/MSM fast paths must agree with the generic ladder."""
+    """The sparse-wNAF multi-scalar routine and the split key tables
+    must agree with the generic double-and-add ladder."""
 
     SCALARS = [1, 2, 3, 7, 0xDEADBEEF, _L - 1, (1 << 252) + 12345, _L // 3]
+    # Where the 128-bit split of a key scalar can go wrong.
+    BOUNDARY = [
+        0,
+        1,
+        (1 << 128) - 1,
+        1 << 128,
+        (1 << 128) + 1,
+        _L - 1,
+        0xC0FFEE << 128,  # high half only
+        (1 << 127) + 0xC0FFEE,  # low half only
+    ]
+
+    @staticmethod
+    def _check_digits(scalar, width):
+        digits = _wnaf(scalar, width)
+        assert sum(d << p for p, d in digits) == scalar
+        for _, digit in digits:
+            assert digit % 2 == 1 and abs(digit) < 1 << (width - 1)
+        for (low, _), (high, _) in zip(digits, digits[1:]):
+            assert high - low >= width
 
     def test_wnaf_digits_reconstruct_the_scalar(self):
-        for scalar in self.SCALARS:
-            digits = _wnaf_digits(scalar)
-            assert sum(d << i for i, d in enumerate(digits)) == scalar
-            for digit in digits:
-                assert digit == 0 or digit % 2 == 1
-                assert -16 < digit < 16
+        for scalar in self.SCALARS + self.BOUNDARY:
+            for width in (5, 8):
+                self._check_digits(scalar, width)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scalar=st.integers(min_value=0, max_value=(1 << 256) - 1),
+        width=st.integers(min_value=2, max_value=8),
+    )
+    def test_sparse_wnaf_property(self, scalar, width):
+        self._check_digits(scalar, width)
 
     def test_odd_multiples_table(self):
         point = _point_mul(9, _BASE)
-        table = _odd_multiples(point)
-        for i, entry in enumerate(table):
-            assert _point_equal(entry, _point_mul(2 * i + 1, point))
+        for width in (5, 8):
+            table = _odd_multiples(point, width)
+            assert len(table) == 1 << (width - 2)
+            for i, entry in enumerate(table):
+                assert _point_equal(entry, _point_mul(2 * i + 1, point))
 
     def test_wnaf_mul_matches_generic_ladder(self):
         point = _point_mul(31337, _BASE)
-        positives = _odd_multiples(point)
-        negatives = tuple(_point_negate(p) for p in positives)
-        for scalar in self.SCALARS:
-            assert _point_equal(
-                _wnaf_mul(scalar, positives, negatives),
-                _point_mul(scalar, point),
-            )
+        for width in (5, 8):
+            table = _odd_multiples(point, width)
+            for scalar in self.SCALARS + self.BOUNDARY:
+                assert _point_equal(
+                    _multi_mul([(scalar, table, width)]),
+                    _point_mul(scalar, point),
+                )
 
     def test_multi_scalar_mul_matches_sum_of_ladders(self):
         points = [_point_mul(seed, _BASE) for seed in (5, 11, 23, 41)]
-        terms = list(zip(self.SCALARS[:4], points))
+        widths = (5, 8, 5, 8)
+        terms = [
+            (scalar, _odd_multiples(point, width), width)
+            for scalar, point, width in zip(self.SCALARS[4:], points, widths)
+        ]
         expected = _IDENTITY
-        for scalar, point in terms:
+        for scalar, point in zip(self.SCALARS[4:], points):
             expected = ed25519._point_add(expected, _point_mul(scalar, point))
-        assert _point_equal(_multi_scalar_mul(terms), expected)
+        assert _point_equal(_multi_mul(terms), expected)
 
     def test_multi_scalar_mul_ignores_zero_scalars(self):
         point = _point_mul(77, _BASE)
+        table = _odd_multiples(point)
         assert _point_equal(
-            _multi_scalar_mul([(0, point), (5, point)]), _point_mul(5, point)
+            _multi_mul([(0, table, 5), (5, table, 5)]), _point_mul(5, point)
         )
-        assert _point_equal(_multi_scalar_mul([(0, point)]), _IDENTITY)
-        assert _point_equal(_multi_scalar_mul([]), _IDENTITY)
+        assert _point_equal(_multi_mul([(0, table, 5)]), _IDENTITY)
+        assert _point_equal(_multi_mul([]), _IDENTITY)
+
+    def test_split_key_terms_match_generic_ladder(self):
+        key = _signers(1)[0].verify_key()
+        for scalar in self.BOUNDARY + self.SCALARS:
+            terms = key._neg_terms(scalar)
+            assert all(part < 1 << 128 for part, _, _ in terms)
+            assert _point_equal(
+                _multi_mul(terms), _point_mul(scalar, key.neg_point())
+            )
 
     def test_base_mul_matches_generic_ladder(self):
         for scalar in self.SCALARS:
@@ -351,10 +424,11 @@ class TestMultiScalarEquivalence:
         key = _signers(1)[0].verify_key()
         assert _point_equal(key.neg_point(), _point_negate(key.point()))
         assert key.neg_point() is key.neg_point()
-        assert key._wnaf_tables() is key._wnaf_tables()
-        positives, negatives = key._wnaf_tables()
-        assert _point_equal(positives[0], key.neg_point())
-        assert _point_equal(negatives[0], key.point())
+        (_, low, _), (_, high, _) = key._neg_terms(1)
+        (_, low_again, _), (_, high_again, _) = key._neg_terms(2)
+        assert low is low_again and high is high_again
+        assert _point_equal(low[0], key.neg_point())
+        assert _point_equal(high[0], _point_mul(1 << 128, key.neg_point()))
 
 
 class TestMemoizedBatchParity:

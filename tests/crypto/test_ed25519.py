@@ -146,16 +146,19 @@ class TestFastMathEquivalence:
     def test_double_scalar_mul_matches_two_ladders(self):
         from repro.crypto.ed25519 import (
             _BASE,
-            _double_scalar_mul,
+            _multi_mul,
+            _odd_multiples,
             _point_add,
             _point_equal,
             _point_mul,
         )
 
         other = _point_mul(9, _BASE)
+        base_table = _odd_multiples(_BASE, 5)
+        other_table = _odd_multiples(other, 8)
         for k1 in (0, 3, 0xABCDEF, 2**250 + 11):
             for k2 in (0, 5, 0x123456789):
-                combined = _double_scalar_mul(k1, _BASE, k2, other)
+                combined = _multi_mul([(k1, base_table, 5), (k2, other_table, 8)])
                 separate = _point_add(
                     _point_mul(k1, _BASE), _point_mul(k2, other)
                 )
@@ -184,6 +187,16 @@ class TestFastMathEquivalence:
         )
 
         assert _point_equal(_point_add(_BASE, _point_negate(_BASE)), _IDENTITY)
+
+    def test_compressing_a_non_point_raises(self):
+        """``Z ≡ 0`` has no inverse: compression must refuse, not encode
+        whatever a zero inverse would give."""
+        from repro.crypto.ed25519 import _P, _point_compress
+
+        with pytest.raises(CryptoError):
+            _point_compress((1, 1, 0, 1))
+        with pytest.raises(CryptoError):
+            _point_compress((3, 4, _P, 5))
 
     def test_verify_key_point_is_cached(self):
         from repro.crypto.ed25519 import SigningKey
