@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.compiler import CompiledPolicy
 from repro.crypto.hashing import HashChain, digest
@@ -166,6 +166,10 @@ class _Failures(List[str]):
         self.detailed.append((self.current, message))
 
 
+#: A packet's decoded record stack, or why its shim yields none.
+_Stack = Union[List[HopEvidence], str]
+
+
 class PathAppraiser:
     """Appraises accumulated path evidence against a compiled policy."""
 
@@ -188,8 +192,36 @@ class PathAppraiser:
 
     # --- entry points ---------------------------------------------------------
 
+    def appraise_packets(
+        self, queue: Sequence[Tuple[Packet, Optional[CompiledPolicy]]]
+    ) -> List[PathVerdict]:
+        """Appraise a queue of ``(packet, compiled)`` with one flush.
+
+        Each shim is decoded once, and the signature triples of every
+        decoded stack are settled by one memoized
+        :func:`~repro.evidence.verify.registry_verify_batch` call, so a
+        harvest pays one multi-scalar check instead of one per packet.
+        Each packet is then judged by :meth:`appraise_packet` with its
+        settled verdicts, in queue order: verdicts, the audit journal
+        and verify-cache hit/miss counts are those of calling
+        :meth:`appraise_packet` on each packet in turn.
+        """
+        stacks = [self._decode(packet) for packet, _ in queue]
+        settled = iter(self._verify_stacks(
+            [stack for stack in stacks if not isinstance(stack, str)]
+        ))
+        return [
+            self.appraise_packet(packet, compiled, _settled=(
+                stack, None if isinstance(stack, str) else next(settled)
+            ))
+            for (packet, compiled), stack in zip(queue, stacks)
+        ]
+
     def appraise_packet(
-        self, packet: Packet, compiled: Optional[CompiledPolicy] = None
+        self,
+        packet: Packet,
+        compiled: Optional[CompiledPolicy] = None,
+        _settled: Optional[Tuple[_Stack, Optional[List[bool]]]] = None,
     ) -> PathVerdict:
         """Appraise the evidence a delivered packet carries.
 
@@ -197,27 +229,26 @@ class PathAppraiser:
         enables the traffic-path binding check: when records carry
         packet digests, each must match the packet as that hop saw it,
         so evidence cannot be spliced onto different traffic.
+
+        A packet on its own is the one-packet queue of
+        :meth:`appraise_packets`, whose verification runs inside the
+        appraisal. ``_settled`` is the packet's decoded stack (or why
+        it has none) and its signature verdicts, already settled by
+        the queue's flush.
         """
         tel = self.telemetry
         trace = packet.trace
-        if packet.ra_shim is None:
-            return self._cannot_appraise("packet carries no RA shim header", trace)
-        try:
-            # memoryview: the decoder walks the shim body zero-copy.
-            records = decode_record_stack(memoryview(packet.ra_shim.body))
-        except CodecError as exc:
-            # Corrupted-in-flight evidence must reject, not crash.
-            return self._cannot_appraise(
-                f"evidence stack undecodable: {exc}",
-                trace,
-                hop_count=packet.ra_shim.hop_count,
-            )
+        records, sig_ok = _settled or (self._decode(packet), None)
+        hop_count = packet.ra_shim.hop_count if packet.ra_shim is not None else 0
+        if isinstance(records, str):  # why the shim yields no stack
+            return self._cannot_appraise(records, trace, hop_count=hop_count)
         verdict = self.appraise_records(
             records,
-            hop_count=packet.ra_shim.hop_count,
+            hop_count=hop_count,
             compiled=compiled,
             trace=trace,
             _emit_verdict=False,
+            _sig_ok=sig_ok,
         )
         binding_failures = _Failures()
         binding_failures.current = Check.BINDING
@@ -243,6 +274,37 @@ class PathAppraiser:
         if tel.active:
             self._emit_verdict_event(verdict, records, trace)
         return verdict
+
+    def _decode(self, packet: Packet) -> _Stack:
+        """The packet's record stack, or why it yields none."""
+        if packet.ra_shim is None:
+            return "packet carries no RA shim header"
+        try:
+            # memoryview: the decoder walks the shim body zero-copy.
+            return decode_record_stack(memoryview(packet.ra_shim.body))
+        except CodecError as exc:
+            # Corrupted-in-flight evidence must reject, not crash.
+            return f"evidence stack undecodable: {exc}"
+
+    def _verify_stacks(
+        self, stacks: Sequence[List[HopEvidence]]
+    ) -> List[List[bool]]:
+        """Every record's signature verdict, per stack, from one
+        memoized batch over all stacks' triples in order.
+
+        Batched-mode records contribute their epoch-root signature —
+        still one real verification per (switch, epoch), now sharing the
+        batch with everything else.
+        """
+        items = [
+            record.signature_item(self._signer_for(record.place))
+            for records in stacks
+            for record in records
+        ]
+        flat = iter(
+            registry_verify_batch(self.policy.anchors, items) if items else []
+        )
+        return [[next(flat) for _ in records] for records in stacks]
 
     def _cannot_appraise(
         self, message: str, trace: Optional[TraceContext], hop_count: int = 0
@@ -370,6 +432,7 @@ class PathAppraiser:
         compiled: Optional[CompiledPolicy] = None,
         trace: Optional[TraceContext] = None,
         _emit_verdict: bool = True,
+        _sig_ok: Optional[List[bool]] = None,
     ) -> PathVerdict:
         """Appraise a record stack; the shared core of both entry points.
 
@@ -378,17 +441,22 @@ class PathAppraiser:
         wall-clock verification-latency histogram; every failed check
         lands in the audit journal tagged with ``trace``.
         ``_emit_verdict`` lets :meth:`appraise_packet` defer the final
-        VERDICT_ISSUED event until after its binding checks.
+        VERDICT_ISSUED event until after its binding checks, and
+        ``_sig_ok`` hands in signature verdicts a queue already settled.
         """
         if not self.telemetry.active:
-            return self._appraise_records(records, hop_count, compiled, trace)
+            return self._appraise_records(
+                records, hop_count, compiled, trace, _sig_ok
+            )
         started = perf_counter()
         sim_started = self.telemetry.spans.clock.now
         tags = trace.span_args() if trace is not None else {}
         with self.telemetry.span(
             "core.appraise", track=self.name, records=len(records), **tags
         ):
-            verdict = self._appraise_records(records, hop_count, compiled, trace)
+            verdict = self._appraise_records(
+                records, hop_count, compiled, trace, _sig_ok
+            )
         self.telemetry.histogram(
             "core.path_appraise_seconds", appraiser=self.name
         ).observe(perf_counter() - started)
@@ -429,12 +497,13 @@ class PathAppraiser:
         hop_count: int,
         compiled: Optional[CompiledPolicy] = None,
         trace: Optional[TraceContext] = None,
+        sig_ok: Optional[List[bool]] = None,
     ) -> PathVerdict:
         self.appraisals_performed += 1
         self._current_trace = trace
         failures = _Failures()
         failures.current = Check.SIGNATURE
-        self._check_signatures(records, failures)
+        self._check_signatures(records, failures, sig_ok)
         failures.current = Check.MEASUREMENT
         self._check_measurements(records, failures)
         failures.current = Check.CHAIN
@@ -472,23 +541,21 @@ class PathAppraiser:
         return self.policy.pseudonym_signers.get(place, place)
 
     def _check_signatures(
-        self, records: List[HopEvidence], failures: List[str]
+        self,
+        records: List[HopEvidence],
+        failures: List[str],
+        sig_ok: Optional[List[bool]] = None,
     ) -> None:
         tel = self.telemetry
-        # Collect every record's pending (signer, payload, signature)
-        # triple and settle all cache misses through one batched
-        # multi-scalar Ed25519 check. Batched-mode records contribute
-        # their epoch-root signature — still one real verification per
-        # (switch, epoch), now sharing the batch with everything else —
-        # and pay two SHA-256 hashes per tree level for the inclusion
-        # proof afterwards. Failure messages and ``signature.verified``
-        # audit events are emitted in the original per-record order, so
-        # the journal stays byte-identical to sequential verification.
-        items = [
-            record.signature_item(self._signer_for(record.place))
-            for record in records
-        ]
-        sig_ok = registry_verify_batch(self.policy.anchors, items) if items else []
+        # Unless a queue settled them already, every record's signature
+        # is settled here through one batched multi-scalar check
+        # (:meth:`_verify_stacks`). Batched-mode records then pay two
+        # SHA-256 hashes per tree level for the inclusion proof. Failure
+        # messages and ``signature.verified`` audit events are emitted in
+        # per-record order, so the journal stays byte-identical to
+        # sequential verification.
+        if sig_ok is None:
+            [sig_ok] = self._verify_stacks([records])
         for index, record in enumerate(records):
             if isinstance(record, BatchedHopEvidence):
                 root_ok = sig_ok[index]

@@ -811,26 +811,26 @@ def _fabric_traffic_harvest(sim, ctx):
             arrivals[flow_id] = list(record)
         ecn_delivered += sink.ecn_marked
 
-    appraiser: PathAppraiser = ctx["appraiser"]
+    # Every in-band packet of every flow this shard appraises joins one
+    # queue: one verification flush for the whole harvest.
+    queue = []
+    queued_flows: List[int] = []
     verdicts: Dict[int, List[int]] = {}
     for flow_id in sorted(ctx["attested"]):
         info = ctx["attested"][flow_id]
         spec: FlowSpec = info["spec"]
         if info["oob"] or not sim.owns(spec.dst):
             continue
-        accepted = rejected = 0
+        verdicts[flow_id] = [0, 0]
         for packet in ctx["sinks"][spec.dst].received_packets:
             decoded = decode_flow_payload(packet.payload)
             if decoded is None or decoded[0] != flow_id:
                 continue
-            verdict = appraiser.appraise_packet(
-                packet, compiled=info["policy"]
-            )
-            if verdict.accepted:
-                accepted += 1
-            else:
-                rejected += 1
-        verdicts[flow_id] = [accepted, rejected]
+            queue.append((packet, info["policy"]))
+            queued_flows.append(flow_id)
+    appraiser: PathAppraiser = ctx["appraiser"]
+    for flow_id, verdict in zip(queued_flows, appraiser.appraise_packets(queue)):
+        verdicts[flow_id][0 if verdict.accepted else 1] += 1
 
     oob_records = 0
     oob_verified = 0

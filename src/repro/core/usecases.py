@@ -176,10 +176,9 @@ def _uc1_harvest(sim, ctx):
     deterministic keys), the spy-owning shard counts exfiltration."""
     verdicts = None
     if sim.owns("h-dst"):
-        verdicts = [
-            ctx["appraiser"].appraise_packet(packet, compiled=ctx["policy"])
-            for packet in ctx["dst"].received_packets
-        ]
+        verdicts = ctx["appraiser"].appraise_packets(
+            [(packet, ctx["policy"]) for packet in ctx["dst"].received_packets]
+        )
     return {
         "verdicts": verdicts,
         "exfiltrated": (
