@@ -10,15 +10,15 @@ verdicts are memoized under a key of ``(key id, message digest,
 signature)``; content-addressed evidence nodes supply the message
 digest already cached, making a repeat verification one dict lookup.
 
-The shared cache is bounded (FIFO eviction) so long-running appraisers
-cannot grow without limit.
+The shared cache is bounded (least-recently-used eviction) so
+long-running appraisers cannot grow without limit.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.crypto import ed25519
 from repro.crypto.hashing import digest
@@ -53,8 +53,18 @@ class VerifyCacheStats:
         }
 
 
+@dataclass(frozen=True, eq=False)
+class _Pending:
+    """A cache entry whose verdict a running batch has not settled yet:
+    the cache key it holds and its index in the batch's crypto call."""
+
+    cache_key: tuple
+    slot: int
+
+
 class SignatureCache:
-    """A bounded memo of signature-verification verdicts."""
+    """A bounded memo of signature-verification verdicts, evicting the
+    least recently used entry beyond ``maxsize``."""
 
     def __init__(self, maxsize: int = 8192) -> None:
         self._maxsize = maxsize
@@ -106,57 +116,57 @@ class SignatureCache:
 
         Semantically identical to calling :meth:`verify` per item in
         order — same verdicts, same hit/miss accounting, same cache
-        contents and eviction order afterwards (an in-batch duplicate
-        of a pending key counts as a *hit*, exactly as the sequential
-        path would have found the just-inserted verdict). The only
-        difference is that all cache misses are settled by one
-        :func:`repro.crypto.ed25519.verify_batch` multi-scalar check
-        instead of one Ed25519 verification each.
+        contents and eviction order afterwards, at any ``maxsize``. The
+        items are scanned in order and the memo is mutated as the
+        sequential path would: a miss inserts a pending placeholder
+        (evicting as it goes), and a later item that finds it — an
+        in-batch duplicate — counts as a *hit*, exactly as the
+        sequential path would have found the just-inserted verdict. The
+        only difference is that all misses are settled afterwards by
+        one :func:`repro.crypto.ed25519.verify_batch` multi-scalar check
+        instead of one Ed25519 verification each, and the placeholders
+        still cached are filled with their verdicts.
         """
-        results: List[Optional[bool]] = [None] * len(items)
-        ops: List[Tuple[str, int, tuple, int]] = []  # (op, index, key, slot)
-        pending_slots: dict = {}
+        # Each item's verdict: a bool, or the placeholder whose crypto
+        # slot settles it.
+        results: List[Union[bool, _Pending]] = []
+        pending: List[_Pending] = []
         crypto_items: List[tuple] = []
-        for index, (owner, message, signature, message_digest) in enumerate(items):
+        for owner, message, signature, message_digest in items:
             key_obj = anchors.lookup(owner)
             if key_obj is None:
-                results[index] = False  # unknown signers: uncacheable
+                results.append(False)  # unknown signers: uncacheable
                 continue
             if message_digest is None:
                 message_digest = digest(message, domain=_CACHE_DOMAIN)
             cache_key = (key_obj.key_bytes, message_digest, signature)
-            cached = self._verdicts.get(cache_key)
-            if cached is not None:
-                self.stats.hits += 1
-                results[index] = cached
-                ops.append(("touch", index, cache_key, -1))
-            elif cache_key in pending_slots:
-                # Sequential processing would have inserted this very
-                # verdict before reaching the duplicate: count a hit.
-                self.stats.hits += 1
-                ops.append(("dup", index, cache_key, pending_slots[cache_key]))
-            else:
-                self.stats.misses += 1
-                slot = len(crypto_items)
-                pending_slots[cache_key] = slot
-                crypto_items.append((key_obj, bytes(message), signature))
-                ops.append(("insert", index, cache_key, slot))
-        verdicts = ed25519.verify_batch(crypto_items) if crypto_items else []
-        # Replay cache mutations in item order so recency/eviction state
-        # ends up exactly as sequential processing would leave it (the
-        # in-batch miss count stays far below maxsize in practice).
-        for op, index, cache_key, slot in ops:
-            if op == "insert":
-                results[index] = verdicts[slot]
-                self._verdicts[cache_key] = verdicts[slot]
-                while len(self._verdicts) > self._maxsize:
-                    self._verdicts.popitem(last=False)
-                continue
-            if op == "dup":
-                results[index] = verdicts[slot]
             if cache_key in self._verdicts:
+                self.stats.hits += 1
                 self._verdicts.move_to_end(cache_key)
-        return [bool(r) for r in results]
+                results.append(self._verdicts[cache_key])
+                continue
+            self.stats.misses += 1
+            placeholder = _Pending(cache_key, len(crypto_items))
+            pending.append(placeholder)
+            crypto_items.append((key_obj, bytes(message), signature))
+            results.append(placeholder)
+            self._verdicts[cache_key] = placeholder
+            while len(self._verdicts) > self._maxsize:
+                self._verdicts.popitem(last=False)
+        try:
+            verdicts = ed25519.verify_batch(crypto_items) if crypto_items else []
+        except BaseException:
+            # A placeholder must never outlive the call as a verdict.
+            for placeholder in pending:
+                if self._verdicts.get(placeholder.cache_key) is placeholder:
+                    del self._verdicts[placeholder.cache_key]
+            raise
+        for placeholder in pending:
+            if self._verdicts.get(placeholder.cache_key) is placeholder:
+                self._verdicts[placeholder.cache_key] = verdicts[placeholder.slot]
+        return [
+            verdicts[r.slot] if isinstance(r, _Pending) else r for r in results
+        ]
 
     def clear(self) -> None:
         self._verdicts.clear()

@@ -74,6 +74,66 @@ class TestSignatureCache:
         cache.verify(anchors, "s1", bytes([2]), signatures[2])  # still in
         assert cache.stats.hits == 1
 
+    def test_batch_is_sequential_exact_under_eviction(self):
+        """maxsize=2, batch [a, b, c, a]: c's insert evicts a, so the
+        second a is a miss, as four single calls find. (A batch that
+        replayed its inserts after the crypto call read 1 hit, 3
+        misses.)"""
+        anchors, pairs = make_anchors("s1")
+        items = [
+            ("s1", bytes([i]), pairs["s1"].sign(bytes([i])), None)
+            for i in range(3)
+        ]
+        batch = [items[0], items[1], items[2], items[0]]
+        sequential = SignatureCache(maxsize=2)
+        for item in batch:
+            sequential.verify(anchors, *item[:3])
+        batched = SignatureCache(maxsize=2)
+        assert batched.verify_batch(anchors, batch) == [True] * 4
+        assert (batched.stats.hits, batched.stats.misses) == (0, 4)
+        assert batched.stats.snapshot() == sequential.stats.snapshot()
+        assert list(batched._verdicts.items()) == list(
+            sequential._verdicts.items()
+        )
+
+    def test_batch_hit_on_an_entry_its_own_inserts_evict(self):
+        """Cache holds [a, b] at maxsize=2; batch [c, a]: c evicts a,
+        so a is a miss, not a hit on the entry present at the start."""
+        anchors, pairs = make_anchors("s1")
+        a, b, c = (
+            ("s1", bytes([i]), pairs["s1"].sign(bytes([i])), None)
+            for i in range(3)
+        )
+        caches = [SignatureCache(maxsize=2), SignatureCache(maxsize=2)]
+        for cache in caches:
+            cache.verify_batch(anchors, [a, b])
+        caches[0].verify(anchors, *c[:3])
+        caches[0].verify(anchors, *a[:3])
+        caches[1].verify_batch(anchors, [c, a])
+        assert (caches[1].stats.hits, caches[1].stats.misses) == (0, 4)
+        assert list(caches[1]._verdicts.items()) == list(
+            caches[0]._verdicts.items()
+        )
+
+    def test_interrupted_batch_leaves_no_placeholder(self, monkeypatch):
+        """A crypto call that raises must not leave unsettled entries
+        behind for a later lookup to read as verdicts."""
+        from repro.crypto import ed25519
+
+        anchors, pairs = make_anchors("s1")
+        signature = pairs["s1"].sign(b"m")
+
+        def interrupted(items, stats=None):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ed25519, "verify_batch", interrupted)
+        cache = SignatureCache()
+        try:
+            cache.verify_batch(anchors, [("s1", b"m", signature, None)])
+        except KeyboardInterrupt:
+            pass
+        assert len(cache) == 0
+
     def test_clear_resets_verdicts_and_stats(self):
         anchors, pairs = make_anchors("s1")
         cache = SignatureCache()
