@@ -293,6 +293,16 @@ class SignedEvidence(Evidence):
         """Content digest of the signed payload (cached on the child)."""
         return self.evidence.content_digest
 
+    def signature_item(self) -> BatchVerifyItem:
+        """The ``(place, payload, signature, payload digest)`` a
+        verifier settles for this node."""
+        return (
+            self.place,
+            self.signed_payload(),
+            self.signature,
+            self.payload_digest(),
+        )
+
 
 @dataclass(frozen=True)
 class HashEvidence(Evidence):

@@ -24,8 +24,7 @@ from repro.evidence import (
     Evidence,
     MeasurementEvidence,
     NonceEvidence,
-    SignedEvidence,
-    registry_verify,
+    registry_verify_batch,
 )
 from repro.ra.claims import AppraisalVerdict, Claim
 from repro.ra.nonce import NonceManager
@@ -128,28 +127,23 @@ class Appraiser:
         self.appraisals_performed += 1
         failures: List[str] = []
         checked_measurements = 0
-        checked_signatures = 0
 
         # 1. Signatures: every SignedEvidence node must verify against
-        #    the anchor registered for its claimed place. Verification
-        #    is memoized on the node's cached content digest, so
-        #    re-appraising known evidence skips the Ed25519 math.
+        #    the anchor registered for its claimed place. All nodes are
+        #    settled by one memoized batch (keyed on each node's cached
+        #    content digest, so re-appraising known evidence skips the
+        #    Ed25519 math); failures are reported in walk order.
+        signed = evidence.find_signatures()
+        checked_signatures = len(signed)
+        verdicts = registry_verify_batch(
+            self.anchors, [node.signature_item() for node in signed]
+        )
         seen_signers = set()
-        for node in evidence.walk():
-            if isinstance(node, SignedEvidence):
-                checked_signatures += 1
-                if not registry_verify(
-                    self.anchors,
-                    node.place,
-                    node.signed_payload(),
-                    node.signature,
-                    message_digest=node.payload_digest(),
-                ):
-                    failures.append(
-                        f"signature by {node.place!r} failed verification"
-                    )
-                else:
-                    seen_signers.add(node.place)
+        for node, ok in zip(signed, verdicts):
+            if not ok:
+                failures.append(f"signature by {node.place!r} failed verification")
+            else:
+                seen_signers.add(node.place)
         for signer in self.policy.required_signers:
             if signer not in seen_signers:
                 failures.append(f"missing required signature from {signer!r}")

@@ -166,13 +166,7 @@ class ProtocolContext:
             signatures = prior.find_signatures()
             switch_signed = any(
                 node.place == "Switch"
-                and registry_verify(
-                    self.anchors,
-                    node.place,
-                    node.signed_payload(),
-                    node.signature,
-                    message_digest=node.payload_digest(),
-                )
+                and registry_verify(self.anchors, *node.signature_item())
                 for node in signatures
             )
             if not switch_signed:

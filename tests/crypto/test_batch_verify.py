@@ -431,6 +431,113 @@ class TestMultiScalarEquivalence:
         assert _point_equal(high[0], _point_mul(1 << 128, key.neg_point()))
 
 
+def _fresh_terms(scalars):
+    """``(z, P_i)`` fresh terms with ``P_i = (i + 1)·B``, and the
+    reference ``Σ z·P`` computed as one fixed-base multiplication."""
+    points, point = [], _BASE
+    for _ in scalars:
+        points.append(point)
+        point = ed25519._point_add(point, _BASE)
+    total = sum(z * (i + 1) for i, z in enumerate(scalars)) % _L
+    return list(zip(scalars, points)), _base_mul(total)
+
+
+def _edge_scalars(count, bits=128):
+    """Randomizer-shaped scalars that stress the signed-window recoding
+    at the window width ``count`` fresh terms get: 1, ``2^128 − 1``
+    (every window all ones, carrying past the top one), a half digit in
+    every window (kept positive), one above half in every window (a
+    carry chain), and pseudo-random odd fill."""
+    width = ed25519._bucket_width(count, bits)
+    windows = range(bits // width)
+    half = sum((1 << (width - 1)) << (width * j) for j in windows)
+    above = sum(((1 << (width - 1)) + 1) << (width * j) for j in windows)
+    edges = [1, 2, (1 << bits) - 1, 1 << (bits - 1), half, above]
+    fill = [
+        int.from_bytes(hashlib.sha512(i.to_bytes(4, "little")).digest()[:16], "little")
+        | 1
+        for i in range(count)
+    ]
+    return (edges + fill)[:count]
+
+
+class TestBucketedMultiScalar:
+    """Large batches sum their fresh ``R`` terms by signed-window
+    buckets; small ones build width-5 tables. Both must agree with each
+    other and with the generic ladder on every size around the switch."""
+
+    THRESHOLD = ed25519._BUCKET_MIN
+
+    def test_window_width_comes_from_the_term_count(self):
+        assert ed25519._bucket_width(64, 128) == 5
+        assert ed25519._bucket_width(1280, 128) == 8
+
+    @pytest.mark.parametrize(
+        "count", [THRESHOLD - 1, THRESHOLD, THRESHOLD + 1, 1280]
+    )
+    def test_buckets_match_tables_and_the_ladder(self, count):
+        fresh, expected = _fresh_terms(_edge_scalars(count))
+        tabled = [
+            (z, _odd_multiples(point), ed25519._NAF_WIDTH) for z, point in fresh
+        ]
+        assert _point_equal(_multi_mul([], fresh), expected)
+        assert _point_equal(_multi_mul(tabled), expected)
+        buckets = {}
+        ed25519._bucket_windows(fresh, buckets)
+        by_window = _IDENTITY
+        for position, sums in buckets.items():
+            for window_sum in sums:
+                by_window = ed25519._point_add(
+                    by_window, _point_mul(1 << position, window_sum)
+                )
+        assert _point_equal(by_window, expected)
+
+    def test_fresh_terms_share_the_chain_with_tabled_terms(self):
+        key = _signers(1)[0].verify_key()
+        fresh, expected = _fresh_terms(_edge_scalars(self.THRESHOLD))
+        scalar = _L - 12345
+        expected = ed25519._point_add(
+            expected, _point_mul(scalar, key.neg_point())
+        )
+        assert _point_equal(_multi_mul(key._neg_terms(scalar), fresh), expected)
+
+    def test_boundary_randomizers_singly_against_the_ladder(self):
+        """The edge scalars one at a time, plus all-ones scalars of
+        every width from 120 to 128 bits: some width leaves a top
+        window one bit short of full, whose digit plus carry is
+        exactly half and must stay positive (there is no window left
+        to carry into)."""
+        point = _point_mul(31337, _BASE)
+        all_ones = [(1 << bits) - 1 for bits in range(120, 129)]
+        for z in _edge_scalars(self.THRESHOLD)[:6] + all_ones:
+            fresh = [(z, point)] + [(0, point)] * (self.THRESHOLD - 1)
+            assert _point_equal(_multi_mul([], fresh), _point_mul(z, point))
+
+    def test_torsion_displaced_r_in_a_bucketed_batch_keeps_parity(self):
+        sk = SigningKey.from_deterministic_seed("torsion")
+        items = _batch(self.THRESHOLD + 1, _signers(4))
+        key = sk.verify_key()
+        message = b"bucketed-torsion"
+        signature = _torsion_signature(sk, message, _small_order_point())
+        items[self.THRESHOLD // 2] = (key, message, signature)
+        stats = {}
+        assert verify_batch(items, stats) == [True] * len(items)
+        assert key.verify(message, signature) is True
+        assert stats == {"batch_checks": 1}
+
+    def test_one_forgery_in_1280_over_20_signers_is_isolated(self):
+        """The whole batch, one check per signer (20 groups of 64), then
+        halving inside the failing group: 32, 16, 8, 4, 2 (two checks
+        each) down to the forged member and its sibling, decided by
+        exact single checks."""
+        forged = _forge(_batch(1280, _signers(20)), 777)
+        stats = {}
+        expected = [True] * 1280
+        expected[777] = False
+        assert verify_batch(forged, stats) == expected
+        assert stats == {"batch_checks": 1 + 20 + 2 * 5, "single_checks": 2}
+
+
 class TestMemoizedBatchParity:
     """SignatureCache.verify_batch == a sequence of .verify calls."""
 
