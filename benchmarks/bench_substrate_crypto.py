@@ -149,13 +149,40 @@ def test_ed25519_verify_batch_64(benchmark):
     assert all(benchmark(lambda: verify_batch(items)))
 
 
+def _sweep_row(label, items):
+    """Time ``items`` sequentially and batched: the table row and the
+    summary entry."""
+    size = len(items)
+    sequential_s = _best_of(lambda: [key.verify(m, s) for key, m, s in items])
+    batched_s = _best_of(lambda: verify_batch(items))
+    per_sig_seq = sequential_s / size * 1e6
+    per_sig_batch = batched_s / size * 1e6
+    speedup = sequential_s / batched_s
+    row = {
+        "batch": label,
+        "sequential µs/sig": round(per_sig_seq, 1),
+        "batched µs/sig": round(per_sig_batch, 1),
+        "speedup x": round(speedup, 2),
+        "batched sigs/sec": round(size / batched_s),
+    }
+    entry = {
+        "sequential_us_per_sig": round(per_sig_seq, 2),
+        "batched_us_per_sig": round(per_sig_batch, 2),
+        "speedup": round(speedup, 2),
+        "batched_sigs_per_sec": round(size / batched_s, 1),
+    }
+    return row, entry
+
+
 def test_ed25519_batch_sweep(benchmark):
     """Per-signature cost of batched vs sequential verification.
 
     Sweeps batch sizes 1/8/64/512 (4 distinct signers, the path-
-    appraisal shape) plus the distinct-key worst case at 64, where no
-    per-key scalar merging is possible. Curves land in ``extra_info``
-    (regression-gated via BENCH_results.json) and in
+    appraisal shape), the distinct-key worst case at 64, where no
+    per-key scalar merging is possible, and a harvest-sized queue of
+    1280 over 20 signers (the fat-tree campaign's one in-band flush,
+    whose ``R`` terms are summed by buckets). Curves land in
+    ``extra_info`` (regression-gated via BENCH_results.json) and in
     ``CRYPTO_summary.json`` for CI artifact upload. The headline gate:
     at batch size 64 the batched path must stay clearly cheaper per
     signature than sequential ``VerifyKey.verify`` (≥2.5×).
@@ -163,57 +190,28 @@ def test_ed25519_batch_sweep(benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     rows = []
     summary = {"signers": BATCH_SIGNERS, "sizes": {}}
-    speedup_at_64 = None
     for size in BATCH_SIZES:
-        items = _batch_items(size)
-        sequential_s = _best_of(
-            lambda: [key.verify(m, s) for key, m, s in items]
-        )
-        batched_s = _best_of(lambda: verify_batch(items))
-        per_sig_seq = sequential_s / size * 1e6
-        per_sig_batch = batched_s / size * 1e6
-        speedup = sequential_s / batched_s
-        if size == 64:
-            speedup_at_64 = speedup
-        rows.append({
-            "batch": size,
-            "sequential µs/sig": round(per_sig_seq, 1),
-            "batched µs/sig": round(per_sig_batch, 1),
-            "speedup x": round(speedup, 2),
-            "batched sigs/sec": round(size / batched_s),
-        })
-        benchmark.extra_info[f"batch_{size}_us_per_sig"] = round(
-            per_sig_batch, 1
-        )
-        benchmark.extra_info[f"batch_{size}_speedup"] = round(speedup, 2)
-        summary["sizes"][str(size)] = {
-            "sequential_us_per_sig": round(per_sig_seq, 2),
-            "batched_us_per_sig": round(per_sig_batch, 2),
-            "speedup": round(speedup, 2),
-            "batched_sigs_per_sec": round(size / batched_s, 1),
-        }
+        row, entry = _sweep_row(size, _batch_items(size))
+        rows.append(row)
+        summary["sizes"][str(size)] = entry
+        benchmark.extra_info[f"batch_{size}_us_per_sig"] = row["batched µs/sig"]
+        benchmark.extra_info[f"batch_{size}_speedup"] = row["speedup x"]
+    speedup_at_64 = summary["sizes"]["64"]["speedup"]
 
     # Distinct-key worst case: every signature under its own key, so
     # the A-point scalars cannot merge — the floor of the optimization.
-    worst = _batch_items(64, signers=64)
-    worst_seq = _best_of(lambda: [key.verify(m, s) for key, m, s in worst])
-    worst_batch = _best_of(lambda: verify_batch(worst))
-    worst_speedup = worst_seq / worst_batch
-    rows.append({
-        "batch": "64 (distinct keys)",
-        "sequential µs/sig": round(worst_seq / 64 * 1e6, 1),
-        "batched µs/sig": round(worst_batch / 64 * 1e6, 1),
-        "speedup x": round(worst_speedup, 2),
-        "batched sigs/sec": round(64 / worst_batch),
-    })
-    benchmark.extra_info["batch_64_distinct_speedup"] = round(
-        worst_speedup, 2
-    )
-    summary["distinct_keys_64"] = {
-        "sequential_us_per_sig": round(worst_seq / 64 * 1e6, 2),
-        "batched_us_per_sig": round(worst_batch / 64 * 1e6, 2),
-        "speedup": round(worst_speedup, 2),
-    }
+    row, entry = _sweep_row("64 (distinct keys)", _batch_items(64, signers=64))
+    rows.append(row)
+    del entry["batched_sigs_per_sec"]
+    summary["distinct_keys_64"] = entry
+    worst_speedup = entry["speedup"]
+    benchmark.extra_info["batch_64_distinct_speedup"] = row["speedup x"]
+
+    row, entry = _sweep_row("1280 (20 signers)", _batch_items(1280, signers=20))
+    rows.append(row)
+    summary["signers_20_1280"] = entry
+    benchmark.extra_info["batch_1280_20_signers_us_per_sig"] = row["batched µs/sig"]
+    benchmark.extra_info["batch_1280_20_signers_speedup"] = row["speedup x"]
 
     report("Batched Ed25519 verification sweep", table(rows))
     with _SUMMARY_PATH.open("w", encoding="utf-8") as handle:
