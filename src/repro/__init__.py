@@ -8,13 +8,13 @@ over a deterministic simulated network.
 
 Subpackages (bottom-up):
 
-- :mod:`repro.util`    — TLV codec, byte helpers, simulated clock.
+- :mod:`repro.util`    — TLV codec, checksum, ids, simulated clock.
 - :mod:`repro.crypto`  — root of trust: SHA-256, Ed25519, Merkle, pseudonyms.
 - :mod:`repro.net`     — packets, topologies, discrete-event simulator.
 - :mod:`repro.pisa`    — programmable parser + match-action pipeline + runtime.
 - :mod:`repro.netkat`  — NetKAT language and reachability.
 - :mod:`repro.copland` — Copland language, VM, adversary analysis.
-- :mod:`repro.ra`      — RATS principals: attester, appraiser, relying party.
+- :mod:`repro.ra`      — RATS principals: claims, nonces, appraiser, Fig. 2 protocols.
 - :mod:`repro.pera`    — PISA Extended with RA (the paper's Fig. 3 switch).
 - :mod:`repro.core`    — network-aware Copland: the paper's contribution.
 - :mod:`repro.analysis`— automated trust analysis of policies.

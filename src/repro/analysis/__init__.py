@@ -14,7 +14,7 @@ from repro.analysis.trust import (
     harden_phrase,
     hardening_report,
 )
-from repro.analysis.lint import LintFinding, errors_only, lint_deployment
+from repro.analysis.lint import LintFinding, lint_deployment
 
 __all__ = [
     "TrustReport",
@@ -22,6 +22,5 @@ __all__ = [
     "harden_phrase",
     "hardening_report",
     "LintFinding",
-    "errors_only",
     "lint_deployment",
 ]

@@ -119,8 +119,3 @@ def lint_deployment(
             "requests",
         ))
     return findings
-
-
-def errors_only(findings: Sequence[LintFinding]) -> List[LintFinding]:
-    """Just the findings that must block deployment."""
-    return [f for f in findings if f.severity == "error"]

@@ -44,11 +44,6 @@ class TrustReport:
     tier: AdversaryTier
     strategy: Optional[AttackStrategy]
 
-    @property
-    def resists_slow_adversaries(self) -> bool:
-        """True when only a recent/fast adversary (or none) wins."""
-        return self.tier >= AdversaryTier.RECENT
-
     def describe(self) -> str:
         lines = [
             f"phrase: {self.phrase!r}",

@@ -11,8 +11,6 @@ Layered Attestations"):
 - :mod:`repro.copland.parser` — the paper's concrete syntax.
 - evidence terms are the canonical nodes of :mod:`repro.evidence`
   (re-exported here by name; there is no Copland-private copy).
-- :mod:`repro.copland.manifest` — place manifests: which ASPs and keys
-  live where (executability checking).
 - :mod:`repro.copland.vm` — the attestation virtual machine: executes
   a phrase across places, producing concrete, signed evidence.
 - :mod:`repro.copland.events` — event semantics: the partial order of
@@ -46,9 +44,8 @@ from repro.evidence import (
     SequenceEvidence,
     ParallelEvidence,
 )
-from repro.copland.manifest import Manifest, PlaceSpec
 from repro.copland.vm import CoplandVM, AspImplementation, Place
-from repro.copland.events import phrase_events, Event, EventKind, event_order
+from repro.copland.events import phrase_events, Event, EventKind
 from repro.copland.adversary import (
     AdversaryTier,
     AttackStrategy,
@@ -85,15 +82,12 @@ __all__ = [
     "HashEvidence",
     "SequenceEvidence",
     "ParallelEvidence",
-    "Manifest",
-    "PlaceSpec",
     "CoplandVM",
     "AspImplementation",
     "Place",
     "phrase_events",
     "Event",
     "EventKind",
-    "event_order",
     "AdversaryTier",
     "AttackStrategy",
     "analyze_measurement_protocol",

@@ -150,16 +150,6 @@ def _transitive_closure(order: Set[Tuple[int, int]]) -> Set[Tuple[int, int]]:
     return closure
 
 
-def event_order(
-    events: Tuple[Event, ...], order: FrozenSet[Tuple[int, int]]
-) -> Dict[int, Set[int]]:
-    """Successor map: event id → set of ids that must come after."""
-    successors: Dict[int, Set[int]] = {event.event_id: set() for event in events}
-    for a, b in order:
-        successors[a].add(b)
-    return successors
-
-
 def linear_extensions(
     events: Tuple[Event, ...],
     order: FrozenSet[Tuple[int, int]],

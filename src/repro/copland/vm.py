@@ -50,9 +50,6 @@ from repro.util.errors import PolicyError
 # ASP implementation signature: measure/serve and return the raw value.
 AspImplementation = Callable[["Place", str, str, Tuple[str, ...], Evidence], bytes]
 
-CLEAN_REPORT = b"\x01clean"
-CORRUPT_REPORT = b"\x00corrupt"
-
 
 def default_measure_asp(
     place: "Place",
@@ -167,10 +164,6 @@ class CoplandVM:
         if place is None:
             raise PolicyError(f"no place registered as {name!r}")
         return place
-
-    @property
-    def place_names(self) -> List[str]:
-        return sorted(self._places)
 
     # --- execution ---------------------------------------------------------
 

@@ -21,8 +21,8 @@ Modules:
 - :mod:`repro.core.raswitch` — a PERA switch that interprets compiled
   policies arriving in-band.
 - :mod:`repro.core.appraisal` — path-evidence appraisal: signatures,
-  reference values, chain replay, stripping detection, and the NetKAT
-  path constraint.
+  reference values, chain replay, stripping detection, and path
+  coverage (the attested hop count). It does not read the topology.
 - :mod:`repro.core.fleet` — the one builder of a linear attested
   deployment (bring-up, chain, appraiser, AP1 shim, probe).
 - :mod:`repro.core.design_space` — Fig. 4 sweep helpers.

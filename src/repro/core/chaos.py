@@ -459,32 +459,6 @@ def chaos_alert_coverage(
     return coverage
 
 
-def assert_chaos_alert_coverage(
-    result: ChaosResult, within_windows: int = 2
-) -> Dict[str, Dict[str, object]]:
-    """The acceptance form of :func:`chaos_alert_coverage`: raise if
-    any fault family went undetected or stayed raised past recovery."""
-    coverage = chaos_alert_coverage(result, within_windows=within_windows)
-    problems = []
-    for kind, entry in coverage.items():
-        if not entry["detected"]:
-            problems.append(
-                f"{kind}: rule {entry['rule']!r} raised no alert within "
-                f"{within_windows} windows of any activation "
-                f"({entry['activations']})"
-            )
-        if not entry["cleared"]:
-            problems.append(
-                f"{kind}: rule {entry['rule']!r} still raised at end of run"
-            )
-    if problems:
-        raise AssertionError(
-            "health alerts did not cover the fault plan:\n  "
-            + "\n  ".join(problems)
-        )
-    return coverage
-
-
 def _chaos_harvest(sim, ctx):
     """Per-shard picklable output: each observation is reported by the
     shard owning its vantage point, and the parent reassembles."""

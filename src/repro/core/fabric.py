@@ -78,6 +78,7 @@ from repro.workload.flows import (
     FlowSink,
     FlowSpec,
     decode_flow_payload,
+    flow_completion_times,
 )
 from repro.workload.mixes import (
     elephant_mice_mix,
@@ -1050,12 +1051,7 @@ def _assemble_traffic_result(
         })
         tx_by_port.update(out["tx_by_port"])
         victim = victim or out["victim"]
-    flows = _campaign_flows(shape, seed)
-    fct: Dict[int, float] = {}
-    for flow in flows:
-        record = arrivals.get(flow.flow_id)
-        if record is not None and int(record[0]) >= flow.packets:
-            fct[flow.flow_id] = record[2] - flow.start_s
+    fct = flow_completion_times(_campaign_flows(shape, seed), arrivals)
     return FabricTrafficResult(
         shape=shape,
         forwarded=sum(out["forwarded"] for out in outputs),

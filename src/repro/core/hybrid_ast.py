@@ -18,7 +18,7 @@ RP-chosen parameters (the ``⟨n, X⟩`` of AP1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Set, Tuple
+from typing import Tuple
 
 from repro.copland.ast import Phrase
 from repro.netkat.ast import Predicate
@@ -119,25 +119,3 @@ class HybridPolicy:
     def __repr__(self) -> str:
         params = f"<{', '.join(self.params)}>" if self.params else ""
         return f"*{self.relying_party}{params} : {self.body!r}"
-
-    def bound_variables(self) -> Set[str]:
-        """All ∀-bound place variables in the policy."""
-        found: Set[str] = set()
-
-        def visit(node: HybridNode) -> None:
-            if isinstance(node, Forall):
-                found.update(node.variables)
-                visit(node.body)
-            elif isinstance(node, Guard):
-                visit(node.body)
-            elif isinstance(node, HybridAt):
-                visit(node.body)
-            elif isinstance(node, HybridSeq):
-                visit(node.left)
-                visit(node.right)
-            elif isinstance(node, PathStar):
-                visit(node.per_hop)
-                visit(node.terminal)
-
-        visit(self.body)
-        return found

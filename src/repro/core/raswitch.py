@@ -23,6 +23,7 @@ from repro.evidence.nodes import HopEvidence
 from repro.pera.switch import PeraSwitch
 from repro.pisa.pipeline import DROP_PORT, PacketContext
 from repro.telemetry.audit import AuditKind
+from repro.util.errors import CodecError
 
 
 class NetworkAwarePeraSwitch(PeraSwitch):
@@ -76,7 +77,14 @@ class NetworkAwarePeraSwitch(PeraSwitch):
         packet = ctx.packet
         compiled: Optional[CompiledPolicy] = None
         if packet is not None and packet.ra_shim is not None:
-            compiled = decode_compiled_policy(packet.ra_shim.body)
+            try:
+                compiled = decode_compiled_policy(packet.ra_shim.body)
+            except CodecError as exc:
+                # Fail closed: a policy nobody can read is not forwarded
+                # unattested.
+                self._note_undecodable(packet, f"policy undecodable: {exc}")
+                ctx.egress_spec = DROP_PORT
+                return ctx
         if compiled is None:
             return super().process_context(ctx)
         return self._process_with_policy(ctx, compiled)

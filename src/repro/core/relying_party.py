@@ -193,10 +193,6 @@ class RelyingParty:
 
     # --- results -----------------------------------------------------------------------
 
-    @property
-    def all_accepted(self) -> bool:
-        return bool(self.verdicts) and all(v.accepted for v in self.verdicts)
-
     def summary(self) -> str:
         accepted = sum(1 for v in self.verdicts if v.accepted)
         return (

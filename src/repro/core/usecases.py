@@ -507,17 +507,11 @@ def run_audit_trail(c2_flows: int = 3, benign_flows: int = 5) -> AuditTrailResul
 
     # The scanner attests each punted match out of band (UC4-A).
     matches: List[bytes] = []
-    findings_lost = 0
 
     def on_cpu(ctx):
-        nonlocal findings_lost
         matches.append(bytes(ctx.payload))
         switch.ra_stats.packets_attested += 1
-        record = switch._produce_record(ctx, [])
-        delivered = sim.send_control("scanner", "collector", record,
-                                     size_hint=len(encode_hop_body(record)))
-        if not delivered:
-            findings_lost += 1
+        switch._send_out_of_band(switch._produce_record(ctx, []))
 
     switch.handle_cpu_packet = on_cpu
 
@@ -548,7 +542,8 @@ def run_audit_trail(c2_flows: int = 3, benign_flows: int = 5) -> AuditTrailResul
         log_root=tree.root,
         proofs_verify=proofs_verify,
         verdict_accepted=bool(verdicts) and all(verdicts),
-        findings_lost=findings_lost,
+        # No retry policy: every refused send is one give-up.
+        findings_lost=switch.ra_stats.oob_gave_up,
     )
 
 

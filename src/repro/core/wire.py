@@ -43,6 +43,10 @@ _COMPOSITION_FROM_CODE = {i: mode for mode, i in _COMPOSITION_CODES.items()}
 
 def encode_compiled_policy(policy: CompiledPolicy) -> bytes:
     """Serialize to the single policy TLV (header + nested TLVs)."""
+    min_hops = policy.min_attested_hops
+    # Two bytes, wider only for a count that arrived wider: whatever
+    # decodes must encode again.
+    min_hops_width = max(2, (min_hops.bit_length() + 7) // 8)
     elements: List[Tlv] = [
         Tlv(_T_POLICY_ID, policy.policy_id.encode()),
         Tlv(_T_RELYING_PARTY, policy.relying_party.encode()),
@@ -51,7 +55,7 @@ def encode_compiled_policy(policy: CompiledPolicy) -> bytes:
         Tlv(_T_DETAIL, bytes([_DETAIL_CODES[policy.hop.detail]])),
         Tlv(_T_COMPOSITION, bytes([_COMPOSITION_CODES[policy.hop.composition]])),
         Tlv(_T_FLAGS, bytes([_FLAG_SIGN if policy.hop.sign else 0])),
-        Tlv(_T_MIN_HOPS, policy.min_attested_hops.to_bytes(2, "big")),
+        Tlv(_T_MIN_HOPS, min_hops.to_bytes(min_hops_width, "big")),
     ]
     if policy.hop.test_text:
         elements.append(Tlv(_T_TEST, policy.hop.test_text.encode()))
@@ -88,42 +92,46 @@ def _decode_inner(data: bytes) -> CompiledPolicy:
     terminal = ""
     required: List[Tuple[str, str]] = []
     min_hops = 0
-    for element in TlvCodec.iter_decode(data):
-        if element.type == _T_POLICY_ID:
-            policy_id = element.value.decode()
-        elif element.type == _T_RELYING_PARTY:
-            relying_party = element.value.decode()
-        elif element.type == _T_NONCE:
-            nonce = element.value
-        elif element.type == _T_APPRAISER:
-            appraiser = element.value.decode()
-        elif element.type == _T_TEST:
-            test_text = element.value.decode()
-        elif element.type == _T_ATTEST_ARG:
-            attest.append(element.value.decode())
-        elif element.type == _T_DETAIL:
-            code = element.value[0]
-            if code not in _DETAIL_FROM_CODE:
-                raise CodecError(f"unknown detail code {code}")
-            detail = _DETAIL_FROM_CODE[code]
-        elif element.type == _T_COMPOSITION:
-            code = element.value[0]
-            if code not in _COMPOSITION_FROM_CODE:
-                raise CodecError(f"unknown composition code {code}")
-            composition = _COMPOSITION_FROM_CODE[code]
-        elif element.type == _T_FLAGS:
-            sign = bool(element.value[0] & _FLAG_SIGN)
-        elif element.type == _T_OOB_TO:
-            out_of_band_to = element.value.decode()
-        elif element.type == _T_TERMINAL:
-            terminal = element.value.decode()
-        elif element.type == _T_REQUIRED:
-            place, _, function = element.value.partition(b"\x00")
-            required.append((place.decode(), function.decode()))
-        elif element.type == _T_MIN_HOPS:
-            min_hops = int.from_bytes(element.value, "big")
-        else:
-            raise CodecError(f"unknown policy TLV type {element.type}")
+    try:
+        for element in TlvCodec.iter_decode(data):
+            if element.type == _T_POLICY_ID:
+                policy_id = element.value.decode()
+            elif element.type == _T_RELYING_PARTY:
+                relying_party = element.value.decode()
+            elif element.type == _T_NONCE:
+                nonce = element.value
+            elif element.type == _T_APPRAISER:
+                appraiser = element.value.decode()
+            elif element.type == _T_TEST:
+                test_text = element.value.decode()
+            elif element.type == _T_ATTEST_ARG:
+                attest.append(element.value.decode())
+            elif element.type == _T_DETAIL:
+                code = element.value[0]
+                if code not in _DETAIL_FROM_CODE:
+                    raise CodecError(f"unknown detail code {code}")
+                detail = _DETAIL_FROM_CODE[code]
+            elif element.type == _T_COMPOSITION:
+                code = element.value[0]
+                if code not in _COMPOSITION_FROM_CODE:
+                    raise CodecError(f"unknown composition code {code}")
+                composition = _COMPOSITION_FROM_CODE[code]
+            elif element.type == _T_FLAGS:
+                sign = bool(element.value[0] & _FLAG_SIGN)
+            elif element.type == _T_OOB_TO:
+                out_of_band_to = element.value.decode()
+            elif element.type == _T_TERMINAL:
+                terminal = element.value.decode()
+            elif element.type == _T_REQUIRED:
+                place, _, function = element.value.partition(b"\x00")
+                required.append((place.decode(), function.decode()))
+            elif element.type == _T_MIN_HOPS:
+                min_hops = int.from_bytes(element.value, "big")
+            else:
+                raise CodecError(f"unknown policy TLV type {element.type}")
+    except (IndexError, UnicodeDecodeError) as exc:
+        # An empty one-byte field or a non-UTF-8 text field.
+        raise CodecError(f"malformed policy field: {exc}") from exc
     if not policy_id:
         raise CodecError("policy TLV missing policy id")
     return CompiledPolicy(

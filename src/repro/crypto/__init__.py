@@ -19,7 +19,6 @@ that trusted component:
 
 from repro.crypto.hashing import (
     digest,
-    digest_hex,
     HashChain,
     measure_mapping,
 )
@@ -30,7 +29,6 @@ from repro.crypto.pseudonym import PseudonymAuthority
 
 __all__ = [
     "digest",
-    "digest_hex",
     "HashChain",
     "measure_mapping",
     "SigningKey",

@@ -553,10 +553,6 @@ class VerifyKey:
         k = _challenge(self.key_bytes, message, signature)
         return _check_single(self, *split, k)
 
-    def fingerprint(self) -> str:
-        """Short stable identifier for logs and certificates."""
-        return hashlib.sha256(self.key_bytes).hexdigest()[:16]
-
 
 @dataclass(frozen=True)
 class SigningKey:

@@ -28,11 +28,6 @@ def digest(data: bytes, domain: str = "") -> bytes:
     return h.digest()
 
 
-def digest_hex(data: bytes, domain: str = "") -> str:
-    """Hex form of :func:`digest`, for logs and reports."""
-    return digest(data, domain).hex()
-
-
 def measure_mapping(items: Mapping[str, bytes], domain: str) -> bytes:
     """Deterministically hash a string-keyed mapping.
 

@@ -76,19 +76,6 @@ class KeyRegistry:
     def lookup(self, owner: str) -> Optional[VerifyKey]:
         return self._keys.get(owner)
 
-    def require(self, owner: str) -> VerifyKey:
-        key = self._keys.get(owner)
-        if key is None:
-            raise CryptoError(f"no trusted key registered for principal {owner!r}")
-        return key
-
-    def knows(self, owner: str) -> bool:
-        return owner in self._keys
-
-    def revoke(self, owner: str) -> bool:
-        """Remove a principal's key; returns whether one was present."""
-        return self._keys.pop(owner, None) is not None
-
     def verify(self, owner: str, message: bytes, signature: bytes) -> bool:
         """Verify ``signature`` over ``message`` against ``owner``'s key.
 

@@ -60,6 +60,3 @@ class PseudonymAuthority:
                 f"unknown pseudonym {pseudonym!r} for user {user!r}"
             )
         return real
-
-    def is_pseudonym(self, name: str) -> bool:
-        return name.startswith("pseu-")

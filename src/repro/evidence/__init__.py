@@ -51,7 +51,6 @@ from repro.evidence.codec import (
     encode_hop_body,
     encode_node,
     encode_record_stack,
-    iter_decode_nodes,
 )
 from repro.evidence.verify import (
     BatchVerifyItem,
@@ -61,23 +60,6 @@ from repro.evidence.verify import (
     registry_verify_batch,
     shared_cache,
 )
-
-
-def hops_to_evidence(hops) -> Evidence:
-    """Compose hop records into one canonical evidence tree.
-
-    A traffic path's accumulated records form a sequential composition
-    (each hop extends its predecessors), so in-band stacks, out-of-band
-    streams and redacted disclosures of the same hops all reduce to the
-    same tree — and therefore the same wire bytes and content digest.
-    """
-    hops = list(hops)
-    if not hops:
-        return EmptyEvidence()
-    tree: Evidence = hops[0]
-    for hop in hops[1:]:
-        tree = SequenceEvidence(left=tree, right=hop)
-    return tree
 
 
 __all__ = [
@@ -97,13 +79,11 @@ __all__ = [
     "BATCHED_RECORD_TLV_TYPE",
     "encode_node",
     "decode_node",
-    "iter_decode_nodes",
     "encode_hop_body",
     "decode_hop_body",
     "decode_batched_hop_body",
     "encode_record_stack",
     "decode_record_stack",
-    "hops_to_evidence",
     "BatchVerifyItem",
     "SignatureCache",
     "VerifyCacheStats",

@@ -21,7 +21,7 @@ only at terminal fields.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.evidence.nodes import (
     BATCH_F_EPOCH,
@@ -93,12 +93,6 @@ def decode_node(data: ByteSource) -> Evidence:
         )
     kind, body = elements[0]
     return _node_from_view(kind, body, depth=0)
-
-
-def iter_decode_nodes(data: ByteSource) -> Iterator[Evidence]:
-    """Decode a flat stream of evidence node TLVs."""
-    for kind, body in TlvCodec.iter_views(data):
-        yield _node_from_view(kind, body, depth=0)
 
 
 _View = Tuple[int, memoryview]

@@ -3,12 +3,10 @@
 The protocols the faults subsystem attacks need a shared vocabulary
 for how hard to try again and what to conclude when trying fails:
 
-- :class:`RetryPolicy` — bounded attempts with exponential backoff and
-  a per-attempt response timeout, used by out-of-band evidence senders
-  (:class:`~repro.pera.switch.PeraSwitch`), the nonce
-  challenge/response loop (:class:`~repro.ra.attester.VerifierHost`),
-  the Copland out-of-band runner, and the routing controller's
-  reprovisioning path.
+- :class:`RetryPolicy` — bounded attempts with exponential backoff,
+  used by out-of-band evidence senders
+  (:class:`~repro.pera.switch.PeraSwitch`) and the routing
+  controller's reprovisioning path.
 - :class:`FailMode` — the degraded-appraisal knob: when the appraiser
   is unreachable after every retry, ``CLOSED`` (the default) rejects
   and ``OPEN`` accepts-with-a-degraded-flag. Fail-closed is the
@@ -40,7 +38,6 @@ class RetryPolicy:
     """Bounded retries with exponential backoff (deterministic)."""
 
     max_attempts: int = 4
-    timeout_s: float = 500e-6  # wait-for-response window per attempt
     base_delay_s: float = 100e-6
     multiplier: float = 2.0
     max_delay_s: float = 50e-3
@@ -48,8 +45,8 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError(f"need at least one attempt ({self.max_attempts})")
-        if self.timeout_s < 0 or self.base_delay_s < 0:
-            raise ValueError("timeouts and delays cannot be negative")
+        if self.base_delay_s < 0:
+            raise ValueError("delays cannot be negative")
         if self.multiplier < 1.0:
             raise ValueError(f"backoff multiplier must be >= 1 ({self.multiplier})")
 

@@ -16,9 +16,6 @@ from repro.net.headers import (
     TcpHeader,
     RaShimHeader,
     ip_to_int,
-    int_to_ip,
-    mac_to_int,
-    int_to_mac,
     ETHERTYPE_IPV4,
     IPPROTO_UDP,
     IPPROTO_TCP,
@@ -29,7 +26,6 @@ from repro.net.topology import (
     Topology,
     Link,
     linear_topology,
-    star_topology,
     fat_tree,
     fabric_pod_map,
     ring_topology,
@@ -47,14 +43,12 @@ from repro.net.routing import (
     EcmpSelector,
     FlowletTable,
     RoutingMode,
-    all_pairs_next_hop,
     all_pairs_next_hops,
     predict_multipath_path,
     shortest_path,
     stable_flow_hash,
 )
 from repro.net.host import Host
-from repro.net.trace import TraceAnalysis
 
 # NOTE: repro.net.controller is intentionally NOT imported here — it
 # drives PISA switches, and importing it from the package root would
@@ -68,9 +62,6 @@ __all__ = [
     "TcpHeader",
     "RaShimHeader",
     "ip_to_int",
-    "int_to_ip",
-    "mac_to_int",
-    "int_to_mac",
     "ETHERTYPE_IPV4",
     "IPPROTO_UDP",
     "IPPROTO_TCP",
@@ -79,7 +70,6 @@ __all__ = [
     "Topology",
     "Link",
     "linear_topology",
-    "star_topology",
     "fat_tree",
     "fabric_pod_map",
     "ring_topology",
@@ -95,7 +85,6 @@ __all__ = [
     "ShardedRunner",
     "run_sharded",
     "shortest_path",
-    "all_pairs_next_hop",
     "all_pairs_next_hops",
     "predict_multipath_path",
     "stable_flow_hash",
@@ -104,5 +93,4 @@ __all__ = [
     "RoutingMode",
     "Host",
     "PacketLogEntry",
-    "TraceAnalysis",
 ]

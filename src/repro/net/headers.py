@@ -49,37 +49,6 @@ def ip_to_int(address: str) -> int:
     return value
 
 
-def int_to_ip(value: int) -> str:
-    """Render a 32-bit integer as a dotted quad."""
-    if not 0 <= value <= 0xFFFFFFFF:
-        raise CodecError(f"IPv4 value {value:#x} out of range")
-    return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
-
-
-def mac_to_int(address: str) -> int:
-    """Parse ``aa:bb:cc:dd:ee:ff`` into a 48-bit integer."""
-    parts = address.split(":")
-    if len(parts) != 6:
-        raise CodecError(f"malformed MAC address {address!r}")
-    try:
-        octets = [int(part, 16) for part in parts]
-    except ValueError as exc:
-        raise CodecError(f"malformed MAC address {address!r}") from exc
-    if any(not 0 <= o <= 255 for o in octets):
-        raise CodecError(f"malformed MAC address {address!r}")
-    value = 0
-    for octet in octets:
-        value = (value << 8) | octet
-    return value
-
-
-def int_to_mac(value: int) -> str:
-    """Render a 48-bit integer as a colon-separated MAC string."""
-    if not 0 <= value <= 0xFFFFFFFFFFFF:
-        raise CodecError(f"MAC value {value:#x} out of range")
-    return ":".join(f"{(value >> shift) & 0xFF:02x}" for shift in range(40, -8, -8))
-
-
 @dataclass(frozen=True)
 class EthernetHeader:
     """Ethernet II header (14 bytes)."""
@@ -165,11 +134,6 @@ class Ipv4Header:
             src=int.from_bytes(data[12:16], "big"),
             dst=int.from_bytes(data[16:20], "big"),
         )
-
-    def decrement_ttl(self) -> "Ipv4Header":
-        if self.ttl == 0:
-            raise CodecError("cannot decrement TTL below zero")
-        return replace(self, ttl=self.ttl - 1)
 
 
 @dataclass(frozen=True)

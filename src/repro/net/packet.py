@@ -242,11 +242,6 @@ class Packet:
             object.__setattr__(updated, "_wire", cached)
         return updated
 
-    def with_ttl_decremented(self) -> "Packet":
-        if self.ipv4 is None:
-            raise CodecError("cannot decrement TTL of a non-IP packet")
-        return replace(self, ipv4=self.ipv4.decrement_ttl())
-
     def __repr__(self) -> str:  # keep simulator logs readable
         parts = [f"eth({self.eth.ethertype:#06x})"]
         if self.ipv4 is not None:

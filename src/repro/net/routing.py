@@ -78,35 +78,6 @@ def shortest_path(topology: Topology, src: str, dst: str) -> List[str]:
     raise NetworkError(f"no path from {src!r} to {dst!r}")
 
 
-def path_ports(topology: Topology, path: List[str]) -> List[Tuple[str, int]]:
-    """For each node on ``path`` except the last, the egress port to take."""
-    hops: List[Tuple[str, int]] = []
-    for node, nxt in zip(path, path[1:]):
-        hops.append((node, topology.port_towards(node, nxt)))
-    return hops
-
-
-def all_pairs_next_hop(topology: Topology) -> Dict[Tuple[str, str], int]:
-    """Map (node, destination) -> egress port, for every switch.
-
-    This is what the controller walks when populating single-path
-    forwarding tables: for each destination host, each switch learns
-    the port towards it along the shortest path.
-    """
-    table: Dict[Tuple[str, str], int] = {}
-    names = topology.node_names
-    for dst in names:
-        for src in names:
-            if src == dst:
-                continue
-            try:
-                path = shortest_path(topology, src, dst)
-            except NetworkError:
-                continue
-            table[(src, dst)] = topology.port_towards(src, path[1])
-    return table
-
-
 def _adjacency(
     topology: Topology,
 ) -> Dict[str, List[Tuple[int, str, float]]]:

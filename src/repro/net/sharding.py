@@ -85,10 +85,6 @@ class Partition:
     lookahead_s: float
     cut_links: Tuple[Link, ...] = field(default_factory=tuple)
 
-    def nodes_of(self, shard_id: int) -> List[str]:
-        """Sorted node names owned by ``shard_id``."""
-        return sorted(n for n, s in self.owner.items() if s == shard_id)
-
 
 def _assign_pod_groups(
     anchors: List[str],

@@ -249,10 +249,6 @@ class Simulator:
             self._queue, (self.clock.now + delay, self._seq, action)
         )
 
-    def schedule_at(self, time: float, action: Callable[[], None]) -> None:
-        """Run ``action`` at absolute sim time ``time`` (≥ now)."""
-        self.schedule(time - self.clock.now, action)
-
     def owns(self, name: str) -> bool:
         """Whether this simulator is responsible for node ``name``.
 

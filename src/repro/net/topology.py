@@ -183,9 +183,6 @@ class Topology:
                 return port
         raise NetworkError(f"{node!r} has no port towards {neighbor!r}")
 
-    def adjacency(self) -> Dict[str, List[str]]:
-        return {name: self.neighbors_of(name) for name in self._nodes}
-
 
 # --- canned topologies -----------------------------------------------------
 
@@ -214,21 +211,6 @@ def linear_topology(
         topo.add_node("h-dst", kind="host")
         topo.add_link("h-src", 1, switches[0], 1, latency_s, bandwidth_bps)
         topo.add_link(switches[-1], 2, "h-dst", 1, latency_s, bandwidth_bps)
-    return topo
-
-
-def star_topology(
-    leaf_count: int, latency_s: float = 1e-6, bandwidth_bps: float = 10e9
-) -> Topology:
-    """One core switch ``core`` with ``leaf_count`` hosts ``h1..hN``."""
-    if leaf_count < 1:
-        raise NetworkError("star topology needs at least one leaf")
-    topo = Topology()
-    topo.add_node("core", kind="switch")
-    for i in range(1, leaf_count + 1):
-        host = f"h{i}"
-        topo.add_node(host, kind="host")
-        topo.add_link("core", i, host, 1, latency_s, bandwidth_bps)
     return topo
 
 

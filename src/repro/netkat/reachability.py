@@ -84,8 +84,8 @@ def forwarding_hop_policy(
     """Build a hop policy from a next-hop table.
 
     ``next_hop_ports`` maps ``(switch, destination_value)`` to the
-    egress port (e.g. the output of
-    :func:`repro.net.routing.all_pairs_next_hop`). Hosts deliver
+    egress port (e.g. one member per entry of
+    :func:`repro.net.routing.all_pairs_next_hops`). Hosts deliver
     (identity) when the packet's destination equals the host itself.
     """
     rules: List[Policy] = []

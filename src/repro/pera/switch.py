@@ -263,17 +263,21 @@ class PeraSwitch(PisaSwitch):
         try:
             return decode_record_stack(packet.ra_shim.body)
         except CodecError as exc:
-            self.ra_stats.undecodable_evidence += 1
-            tel = self.telemetry
-            if tel.active:
-                tel.audit_event(
-                    AuditKind.CHECK_FAILED,
-                    self.name,
-                    trace=packet.trace,
-                    check=Check.SHIM,
-                    message=f"evidence stack undecodable: {exc}",
-                )
+            self._note_undecodable(packet, f"evidence stack undecodable: {exc}")
             return []
+
+    def _note_undecodable(self, packet: Packet, message: str) -> None:
+        """Count and journal (one ``check.failed``) a bad shim body."""
+        self.ra_stats.undecodable_evidence += 1
+        tel = self.telemetry
+        if tel.active:
+            tel.audit_event(
+                AuditKind.CHECK_FAILED,
+                self.name,
+                trace=packet.trace,
+                check=Check.SHIM,
+                message=message,
+            )
 
     def _produce_record(
         self, ctx: PacketContext, prior_records: List[HopEvidence]

@@ -122,11 +122,6 @@ def noop_action() -> Action:
     return Action("no_op", (Step(Primitive.NO_OP),))
 
 
-def to_cpu_action() -> Action:
-    """``to_cpu()`` — punt to the control plane."""
-    return Action("to_cpu", (Step(Primitive.TO_CPU),))
-
-
 def ecmp_select_action() -> Action:
     """``ecmp_select(group)`` — forward via a multipath group member.
 
@@ -139,11 +134,3 @@ def ecmp_select_action() -> Action:
         "ecmp_select", (Step(Primitive.SELECT_FORWARD, ("$0",)),), param_count=1
     )
 
-
-def forward_and_mark_ra_action() -> Action:
-    """``forward_ra(port)`` — forward and request RA processing."""
-    return Action(
-        "forward_ra",
-        (Step(Primitive.FORWARD, ("$0",)), Step(Primitive.MARK_RA)),
-        param_count=1,
-    )

@@ -126,14 +126,6 @@ class PacketContext:
             raise PipelineError(f"packet has no field {name!r}")
         return value
 
-    def has_field(self, name: str) -> bool:
-        if name.startswith("standard_metadata."):
-            return name in (
-                "standard_metadata.ingress_port",
-                "standard_metadata.egress_spec",
-            )
-        return name in self.fields
-
     def rebuild_packet(self) -> Packet:
         """Apply context field changes back onto the packet.
 
@@ -204,11 +196,6 @@ class Pipeline:
         if counter.name in self.counters:
             raise PipelineError(f"duplicate counter {counter.name!r}")
         self.counters[counter.name] = counter
-
-    def add_meter(self, meter: Meter) -> None:
-        if meter.name in self.meters:
-            raise PipelineError(f"duplicate meter {meter.name!r}")
-        self.meters[meter.name] = meter
 
     def table(self, name: str) -> MatchTable:
         table = self.tables.get(name)

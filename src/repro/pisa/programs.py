@@ -20,7 +20,6 @@ from repro.pisa.actions import (
     ecmp_select_action,
     forward_action,
     noop_action,
-    to_cpu_action,
 )
 from repro.pisa.parser_engine import ACCEPT, FieldExtract, ParserSpec, ParserState
 from repro.pisa.program import DataplaneProgram, TableSpec
@@ -120,27 +119,6 @@ def ipv4_forwarding_program(
             ),
         ),
         actions=(forward_action(), drop_action(), noop_action()),
-    )
-
-
-def l2_forwarding_program(
-    name: str = "l2switch", version: str = "v1"
-) -> DataplaneProgram:
-    """Exact-match forwarding on ``eth.dst``."""
-    return DataplaneProgram(
-        name=name,
-        version=version,
-        parser=standard_parser(),
-        tables=(
-            TableSpec(
-                name="dmac",
-                key_fields=("eth.dst",),
-                key_kinds=("exact",),
-                allowed_actions=("forward", "drop", "to_cpu"),
-                default_action="to_cpu",
-            ),
-        ),
-        actions=(forward_action(), drop_action(), to_cpu_action()),
     )
 
 

@@ -39,9 +39,6 @@ class Register:
         self._check_index(index)
         self._cells[index] = value & ((1 << self.bit_width) - 1)
 
-    def reset(self) -> None:
-        self._cells = [0] * self.size
-
     def snapshot(self) -> bytes:
         """Canonical bytes for attestation of program state."""
         cell_bytes = (self.bit_width + 7) // 8
@@ -73,10 +70,6 @@ class Counter:
                 f"counter {self.name!r} index {index} out of range [0, {self.size})"
             )
         return {"packets": self._packets[index], "bytes": self._bytes[index]}
-
-    def reset(self) -> None:
-        self._packets = [0] * self.size
-        self._bytes = [0] * self.size
 
 
 class Meter:

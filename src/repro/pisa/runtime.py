@@ -2,8 +2,7 @@
 
 Mirrors the verbs of the real P4Runtime gRPC service in-process:
 ``set_forwarding_pipeline_config`` (program install),
-``write``/``read`` on table entries, counter reads, digest
-subscriptions, and master arbitration (one writer at a time per
+``write``/``read`` on table entries, digest subscriptions, and master arbitration (one writer at a time per
 device). The calibration hint for this reproduction calls P4Runtime
 scripting the standard control-plane substrate — this module is that
 substrate.
@@ -179,13 +178,6 @@ class P4Runtime:
     def read_groups(self) -> Dict[int, Tuple[int, ...]]:
         """Read back all installed multipath groups."""
         return dict(self._require_pipeline().groups)
-
-    def read_counter(self, counter: str, index: int) -> Dict[str, int]:
-        pipeline = self._require_pipeline()
-        obj = pipeline.counters.get(counter)
-        if obj is None:
-            raise PipelineError(f"no counter named {counter!r}")
-        return obj.read(index)
 
     # --- digests ----------------------------------------------------------------
 

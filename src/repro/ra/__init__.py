@@ -21,13 +21,6 @@ from repro.ra.protocol import (
     run_out_of_band,
     run_in_band,
 )
-from repro.ra.attester import (
-    AttestingHost,
-    VerifierHost,
-    AttestationRequest,
-    AttestationResponse,
-    golden_value,
-)
 
 __all__ = [
     "Claim",
@@ -41,9 +34,4 @@ __all__ = [
     "ProtocolRun",
     "run_out_of_band",
     "run_in_band",
-    "AttestingHost",
-    "VerifierHost",
-    "AttestationRequest",
-    "AttestationResponse",
-    "golden_value",
 ]

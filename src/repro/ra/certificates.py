@@ -91,8 +91,5 @@ class CertificateStore:
             raise VerificationError("no certificate stored under this nonce")
         return certificate
 
-    def has(self, nonce: bytes) -> bool:
-        return nonce in self._by_nonce
-
     def __len__(self) -> int:
         return len(self._by_nonce)

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.evidence import Evidence
-
 
 @dataclass(frozen=True)
 class Claim:
@@ -40,21 +38,6 @@ class AppraisalVerdict:
     # Content digest of the appraised evidence tree (None when the
     # verdict was produced without a concrete bundle in hand).
     evidence_digest: Optional[bytes] = None
-
-    @classmethod
-    def reject(cls, *failures: str, claim: Optional[Claim] = None) -> "AppraisalVerdict":
-        return cls(accepted=False, claim=claim, failures=tuple(failures))
-
-    @classmethod
-    def for_evidence(
-        cls, evidence: Evidence, accepted: bool, **kwargs
-    ) -> "AppraisalVerdict":
-        """Build a verdict bound to ``evidence``'s content digest."""
-        return cls(
-            accepted=accepted,
-            evidence_digest=evidence.content_digest,
-            **kwargs,
-        )
 
     def describe(self) -> str:
         status = "ACCEPTED" if self.accepted else "REJECTED"

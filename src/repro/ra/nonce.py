@@ -37,9 +37,6 @@ class NonceManager:
         self._outstanding.add(nonce)
         return nonce
 
-    def is_outstanding(self, nonce: bytes) -> bool:
-        return nonce in self._outstanding
-
     def consume(self, nonce: bytes) -> None:
         """Mark a nonce used; raises on unknown or replayed nonces."""
         if nonce in self._consumed:
@@ -56,7 +53,3 @@ class NonceManager:
         if nonce not in self._outstanding:
             return "nonce was never issued"
         return None
-
-    @property
-    def outstanding_count(self) -> int:
-        return len(self._outstanding)

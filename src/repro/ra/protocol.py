@@ -21,7 +21,6 @@ benchmark (E2) reports.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -39,9 +38,8 @@ from repro.crypto.keys import KeyRegistry
 from repro.ra.appraiser import AppraisalPolicy, Appraiser
 from repro.ra.certificates import Certificate, CertificateStore
 from repro.ra.claims import AppraisalVerdict
-from repro.faults.retry import FailMode, RetryPolicy
 from repro.ra.nonce import NonceManager
-from repro.telemetry.audit import AuditKind, Check
+from repro.telemetry.audit import AuditKind
 from repro.util.errors import VerificationError
 
 OUT_OF_BAND_RP1 = (
@@ -269,13 +267,6 @@ class ProtocolRun:
     evidence_bytes: int
     verdict: Optional[AppraisalVerdict]
     certificate: Optional[Certificate]
-    #: Protocol attempts actually made (1 when the first leg succeeds).
-    attempts: int = 1
-    #: RP1 evidence legs lost to simulated message loss.
-    delivery_failures: int = 0
-    #: True when the run concluded without evidence (all attempts lost)
-    #: and the fail mode decided the outcome instead of an appraisal.
-    degraded: bool = False
 
 
 def _count_messages(
@@ -342,125 +333,4 @@ def run_in_band(scenario: AttestationScenario) -> ProtocolRun:
         evidence_bytes=len(evidence.encode()),
         verdict=context.last_verdict,
         certificate=certificate,
-    )
-
-
-def run_out_of_band_resilient(
-    scenario: AttestationScenario,
-    loss_rate: float = 0.0,
-    seed: int = 0,
-    retry: Optional[RetryPolicy] = None,
-    fail_mode: str = FailMode.CLOSED,
-) -> ProtocolRun:
-    """Expression (3) over a lossy channel, with retry and a fail mode.
-
-    Models the RP1 evidence leg (switch → appraiser) crossing a link
-    that drops each attempt with probability ``loss_rate`` (seeded, so
-    runs replay deterministically). A lost leg is retried — fresh nonce
-    each time, as a real verifier would reissue the challenge — up to
-    ``retry.max_attempts`` total attempts. If every attempt is lost the
-    run concludes *degraded*: rejected under :data:`FailMode.CLOSED`
-    (the default), accepted under :data:`FailMode.OPEN`, and in both
-    cases the appraiser's audit journal records the availability
-    failure so the degraded conclusion is explainable.
-    """
-    if not 0.0 <= loss_rate <= 1.0:
-        raise ValueError(f"loss_rate must be within [0, 1], got {loss_rate}")
-    context = scenario.build()
-    rng = random.Random(seed)
-    policy = retry if retry is not None else RetryPolicy(max_attempts=1)
-    attempts = 0
-    delivery_failures = 0
-    while attempts < policy.max_attempts:
-        attempts += 1
-        if loss_rate > 0.0 and rng.random() < loss_rate:
-            delivery_failures += 1
-            tel = context.appraiser.telemetry
-            if tel.active and attempts < policy.max_attempts:
-                tel.audit_event(
-                    AuditKind.RECOVERY_RETRY,
-                    "RP1",
-                    to="Appraiser",
-                    attempt=attempts,
-                    delay_s=policy.backoff_delay(attempts),
-                )
-            continue
-        nonce = context.nonces.issue()
-        context.current_nonce = nonce
-        mark = len(context.vm.events)
-        rp1_request = parse_request(OUT_OF_BAND_RP1)
-        evidence = context.vm.execute_request(rp1_request, {"n": nonce})
-        rp2_request = parse_request(OUT_OF_BAND_RP2)
-        rp2_evidence = context.vm.execute_request(rp2_request, {"n": nonce})
-        certificate = context.store.retrieve(nonce)
-        rp2_result = rp2_evidence.find_measurements()[0].value
-        run = ProtocolRun(
-            variant="out-of-band",
-            accepted=certificate.accepted,
-            rp1_informed=context.last_verdict is not None,
-            rp2_informed=rp2_result.startswith(b"\x01")
-            or rp2_result.startswith(b"\x00"),
-            messages=_count_messages(context.vm, mark),
-            evidence_bytes=len(evidence.encode()) + len(rp2_evidence.encode()),
-            verdict=context.last_verdict,
-            certificate=certificate,
-            attempts=attempts,
-            delivery_failures=delivery_failures,
-        )
-        if delivery_failures and context.appraiser.telemetry.active:
-            context.appraiser.telemetry.audit_event(
-                AuditKind.RECOVERY_RECOVERED,
-                "RP1",
-                to="Appraiser",
-                attempts=attempts,
-            )
-        return run
-
-    # Every attempt was lost: decide by fail mode, journal why.
-    message = (
-        f"appraiser unreachable: evidence leg lost on all "
-        f"{attempts} attempt(s)"
-    )
-    tel = context.appraiser.telemetry
-    if tel.active:
-        tel.audit_event(
-            AuditKind.RECOVERY_GAVE_UP,
-            "RP1",
-            to="Appraiser",
-            attempts=attempts,
-        )
-        tel.audit_event(
-            AuditKind.CHECK_FAILED,
-            "Appraiser",
-            check=Check.AVAILABILITY,
-            message=message,
-        )
-    fail_open = fail_mode == FailMode.OPEN
-    verdict = AppraisalVerdict(
-        accepted=fail_open,
-        failures=() if fail_open else (message,),
-        checked_measurements=0,
-        checked_signatures=0,
-    )
-    if tel.active:
-        tel.audit_event(
-            AuditKind.VERDICT_ISSUED,
-            "Appraiser",
-            accepted=verdict.accepted,
-            records=0,
-            failures=len(verdict.failures),
-            degraded=True,
-        )
-    return ProtocolRun(
-        variant="out-of-band",
-        accepted=verdict.accepted,
-        rp1_informed=False,
-        rp2_informed=False,
-        messages=0,
-        evidence_bytes=0,
-        verdict=verdict,
-        certificate=None,
-        attempts=attempts,
-        delivery_failures=delivery_failures,
-        degraded=True,
     )

@@ -215,14 +215,6 @@ class AuditJournal:
             return []
         return [e for e in self._events if e.trace == trace_id]
 
-    def trace_ids(self) -> List[str]:
-        """Distinct trace ids seen, in first-seen order."""
-        seen: List[str] = []
-        for event in self._events:
-            if event.trace is not None and event.trace not in seen:
-                seen.append(event.trace)
-        return seen
-
     def load(self, events: Iterable["EventLike"]) -> None:
         """Append pre-built events (merged shard streams, replays)."""
         for event in events:
@@ -451,11 +443,6 @@ def _describe(doc: Mapping[str, object]) -> str:
     return f"{actor}: {kind}{extra}"
 
 
-def describe_event(event: EventLike) -> str:
-    """Render one event as a human-readable line."""
-    return _describe(_as_dict(event))
-
-
 def narrative(
     events: Iterable[EventLike], trace_id: Optional[str] = None
 ) -> str:
@@ -524,7 +511,6 @@ __all__ = [
     "DEFAULT_MAX_EVENTS",
     "NULL_JOURNAL",
     "classify_failure",
-    "describe_event",
     "event_from_dict",
     "explain_verdict",
     "merge_audit_events",

@@ -17,12 +17,8 @@ runs get the full validator for free.
 
 from __future__ import annotations
 
-import json
-import pathlib
 import re
-from typing import Dict, List, Mapping, Optional, Sequence, Union
-
-Pathish = Union[str, pathlib.Path]
+from typing import List, Mapping, Sequence, Union
 
 _TYPES = {
     "object": dict,
@@ -145,29 +141,7 @@ def validate_strict(instance: object, schema: Mapping[str, object]) -> List[str]
     return errors
 
 
-def load_schema(path: Pathish) -> Dict[str, object]:
-    """Load a schema document from disk."""
-    with pathlib.Path(path).open("r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def assert_valid(
-    instance: object,
-    schema: Mapping[str, object],
-    label: Optional[str] = None,
-) -> None:
-    """Raise ``ValueError`` listing every violation (tests use this)."""
-    errors = validate_strict(instance, schema)
-    if errors:
-        what = f" for {label}" if label else ""
-        raise ValueError(
-            f"schema validation failed{what}:\n  " + "\n  ".join(errors)
-        )
-
-
 __all__ = [
     "validate",
     "validate_strict",
-    "load_schema",
-    "assert_valid",
 ]

@@ -1,4 +1,4 @@
-"""Shared utility layer: errors, TLV codec, byte helpers, ids, clocks.
+"""Shared utility layer: errors, TLV codec, checksum, ids, clocks.
 
 Everything above this layer (crypto, net, pisa, ...) depends only on the
 standard library plus this package, keeping the dependency graph a clean
@@ -16,13 +16,7 @@ from repro.util.errors import (
     VerificationError,
 )
 from repro.util.tlv import Tlv, TlvCodec
-from repro.util.bits import (
-    hexdump,
-    int_to_bytes,
-    bytes_to_int,
-    mask_for_prefix,
-    checksum16,
-)
+from repro.util.bits import checksum16
 from repro.util.ids import IdAllocator, short_id
 from repro.util.clock import SimClock
 
@@ -37,10 +31,6 @@ __all__ = [
     "VerificationError",
     "Tlv",
     "TlvCodec",
-    "hexdump",
-    "int_to_bytes",
-    "bytes_to_int",
-    "mask_for_prefix",
     "checksum16",
     "IdAllocator",
     "short_id",

@@ -1,46 +1,6 @@
-"""Byte- and bit-level helpers used across the wire formats.
-
-The network substrate and the PISA parser both manipulate raw byte
-strings; these helpers centralise the conversions so off-by-one errors
-live in exactly one place.
-"""
+"""Bit-level helpers used across the wire formats."""
 
 from __future__ import annotations
-
-
-def int_to_bytes(value: int, width: int) -> bytes:
-    """Encode ``value`` big-endian into exactly ``width`` bytes.
-
-    Raises ``ValueError`` if the value does not fit or is negative —
-    wire formats in this library never encode negative integers.
-    """
-    if width < 0:
-        raise ValueError(f"width must be non-negative, got {width}")
-    if value < 0:
-        raise ValueError(f"cannot encode negative value {value}")
-    if value >= (1 << (8 * width)):
-        raise ValueError(f"value {value} does not fit in {width} bytes")
-    return value.to_bytes(width, "big")
-
-
-def bytes_to_int(data: bytes) -> int:
-    """Decode a big-endian unsigned integer from ``data``."""
-    return int.from_bytes(data, "big")
-
-
-def mask_for_prefix(prefix_len: int, width_bits: int = 32) -> int:
-    """Return the integer mask selecting the top ``prefix_len`` bits.
-
-    Used by LPM tables: ``mask_for_prefix(24)`` == ``0xFFFFFF00``.
-    """
-    if not 0 <= prefix_len <= width_bits:
-        raise ValueError(
-            f"prefix length {prefix_len} out of range for {width_bits}-bit field"
-        )
-    if prefix_len == 0:
-        return 0
-    full = (1 << width_bits) - 1
-    return (full >> (width_bits - prefix_len)) << (width_bits - prefix_len)
 
 
 def checksum16(data: bytes) -> int:
@@ -56,14 +16,3 @@ def checksum16(data: bytes) -> int:
     while total >> 16:
         total = (total & 0xFFFF) + (total >> 16)
     return (~total) & 0xFFFF
-
-
-def hexdump(data: bytes, width: int = 16) -> str:
-    """Render ``data`` as a classic offset/hex/ascii dump for debugging."""
-    lines = []
-    for offset in range(0, len(data), width):
-        chunk = data[offset : offset + width]
-        hexpart = " ".join(f"{b:02x}" for b in chunk)
-        asciipart = "".join(chr(b) if 32 <= b < 127 else "." for b in chunk)
-        lines.append(f"{offset:08x}  {hexpart:<{width * 3}} {asciipart}")
-    return "\n".join(lines)

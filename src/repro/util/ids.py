@@ -21,19 +21,11 @@ class IdAllocator:
     """
 
     def __init__(self, start: int = 1) -> None:
-        self._start = start
         self._counters: DefaultDict[str, int] = defaultdict(lambda: start - 1)
 
     def next(self, namespace: str = "default") -> int:
         self._counters[namespace] += 1
         return self._counters[namespace]
-
-    def peek(self, namespace: str = "default") -> int:
-        """Return the id that the next call to :meth:`next` would allocate."""
-        return self._counters[namespace] + 1
-
-    def reset(self, namespace: str = "default") -> None:
-        self._counters[namespace] = self._start - 1
 
 
 def short_id(content: bytes, length: int = 8) -> str:

@@ -217,18 +217,16 @@ class FlowEngine:
 
 def flow_completion_times(
     flows: Iterable[FlowSpec],
-    sinks: Iterable[FlowSink],
+    arrivals: Mapping[int, List[float]],
 ) -> Dict[int, float]:
     """FCT per completed flow: last arrival minus scheduled start.
 
-    Only flows whose sink saw *every* packet count as complete —
-    partial flows (packets still in flight, or lost to faults) are
-    omitted rather than reported with an optimistic tail.
+    ``arrivals`` maps flow id to the sinks' ``[count, first, last]``
+    record (:attr:`FlowSink.flow_arrivals`, merged over sinks). Only
+    flows whose sink saw *every* packet count as complete — partial
+    flows (packets still in flight, or lost to faults) are omitted
+    rather than reported with an optimistic tail.
     """
-    arrivals: Dict[int, List[float]] = {}
-    for sink in sinks:
-        for flow_id, record in sink.flow_arrivals.items():
-            arrivals[flow_id] = record
     fct: Dict[int, float] = {}
     for flow in flows:
         record = arrivals.get(flow.flow_id)

@@ -1,7 +1,7 @@
 """Tests for deployment linting."""
 
 
-from repro.analysis.lint import errors_only, lint_deployment
+from repro.analysis.lint import lint_deployment
 from repro.core.appraisal import (
     PathAppraisalPolicy,
     hardware_reference,
@@ -12,6 +12,11 @@ from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.pera.config import CompositionMode, DetailLevel
 from repro.pera.inertia import InertiaClass
 from repro.pisa.programs import firewall_program
+
+
+def errors(findings):
+    """The findings that block deployment."""
+    return [f for f in findings if f.severity == "error"]
 
 
 def good_appraisal(places=("s1", "s2")):
@@ -52,14 +57,14 @@ class TestLint:
         findings = lint_deployment(
             compiled(), appraisal, expected_places=("s1", "s2")
         )
-        assert errors_only(findings) == []
+        assert errors(findings) == []
 
     def test_missing_reference_place_is_error(self):
         appraisal, _ = good_appraisal(places=("s1",))
         findings = lint_deployment(
             compiled(), appraisal, expected_places=("s1", "ghost")
         )
-        assert any("ghost" in str(f) for f in errors_only(findings))
+        assert any("ghost" in str(f) for f in errors(findings))
 
     def test_unchecked_detail_class_is_warning(self):
         appraisal, _ = good_appraisal()
@@ -72,7 +77,7 @@ class TestLint:
         )
         assert any("TABLES" in str(f) and "unchecked" in str(f)
                    for f in findings)
-        assert errors_only(findings) == []
+        assert errors(findings) == []
 
     def test_unknown_required_function_is_warning(self):
         appraisal, _ = good_appraisal()
@@ -82,7 +87,7 @@ class TestLint:
         )
         assert any("mystery_fn" in str(f) for f in findings)
         # Not an error: appraisal skips unresolvable names by design.
-        assert not any("mystery_fn" in str(f) for f in errors_only(findings))
+        assert not any("mystery_fn" in str(f) for f in errors(findings))
 
     def test_known_required_function_ok(self):
         appraisal, program = good_appraisal()
@@ -90,7 +95,7 @@ class TestLint:
             compiled(required_functions=(("*", program.full_name),)),
             appraisal, expected_places=("s1",),
         )
-        assert errors_only(findings) == []
+        assert errors(findings) == []
 
     def test_unsigned_policy_is_error(self):
         appraisal, _ = good_appraisal()
@@ -98,13 +103,13 @@ class TestLint:
             compiled(hop=HopDirective(sign=False)),
             appraisal,
         )
-        assert any("sign" in str(f) for f in errors_only(findings))
+        assert any("sign" in str(f) for f in errors(findings))
 
     def test_missing_nonce_is_warning(self):
         appraisal, _ = good_appraisal()
         findings = lint_deployment(compiled(nonce=b""), appraisal)
         assert any("replayed" in str(f) for f in findings)
-        assert not any("replayed" in str(f) for f in errors_only(findings))
+        assert not any("replayed" in str(f) for f in errors(findings))
 
     def test_pointwise_advisory(self):
         appraisal, _ = good_appraisal()
@@ -123,7 +128,7 @@ class TestLint:
                                       sign=True)),
             appraisal,
         )
-        assert any("does not parse" in str(f) for f in errors_only(findings))
+        assert any("does not parse" in str(f) for f in errors(findings))
 
     def test_sampling_contradiction_warned(self):
         appraisal, _ = good_appraisal()
@@ -137,4 +142,4 @@ class TestLint:
         findings = lint_deployment(
             compiled(), appraisal, expected_places=("pseu-1",)
         )
-        assert errors_only(findings) == []
+        assert errors(findings) == []

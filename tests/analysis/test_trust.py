@@ -26,7 +26,6 @@ class TestAnalyze:
         )
         assert report.tier == AdversaryTier.DELAYED
         assert report.strategy is not None
-        assert not report.resists_slow_adversaries
 
     def test_describe_renders(self):
         report = analyze_phrase_trust(
@@ -40,7 +39,6 @@ class TestAnalyze:
             parse_phrase("@ks [av us exts]"), BANKING_MODEL, at_place="bank"
         )
         assert report.tier == AdversaryTier.IMPOSSIBLE
-        assert report.resists_slow_adversaries
         assert "no corrupt/repair strategy" in report.describe()
 
 

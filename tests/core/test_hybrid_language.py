@@ -85,7 +85,6 @@ class TestHybridParser:
     def test_ap3_parses(self):
         policy = ap3_path_check()
         assert policy.params == ("F1", "F2", "Peer1", "Peer2")
-        assert policy.bound_variables() == {"p", "q", "r", "peer1", "peer2"}
 
     def test_errors(self):
         for bad in [

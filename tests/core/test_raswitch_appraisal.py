@@ -1,5 +1,6 @@
 """Integration tests: policy-driven switches + path appraisal."""
 
+import pytest
 
 from repro.core.appraisal import (
     PathAppraisalPolicy,
@@ -8,10 +9,12 @@ from repro.core.appraisal import (
     program_reference,
 )
 from repro.core.compiler import compile_policy_for_path
+from repro.core.fleet import attested_chain
 from repro.core.policies import ap1_bank_path_attestation, ap3_path_check
 from repro.core.raswitch import NetworkAwarePeraSwitch
 from repro.core.wire import encode_compiled_policy
 from repro.crypto.keys import KeyRegistry
+from repro.evidence.codec import POLICY_TLV_TYPE
 from repro.evidence.nodes import HopEvidence
 from repro.net.headers import RaShimHeader, ip_to_int
 from repro.net.host import Host
@@ -24,6 +27,8 @@ from repro.pera.sampling import SamplingMode, SamplingSpec
 from repro.pisa.programs import acl_program, firewall_program, ipv4_forwarding_program
 from repro.pisa.runtime import TableEntry
 from repro.pisa.tables import MatchKey, MatchKind
+from repro.telemetry import AuditKind, Check, Telemetry
+from repro.util.tlv import Tlv, TlvCodec
 
 
 def build_network(programs, config=None):
@@ -308,3 +313,35 @@ class TestPolicyDrivenAttestation:
         verdict = appraiser.appraise_packet(dst.received_packets[0], compiled)
         assert not verdict.accepted
         assert any("required function" in f for f in verdict.failures)
+
+
+def _policy_shim(*elements):
+    """An RA shim whose body is one policy TLV holding ``elements``."""
+    body = Tlv(POLICY_TLV_TYPE, TlvCodec.encode(list(elements))).encode()
+    return RaShimHeader(flags=RaShimHeader.FLAG_POLICY, body=body)
+
+
+class TestUndecodablePolicyShim:
+    """A crafted policy TLV fails closed at the first switch: counted,
+    journaled once as a shim check, dropped — never a crashed run."""
+
+    @pytest.mark.parametrize("elements", [
+        pytest.param((Tlv(1, b"p"), Tlv(7, b"")), id="empty-detail"),
+        pytest.param((Tlv(1, b"\xff\xfe"),), id="non-utf8-policy-id"),
+        pytest.param((Tlv(2, b"rp"),), id="no-policy-id"),
+    ])
+    def test_crafted_policy_is_dropped_and_journaled(self, elements):
+        telemetry = Telemetry()
+        sim = Simulator(linear_topology(2), telemetry=telemetry)
+        chain = attested_chain(sim, [ipv4_forwarding_program()] * 2)
+        chain.send(_policy_shim(*elements), b"x", 1, 2)
+        sim.run()
+        assert chain.dst.received_packets == []
+        s1, s2 = chain.switches
+        assert s1.ra_stats.undecodable_evidence == 1
+        assert s1.packets_dropped == 1
+        assert s2.packets_processed == 0
+        events = telemetry.audit.events
+        failed = [e for e in events if e.kind == AuditKind.CHECK_FAILED]
+        assert [e.detail["check"] for e in failed] == [Check.SHIM]
+        assert [e.kind for e in events].count(AuditKind.PACKET_DROPPED) == 1

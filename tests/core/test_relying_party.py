@@ -82,7 +82,7 @@ class TestRelyingParty:
         sim.run()
         assert rp.sent == 1
         assert len(rp.verdicts) == 1
-        assert rp.all_accepted, rp.verdicts[0].failures
+        assert rp.verdicts[0].accepted, rp.verdicts[0].failures
 
     def test_path_computed_from_topology(self):
         sim, src, dst, switches, programs = build_network(3)
@@ -99,7 +99,7 @@ class TestRelyingParty:
         assert a.nonce != b.nonce
         sim.run()
         assert len(rp.verdicts) == 2
-        assert rp.all_accepted
+        assert all(verdict.accepted for verdict in rp.verdicts)
 
     def test_send_before_attach_rejected(self):
         _, _, _, switches, programs = build_network()
@@ -124,7 +124,7 @@ class TestRelyingParty:
         ))
         rp.send()
         sim.run()
-        assert not rp.all_accepted
+        assert not rp.verdicts[0].accepted
         assert any("PROGRAM" in f for f in rp.verdicts[0].failures)
 
     def test_foreign_nonce_flagged(self):

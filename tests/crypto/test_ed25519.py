@@ -111,11 +111,6 @@ class TestSignVerify:
         bad = sig[:32] + b"\xff" * 32
         assert not key.verify_key().verify(b"m", bad)
 
-    def test_fingerprint_stable(self):
-        key = SigningKey.from_deterministic_seed("x").verify_key()
-        assert key.fingerprint() == key.fingerprint()
-        assert len(key.fingerprint()) == 16
-
     @settings(max_examples=10, deadline=None)
     @given(st.binary(max_size=64))
     def test_sign_verify_property(self, message):

@@ -10,7 +10,6 @@ from repro.crypto.hashing import (
     DIGEST_LEN,
     HashChain,
     digest,
-    digest_hex,
     measure_mapping,
 )
 
@@ -25,9 +24,6 @@ class TestDigest:
     def test_domain_boundary_unambiguous(self):
         # ("ab", b"c") must differ from ("a", b"bc"): length-prefixed tag.
         assert digest(b"c", domain="ab") != digest(b"bc", domain="a")
-
-    def test_hex_matches_bytes(self):
-        assert digest_hex(b"x", "d") == digest(b"x", "d").hex()
 
     def test_empty_domain_still_tagged(self):
         # Even the empty domain prepends a 2-byte length, so the result

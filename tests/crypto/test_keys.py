@@ -24,14 +24,9 @@ class TestKeyRegistry:
         pair = KeyPair.generate("s1")
         reg.register_pair(pair)
         assert reg.lookup("s1") == pair.verify_key
-        assert reg.knows("s1")
 
     def test_unknown_lookup_none(self):
         assert KeyRegistry().lookup("ghost") is None
-
-    def test_require_raises_on_unknown(self):
-        with pytest.raises(CryptoError, match="ghost"):
-            KeyRegistry().require("ghost")
 
     def test_reregister_same_key_ok(self):
         reg = KeyRegistry()
@@ -60,13 +55,6 @@ class TestKeyRegistry:
         reg = KeyRegistry()
         reg.register_pair(KeyPair.generate("s1"))
         assert not reg.verify("s1", b"m", b"garbage")
-
-    def test_revoke(self):
-        reg = KeyRegistry()
-        reg.register_pair(KeyPair.generate("s1"))
-        assert reg.revoke("s1")
-        assert not reg.knows("s1")
-        assert not reg.revoke("s1")
 
     def test_iteration_sorted(self):
         reg = KeyRegistry()

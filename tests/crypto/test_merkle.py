@@ -124,14 +124,6 @@ class TestPseudonyms:
         with pytest.raises(CryptoError):
             PseudonymAuthority(b"short")
 
-    def test_is_pseudonym(self):
-        from repro.crypto.pseudonym import PseudonymAuthority
-
-        auth = PseudonymAuthority(b"operator-secret-0123456789abcdef")
-        pseu = auth.pseudonym_for("alice", "switch-SN42")
-        assert auth.is_pseudonym(pseu)
-        assert not auth.is_pseudonym("switch-SN42")
-
 
 class TestProofIndexBinding:
     """The claimed leaf index must agree with the proof's shape.

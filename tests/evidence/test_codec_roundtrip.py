@@ -26,7 +26,6 @@ from repro.evidence import (
     encode_hop_body,
     encode_node,
     encode_record_stack,
-    iter_decode_nodes,
 )
 from repro.evidence.codec import POLICY_TLV_TYPE, RECORD_TLV_TYPE
 from repro.evidence.nodes import (
@@ -102,13 +101,6 @@ def test_content_digest_stable_across_round_trip(node):
     assert decoded.content_digest == node.content_digest
 
 
-@settings(max_examples=100, deadline=None)
-@given(nodes=st.lists(evidence_trees, max_size=4))
-def test_flat_stream_round_trips(nodes):
-    stream = b"".join(encode_node(n) for n in nodes)
-    assert list(iter_decode_nodes(stream)) == nodes
-
-
 @settings(max_examples=200, deadline=None)
 @given(hop=hop_nodes)
 def test_hop_body_round_trips_flat(hop):
@@ -157,7 +149,6 @@ def test_decode_accepts_memoryview(node):
     """Decoders take a view over the packet buffer, not owned bytes."""
     wire = encode_node(node)
     assert decode_node(memoryview(wire)) == node
-    assert list(iter_decode_nodes(memoryview(wire))) == [node]
 
 
 @settings(max_examples=100, deadline=None)

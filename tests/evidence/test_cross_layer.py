@@ -21,7 +21,6 @@ from repro.evidence import (
     MeasurementEvidence,
     SignedEvidence,
     decode_node,
-    hops_to_evidence,
     registry_verify,
 )
 from repro.pera.inertia import InertiaClass
@@ -133,15 +132,14 @@ class TestPeraLayer:
 class TestInBandVsOutOfBand:
     def test_same_hops_same_tree_same_bytes(self):
         """Records received in-band (decoded from a shim-body stack)
-        and out-of-band (the original objects) compose to one evidence
-        tree with identical serialization and digest."""
+        and out-of-band (the original objects) are the same hops, with
+        identical serialization and digest."""
         out_of_band = signed_records(4)
         in_band = decode_record_stack(encode_record_stack(out_of_band))
-        assert hops_to_evidence(in_band).wire == hops_to_evidence(out_of_band).wire
-        assert (
-            hops_to_evidence(in_band).content_digest
-            == hops_to_evidence(out_of_band).content_digest
-        )
+        assert [hop.wire for hop in in_band] == [hop.wire for hop in out_of_band]
+        assert [hop.content_digest for hop in in_band] == [
+            hop.content_digest for hop in out_of_band
+        ]
 
 
 class TestRaLayer:

@@ -6,28 +6,9 @@ an explicit opt-in and its acceptances are flagged ``degraded`` and
 journaled, so they are never mistaken for attested trust.
 """
 
-import pytest
-
 from repro.core.chaos import run_degraded_oob
-from repro.crypto.keys import KeyRegistry
-from repro.faults import FailMode, FaultInjector, FaultPlan, RetryPolicy
-from repro.net.headers import ip_to_int
-from repro.net.simulator import Node, Simulator
-from repro.net.topology import star_topology
-from repro.ra.attester import AttestingHost, VerifierHost, golden_value
-from repro.ra.protocol import (
-    AttestationScenario,
-    run_out_of_band_resilient,
-)
+from repro.faults import FailMode
 from repro.telemetry.audit import AuditKind, Check
-
-GOLDEN = {"Hardware": b"tofino-model-x", "Program": b"firewall_v5-binary"}
-
-
-def honest_scenario():
-    return AttestationScenario(
-        switch_targets=dict(GOLDEN), golden_targets=dict(GOLDEN)
-    )
 
 
 class TestDegradedOutOfBand:
@@ -60,110 +41,3 @@ class TestDegradedOutOfBand:
         assert result.verdict.accepted
         assert not result.verdict.degraded
 
-
-class TestVerifierHostTimeout:
-    def build(self, retry, fail_mode=FailMode.CLOSED):
-        class Relay(Node):
-            def handle_packet(self, packet, in_port):
-                out = 2 if in_port == 1 else 1
-                self.sim.transmit(self.name, out, packet)
-
-        topo = star_topology(2)
-        sim = Simulator(topo)
-        attester = AttestingHost("h2", mac=2, ip=ip_to_int("10.0.0.2"))
-        attester.install("tls", b"verified-tls-1.3")
-        anchors = KeyRegistry()
-        anchors.register_pair(attester.keys)
-        golden = {"h2": {"tls": golden_value(b"verified-tls-1.3")}}
-        verifier = VerifierHost(
-            "h1", mac=1, ip=ip_to_int("10.0.0.1"),
-            anchors=anchors, golden=golden,
-            retry_policy=retry, fail_mode=fail_mode,
-        )
-        sim.bind(verifier)
-        sim.bind(attester)
-        sim.bind(Relay("core"))
-        return sim, verifier, attester
-
-    def test_unreachable_attester_times_out_closed(self):
-        retry = RetryPolicy(max_attempts=2, timeout_s=1e-3, base_delay_s=1e-4)
-        sim, verifier, _ = self.build(retry)
-        FaultInjector(FaultPlan().crash_node(0.0, "h2")).attach(sim)
-        nonce = verifier.request_attestation("h2", ("tls",))
-        sim.run()
-        verdict = verifier.verdicts[nonce]
-        assert not verdict.accepted
-        assert verdict.degraded
-        assert any("unreachable" in f for f in verdict.failures)
-        assert verifier.timeouts == retry.max_attempts
-        # The first challenge is sent before the crash lands (dropped
-        # at delivery); every re-issue after it fails at the sender.
-        assert verifier.request_send_failures >= 1
-
-    def test_unreachable_attester_fail_open(self):
-        retry = RetryPolicy(max_attempts=2, timeout_s=1e-3, base_delay_s=1e-4)
-        sim, verifier, _ = self.build(retry, fail_mode=FailMode.OPEN)
-        FaultInjector(FaultPlan().crash_node(0.0, "h2")).attach(sim)
-        nonce = verifier.request_attestation("h2", ("tls",))
-        sim.run()
-        verdict = verifier.verdicts[nonce]
-        assert verdict.accepted
-        assert verdict.degraded
-
-    def test_retry_survives_transient_crash(self):
-        """The attester is down for the first attempt only; the
-        re-issued challenge (same nonce) succeeds."""
-        retry = RetryPolicy(max_attempts=3, timeout_s=1e-3, base_delay_s=1e-4)
-        sim, verifier, _ = self.build(retry)
-        plan = FaultPlan().crash_node(0.0, "h2").restart_node(0.5e-3, "h2")
-        FaultInjector(plan).attach(sim)
-        nonce = verifier.request_attestation("h2", ("tls",))
-        sim.run()
-        verdict = verifier.verdicts[nonce]
-        assert verdict.accepted
-        assert not verdict.degraded
-        assert verifier.timeouts >= 1  # the first attempt did time out
-
-
-class TestProtocolResilience:
-    def test_total_loss_concludes_degraded_closed(self):
-        run = run_out_of_band_resilient(
-            honest_scenario(),
-            loss_rate=1.0,
-            retry=RetryPolicy(max_attempts=3),
-        )
-        assert not run.accepted
-        assert run.degraded
-        assert run.attempts == 3
-        assert run.delivery_failures == 3
-
-    def test_total_loss_fail_open(self):
-        run = run_out_of_band_resilient(
-            honest_scenario(),
-            loss_rate=1.0,
-            retry=RetryPolicy(max_attempts=2),
-            fail_mode=FailMode.OPEN,
-        )
-        assert run.accepted
-        assert run.degraded
-
-    def test_partial_loss_recovers_with_fresh_nonce(self):
-        run = run_out_of_band_resilient(
-            honest_scenario(),
-            loss_rate=0.5,
-            seed=1,  # first attempt lost, second delivered
-            retry=RetryPolicy(max_attempts=3),
-        )
-        assert run.accepted
-        assert not run.degraded
-        assert run.attempts == 2
-        assert run.delivery_failures == 1
-
-    def test_no_retry_policy_means_single_shot(self):
-        run = run_out_of_band_resilient(honest_scenario(), loss_rate=1.0)
-        assert not run.accepted
-        assert run.attempts == 1
-
-    def test_validates_loss_rate(self):
-        with pytest.raises(ValueError):
-            run_out_of_band_resilient(honest_scenario(), loss_rate=1.5)

@@ -121,8 +121,8 @@ class TestPodAwarePartitioning:
         sizes = [
             sum(
                 1
-                for n in part.nodes_of(shard)
-                if topo.kind_of(n) != "host"
+                for n, owner in part.owner.items()
+                if owner == shard and topo.kind_of(n) != "host"
             )
             for shard in range(part.shard_count)
         ]

@@ -11,18 +11,12 @@ from repro.net.headers import (
     RaShimHeader,
     TcpHeader,
     UdpHeader,
-    int_to_ip,
-    int_to_mac,
     ip_to_int,
-    mac_to_int,
 )
 from repro.util.errors import CodecError
 
 
 class TestAddressParsing:
-    def test_ip_round_trip(self):
-        assert int_to_ip(ip_to_int("10.1.2.3")) == "10.1.2.3"
-
     def test_ip_known_value(self):
         assert ip_to_int("10.0.0.1") == 0x0A000001
 
@@ -30,22 +24,6 @@ class TestAddressParsing:
         for bad in ["10.0.0", "10.0.0.256", "a.b.c.d", "1.2.3.4.5"]:
             with pytest.raises(CodecError):
                 ip_to_int(bad)
-
-    def test_mac_round_trip(self):
-        assert int_to_mac(mac_to_int("aa:bb:cc:dd:ee:ff")) == "aa:bb:cc:dd:ee:ff"
-
-    def test_mac_malformed(self):
-        for bad in ["aa:bb:cc", "zz:bb:cc:dd:ee:ff", "aabbccddeeff"]:
-            with pytest.raises(CodecError):
-                mac_to_int(bad)
-
-    @given(st.integers(min_value=0, max_value=0xFFFFFFFF))
-    def test_ip_int_round_trip(self, value):
-        assert ip_to_int(int_to_ip(value)) == value
-
-    @given(st.integers(min_value=0, max_value=0xFFFFFFFFFFFF))
-    def test_mac_int_round_trip(self, value):
-        assert mac_to_int(int_to_mac(value)) == value
 
 
 class TestEthernet:
@@ -78,14 +56,6 @@ class TestIpv4:
         wire[15] ^= 0xFF  # flip a bit in src address
         with pytest.raises(CodecError, match="checksum"):
             Ipv4Header.decode(bytes(wire))
-
-    def test_ttl_decrement(self):
-        hdr = Ipv4Header(src=1, dst=2, ttl=2)
-        assert hdr.decrement_ttl().ttl == 1
-
-    def test_ttl_zero_cannot_decrement(self):
-        with pytest.raises(CodecError):
-            Ipv4Header(src=1, dst=2, ttl=0).decrement_ttl()
 
     def test_wrong_version_rejected(self):
         wire = bytearray(Ipv4Header(src=1, dst=2).encode())

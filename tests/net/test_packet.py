@@ -1,5 +1,7 @@
 """Tests for the packet model."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -65,12 +67,6 @@ class TestPacketOperations:
             ip_to_int("10.0.0.1"), ip_to_int("10.0.0.2"), IPPROTO_UDP, 5555, 7777,
         )
 
-    def test_ttl_decrement_returns_new(self):
-        pkt = make_udp()
-        pkt2 = pkt.with_ttl_decremented()
-        assert pkt2.ipv4.ttl == pkt.ipv4.ttl - 1
-        assert pkt.ipv4.ttl == 64  # original untouched
-
     def test_with_shim_adjusts_lengths(self):
         pkt = make_udp(payload=b"x" * 4)
         shim = RaShimHeader(body=b"y" * 10)
@@ -123,7 +119,7 @@ class TestEncodeCaching:
     def test_derived_packets_do_not_inherit_stale_bytes(self):
         pkt = make_udp(payload=b"original")
         pkt.encode()  # populate the cache
-        hopped = pkt.with_ttl_decremented()
+        hopped = replace(pkt, ipv4=replace(pkt.ipv4, ttl=pkt.ipv4.ttl - 1))
         assert hopped.encode() != pkt.encode()
         assert Packet.decode(hopped.encode()) == hopped
 

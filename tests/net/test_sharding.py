@@ -48,15 +48,16 @@ class TestPartitionTopology:
     def test_balanced_contiguous_split(self):
         part = partition_topology(chain(4), shards=2)
         assert part.shard_count == 2
-        assert part.nodes_of(0) == ["h-a", "s0", "s1"]
-        assert part.nodes_of(1) == ["h-b", "s2", "s3"]
+        assert part.owner == {
+            "h-a": 0, "s0": 0, "s1": 0, "h-b": 1, "s2": 1, "s3": 1,
+        }
 
     def test_uneven_split_front_loads_remainder(self):
         part = partition_topology(chain(5), shards=2)
         # 5 anchors over 2 shards: 3 + 2.
-        assert sorted(n for n in part.nodes_of(0) if n.startswith("s")) == [
-            "s0", "s1", "s2",
-        ]
+        assert sorted(
+            n for n, shard in part.owner.items() if shard == 0 and n.startswith("s")
+        ) == ["s0", "s1", "s2"]
 
     def test_hosts_adopt_their_switch_shard(self):
         part = partition_topology(chain(4), shards=4)

@@ -5,7 +5,7 @@ import pytest
 from repro.net.headers import ip_to_int
 from repro.net.host import Host
 from repro.net.packet import Packet
-from repro.net.routing import all_pairs_next_hop, path_ports, shortest_path
+from repro.net.routing import all_pairs_next_hops, shortest_path
 from repro.net.simulator import Node, Simulator
 from repro.net.topology import Topology, linear_topology
 from repro.util.errors import NetworkError
@@ -266,14 +266,9 @@ class TestRouting:
         topo.add_link("fast", 2, "b", 2, latency_s=1e-6)
         assert shortest_path(topo, "a", "b") == ["a", "fast", "b"]
 
-    def test_path_ports(self):
+    def test_equal_cost_next_hops_on_a_chain(self):
         topo = linear_topology(2)
-        hops = path_ports(topo, ["h-src", "s1", "s2", "h-dst"])
-        assert hops == [("h-src", 1), ("s1", 2), ("s2", 2)]
-
-    def test_all_pairs_next_hop(self):
-        topo = linear_topology(2)
-        table = all_pairs_next_hop(topo)
-        assert table[("s1", "h-dst")] == 2
-        assert table[("s2", "h-src")] == 1
+        table = all_pairs_next_hops(topo)
+        assert table[("s1", "h-dst")] == (2,)
+        assert table[("s2", "h-src")] == (1,)
         assert ("s1", "s1") not in table

@@ -8,7 +8,6 @@ from repro.net.topology import (
     fat_tree,
     linear_topology,
     ring_topology,
-    star_topology,
 )
 from repro.util.errors import NetworkError
 
@@ -110,10 +109,6 @@ class TestCannedTopologies:
     def test_linear_minimum(self):
         with pytest.raises(NetworkError):
             linear_topology(0)
-
-    def test_star_structure(self):
-        topo = star_topology(4)
-        assert topo.neighbors_of("core") == ["h1", "h2", "h3", "h4"]
 
     def test_ring_structure(self):
         topo = ring_topology(4)

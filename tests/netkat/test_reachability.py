@@ -1,7 +1,7 @@
 """Tests for topology encoding and reachability queries."""
 
 
-from repro.net.routing import all_pairs_next_hop
+from repro.net.routing import all_pairs_next_hops
 from repro.net.topology import Topology, linear_topology, ring_topology
 from repro.netkat.ast import Filter, seq, test as tst
 from repro.netkat.reachability import (
@@ -18,6 +18,11 @@ from repro.netkat.semantics import NkPacket, run
 
 def at(switch, port, **extra):
     return NkPacket({SWITCH_FIELD: switch, PORT_FIELD: port, **extra})
+
+
+def next_hop_ports(topo):
+    """One egress port per (node, destination): the lowest member."""
+    return {pair: ports[0] for pair, ports in all_pairs_next_hops(topo).items()}
 
 
 class TestTopologyPolicy:
@@ -45,7 +50,7 @@ class TestReachability:
     def hop_and_topo(self, switch_count=3):
         topo = linear_topology(switch_count)
         hop = forwarding_hop_policy(
-            topo, all_pairs_next_hop(topo), destination_field="dst"
+            topo, next_hop_ports(topo), destination_field="dst"
         )
         return topo, hop, topology_policy(topo)
 
@@ -68,7 +73,7 @@ class TestReachability:
     def test_filtering_hop_blocks_path(self):
         # A hop policy that drops everything at s2 partitions the chain.
         topo = linear_topology(3)
-        hop = forwarding_hop_policy(topo, all_pairs_next_hop(topo), "dst")
+        hop = forwarding_hop_policy(topo, next_hop_ports(topo), "dst")
         blocked = seq(Filter(~tst(SWITCH_FIELD, "s2")), hop)
         t = topology_policy(topo)
         start = at("h-src", 1, dst="h-dst")
@@ -76,7 +81,7 @@ class TestReachability:
 
     def test_ring_reaches_all_hosts(self):
         topo = ring_topology(4)
-        hop = forwarding_hop_policy(topo, all_pairs_next_hop(topo), "dst")
+        hop = forwarding_hop_policy(topo, next_hop_ports(topo), "dst")
         t = topology_policy(topo)
         start = at("h1", 1, dst="h3")
         assert reachable(hop, t, start, tst(SWITCH_FIELD, "h3"))

@@ -10,7 +10,6 @@ from repro.pisa.programs import (
     athens_rogue_program,
     firewall_program,
     ipv4_forwarding_program,
-    l2_forwarding_program,
     scanner_program,
 )
 from repro.pisa.registers import Counter, Meter, Register
@@ -242,12 +241,6 @@ class TestRegistersCountersMeters:
         reg.write(0, 1)
         assert reg.snapshot() != before
 
-    def test_register_reset(self):
-        reg = Register("r", size=2)
-        reg.write(0, 5)
-        reg.reset()
-        assert reg.read(0) == 0
-
     def test_counter_accumulates(self):
         counter = Counter("c", size=2)
         counter.count(0, packet_bytes=100)
@@ -283,13 +276,12 @@ class TestProgramMeasurement:
             p.measurement()
             for p in [
                 ipv4_forwarding_program(),
-                l2_forwarding_program(),
                 firewall_program(),
                 scanner_program(),
                 athens_rogue_program(),
             ]
         }
-        assert len(measurements) == 5
+        assert len(measurements) == 4
 
     def test_measurement_deterministic(self):
         assert firewall_program().measurement() == firewall_program().measurement()

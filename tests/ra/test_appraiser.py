@@ -191,7 +191,6 @@ class TestCertificates:
         )
         store.store(cert)
         assert store.retrieve(b"\x02" * 16) is cert
-        assert store.has(b"\x02" * 16)
         assert len(store) == 1
 
     def test_duplicate_nonce_rejected(self):

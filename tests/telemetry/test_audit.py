@@ -13,7 +13,6 @@ from repro.telemetry import (
     explain_verdict,
     narrative,
 )
-from repro.telemetry.audit import describe_event
 from repro.util.clock import SimClock
 
 
@@ -60,7 +59,6 @@ class TestJournal:
         journal.record(AuditKind.PACKET_FORWARDED, "sim", trace="b" * 12)
         journal.record(AuditKind.PACKET_DELIVERED, "h2", trace="a" * 12)
         journal.record(AuditKind.CONTROL_SENT, "s1")  # untraced
-        assert journal.trace_ids() == ["a" * 12, "b" * 12]
         assert [e.kind for e in journal.for_trace("a" * 12)] == [
             AuditKind.TRACE_STARTED, AuditKind.PACKET_DELIVERED,
         ]
@@ -157,7 +155,7 @@ class TestNarrative:
     def test_describe_event_fallback(self):
         journal = AuditJournal()
         event = journal.record("custom.kind", "x", why="because")
-        assert describe_event(event) == "x: custom.kind {'why': 'because'}"
+        assert narrative([event]).endswith("x: custom.kind {'why': 'because'}")
 
 
 class _FakeVerdict:

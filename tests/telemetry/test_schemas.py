@@ -17,12 +17,14 @@ from repro.net.topology import Topology
 from repro.telemetry import Telemetry
 from repro.telemetry.export import audit_snapshot, chrome_trace
 from repro.telemetry.report import chrome_trace_from_snapshot
-from repro.telemetry.schema import assert_valid, load_schema, validate
+from repro.telemetry.schema import validate, validate_strict
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parents[2] / "docs" / "schemas"
-AUDIT_SCHEMA = load_schema(SCHEMA_DIR / "audit_v1.schema.json")
-TRACE_SCHEMA = load_schema(SCHEMA_DIR / "chrome_trace_v1.schema.json")
-TIMESERIES_SCHEMA_DOC = load_schema(SCHEMA_DIR / "timeseries_v1.schema.json")
+AUDIT_SCHEMA = json.loads((SCHEMA_DIR / "audit_v1.schema.json").read_text())
+TRACE_SCHEMA = json.loads((SCHEMA_DIR / "chrome_trace_v1.schema.json").read_text())
+TIMESERIES_SCHEMA_DOC = json.loads(
+    (SCHEMA_DIR / "timeseries_v1.schema.json").read_text()
+)
 
 
 def traced_run() -> Telemetry:
@@ -49,24 +51,22 @@ class TestExportedDocuments:
     def test_audit_export_matches_schema(self):
         doc = audit_snapshot(traced_run())
         assert doc["events"], "the run should have recorded audit events"
-        assert_valid(doc, AUDIT_SCHEMA, label="audit export")
+        assert validate_strict(doc, AUDIT_SCHEMA) == []
 
     def test_audit_export_survives_json_round_trip(self, tmp_path):
         path = tmp_path / "audit.json"
         path.write_text(json.dumps(audit_snapshot(traced_run())))
-        assert_valid(
-            json.loads(path.read_text()), AUDIT_SCHEMA, label="audit json"
-        )
+        assert validate_strict(json.loads(path.read_text()), AUDIT_SCHEMA) == []
 
     def test_chrome_trace_matches_schema(self):
         doc = chrome_trace(traced_run())
-        assert_valid(doc, TRACE_SCHEMA, label="chrome trace")
+        assert validate_strict(doc, TRACE_SCHEMA) == []
 
     def test_rebuilt_chrome_trace_matches_schema(self):
         from repro.telemetry.export import snapshot
 
         doc = chrome_trace_from_snapshot(snapshot(traced_run()))
-        assert_valid(doc, TRACE_SCHEMA, label="rebuilt chrome trace")
+        assert validate_strict(doc, TRACE_SCHEMA) == []
 
     def test_chaos_timeseries_matches_schema(self):
         from repro.core.chaos import run_chaos_athens, standard_chaos_rules
@@ -75,7 +75,7 @@ class TestExportedDocuments:
         doc = result.timeseries()
         assert doc["frames"], "the chaos run should have recorded frames"
         assert doc["alerts"], "the chaos run should have raised alerts"
-        assert_valid(doc, TIMESERIES_SCHEMA_DOC, label="timeseries export")
+        assert validate_strict(doc, TIMESERIES_SCHEMA_DOC) == []
 
     def test_timeseries_survives_json_round_trip(self, tmp_path):
         from repro.core.chaos import run_chaos_athens, standard_chaos_rules
@@ -84,11 +84,8 @@ class TestExportedDocuments:
         result = run_chaos_athens(health=standard_chaos_rules())
         path = tmp_path / "TIMESERIES.json"
         dump_timeseries(result.timeseries(), path)
-        assert_valid(
-            json.loads(path.read_text()),
-            TIMESERIES_SCHEMA_DOC,
-            label="timeseries json",
-        )
+        doc = json.loads(path.read_text())
+        assert validate_strict(doc, TIMESERIES_SCHEMA_DOC) == []
 
     def test_sharded_timeseries_runtime_section_allowed(self):
         from repro.core.chaos import run_chaos_athens, standard_chaos_rules
@@ -103,7 +100,7 @@ class TestExportedDocuments:
             rules=result.health.rules,
             runtime={"shards": result.sharded.frames_runtime},
         )
-        assert_valid(doc, TIMESERIES_SCHEMA_DOC, label="timeseries+runtime")
+        assert validate_strict(doc, TIMESERIES_SCHEMA_DOC) == []
 
 
 class TestSubsetValidator:
@@ -150,6 +147,7 @@ class TestSubsetValidator:
         errors = validate(doc, TRACE_SCHEMA)
         assert any("not in enum" in error for error in errors)
 
-    def test_assert_valid_raises_with_every_violation(self):
-        with pytest.raises(ValueError, match="audit export"):
-            assert_valid({"events": []}, AUDIT_SCHEMA, label="audit export")
+    def test_strict_reports_every_violation(self):
+        errors = validate_strict({"events": []}, AUDIT_SCHEMA)
+        assert any("schema" in error for error in errors)
+        assert any("events_dropped" in error for error in errors)

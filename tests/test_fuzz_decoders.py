@@ -12,13 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.wire import decode_compiled_policy
+from repro.core.compiler import CompiledPolicy, HopDirective
+from repro.core.wire import decode_compiled_policy, encode_compiled_policy
 from repro.crypto.keys import KeyPair
 from repro.evidence.codec import (
     decode_batched_hop_body,
     decode_hop_body,
     decode_node,
-    iter_decode_nodes,
 )
 from repro.evidence.nodes import HopEvidence
 from repro.net.headers import (
@@ -29,12 +29,13 @@ from repro.net.headers import (
     UdpHeader,
 )
 from repro.net.packet import Packet
-from repro.pera.config import BatchingSpec
+from repro.evidence.codec import POLICY_TLV_TYPE
+from repro.pera.config import BatchingSpec, CompositionMode, DetailLevel
 from repro.pera.epoch import EpochBatcher
 from repro.pera.inertia import InertiaClass
 from repro.pera.records import decode_record_stack, encode_record_stack
 from repro.util.errors import CodecError
-from repro.util.tlv import TlvCodec
+from repro.util.tlv import Tlv, TlvCodec
 
 DECODERS = [
     ("tlv", TlvCodec.decode),
@@ -47,7 +48,6 @@ DECODERS = [
     ("record_stack", decode_record_stack),
     ("compiled_policy", decode_compiled_policy),
     ("evidence_node", decode_node),
-    ("evidence_stream", lambda data: list(iter_decode_nodes(data))),
     ("evidence_hop_body", decode_hop_body),
     ("evidence_batched_hop_body", decode_batched_hop_body),
 ]
@@ -158,3 +158,106 @@ def test_hop_decode_is_idempotent_when_it_succeeds(batched, noise, flips):
     assert type(again) is type(node)
     assert again == node
     assert again.wire == node.wire
+
+
+# --- the policy shim, structure-aware -----------------------------------------
+#
+# Random bytes almost never form a policy TLV, so the byte fuzzer above
+# never reaches the per-field decoding. These cases start from a
+# genuine encoded policy and damage exactly one inner field.
+
+text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+compiled_policies = st.builds(
+    CompiledPolicy,
+    policy_id=text.filter(bool),
+    relying_party=text,
+    nonce=st.binary(max_size=16),
+    appraiser=text,
+    hop=st.builds(
+        HopDirective,
+        test_text=text,
+        attest=st.lists(text, max_size=3).map(tuple),
+        detail=st.sampled_from(DetailLevel),
+        composition=st.sampled_from(CompositionMode),
+        sign=st.booleans(),
+        out_of_band_to=text,
+    ),
+    terminal_place=text,
+    required_functions=st.lists(
+        st.tuples(text.filter(lambda place: "\x00" not in place), text),
+        max_size=2,
+    ).map(tuple),
+    min_attested_hops=st.integers(min_value=0, max_value=0xFFFF),
+)
+
+
+@st.composite
+def damaged_policy_bodies(draw):
+    """A genuine policy TLV with one inner field emptied, truncated,
+    extended or byte-flipped."""
+    outer = TlvCodec.decode(encode_compiled_policy(draw(compiled_policies)))[0]
+    inner = TlvCodec.decode(outer.value)
+    index = draw(st.integers(min_value=0, max_value=len(inner) - 1))
+    value = inner[index].value
+    how = draw(st.sampled_from(["empty", "truncate", "extend", "flip"]))
+    if how == "empty":
+        value = b""
+    elif how == "truncate":
+        value = value[: draw(st.integers(min_value=0, max_value=len(value)))]
+    elif how == "extend":
+        value += draw(st.binary(min_size=1, max_size=4))
+    elif value:
+        flipped = bytearray(value)
+        flipped[draw(st.integers(min_value=0, max_value=len(value) - 1))] ^= draw(
+            st.integers(min_value=1, max_value=255)
+        )
+        value = bytes(flipped)
+    inner[index] = Tlv(inner[index].type, value)
+    return Tlv(POLICY_TLV_TYPE, TlvCodec.encode(inner)).encode()
+
+
+# No pinned max_examples: the nightly profile deepens these. One bug
+# per failure keeps the report (and the shrink) small.
+@settings(deadline=None, report_multiple_bugs=False)
+@given(body=damaged_policy_bodies())
+def test_damaged_policy_field_raises_only_codec_error(body):
+    try:
+        decode_compiled_policy(body)
+    except CodecError:
+        pass
+
+
+@settings(deadline=None, report_multiple_bugs=False)
+@given(body=damaged_policy_bodies())
+def test_damaged_policy_that_decodes_encodes_back(body):
+    """encode∘decode is idempotent on whatever damaged bytes decode."""
+    try:
+        policy = decode_compiled_policy(body)
+    except CodecError:
+        return
+    assert decode_compiled_policy(encode_compiled_policy(policy)) == policy
+
+
+@settings(deadline=None)
+@given(policy=compiled_policies)
+def test_policy_round_trips(policy):
+    assert decode_compiled_policy(encode_compiled_policy(policy)) == policy
+
+
+def test_a_wide_min_hops_count_encodes_again():
+    """Minimised from the damaged-policy fuzzer: a min-hops TLV extended
+    past two bytes decodes, so it must encode back to itself."""
+    policy = CompiledPolicy(
+        "p", "rp", b"", "", HopDirective(test_text="", attest=()),
+        min_attested_hops=1,
+    )
+    outer = TlvCodec.decode(encode_compiled_policy(policy))[0]
+    inner = [
+        Tlv(e.type, e.value + b"\x00\x00") if e.type == 13 else e
+        for e in TlvCodec.decode(outer.value)
+    ]
+    decoded = decode_compiled_policy(
+        Tlv(POLICY_TLV_TYPE, TlvCodec.encode(inner)).encode()
+    )
+    assert decoded.min_attested_hops == 0x10000
+    assert decode_compiled_policy(encode_compiled_policy(decoded)) == decoded

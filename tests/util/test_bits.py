@@ -1,74 +1,9 @@
 """Unit and property tests for repro.util.bits."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.bits import (
-    bytes_to_int,
-    checksum16,
-    hexdump,
-    int_to_bytes,
-    mask_for_prefix,
-)
-
-
-class TestIntBytes:
-    def test_round_trip_simple(self):
-        assert bytes_to_int(int_to_bytes(0x1234, 2)) == 0x1234
-
-    def test_zero_width_zero_value(self):
-        assert int_to_bytes(0, 0) == b""
-
-    def test_big_endian_order(self):
-        assert int_to_bytes(1, 4) == b"\x00\x00\x00\x01"
-
-    def test_overflow_rejected(self):
-        with pytest.raises(ValueError):
-            int_to_bytes(256, 1)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            int_to_bytes(-1, 4)
-
-    def test_negative_width_rejected(self):
-        with pytest.raises(ValueError):
-            int_to_bytes(0, -1)
-
-    @given(st.integers(min_value=0, max_value=2**64 - 1))
-    def test_round_trip_property(self, value):
-        assert bytes_to_int(int_to_bytes(value, 8)) == value
-
-    @given(st.binary(min_size=1, max_size=16))
-    def test_decode_encode_round_trip(self, data):
-        assert int_to_bytes(bytes_to_int(data), len(data)) == data
-
-
-class TestMaskForPrefix:
-    def test_slash_24(self):
-        assert mask_for_prefix(24) == 0xFFFFFF00
-
-    def test_slash_zero_is_zero(self):
-        assert mask_for_prefix(0) == 0
-
-    def test_slash_32_is_full(self):
-        assert mask_for_prefix(32) == 0xFFFFFFFF
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            mask_for_prefix(33)
-        with pytest.raises(ValueError):
-            mask_for_prefix(-1)
-
-    @given(st.integers(min_value=0, max_value=32))
-    def test_popcount_equals_prefix(self, prefix):
-        assert bin(mask_for_prefix(prefix)).count("1") == prefix
-
-    @given(st.integers(min_value=1, max_value=32))
-    def test_masks_nest(self, prefix):
-        longer = mask_for_prefix(prefix)
-        shorter = mask_for_prefix(prefix - 1)
-        assert longer & shorter == shorter
+from repro.util.bits import checksum16
 
 
 class TestChecksum16:
@@ -94,19 +29,3 @@ class TestChecksum16:
         whole = data + csum.to_bytes(2, "big")
         assert checksum16(whole) == 0
 
-
-class TestHexdump:
-    def test_empty(self):
-        assert hexdump(b"") == ""
-
-    def test_ascii_rendered(self):
-        out = hexdump(b"hello")
-        assert "hello" in out
-        assert "68 65 6c 6c 6f" in out
-
-    def test_non_printable_dotted(self):
-        assert hexdump(b"\x00\x01").endswith("..")
-
-    def test_multi_line(self):
-        out = hexdump(bytes(range(40)), width=16)
-        assert len(out.splitlines()) == 3

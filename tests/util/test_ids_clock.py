@@ -21,18 +21,6 @@ class TestIdAllocator:
     def test_custom_start(self):
         assert IdAllocator(start=100).next() == 100
 
-    def test_peek_does_not_allocate(self):
-        alloc = IdAllocator()
-        assert alloc.peek() == 1
-        assert alloc.peek() == 1
-        assert alloc.next() == 1
-
-    def test_reset(self):
-        alloc = IdAllocator()
-        alloc.next("x")
-        alloc.reset("x")
-        assert alloc.next("x") == 1
-
 
 class TestShortId:
     def test_deterministic(self):

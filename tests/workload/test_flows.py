@@ -1,5 +1,7 @@
 """Flow payload codec, specs, the engine, and FCT accounting."""
 
+from collections import ChainMap
+
 import pytest
 
 from repro.net.headers import ip_to_int
@@ -105,7 +107,8 @@ class TestFlowEngineAndSink:
         # Bulk packets are accounted, not retained.
         assert sinks["h-leaf01-1"].received == []
 
-        fct = flow_completion_times(flows, sinks.values())
+        arrivals = ChainMap(*(sink.flow_arrivals for sink in sinks.values()))
+        fct = flow_completion_times(flows, arrivals)
         assert set(fct) == {10, 11}
         assert fct[10] > 3e-6  # three pacing gaps plus network latency
 
@@ -118,7 +121,8 @@ class TestFlowEngineAndSink:
         )
         engine.launch([flow])
         sim.run(until=25e-6)  # only the first few packets sent
-        assert flow_completion_times([flow], sinks.values()) == {}
+        arrivals = ChainMap(*(sink.flow_arrivals for sink in sinks.values()))
+        assert flow_completion_times([flow], arrivals) == {}
 
     def test_duplicate_flow_ids_rejected(self):
         sim, sinks = small_fabric()
