@@ -142,6 +142,7 @@ def _uc1_build(
     sim.bind(spy)
 
     appraiser = chain.appraiser(
+        telemetry=sim.telemetry,
         allow_sampling=sampling is not None
         and sampling.mode is not SamplingMode.EVERY_PACKET,
     )

@@ -391,11 +391,6 @@ class HopEvidence(Evidence):
     """
 
     KIND: ClassVar[int] = KIND_HOP
-    # ``Simulator.send_control`` journals a message's Python class name
-    # in ``control.sent``; the name of the PERA-side class this one
-    # absorbed is pinned so journals, and the goldens that hash them,
-    # do not move with the rename (ROADMAP 1f retires the pin).
-    CONTROL_LABEL: ClassVar[str] = "HopRecord"
 
     place: str
     measurements: Tuple[Tuple[InertiaClass, bytes], ...]
@@ -507,7 +502,6 @@ class BatchedHopEvidence(HopEvidence):
     """
 
     KIND: ClassVar[int] = KIND_BATCHED_HOP
-    CONTROL_LABEL: ClassVar[str] = "BatchedHopRecord"
 
     epoch_id: int = 0
     epoch_root: bytes = b""

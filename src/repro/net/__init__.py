@@ -31,7 +31,7 @@ from repro.net.topology import (
     ring_topology,
     leaf_spine,
 )
-from repro.net.simulator import Simulator, Node, PacketLogEntry, SimStats
+from repro.net.simulator import Simulator, Node, SimStats
 from repro.net.sharding import Partition, ShardSimulator, partition_topology
 from repro.net.shardrun import (
     ScenarioSpec,
@@ -92,5 +92,4 @@ __all__ = [
     "FlowletTable",
     "RoutingMode",
     "Host",
-    "PacketLogEntry",
 ]

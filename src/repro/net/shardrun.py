@@ -260,12 +260,15 @@ class _Shard:
         sim.run_barrier_hooks()
         sim.finalize()
         harvest = self.spec.harvest
+        # Harvest first: what a harvest-time appraiser journals is part
+        # of the run's audit story and metrics.
+        output = harvest(sim, self.ctx) if harvest is not None else None
         recorder = sim.recorder
         return {
             "stats": sim.stats.as_dict(),
             "audit": [event.as_dict() for event in sim.telemetry.audit.events],
             "metrics": sim.telemetry.metrics.snapshot(),
-            "output": harvest(sim, self.ctx) if harvest is not None else None,
+            "output": output,
             "busy_s": sim.busy_seconds,
             "frames": recorder.frames if recorder is not None else [],
             "frames_dropped": (

@@ -32,7 +32,6 @@ from repro.pera.inertia import InertiaClass
 from repro.pera.measurement import MeasurementEngine
 from repro.evidence.codec import (
     decode_record_stack,
-    encode_hop_body,
     encode_record_stack,
 )
 from repro.evidence.nodes import (
@@ -631,7 +630,6 @@ class PeraSwitch(PisaSwitch):
             raise PipelineError(
                 f"switch {self.name!r} has no out-of-band appraiser configured"
             )
-        encoded = encode_hop_body(record)
         self.ra_stats.out_of_band_sent += 1
         if self.telemetry.active:
             self.telemetry.audit_event(
@@ -645,15 +643,15 @@ class PeraSwitch(PisaSwitch):
             self.name,
             self.appraiser_node,
             record,
-            size_hint=len(encoded),
+            size_hint=len(record.wire),
             trace=trace,
         )
         if not delivered:
             self.ra_stats.oob_send_failures += 1
-            self._schedule_oob_retry(record, encoded, trace, attempt=1)
+            self._schedule_oob_retry(record, trace, attempt=1)
 
     def _schedule_oob_retry(
-        self, record: HopEvidence, encoded: bytes, trace, attempt: int
+        self, record: HopEvidence, trace, attempt: int
     ) -> None:
         policy = self.retry_policy
         tel = self.telemetry
@@ -687,7 +685,7 @@ class PeraSwitch(PisaSwitch):
                 self.name,
                 self.appraiser_node,
                 record,
-                size_hint=len(encoded),
+                size_hint=len(record.wire),
                 trace=trace,
             )
             if delivered:
@@ -703,7 +701,7 @@ class PeraSwitch(PisaSwitch):
                     )
             else:
                 self.ra_stats.oob_send_failures += 1
-                self._schedule_oob_retry(record, encoded, trace, attempt + 1)
+                self._schedule_oob_retry(record, trace, attempt + 1)
 
         self.sim.schedule(delay, retry)
 

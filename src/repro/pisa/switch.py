@@ -62,7 +62,7 @@ class PisaSwitch(Node):
         if self.runtime.pipeline is None:
             self.packets_dropped += 1
             if self.sim is not None:
-                self.sim.drop(self.name, packet, "no pipeline installed")
+                self.sim.drop(self.name, packet)
             return
         ctx = PacketContext.from_packet(packet, ingress_port=in_port)
         ctx = self.process_context(ctx)
@@ -80,7 +80,7 @@ class PisaSwitch(Node):
         if ctx.egress_spec == DROP_PORT:
             self.packets_dropped += 1
             if self.sim is not None:
-                self.sim.drop(self.name, ctx.packet, "pipeline drop")
+                self.sim.drop(self.name, ctx.packet)
             return
         if ctx.egress_spec == CPU_PORT:
             self.packets_to_cpu += 1

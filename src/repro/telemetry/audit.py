@@ -17,7 +17,7 @@ packet can be replayed against the journal entry where the evidence
 was produced.
 
 The journal is a counted-eviction :class:`~repro.util.ring.RingBuffer`
-(like spans and the packet log): heavy traffic truncates the oldest
+(like spans and flight-recorder frames): heavy traffic truncates the oldest
 events and says so, instead of eating the heap. The disabled fast path
 is the shared :data:`NULL_JOURNAL`, whose :meth:`~AuditJournal.record`
 does nothing and allocates nothing.

@@ -254,7 +254,6 @@ def collect_simulator(telemetry: Telemetry, sim) -> None:
     g("net.sim.control_bytes").set(stats.control_bytes)
     g("net.sim.control_dropped").set(stats.control_dropped)
     g("net.sim.events_processed").set(stats.events_processed)
-    g("net.sim.dropped_trace_entries").set(stats.dropped_trace_entries)
     g("net.sim.local_resends").set(getattr(stats, "local_resends", 0))
     g("net.sim.queue_drops").set(getattr(stats, "queue_drops", 0))
     g("net.sim.ecn_marked").set(getattr(stats, "ecn_marked", 0))

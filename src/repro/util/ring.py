@@ -1,8 +1,9 @@
 """A bounded append-only buffer whose evictions are counted, not silent.
 
-Unbounded in-memory logs are how long simulations die: the simulator's
-packet log and event trace both grow per transmission when tracing is
-on. A :class:`RingBuffer` keeps the most recent ``capacity`` entries
+Unbounded in-memory logs are how long simulations die: the audit
+journal, the span recorder and the flight recorder's frame store all
+grow with the traffic a run carries. A :class:`RingBuffer` keeps the
+most recent ``capacity`` entries
 and *counts* what it evicted, so an analysis over a truncated log can
 say "truncated, 12 034 entries lost" instead of silently reporting on
 a partial view — or eating all RAM reporting on a full one.

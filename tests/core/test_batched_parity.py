@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.usecases import run_config_assurance
 from repro.pera.config import BatchingSpec
-from repro.telemetry import AuditKind, Telemetry, use_default
+from repro.telemetry import AuditKind
 
 PACKETS = 12
 SWAP_AT = 6
@@ -25,25 +25,12 @@ AMORTIZED_KINDS = {AuditKind.SIGNATURE_MADE, AuditKind.EPOCH_SEALED}
 
 
 def run_mode(batching):
-    """One UC1 run and its whole audit story in one journal.
-
-    The run journals the dataplane in ``result.sharded.telemetry``;
-    UC1's harvest-time appraiser is built without a telemetry argument
-    and journals to the ambient default. The story under test is both,
-    dataplane first.
-    """
-    ambient = Telemetry(active=True)
-    previous = use_default(ambient)
-    try:
-        result = run_config_assurance(
-            packets=PACKETS, swap_at=SWAP_AT, batching=batching
-        )
-    finally:
-        use_default(previous)
-    story = Telemetry(active=True)
-    story.audit.load(result.sharded.telemetry.audit.events)
-    story.audit.load(ambient.audit.events)
-    return result, story
+    """One UC1 run and its whole audit story: the run's own journal,
+    dataplane and harvest-time appraiser alike."""
+    result = run_config_assurance(
+        packets=PACKETS, swap_at=SWAP_AT, batching=batching
+    )
+    return result, result.sharded.telemetry
 
 
 @pytest.fixture(scope="module")

@@ -146,7 +146,7 @@ DEGRADED = {
     "restart": (
         {"restart_at": 0.6e-3},
         "521ed701693a824f3bbc841262fa3d5ec0bfe32618aae28c3901abec525bff22",
-        "7fef85c48d8d3b2ae9138ffeae97bde819f5111d80c2d5704bbaa729b23372b0",
+        "04c9e0d37908705f441e26cabbd587a1fe6e68d8ee606270b8edd2a52445c132",
     ),
 }
 

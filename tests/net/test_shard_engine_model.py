@@ -9,19 +9,27 @@ window at a random width, so children land inside the open window
 (overlay), beyond it (backlog) and on same-time ties. Execution order
 and counted/uncounted totals must be equal.
 
+A *send program* crosses a shard cut: two senders, one beside the
+receiver and one across the cut, send packets and control messages on
+a grid where arrivals at the receiver tie. The receiver must hear them
+in the same order on a plain :class:`Simulator` and at two shards.
+
 The explicit cases pin the window's edges (``t_end`` exclusive,
 ``hard_limit`` inclusive), a ``max_events`` abort mid-window followed
 by a resume, and the engine's complexity: a window must not cost a
 pass over everything pending.
 """
 
+from functools import partial
 from time import perf_counter
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from repro.net.packet import Packet
 from repro.net.sharding import Partition, ShardSimulator
-from repro.net.simulator import Simulator
+from repro.net.shardrun import ScenarioSpec, run_sharded
+from repro.net.simulator import Node, Simulator
 from repro.net.topology import Topology
 
 #: Delays on a coarse grid so that sums are exact in binary floating
@@ -131,6 +139,85 @@ def test_abort_and_resume_loses_and_reorders_nothing(program, width, budget):
     log, counted, uncounted = run_windowed(program, width, max_events=budget)
     assert log == run_reference(program)
     assert (counted, uncounted) == count(program)
+
+
+#: A send is ``(sender, grid slot, as a control message?)``.
+SENDS = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "c"]), st.integers(0, 8), st.booleans()
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+def cut_topology():
+    """``a`` — ``b`` — ``c``. At two shards ``a`` and ``b`` share shard
+    0 and ``c`` is alone on shard 1, so ``b`` hears ``a`` over a local
+    link and ``c`` over the cut. An empty UDP frame serializes in 0.25
+    s, so a packet ``c`` sends at ``t``, one ``a`` sends at ``t + 0.5``
+    and a control message (1 s latency) sent at ``t + 0.25`` all reach
+    ``b`` at the same instant."""
+    slot = Packet.udp_packet(1, 2, 3, 4, 0, 0).wire_length * 8 / 0.25
+    topo = Topology()
+    for name in ("a", "b", "c"):
+        topo.add_node(name)
+    topo.add_link("a", 1, "b", 1, latency_s=0.5, bandwidth_bps=slot)
+    topo.add_link("c", 1, "b", 2, latency_s=1.0, bandwidth_bps=slot)
+    return topo
+
+
+class Receiver(Node):
+    def __init__(self, name, log):
+        super().__init__(name)
+        self.log = log
+
+    def handle_packet(self, packet, in_port):
+        self.log.append(
+            ("pkt", in_port, packet.udp.src_port, self.sim.clock.now)
+        )
+
+    def handle_control(self, sender, message):
+        self.log.append(("ctl", sender, message, self.sim.clock.now))
+
+
+def build_sends(sends, sim):
+    """Bind the three nodes and schedule every send on its sender's
+    shard; returns the receiver's arrival log."""
+    log = []
+    sim.bind(Node("a"))
+    sim.bind(Receiver("b", log))
+    sim.bind(Node("c"))
+    for label, (sender, slot, control) in enumerate(sends):
+        def send(sender=sender, label=label, control=control):
+            if control:
+                sim.send_control(sender, "b", label)
+            else:
+                sim.transmit(
+                    sender, 1, Packet.udp_packet(1, 2, 3, 4, label, 0)
+                )
+
+        sim.schedule_on(sender, slot * 0.25, send)
+    return log
+
+
+@given(sends=SENDS)
+# The far sender's packet is older, the near one's is scheduled in the
+# same window before the barrier hands the far one over.
+@example(sends=[("c", 0, False), ("a", 2, False)])
+def test_same_time_arrivals_across_a_cut_keep_one_order(sends):
+    reference = Simulator(cut_topology(), control_latency_s=1.0)
+    expected = build_sends(sends, reference)
+    reference.run()
+    spec = ScenarioSpec(
+        topology=cut_topology,
+        build=partial(build_sends, sends),
+        harvest=lambda sim, log: log if sim.owns("b") else None,
+    )
+    result = run_sharded(spec, shards=2, control_latency_s=1.0)
+    assert result.partition.owner == {"a": 0, "b": 0, "c": 1}
+    assert result.outputs[0] == expected
+    assert len(expected) == len(sends)
 
 
 class TestWindowEdges:

@@ -306,3 +306,18 @@ class TestBatchedSwitchOutOfBand:
         switches[0].flush_epochs()
         sim.run()
         assert len(appraiser.control_received) == 1
+
+    def test_an_oob_record_is_charged_its_wire_size(self):
+        # The epoch header, root signature and proof travel with the
+        # record, so the control channel pays for all of them, not only
+        # for the flat hop body.
+        spec = BatchingSpec(max_records=1, max_delay_s=0.0)
+        sim, src, dst, switches, appraiser = build_batched_chain(
+            spec, out_of_band=True
+        )
+        send_ra_packet(src, dst)
+        sim.run()
+        [(_, _, record)] = appraiser.control_received
+        assert isinstance(record, BatchedHopEvidence)
+        assert sim.stats.control_messages == 1
+        assert sim.stats.control_bytes == len(record.wire)

@@ -103,7 +103,7 @@ class TestSimulatorIntegration:
         assert counters["net.link.tx_packets{link=h1:1->h2:1}"] == 1.0
         gauges = tel.metrics.snapshot()["gauges"]
         assert gauges["net.sim.packets_transmitted"] == 1.0
-        assert gauges["net.sim.dropped_trace_entries"] == 0.0
+        assert gauges["net.sim.packets_dropped"] == 0.0
 
     def test_disabled_telemetry_records_nothing(self):
         from repro.net.simulator import Simulator
