@@ -3,10 +3,12 @@
 Every generator takes an explicit seed and draws from its own
 ``random.Random`` in a fixed order, so a mix is a pure function of its
 arguments — the property the byte-identity determinism sweep relies
-on. Flow start times get a per-flow-id nanosecond-scale stagger: two
-flows from different sources landing at one destination at the *exact*
-same float timestamp is the one ordering a sharded run cannot pin
-(docs/SHARDING.md), so mixes simply never mint such collisions.
+on. Flow start times get a per-flow-id nanosecond-scale stagger, so
+two flows from different sources never land at one destination at the
+*exact* same float timestamp. (Such a tie would replay alike at any
+shard count — same-time deliveries have a canonical order, see
+docs/SHARDING.md — but every pinned workload is generated with the
+stagger.)
 """
 
 from __future__ import annotations
