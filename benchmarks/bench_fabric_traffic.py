@@ -30,12 +30,12 @@ from repro.core.fabric import (
     standard_fabric_rules,
 )
 from repro.net.routing import RoutingMode
-from repro.telemetry.timeseries import dump_timeseries
+from repro.telemetry import run_bundle, write_run
 
 from conftest import report, table
 
 _SUMMARY_PATH = pathlib.Path(__file__).parent / "FABRIC_summary.json"
-_TIMESERIES_PATH = pathlib.Path(__file__).parent / "TIMESERIES.json"
+_RUN_PATH = pathlib.Path(__file__).parent / "FABRIC_RUN.json"
 
 SEED = 20260807
 
@@ -265,8 +265,8 @@ def test_fabric_sampling_overhead(benchmark):
     benchmark.extra_info["forwarded"] = result.forwarded
 
     # The CI artifact: the same campaign once more under the standard
-    # health rules, dumped as the schema-versioned timeseries document
-    # (rendered by `python -m repro.telemetry.report timeline|health`).
+    # health rules, written as its repro.run/v1 bundle (rendered by
+    # `python -m repro.telemetry.report timeline|health|chrome`).
     monitored = run_fabric_traffic(
         OVERHEAD_SHAPE,
         shards=1,
@@ -275,7 +275,10 @@ def test_fabric_sampling_overhead(benchmark):
         telemetry_active=True,
         health=standard_fabric_rules(),
     )
-    dump_timeseries(monitored.timeseries(), _TIMESERIES_PATH)
+    write_run(
+        run_bundle(monitored.result.telemetry, monitored.result, monitored.health),
+        _RUN_PATH,
+    )
 
     report(
         "Flight-recorder sampling overhead "

@@ -10,15 +10,13 @@ leaves the reproduced tables on disk.
 At session end the harness also dumps ``benchmarks/BENCH_results.json``
 — the reproduced tables plus pytest-benchmark's timing stats in one
 machine-readable file, so CI (and perf-regression tooling) can diff
-runs without scraping stdout — and ``benchmarks/TELEMETRY.json``, the
-:mod:`repro.telemetry` export for the whole session, so a perf
-regression arrives with a breakdown (per-switch evidence counters,
-verify-cache hit rate, span aggregates) rather than just a total. Run
-with ``REPRO_TELEMETRY=1`` to capture live per-link counters and
-per-stage spans too; a ``benchmarks/TELEMETRY_trace.json`` Chrome
-trace and, when attestation audit events were recorded, a
-``benchmarks/AUDIT.json`` journal (render it with
-``python -m repro.telemetry.report``) are then written alongside.
+runs without scraping stdout — and ``benchmarks/RUN.json``, the
+session's ``repro.run/v1`` bundle, so a perf regression arrives with a
+breakdown (per-switch evidence counters, verify-cache hit rate, spans)
+rather than just a total. Run with ``REPRO_TELEMETRY=1`` to capture
+live per-link counters, per-stage spans and the attestation audit
+journal too; render the bundle with ``python -m repro.telemetry.report``
+(views ``report``, ``timeline``, ``health``, ``chrome``).
 """
 
 from __future__ import annotations
@@ -29,9 +27,7 @@ from typing import Iterable, List, Mapping
 
 _REPORT_PATH = pathlib.Path(__file__).parent / "_reported.txt"
 _RESULTS_PATH = pathlib.Path(__file__).parent / "BENCH_results.json"
-_TELEMETRY_PATH = pathlib.Path(__file__).parent / "TELEMETRY.json"
-_TELEMETRY_TRACE_PATH = pathlib.Path(__file__).parent / "TELEMETRY_trace.json"
-_AUDIT_PATH = pathlib.Path(__file__).parent / "AUDIT.json"
+_RUN_PATH = pathlib.Path(__file__).parent / "RUN.json"
 
 # Version stamp for BENCH_results.json; bump on layout changes.
 _BENCH_SCHEMA = "repro.bench/v1"
@@ -83,33 +79,26 @@ def _benchmark_stats(config) -> List[dict]:
 
 
 def _dump_telemetry() -> None:
-    """Attach the session's telemetry export next to the results.
+    """Attach the session's run bundle next to the results.
 
     With ``REPRO_TELEMETRY`` unset the ambient telemetry is the null
-    object; the export then still carries the process-wide shared
+    object; the bundle then still carries the process-wide shared
     state (most usefully the memoized verify-cache hit rate) via the
     global collectors. With it set, the full live registry — per-link
-    counters, per-switch gauges, per-stage spans — lands here, plus a
-    Chrome trace for ``chrome://tracing``.
+    counters, per-switch gauges, per-stage spans, the audit journal —
+    lands here.
     """
     from repro.telemetry import (
         Telemetry,
-        collect_globals,
         default_telemetry,
-        dump_audit,
-        dump_json,
-        write_chrome_trace,
+        run_bundle,
+        write_run,
     )
 
     telemetry = default_telemetry()
     if not telemetry.active:
         telemetry = Telemetry()  # holder for the global collectors only
-    collect_globals(telemetry)
-    dump_json(telemetry, _TELEMETRY_PATH)
-    if len(telemetry.spans):
-        write_chrome_trace(telemetry, _TELEMETRY_TRACE_PATH)
-    if len(telemetry.audit):
-        dump_audit(telemetry, _AUDIT_PATH)
+    write_run(run_bundle(telemetry), _RUN_PATH)
 
 
 def pytest_sessionfinish(session, exitstatus):

@@ -17,7 +17,7 @@ What the run demonstrates:
 - corrupted evidence is rejected, never a crash,
 - the whole story replays byte-identically from the same seed.
 
-Run:  python examples/chaos_athens.py [--seed N] [--audit-out FILE]
+Run:  python examples/chaos_athens.py [--seed N] [--run-out FILE]
                                       [--shards K] [--backend inline|mp]
 
 The campaign runs on the sharded simulation core (docs/SHARDING.md)
@@ -25,21 +25,24 @@ partitioned into ``--shards`` K event loops (default 1, the baseline);
 ``--backend mp`` forks one worker process per shard. The merged
 canonical audit journal is byte-identical for *any* shard count and
 backend, which the determinism check at the end demonstrates against a
-1-shard inline replay.
+1-shard inline replay. ``--run-out`` writes the run's ``repro.run/v1``
+bundle; render it with ``python -m repro.telemetry.report FILE``.
 """
 
 import argparse
+import json
 
 from repro.core.chaos import run_chaos_athens, run_degraded_oob
 from repro.faults import FailMode
+from repro.telemetry import run_bundle, write_run
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument(
-        "--audit-out", default=None,
-        help="write the canonical audit-journal JSON to this file",
+        "--run-out", default=None,
+        help="write the run's repro.run/v1 bundle to this file",
     )
     parser.add_argument(
         "--shards", type=int, default=1, metavar="K",
@@ -81,17 +84,25 @@ def main() -> None:
     # Replay on the baseline (1 shard, inline): the canonical merged
     # journal must depend on neither partitioning nor backend.
     replay = run_chaos_athens(seed=args.seed)
-    identical = replay.audit_export() == result.audit_export()
+    identical = journal(replay) == journal(result)
     print(f"replay with seed {args.seed}: {args.shards}-shard "
           f"{args.backend} vs 1-shard inline journals byte-identical: "
           f"{identical}")
     assert identical, "same seed must replay byte-identically"
 
-    if args.audit_out:
-        from repro.telemetry import dump_audit
+    if args.run_out:
+        write_run(
+            run_bundle(result.telemetry, result.sharded, result.health),
+            args.run_out,
+        )
+        print(f"run bundle written to {args.run_out}")
 
-        dump_audit(result.telemetry, args.audit_out)
-        print(f"audit journal written to {args.audit_out}")
+
+def journal(result) -> str:
+    """The run's canonical audit journal as JSON bytes."""
+    return json.dumps(
+        [event.as_dict() for event in result.telemetry.audit], sort_keys=True
+    )
 
 
 if __name__ == "__main__":

@@ -8,14 +8,12 @@ appraises the evidence the packet accumulated.
 
 Run:  python examples/quickstart.py
 
-With ``--trace-out trace.json`` (and/or ``--telemetry-out run.json``,
-``--audit-out audit.json``) the run is observed end to end:
+With ``--run-out RUN.json`` the run is observed end to end:
 per-pipeline-stage spans, evidence counters, the verify-cache hit rate
-and the attestation audit journal are exported as a Chrome
-``chrome://tracing`` trace / JSON dumps. Exports are registered up
-front (``Telemetry.auto_dump``) and flushed inside ``Simulator.run``'s
-``try/finally``, so even a crashed run leaves usable artifacts.
-Render the audit export with ``python -m repro.telemetry.report``.
+and the attestation audit journal land in one ``repro.run/v1`` bundle,
+written in a ``finally`` so even a crashed run leaves it on disk.
+Render it with ``python -m repro.telemetry.report RUN.json`` (or the
+``timeline``, ``health`` and ``chrome`` views).
 """
 
 import argparse
@@ -33,34 +31,27 @@ from repro.pera.config import CompositionMode, EvidenceConfig
 from repro.pisa.programs import firewall_program
 from repro.pisa.runtime import TableEntry
 from repro.pisa.tables import MatchKey, MatchKind
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, run_bundle, write_run
 
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--trace-out", metavar="PATH", default=None,
-        help="write a Chrome trace-event file of the run",
-    )
-    parser.add_argument(
-        "--telemetry-out", metavar="PATH", default=None,
-        help="write a JSON metrics + spans dump of the run",
-    )
-    parser.add_argument(
-        "--audit-out", metavar="PATH", default=None,
-        help="write the attestation audit journal as JSON",
+        "--run-out", metavar="PATH", default=None,
+        help="write the run's repro.run/v1 bundle (journal, metrics, spans)",
     )
     args = parser.parse_args(argv)
-    observe = args.trace_out or args.telemetry_out or args.audit_out
-    telemetry = Telemetry() if observe else None
-    if telemetry is not None:
-        # Crash-safe: Simulator.run flushes these in a try/finally.
-        telemetry.auto_dump(
-            json_path=args.telemetry_out,
-            trace_path=args.trace_out,
-            audit_path=args.audit_out,
-        )
+    telemetry = Telemetry() if args.run_out else None
+    try:
+        attest(telemetry)
+    finally:
+        if telemetry is not None:
+            write_run(run_bundle(telemetry), args.run_out)
+            print(f"run bundle written to {args.run_out}")
 
+
+def attest(telemetry) -> None:
+    """The quickstart itself; ``telemetry`` is None when unobserved."""
     # 1. A tiny network: h-src — s1 — h-dst.
     topology = linear_topology(1)
     sim = Simulator(topology, telemetry=telemetry)
@@ -116,14 +107,10 @@ def main(argv=None) -> None:
     print(verdict.describe())
     assert verdict.accepted
 
-    # 6. Explain the verdict from the audit journal, then re-flush the
-    #    exports so the appraisal-side events land in them too.
-    if telemetry is not None:
-        if verdict.trace_id is not None:
-            print("\n--- audit narrative ---")
-            print(verdict.explain(telemetry))
-        for path in telemetry.flush():
-            print(f"telemetry written to {path}")
+    # 6. Explain the verdict from the audit journal.
+    if telemetry is not None and verdict.trace_id is not None:
+        print("\n--- audit narrative ---")
+        print(verdict.explain(telemetry))
 
 
 if __name__ == "__main__":

@@ -30,7 +30,6 @@ default fail-closed policy — which the acceptance tests pin.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields as dataclass_fields
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -54,10 +53,9 @@ from repro.telemetry.health import (
     ThresholdRule,
     label_filter,
     run_health_pass,
-    run_timeseries,
 )
 from repro.telemetry.instrument import Telemetry
-from repro.telemetry.timeseries import SamplingSpec, timeseries_export
+from repro.telemetry.timeseries import SamplingSpec
 from repro.telemetry.tracing import reset_trace_ids
 from repro.util.ids import spawn_seed
 
@@ -155,36 +153,6 @@ class ChaosResult:
     sampling: Optional[SamplingSpec] = None
     #: Health evaluation over the frames (``health=`` runs only).
     health: Optional[HealthReport] = None
-
-    @property
-    def frames(self) -> List[Dict[str, object]]:
-        """Flight-recorder output (``sampling=`` runs only): canonical
-        merged frames, byte-identical across shard counts."""
-        return self.sharded.frames
-
-    @property
-    def frames_dropped(self) -> int:
-        return self.sharded.frames_dropped
-
-    def audit_export(self) -> str:
-        """Canonical JSON of the audit journal (replay comparisons)."""
-        return json.dumps(
-            [event.as_dict() for event in self.telemetry.audit.events],
-            sort_keys=True,
-            default=repr,
-        )
-
-    def frames_export(self) -> str:
-        """Canonical JSON of the frame stream (byte-identity checks)."""
-        return self.sharded.frames_export()
-
-    def timeseries(self) -> Dict[str, object]:
-        """The ``repro.timeseries/v1`` document for this run."""
-        return run_timeseries(self.sharded, self.health)
-
-    def timeseries_export(self) -> str:
-        """Canonical JSON of frames + alert timeline (byte-pinned)."""
-        return timeseries_export(self.timeseries())
 
     def narrative(self) -> str:
         """The recovery story, line by line."""

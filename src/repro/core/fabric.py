@@ -57,9 +57,8 @@ from repro.telemetry.health import (
     LevelRule,
     ThresholdRule,
     run_health_pass,
-    run_timeseries,
 )
-from repro.telemetry.timeseries import SamplingSpec, timeseries_export
+from repro.telemetry.timeseries import SamplingSpec
 from repro.net.qdisc import QueueConfig
 from repro.net.topology import Topology, fat_tree, leaf_spine
 from repro.pera.config import (
@@ -968,22 +967,6 @@ class FabricTrafficResult:
         """Flight-recorder output (``sampling=`` runs only): canonical
         merged frames, byte-identical across shard counts."""
         return self.result.frames
-
-    @property
-    def frames_dropped(self) -> int:
-        return self.result.frames_dropped
-
-    def frames_export(self) -> str:
-        """Canonical JSON of the frame stream (byte-identity checks)."""
-        return self.result.frames_export()
-
-    def timeseries(self) -> Dict[str, object]:
-        """The ``repro.timeseries/v1`` document for this run."""
-        return run_timeseries(self.result, self.health)
-
-    def timeseries_export(self) -> str:
-        """Canonical JSON of frames + alert timeline (byte-pinned)."""
-        return timeseries_export(self.timeseries())
 
     def fct_percentiles(
         self, qs: Tuple[float, ...] = (0.5, 0.95, 0.99)

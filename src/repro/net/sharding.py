@@ -31,17 +31,14 @@ for 1, 2 or 4 shards. Three design rules make that hold:
   link streams (:func:`repro.util.ids.spawn_seed`), and trace ids from
   per-origin serials, so no draw sequence depends on the global event
   interleaving that sharding changes.
-* **Canonical exchange order.** Outbox entries carry a deterministic
-  ``(arrival_time, kind, endpoint..., per-endpoint index)`` prefix,
-  unique per directed link / control pair. The source shard buckets
-  its entries by destination shard; the destination sorts everything
-  it is handed on that prefix before injecting, so its tie-breaking
-  sequence numbers are assigned in an order independent of how many
-  shards produced the entries (a global sort followed by a
-  per-destination filter equals a per-destination sort). Each
-  delivery is then queued under the same ``(0, kind, endpoint,
-  endpoint)`` key a local one gets (:mod:`repro.net.simulator`), so
-  same-time deliveries interleave alike whichever shard sent them.
+* **Canonical exchange order.** Outbox entries are
+  ``(arrival_time, kind, endpoint, endpoint, *payload)``, bucketed by
+  destination shard. The destination queues each delivery under the
+  same ``(0, kind, endpoint, endpoint)`` key a local one gets
+  (:mod:`repro.net.simulator`), so same-time deliveries with different
+  keys run in key order whichever shard sent them, and every key has
+  one sending node, so same-key entries arrive in the order it posted
+  them (see :meth:`ShardSimulator.inject`).
 
 Cost model of the engine: a shard's pending events live in a binary
 heap, a window pops only its due prefix, and the earliest pending time
@@ -268,8 +265,6 @@ class ShardSimulator(Simulator):
         self._window_hard: Optional[float] = None
         # Destination shard -> this window's entries for it.
         self._outbox: Dict[int, List[tuple]] = {}
-        # Posts so far per (kind, endpoint, endpoint): the entry index.
-        self._post_index: Dict[tuple, int] = {}
         # Entry kind -> deliver(a, b, *payload), what inject schedules.
         self._deliverers: Dict[str, Callable[..., None]] = {
             KIND_CONTROL: self._deliver_control,
@@ -419,11 +414,10 @@ class ShardSimulator(Simulator):
         self, target: str, delay: float, kind: str, a: Any, b: Any, *payload: Any
     ) -> None:
         """File one cross-shard delivery under ``target``'s owner shard
-        as the entry ``(arrival, kind, a, b, index, *payload)``.
+        as the entry ``(arrival, kind, a, b, *payload)``.
 
-        ``(a, b)`` is the directed endpoint the canonical order keys on
-        (link end, or control sender/recipient); ``index`` counts this
-        shard's posts per ``(kind, a, b)``. Every kind crosses a cut
+        ``(a, b)`` is the directed endpoint the delivery is keyed on
+        (link end, or control sender/recipient). Every kind crosses a cut
         link or the control plane, whose latency is at least the
         lookahead window, so an arrival inside the open window is a
         broken partition — refused, never delivered late.
@@ -435,11 +429,8 @@ class ShardSimulator(Simulator):
                 f"arrives at {arrival} inside the open window ending "
                 f"{self._window_end}"
             )
-        key = (kind, a, b)
-        index = self._post_index.get(key, 0)
-        self._post_index[key] = index + 1
         self._outbox.setdefault(self.partition.owner[target], []).append(
-            (arrival, kind, a, b, index) + payload
+            (arrival, kind, a, b) + payload
         )
 
     def take_outbox(self) -> Dict[int, Tuple[float, List[tuple]]]:
@@ -458,24 +449,24 @@ class ShardSimulator(Simulator):
 
     def inject(self, entries: List[tuple]) -> None:
         """Accept the cross-shard entries other shards filed for this
-        one, in any order.
+        one, and push them in list order.
 
-        They are sorted here on the canonical ``(arrival_time, kind,
-        endpoint..., per-endpoint index)`` prefix — unique per directed
-        link / control pair, so the order is total and independent of
-        which shard produced what — and local tie-breaking sequence
-        numbers are assigned in that order. Each delivery is queued
-        under the same ``(0, kind, a, b)`` key a local one gets
-        (:meth:`Simulator._push`), so same-time deliveries interleave
-        alike whether their sender is in this shard or not, at any
-        shard count. Each delivery is pushed at exactly the arrival
-        time the sending shard computed (``now + (t - now)`` is not
-        always ``t``). The delivery event is scheduled (counted) here and
-        nowhere else, so ``events_processed`` still sums to the
-        one-shard count.
+        Each delivery is queued under the same ``(0, kind, a, b)`` heap
+        key a local one gets (:meth:`Simulator._push`), so same-time
+        deliveries with different keys run in key order whatever order
+        the buckets came in. Same-key entries need no sort either:
+        every ``(kind, a, b)`` has exactly one sending node (a link end
+        has one peer, a control pair one sender), so they all come from
+        one shard's outbox, in the order that node posted them, and the
+        tie-breaking sequence number assigned here keeps that order, as
+        the one-shard run does. Each delivery is pushed at exactly the
+        arrival time the sending shard computed (``now + (t - now)`` is
+        not always ``t``). The delivery event is scheduled (counted)
+        here and nowhere else, so ``events_processed`` still sums to
+        the one-shard count.
         """
         now = self.clock.now
-        for entry in sorted(entries, key=lambda entry: entry[:5]):
+        for entry in entries:
             time, kind, a, b = entry[:4]
             deliver = self._deliverers.get(kind)
             if deliver is None:
@@ -489,7 +480,7 @@ class ShardSimulator(Simulator):
                 self._backlog,
                 (
                     time, (0, kind, a, b), self._seq, True,
-                    partial(deliver, a, b, *entry[5:]),
+                    partial(deliver, a, b, *entry[4:]),
                 ),
             )
 
@@ -591,12 +582,10 @@ class ShardSimulator(Simulator):
         return processed
 
     def finalize(self) -> None:
-        """End-of-run accounting and telemetry export (idempotent).
+        """End-of-run accounting (idempotent).
 
         Mirrors the monolith ``run``'s ``finally`` block: fold the
-        processed-event count into stats, snapshot simulator gauges,
-        and flush sinks — swallowing flush errors so they never mask a
-        scenario exception.
+        processed-event count into stats and snapshot simulator gauges.
         """
         if self._finalized:
             return
@@ -612,10 +601,6 @@ class ShardSimulator(Simulator):
             from repro.telemetry.instrument import collect_simulator
 
             collect_simulator(self.telemetry, self)
-        try:
-            self.telemetry.flush()
-        except Exception:
-            pass
 
     def recorder_runtime(self) -> Tuple[float, float]:
         """``(backlog, busy_seconds)`` — this shard's runtime view."""

@@ -17,7 +17,8 @@ already bucketed by destination shard, each bucket tagged with its
 earliest arrival time; the runner forwards buckets unopened (under
 ``mp`` as the bytes the source worker pickled, so an entry is pickled
 once and unpickled once and the parent does no per-entry work) and the
-destination shard sorts what it receives canonically.
+destination shard queues what it receives under the deliveries' heap
+keys, which order it canonically.
 
 Whatever the backend or shard count, the *merge* is canonical:
 :meth:`~repro.net.simulator.SimStats.merge` folds stats field-wise,
@@ -121,6 +122,7 @@ class ShardedResult:
 
     shards: int
     backend: str
+    seed: int
     stats: SimStats
     audit_events: List[Dict[str, object]]
     metrics: Dict[str, Dict[str, object]]
@@ -424,9 +426,9 @@ class ShardedRunner:
         rounds, finish — each command posted to every port before any
         reply is taken, so shards behind pipes compute concurrently.
 
-        Outbox buckets queue up unopened for their destinations, which
-        sort what they get canonically in ``inject``: neither reply
-        order nor shard count shows in the result.
+        Outbox buckets queue up unopened for their destinations, whose
+        ``inject`` heap keys order what they get canonically: neither
+        reply order nor shard count shows in the result.
         """
         pending: List[List[tuple]] = [[] for _ in ports]
         next_times: List[Optional[float]] = [None] * len(ports)
@@ -517,6 +519,7 @@ class ShardedRunner:
         return ShardedResult(
             shards=partition.shard_count,
             backend=self.backend,
+            seed=self.seed,
             stats=stats,
             audit_events=audit,
             metrics=metrics,

@@ -334,17 +334,11 @@ class Simulator:
                 if recorder is not None:
                     recorder.advance_to(until)
         finally:
-            # Account for and export what DID happen even when a node
-            # behaviour raised mid-event: a crashed run must still
-            # leave a usable trace on disk. Flush errors are swallowed
-            # so they can never mask the original exception.
+            # Account for what DID happen even when a node behaviour
+            # raised mid-event.
             self.stats.events_processed += processed
             if self.telemetry.active:
                 collect_simulator(self.telemetry, self)
-            try:
-                self.telemetry.flush()
-            except Exception:
-                pass
         return processed
 
     # --- dataplane ----------------------------------------------------------

@@ -22,9 +22,10 @@ programmable dataplane is actually running; this subsystem gives the
   (:mod:`~repro.telemetry.health`) raising typed alerts at window
   close (see ``docs/MONITORING.md``),
 
-and :mod:`~repro.telemetry.export` renders a run as JSON, as a Chrome
-``chrome://tracing`` trace, or as a plain-text summary. Instrumented
-layers (net, pisa, pera, ra, core) bind to
+and :mod:`~repro.telemetry.export` writes a run as one schema-versioned
+``repro.run/v1`` bundle, which the four views of
+:mod:`~repro.telemetry.report` (report, timeline, health, chrome) read
+back. Instrumented layers (net, pisa, pera, ra, core) bind to
 :func:`~repro.telemetry.instrument.default_telemetry`, which is a
 no-op null object unless ``REPRO_TELEMETRY=1`` is set or a telemetry
 instance is passed / installed explicitly — disabled observability
@@ -32,7 +33,6 @@ costs one branch per site. See ``docs/TELEMETRY.md``.
 """
 
 from repro.telemetry.audit import (
-    AUDIT_SCHEMA,
     AuditEvent,
     AuditJournal,
     AuditKind,
@@ -43,14 +43,11 @@ from repro.telemetry.audit import (
     narrative,
 )
 from repro.telemetry.export import (
+    RUN_SCHEMA,
     TRACE_SCHEMA,
-    audit_snapshot,
     chrome_trace,
-    dump_audit,
-    dump_json,
-    snapshot,
-    summary,
-    write_chrome_trace,
+    run_bundle,
+    write_run,
 )
 from repro.telemetry.instrument import (
     NULL_TELEMETRY,
@@ -84,12 +81,8 @@ from repro.telemetry.spans import Span, SpanRecorder
 from repro.telemetry.timeseries import (
     FlightRecorder,
     SamplingSpec,
-    TIMESERIES_SCHEMA,
-    dump_timeseries,
     install_recorder,
     merge_frame_streams,
-    timeseries_export,
-    timeseries_snapshot,
 )
 from repro.telemetry.tracing import (
     TraceContext,
@@ -116,11 +109,10 @@ __all__ = [
     "collect_node",
     "collect_verify_cache",
     "collect_globals",
-    "snapshot",
-    "dump_json",
+    "RUN_SCHEMA",
+    "run_bundle",
+    "write_run",
     "chrome_trace",
-    "write_chrome_trace",
-    "summary",
     "TraceContext",
     "start_trace",
     "new_trace_id",
@@ -130,21 +122,14 @@ __all__ = [
     "AuditKind",
     "Check",
     "NULL_JOURNAL",
-    "AUDIT_SCHEMA",
     "TRACE_SCHEMA",
     "classify_failure",
     "narrative",
     "explain_verdict",
-    "audit_snapshot",
-    "dump_audit",
     "FlightRecorder",
     "SamplingSpec",
-    "TIMESERIES_SCHEMA",
-    "dump_timeseries",
     "install_recorder",
     "merge_frame_streams",
-    "timeseries_export",
-    "timeseries_snapshot",
     "AbsenceRule",
     "HealthReport",
     "ImbalanceRule",

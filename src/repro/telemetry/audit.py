@@ -33,9 +33,6 @@ from repro.util.ring import RingBuffer
 
 DEFAULT_MAX_EVENTS = 65536
 
-#: Schema tag stamped into audit exports (bump on layout changes).
-AUDIT_SCHEMA = "repro.audit/v1"
-
 
 class AuditKind:
     """Event-kind vocabulary (plain strings, namespaced like metrics)."""
@@ -135,7 +132,7 @@ class AuditEvent:
     detail: Mapping[str, object] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, object]:
-        """The export form (what the audit JSON schema describes)."""
+        """The export form (a ``journal`` entry of the run bundle)."""
         doc: Dict[str, object] = {
             "seq": self.seq,
             "time_s": self.time_s,
@@ -503,7 +500,6 @@ def explain_verdict(verdict, events: Iterable[EventLike]) -> str:
 
 
 __all__ = [
-    "AUDIT_SCHEMA",
     "AuditEvent",
     "AuditJournal",
     "AuditKind",

@@ -46,11 +46,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.telemetry.audit import AuditKind, merge_audit_events
 from repro.telemetry.metrics import parse_name
-from repro.telemetry.timeseries import (
-    Frame,
-    apply_delta,
-    timeseries_snapshot,
-)
+from repro.telemetry.timeseries import Frame, apply_delta
 
 #: The ``actor`` stamped on alert events (no node owns the health layer).
 HEALTH_ACTOR = "health"
@@ -499,23 +495,6 @@ def run_health_pass(run, rules) -> Optional[HealthReport]:
     return report
 
 
-def run_timeseries(
-    run, report: Optional[HealthReport] = None
-) -> Dict[str, object]:
-    """The ``repro.timeseries/v1`` document for ``run`` (a
-    :class:`~repro.net.shardrun.ShardedResult`), with the alert
-    timeline of its health ``report`` when one ran."""
-    if run.sample_interval_s is None:
-        raise ValueError("run had no sampling= spec; no frames recorded")
-    return timeseries_snapshot(
-        run.frames,
-        run.sample_interval_s,
-        frames_dropped=run.frames_dropped,
-        alerts=report.alerts if report is not None else (),
-        rules=report.rules if report is not None else (),
-    )
-
-
 __all__ = [
     "AbsenceRule",
     "HEALTH_ACTOR",
@@ -529,5 +508,4 @@ __all__ = [
     "fold_alerts",
     "label_filter",
     "run_health_pass",
-    "run_timeseries",
 ]

@@ -24,7 +24,7 @@ Three ways instrumentation reaches a :class:`Telemetry`:
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.telemetry.audit import (
     AuditJournal,
@@ -70,8 +70,6 @@ class Telemetry:
             if active
             else NULL_JOURNAL
         )
-        # Export sinks registered via auto_dump(); flush() writes them.
-        self._sinks: Dict[str, object] = {}
 
     # --- clock ----------------------------------------------------------------
 
@@ -80,49 +78,6 @@ class Telemetry:
         self.spans.bind_clock(clock)
         if self.audit is not NULL_JOURNAL:
             self.audit.bind_clock(clock)
-
-    # --- crash-safe exports ------------------------------------------------------
-
-    def auto_dump(
-        self,
-        json_path: Optional[object] = None,
-        trace_path: Optional[object] = None,
-        audit_path: Optional[object] = None,
-        timebase: str = "wall",
-    ) -> None:
-        """Register export paths for :meth:`flush` to (re)write.
-
-        The simulator flushes registered sinks in a ``try/finally`` at
-        the end of every ``run()`` — including runs that die mid-event —
-        so a crash still leaves a usable trace on disk.
-        """
-        if json_path is not None:
-            self._sinks["json"] = json_path
-        if trace_path is not None:
-            self._sinks["trace"] = trace_path
-        if audit_path is not None:
-            self._sinks["audit"] = audit_path
-        self._sinks["timebase"] = timebase
-
-    def flush(self) -> List[object]:
-        """Write every registered sink now; returns the paths written."""
-        if not self._sinks:
-            return []
-        from repro.telemetry import export  # lazy: export imports us
-
-        written: List[object] = []
-        timebase = str(self._sinks.get("timebase", "wall"))
-        if "json" in self._sinks:
-            written.append(export.dump_json(self, self._sinks["json"]))
-        if "trace" in self._sinks:
-            written.append(
-                export.write_chrome_trace(
-                    self, self._sinks["trace"], timebase=timebase
-                )
-            )
-        if "audit" in self._sinks:
-            written.append(export.dump_audit(self, self._sinks["audit"]))
-        return written
 
     # --- gated accessors --------------------------------------------------------
 

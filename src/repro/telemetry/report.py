@@ -1,18 +1,19 @@
 """The post-run report CLI: ``python -m repro.telemetry.report``.
 
-Three modes, all working purely on exported JSON documents (so they
-run long after the simulating process is gone, or on artifacts
-downloaded from CI):
+Four views, each reading one ``repro.run/v1`` bundle
+(:func:`repro.telemetry.export.run_bundle`), so they run long after
+the simulating process is gone, or on artifacts downloaded from CI:
 
-- ``report AUDIT.json`` (the historical default): the run overview,
-  per-trace narratives, and optionally (``--chrome-out`` with
-  ``--telemetry``) a flow-stitched Chrome trace rebuilt from the
-  telemetry snapshot.
-- ``report timeline TIMESERIES.json``: renders the flight recorder's
-  windowed frame stream (see docs/MONITORING.md) as per-metric
-  sparkline rows over sample windows.
-- ``report health TIMESERIES.json``: renders the health rules, a
-  per-rule raised/quiet timeline, and the alert event log.
+- ``report RUN.json`` (the default view): the run overview, with the
+  congestion & recovery counters when the bundle carries stats, and
+  per-trace narratives (``--trace`` picks one).
+- ``timeline RUN.json``: the flight recorder's windowed frame stream
+  (see docs/MONITORING.md) as per-metric sparkline rows over sample
+  windows (``--metric`` filters, ``--top`` caps the rows).
+- ``health RUN.json``: the health rules, a per-rule raised/quiet
+  timeline, and the alert event log.
+- ``chrome RUN.json``: the bundle's spans as a flow-stitched Chrome
+  trace on stdout (wall-clock timebase).
 
 Any missing, unparseable, or wrong-schema input exits with status 2
 and a one-line diagnostic on stderr — never a traceback — so CI steps
@@ -28,10 +29,8 @@ import sys
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.telemetry.audit import AuditKind, narrative
-from repro.telemetry.timeseries import TIMESERIES_SCHEMA, cumulative_at
-
-#: Schema tag for chrome traces rebuilt from a snapshot (matches export).
-_TRACE_SCHEMA = "repro.trace/v1"
+from repro.telemetry.export import RUN_SCHEMA, chrome_trace
+from repro.telemetry.timeseries import cumulative_at
 
 
 class ReportError(ValueError):
@@ -52,27 +51,14 @@ def _load_json(path: pathlib.Path) -> object:
         raise ReportError(f"{path} is not valid JSON: {exc}")
 
 
-def load_audit(path: pathlib.Path) -> Mapping[str, object]:
-    """Load and minimally sanity-check an exported audit document."""
+def load_run(path: pathlib.Path) -> Mapping[str, object]:
+    """Load a ``repro.run/v1`` bundle, rejecting any other document."""
     doc = _load_json(path)
-    if not isinstance(doc, dict) or "events" not in doc:
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != RUN_SCHEMA:
+        found = f"schema {schema!r}" if schema is not None else "no schema"
         raise ReportError(
-            f"{path} is not an audit export (no 'events' key)"
-        )
-    return doc
-
-
-def load_timeseries(path: pathlib.Path) -> Mapping[str, object]:
-    """Load a ``repro.timeseries/v1`` document, rejecting imposters."""
-    doc = _load_json(path)
-    if not isinstance(doc, dict) or "schema" not in doc:
-        raise ReportError(
-            f"{path} is not a timeseries export (no 'schema' key)"
-        )
-    if doc["schema"] != TIMESERIES_SCHEMA:
-        raise ReportError(
-            f"{path} has schema {doc['schema']!r}; this tool reads "
-            f"{TIMESERIES_SCHEMA!r}"
+            f"{path} has {found}; this tool reads {RUN_SCHEMA!r} run bundles"
         )
     return doc
 
@@ -86,8 +72,8 @@ def _trace_ids(events: Sequence[Mapping[str, object]]) -> List[str]:
     return seen
 
 
-#: Congestion & recovery counters ``overview`` surfaces from a stats
-#: export (``ShardedResult.stats_export()``), in display order.
+#: Congestion & recovery counters ``overview`` surfaces from a bundle's
+#: stats, in display order.
 _CONGESTION_STATS = (
     ("queue drops", "queue_drops"),
     ("ECN marks", "ecn_marked"),
@@ -98,25 +84,15 @@ _CONGESTION_STATS = (
 )
 
 
-def load_stats(path: pathlib.Path) -> Mapping[str, object]:
-    """Load a simulator-stats JSON export (a flat counter mapping)."""
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise ReportError(f"{path} is not a stats export (not an object)")
-    return doc
-
-
-def overview(
-    doc: Mapping[str, object],
-    stats: Optional[Mapping[str, object]] = None,
-) -> str:
+def overview(doc: Mapping[str, object]) -> str:
     """The run-level summary block at the top of every report.
 
-    ``stats`` (a loaded stats export) appends the congestion &
-    recovery counters — queue drops, ECN marks, PFC pause frames, and
-    link-local resend totals (docs/CONGESTION.md).
+    A bundle with stats (a sharded campaign) also shows the congestion
+    & recovery counters — queue drops, ECN marks, PFC pause frames,
+    and link-local resend totals (docs/CONGESTION.md).
     """
-    events = doc.get("events", [])
+    run = doc["deterministic"]
+    events = run["journal"]
     traces = _trace_ids(events)
     verdicts = [e for e in events if e.get("kind") == AuditKind.VERDICT_ISSUED]
     rejected = sum(
@@ -124,20 +100,19 @@ def overview(
     )
     failures = [e for e in events if e.get("kind") == AuditKind.CHECK_FAILED]
     lines = [
-        f"audit report ({doc.get('schema', 'unversioned')})",
+        f"audit report ({doc['schema']})",
         f"  events:   {len(events)}"
-        + (f" (+{doc['events_dropped']} dropped)" if doc.get("events_dropped") else ""),
+        + (f" (+{run['journal_dropped']} dropped)" if run["journal_dropped"] else ""),
         f"  traces:   {len(traces)}",
         f"  verdicts: {len(verdicts)} ({rejected} rejected)",
         f"  failed checks: {len(failures)}",
     ]
+    stats = run["stats"]
     if stats is not None:
         lines.append("  congestion & recovery:")
         width = max(len(label) for label, _ in _CONGESTION_STATS)
         for label, key in _CONGESTION_STATS:
-            lines.append(
-                f"    {label.ljust(width)}  {int(stats.get(key, 0) or 0)}"
-            )
+            lines.append(f"    {label.ljust(width)}  {int(stats.get(key, 0))}")
     by_kind: Dict[str, int] = {}
     for event in events:
         kind = str(event.get("kind", "?"))
@@ -150,14 +125,10 @@ def overview(
     return "\n".join(lines)
 
 
-def render_report(
-    doc: Mapping[str, object],
-    trace: Optional[str] = None,
-    stats: Optional[Mapping[str, object]] = None,
-) -> str:
+def render_report(doc: Mapping[str, object], trace: Optional[str] = None) -> str:
     """The full text report: overview plus per-trace narratives."""
-    events = doc.get("events", [])
-    sections = [overview(doc, stats=stats)]
+    events = doc["deterministic"]["journal"]
+    sections = [overview(doc)]
     traces = [trace] if trace is not None else _trace_ids(events)
     for trace_id in traces:
         sections.append(narrative(events, trace_id=trace_id))
@@ -170,76 +141,7 @@ def render_report(
     return "\n\n".join(sections)
 
 
-# --- chrome trace reconstruction (from an exported telemetry snapshot) ------------
-
-
-def chrome_trace_from_snapshot(doc: Mapping[str, object]) -> Dict[str, object]:
-    """Rebuild a flow-stitched Chrome trace from a telemetry JSON export.
-
-    The snapshot keeps sim-clock timestamps per span, so the rebuilt
-    trace uses the ``sim`` timebase. Spans tagged with a trace id get
-    flow events (``"s"``/``"t"``) stitching every hop of a packet into
-    one visual lane, exactly like the live exporter.
-    """
-    spans = doc.get("spans", [])
-    events: List[Dict[str, object]] = []
-    track_ids: Dict[str, int] = {}
-    flow_seen: Dict[str, int] = {}
-    for span in spans:
-        track = str(span.get("track", "main"))
-        tid = track_ids.get(track)
-        if tid is None:
-            tid = len(track_ids) + 1
-            track_ids[track] = tid
-            events.append({
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 1,
-                "tid": tid,
-                "args": {"name": track},
-            })
-        name = str(span.get("name", "?"))
-        ts = float(span.get("sim_start_s", 0.0)) * 1e6
-        dur = (
-            float(span.get("sim_end_s", 0.0))
-            - float(span.get("sim_start_s", 0.0))
-        ) * 1e6
-        args = span.get("args") or {}
-        events.append({
-            "name": name,
-            "cat": name.split(".", 1)[0],
-            "ph": "X",
-            "pid": 1,
-            "tid": tid,
-            "ts": ts,
-            "dur": dur,
-            "args": dict(args),
-        })
-        trace_tag = args.get("trace")
-        if isinstance(trace_tag, str):
-            step = flow_seen.get(trace_tag, 0)
-            flow_seen[trace_tag] = step + 1
-            events.append({
-                "name": "trace",
-                "cat": "trace",
-                "ph": "s" if step == 0 else "t",
-                "id": trace_tag,
-                "pid": 1,
-                "tid": tid,
-                "ts": ts,
-            })
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "schema": _TRACE_SCHEMA,
-            "timebase": "sim",
-            "spans_dropped": doc.get("spans_dropped", 0),
-        },
-    }
-
-
-# --- timeline / health rendering (from a TIMESERIES.json export) --------------
+# --- timeline / health rendering (from a bundle's frames) ---------------------
 
 _SPARKS = "▁▂▃▄▅▆▇█"
 
@@ -255,14 +157,13 @@ def sparkline(values: Sequence[float]) -> str:
     )
 
 
-def _series(doc: Mapping[str, object]) -> Dict[str, List[float]]:
+def _series(frames: Sequence[Mapping[str, object]]) -> Dict[str, List[float]]:
     """Per-key delta series over windows ``0..max(w)`` (dense, zeros
     where a key's frame omitted it)."""
-    frames = doc.get("frames", [])
     if not frames:
         return {}
     last_window = max(int(f["w"]) for f in frames)
-    deltas = {int(f["w"]): f.get("v", {}) for f in frames}
+    deltas = {int(f["w"]): f["v"] for f in frames}
     keys = sorted({k for v in deltas.values() for k in v})
     return {
         key: [
@@ -279,18 +180,19 @@ def render_timeline(
     top: int = 24,
 ) -> str:
     """The flight-recorder frame stream as sparkline rows."""
-    interval = float(doc.get("interval_s", 0.0))
-    frames = doc.get("frames", [])
-    series = _series(doc)
+    run = doc["deterministic"]
+    interval = float(run["interval_s"] or 0.0)
+    frames = run["frames"]
+    series = _series(frames)
     if metric:
         series = {k: v for k, v in series.items() if metric in k}
     lines = [
-        f"timeline ({doc.get('schema', 'unversioned')})",
+        f"timeline ({doc['schema']})",
         f"  windows:  {max((int(f['w']) for f in frames), default=-1) + 1}"
         f" x {interval:g}s"
         + (
-            f" (+{doc['frames_dropped']} frames evicted)"
-            if doc.get("frames_dropped")
+            f" (+{run['frames_dropped']} frames evicted)"
+            if run["frames_dropped"]
             else ""
         ),
         f"  metrics:  {len(series)}"
@@ -304,13 +206,12 @@ def render_timeline(
     )
     shown = ranked[:top]
     width = max(len(key) for key, _ in shown)
+    final = cumulative_at(frames, max(int(f["w"]) for f in frames))
     lines.append("")
     for key, values in shown:
-        final = cumulative_at(frames, max(int(f["w"]) for f in frames)).get(
-            key, 0.0
-        )
         lines.append(
-            f"  {key.ljust(width)}  {sparkline(values)}  total {final:g}"
+            f"  {key.ljust(width)}  {sparkline(values)}  "
+            f"total {final.get(key, 0.0):g}"
         )
     if len(ranked) > len(shown):
         lines.append(f"  ... {len(ranked) - len(shown)} more (use --top)")
@@ -319,60 +220,51 @@ def render_timeline(
 
 def render_health(doc: Mapping[str, object]) -> str:
     """Health rules, per-rule raised/quiet timelines, and the alert log."""
-    frames = doc.get("frames", [])
-    alerts = doc.get("alerts", [])
-    rules = doc.get("rules", [])
+    run = doc["deterministic"]
+    frames = run["frames"]
+    alerts = run["alerts"]
+    rules = run["rules"]
     last_window = max((int(f["w"]) for f in frames), default=-1)
     lines = [
-        f"health ({doc.get('schema', 'unversioned')})",
-        f"  windows: {last_window + 1} x {float(doc.get('interval_s', 0.0)):g}s",
+        f"health ({doc['schema']})",
+        f"  windows: {last_window + 1} x {float(run['interval_s'] or 0.0):g}s",
         f"  rules:   {len(rules)}",
         f"  alerts:  {len(alerts)} "
-        f"({sum(1 for a in alerts if a.get('kind') == 'alert.raised')} raised, "
-        f"{sum(1 for a in alerts if a.get('kind') == 'alert.cleared')} cleared)",
+        f"({sum(1 for a in alerts if a['kind'] == AuditKind.ALERT_RAISED)} raised, "
+        f"{sum(1 for a in alerts if a['kind'] == AuditKind.ALERT_CLEARED)} cleared)",
     ]
     if rules:
         lines.append("")
-        width = max(len(str(r.get("name", "?"))) for r in rules)
+        width = max(len(rule["name"]) for rule in rules)
         for rule in rules:
-            name = str(rule.get("name", "?"))
-            raised = [
-                int(a["detail"]["window"])
+            name = rule["name"]
+            changes = {
+                int(a["detail"]["window"]): a["kind"] == AuditKind.ALERT_RAISED
                 for a in alerts
-                if a.get("kind") == "alert.raised"
-                and (a.get("detail") or {}).get("rule") == name
-            ]
-            cleared = [
-                int(a["detail"]["window"])
-                for a in alerts
-                if a.get("kind") == "alert.cleared"
-                and (a.get("detail") or {}).get("rule") == name
-            ]
+                if a["detail"]["rule"] == name
+            }
             row = []
             up = False
             for w in range(last_window + 1):
-                if w in raised:
-                    up = True
-                if w in cleared:
-                    up = False
+                up = changes.get(w, up)
                 row.append("█" if up else "·")
             state = "RAISED" if up else "ok"
             lines.append(
                 f"  {name.ljust(width)}  |{''.join(row)}|  "
-                f"{rule.get('type', '?')}  {state}"
+                f"{rule['type']}  {state}"
             )
     if alerts:
         lines.append("")
         for alert in alerts:
-            detail = alert.get("detail") or {}
+            detail = alert["detail"]
             extras = ", ".join(
                 f"{k}={detail[k]}"
                 for k in sorted(detail)
                 if k not in ("rule", "window")
             )
             lines.append(
-                f"  t={alert.get('time_s'):g}s w={detail.get('window')} "
-                f"{alert.get('kind')} {detail.get('rule')}"
+                f"  t={alert['time_s']:g}s w={detail['window']} "
+                f"{alert['kind']} {detail['rule']}"
                 + (f" ({extras})" if extras else "")
             )
     return "\n".join(lines)
@@ -380,95 +272,44 @@ def render_health(doc: Mapping[str, object]) -> str:
 
 # --- entry point --------------------------------------------------------------
 
-
-def _audit_main(argv: Sequence[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.telemetry.report",
-        description="Render a post-run attestation audit report.",
-    )
-    parser.add_argument("audit", type=pathlib.Path, help="audit JSON export")
-    parser.add_argument(
-        "--trace", help="render only this trace id's narrative"
-    )
-    parser.add_argument(
-        "--stats",
-        type=pathlib.Path,
-        help="simulator stats JSON export; adds the congestion & "
-        "recovery counter block to the overview",
-    )
-    parser.add_argument(
-        "--telemetry",
-        type=pathlib.Path,
-        help="telemetry JSON export (required for --chrome-out)",
-    )
-    parser.add_argument(
-        "--chrome-out",
-        type=pathlib.Path,
-        help="write a flow-stitched Chrome trace rebuilt from --telemetry",
-    )
-    args = parser.parse_args(argv)
-
-    doc = load_audit(args.audit)
-    stats = load_stats(args.stats) if args.stats is not None else None
-    print(render_report(doc, trace=args.trace, stats=stats))
-
-    if args.chrome_out is not None:
-        if args.telemetry is None:
-            parser.error("--chrome-out requires --telemetry")
-        telemetry_doc = _load_json(args.telemetry)
-        trace_doc = chrome_trace_from_snapshot(telemetry_doc)
-        with args.chrome_out.open("w", encoding="utf-8") as handle:
-            json.dump(trace_doc, handle)
-            handle.write("\n")
-        print(f"\nchrome trace written to {args.chrome_out}")
-    return 0
-
-
-def _timeline_main(argv: Sequence[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.telemetry.report timeline",
-        description="Render flight-recorder frames as sparkline rows.",
-    )
-    parser.add_argument(
-        "timeseries", type=pathlib.Path, help="TIMESERIES.json export"
-    )
-    parser.add_argument(
-        "--metric", help="show only series whose key contains this substring"
-    )
-    parser.add_argument(
-        "--top", type=int, default=24, help="show at most N series"
-    )
-    args = parser.parse_args(argv)
-    print(render_timeline(
-        load_timeseries(args.timeseries), metric=args.metric, top=args.top
-    ))
-    return 0
-
-
-def _health_main(argv: Sequence[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.telemetry.report health",
-        description="Render health rules and the alert timeline.",
-    )
-    parser.add_argument(
-        "timeseries", type=pathlib.Path, help="TIMESERIES.json export"
-    )
-    args = parser.parse_args(argv)
-    print(render_health(load_timeseries(args.timeseries)))
-    return 0
+_VIEWS = ("report", "timeline", "health", "chrome")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    view = argv.pop(0) if argv and argv[0] in _VIEWS else "report"
+    parser = argparse.ArgumentParser(
+        prog=f"python -m repro.telemetry.report {view}",
+        description="Render one view of a repro.run/v1 run bundle.",
+    )
+    parser.add_argument("run", type=pathlib.Path, help="run bundle (RUN.json)")
+    if view == "report":
+        parser.add_argument(
+            "--trace", help="render only this trace id's narrative"
+        )
+    elif view == "timeline":
+        parser.add_argument(
+            "--metric",
+            help="show only series whose key contains this substring",
+        )
+        parser.add_argument(
+            "--top", type=int, default=24, help="show at most N series"
+        )
+    args = parser.parse_args(argv)
     try:
-        if argv and argv[0] == "timeline":
-            return _timeline_main(argv[1:])
-        if argv and argv[0] == "health":
-            return _health_main(argv[1:])
-        return _audit_main(argv)
+        doc = load_run(args.run)
     except ReportError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if view == "report":
+        print(render_report(doc, trace=args.trace))
+    elif view == "timeline":
+        print(render_timeline(doc, metric=args.metric, top=args.top))
+    elif view == "health":
+        print(render_health(doc))
+    else:
+        print(json.dumps(chrome_trace(doc)))
+    return 0
 
 
 if __name__ == "__main__":

@@ -60,10 +60,6 @@ class Span:
         self.depth = 0
 
     @property
-    def sim_duration(self) -> float:
-        return self.sim_end - self.sim_start
-
-    @property
     def wall_duration(self) -> float:
         return self.wall_end - self.wall_start
 

@@ -34,7 +34,6 @@ cost nothing), and the frame store is a counted-eviction
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -49,9 +48,6 @@ from typing import (
 
 from repro.telemetry.metrics import Counter, Histogram, render_name
 from repro.util.ring import RingBuffer
-
-#: Schema tag stamped into time-series exports (bump on layout changes).
-TIMESERIES_SCHEMA = "repro.timeseries/v1"
 
 DEFAULT_MAX_FRAMES = 8192
 
@@ -356,67 +352,18 @@ def renumber_frame_times(frames: List[Frame], interval_s: float) -> List[Frame]:
     return frames
 
 
-# --- exports -------------------------------------------------------------------
-
-
-def timeseries_snapshot(
-    frames: Sequence[Frame],
-    interval_s: float,
-    frames_dropped: int = 0,
-    alerts: Sequence[Mapping[str, object]] = (),
-    rules: Sequence[Mapping[str, object]] = (),
-    runtime: Optional[Mapping[str, object]] = None,
-) -> Dict[str, object]:
-    """The ``repro.timeseries/v1`` export document.
-
-    Everything except ``runtime`` is deterministic (byte-identical
-    across shard counts); ``runtime`` carries wall-clock extras
-    (per-shard busy seconds, backlogs) and is excluded from
-    :func:`timeseries_export`.
-    """
-    doc: Dict[str, object] = {
-        "schema": TIMESERIES_SCHEMA,
-        "interval_s": interval_s,
-        "frames": [dict(f) for f in frames],
-        "frames_dropped": frames_dropped,
-        "alerts": [dict(a) for a in alerts],
-        "rules": [dict(r) for r in rules],
-    }
-    if runtime:
-        doc["runtime"] = dict(runtime)
-    return doc
-
-
-def timeseries_export(doc: Mapping[str, object]) -> str:
-    """Canonical JSON of the deterministic sections (the byte-identity
-    artifact the determinism sweep compares)."""
-    body = {k: v for k, v in doc.items() if k != "runtime"}
-    return json.dumps(body, sort_keys=True)
-
-
-def dump_timeseries(doc: Mapping[str, object], path) -> None:
-    """Write the full document (runtime included) as indented JSON."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
 __all__ = [
     "DEFAULT_MAX_FRAMES",
     "FlightRecorder",
     "Probe",
     "SIM_SECONDS_SUFFIX",
     "SamplingSpec",
-    "TIMESERIES_SCHEMA",
     "apply_delta",
     "cumulative_at",
     "delta_encode",
-    "dump_timeseries",
     "install_recorder",
     "merge_frame_streams",
     "node_cache_probe",
     "qdisc_depth_probe",
     "renumber_frame_times",
-    "timeseries_export",
-    "timeseries_snapshot",
 ]

@@ -6,13 +6,13 @@ Three contracts from docs/MONITORING.md, pinned end to end:
   raises its mapped alert within two sample windows of activation and
   the alert clears after recovery; a fault-free baseline raises zero
   alerts (no false positives).
-- **Determinism**: frame streams and the full timeseries export are
-  byte-identical across shard counts {1, 2, 4} on the inline backend
-  (``shards=1`` is the baseline the fixtures run), plus one
-  multiprocessing case per campaign.
+- **Determinism**: frame streams and the run bundle's whole
+  deterministic part are byte-identical across shard counts {1, 2, 4}
+  on the inline backend (``shards=1`` is the baseline the fixtures
+  run), plus one multiprocessing case per campaign.
 - **Integration**: alerts fold into the audit journal canonically and
-  the TIMESERIES.json artifact feeds the report CLI's ``timeline`` /
-  ``health`` subcommands.
+  the run bundle feeds the report CLI's ``timeline`` / ``health``
+  views.
 """
 
 import json
@@ -32,10 +32,25 @@ from repro.core.fabric import (
 )
 from repro.faults.plan import FaultPlan
 from repro.net.qdisc import QueueConfig
+from repro.telemetry import RUN_SCHEMA, run_bundle, write_run
 from repro.telemetry.report import main as report_main
-from repro.telemetry.timeseries import TIMESERIES_SCHEMA, dump_timeseries
 
 SHARD_COUNTS = (1, 2, 4)
+
+
+def bundle(result):
+    """The run bundle of a chaos or fat-tree campaign result."""
+    sharded = result.sharded if hasattr(result, "sharded") else result.result
+    return run_bundle(sharded.telemetry, sharded, result.health)
+
+
+def frames(result) -> str:
+    return json.dumps(bundle(result)["deterministic"]["frames"], sort_keys=True)
+
+
+def deterministic(result) -> str:
+    """The bundle's deterministic part as canonical JSON bytes."""
+    return json.dumps(bundle(result)["deterministic"], sort_keys=True)
 
 FABRIC_SHAPE = FatTreeShape()
 
@@ -110,38 +125,35 @@ class TestChaosAlertCoverage:
 
 class TestChaosFrameDeterminism:
     def test_inline_shards_match_monolith(self, chaos_baseline):
-        frames = chaos_baseline.frames_export()
-        doc = chaos_baseline.timeseries_export()
+        frame_bytes = frames(chaos_baseline)
+        doc = deterministic(chaos_baseline)
         for shards in SHARD_COUNTS:
             sharded = run_chaos_athens(
                 shards=shards, health=standard_chaos_rules()
             )
-            assert sharded.frames_export() == frames, f"shards={shards}"
-            assert sharded.timeseries_export() == doc, f"shards={shards}"
-            assert sharded.audit_export() == chaos_baseline.audit_export()
+            assert frames(sharded) == frame_bytes, f"shards={shards}"
+            assert deterministic(sharded) == doc, f"shards={shards}"
 
     def test_mp_backend_matches_monolith(self, chaos_baseline):
         sharded = run_chaos_athens(
             shards=2, backend="mp", health=standard_chaos_rules()
         )
-        assert sharded.frames_export() == chaos_baseline.frames_export()
-        assert (
-            sharded.timeseries_export() == chaos_baseline.timeseries_export()
-        )
+        assert frames(sharded) == frames(chaos_baseline)
+        assert deterministic(sharded) == deterministic(chaos_baseline)
 
     def test_sampling_without_health_records_frames_only(self):
         from repro.core.chaos import chaos_sampling_spec
 
         result = run_chaos_athens(sampling=chaos_sampling_spec())
-        assert result.frames
+        assert result.sharded.frames
         assert result.health is None
-        assert result.timeseries()["alerts"] == []
+        assert bundle(result)["deterministic"]["alerts"] == []
 
 
 class TestFabricFrameDeterminism:
     def test_inline_shards_match_monolith(self, fabric_baseline):
-        frames = fabric_baseline.frames_export()
-        doc = fabric_baseline.timeseries_export()
+        frame_bytes = frames(fabric_baseline)
+        doc = deterministic(fabric_baseline)
         assert fabric_baseline.frames, "campaign should have recorded frames"
         for shards in SHARD_COUNTS:
             sharded = run_fabric_traffic(
@@ -149,8 +161,8 @@ class TestFabricFrameDeterminism:
                 shards=shards,
                 health=standard_fabric_rules(),
             )
-            assert sharded.frames_export() == frames, f"shards={shards}"
-            assert sharded.timeseries_export() == doc, f"shards={shards}"
+            assert frames(sharded) == frame_bytes, f"shards={shards}"
+            assert deterministic(sharded) == doc, f"shards={shards}"
 
     def test_mp_backend_matches_monolith(self, fabric_baseline):
         sharded = run_fabric_traffic(
@@ -159,7 +171,7 @@ class TestFabricFrameDeterminism:
             backend="mp",
             health=standard_fabric_rules(),
         )
-        assert sharded.frames_export() == fabric_baseline.frames_export()
+        assert frames(sharded) == frames(fabric_baseline)
 
     def test_default_shape_raises_no_alerts(self, fabric_baseline):
         assert fabric_baseline.health.alerts == []
@@ -242,10 +254,9 @@ class TestTimeseriesArtifact:
     def test_dump_feeds_report_subcommands(
         self, chaos_baseline, tmp_path, capsys
     ):
-        path = tmp_path / "TIMESERIES.json"
-        dump_timeseries(chaos_baseline.timeseries(), path)
+        path = write_run(bundle(chaos_baseline), tmp_path / "RUN.json")
         doc = json.loads(path.read_text())
-        assert doc["schema"] == TIMESERIES_SCHEMA
+        assert doc["schema"] == RUN_SCHEMA
 
         assert report_main(["timeline", str(path)]) == 0
         out = capsys.readouterr().out

@@ -36,6 +36,7 @@ from repro.core.usecases import run_config_assurance
 from repro.net.qdisc import QueueConfig, RecoveryConfig
 from repro.net.routing import RoutingMode
 from repro.pera.config import BatchingSpec
+from repro.telemetry import run_bundle
 
 LEAF_SPINE = FabricShape(leaves=8, spines=2, hosts_per_leaf=2, flows_per_host=4)
 
@@ -216,3 +217,44 @@ def test_mp_signature_matches_golden(name):
 def test_signature_sees_the_run():
     # The goldens would be vacuous if the signature ignored its input.
     assert _fabric(True, 1, "inline") != _fabric(False, 1, "inline")
+
+
+def _chaos_run(shards, backend):
+    run = run_chaos_athens(
+        seed=7, shards=shards, backend=backend, health=standard_chaos_rules()
+    )
+    return run.sharded, run.health
+
+
+def _congested_run(shards, backend):
+    run = run_fabric_traffic(
+        CONGESTED,
+        shards=shards,
+        backend=backend,
+        seed=3,
+        sampling=fabric_sampling_spec(),
+        health=standard_fabric_rules(queue_depth_bytes=4096.0),
+    )
+    return run.result, run.health
+
+
+@pytest.mark.parametrize("name, runner", [
+    ("chaos-athens", _chaos_run),
+    ("traffic-congested", _congested_run),
+])
+def test_run_bundle_carries_the_signed_bytes(name, runner):
+    """The run bundle's stats, journal and frames sections are the bytes
+    the goldens hash, and its whole deterministic part is the same at
+    every shard count and backend."""
+    golden = CAMPAIGNS[name][1]
+    parts = set()
+    for shards, backend in ((1, "inline"), (2, "inline"), (4, "inline"), (2, "mp")):
+        sharded, health = runner(shards, backend)
+        doc = run_bundle(sharded.telemetry, sharded, health)["deterministic"]
+        for part in ("stats", "journal", "frames"):
+            text = json.dumps(doc[part], sort_keys=True)
+            assert hashlib.sha256(text.encode()).hexdigest() == golden[part], (
+                part, shards, backend,
+            )
+        parts.add(json.dumps(doc, sort_keys=True))
+    assert len(parts) == 1

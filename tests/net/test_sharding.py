@@ -224,31 +224,37 @@ class TestWindowedEngine:
 
         sim.bind(Recorder("s3"))
         sim.clock.advance_to(now)
-        sim.inject([(arrival, KIND_CONTROL, "s0", "s3", 0, "hello", None)])
+        sim.inject([(arrival, KIND_CONTROL, "s0", "s3", "hello", None)])
         assert sim.next_event_time() == arrival
         assert sim.run_window(1.0) == 1
         assert seen == [("s0", "hello", arrival)]
 
     def test_inject_orders_entries_canonically(self):
-        # Buckets arrive in source-shard order; the receiving shard
-        # sorts them, so same-time deliveries fire in key order.
+        # Buckets arrive in any source-shard order. Same-time deliveries
+        # with different keys fire in (kind, a, b) key order; same-key
+        # entries all come from one sending node, in the order it posted
+        # them, and fire in that order.
         part = partition_topology(chain(4), shards=2)
-        sim = ShardSimulator(chain(4), part, shard_id=1)
-        seen = []
+        from_s0 = [
+            (0.5, KIND_CONTROL, "s0", "s3", "s0-first", None),
+            (0.5, KIND_CONTROL, "s0", "s3", "s0-second", None),
+        ]
+        from_s1 = [
+            (0.25, KIND_CONTROL, "s1", "s3", "early", None),
+            (0.5, KIND_CONTROL, "s1", "s3", "from-s1", None),
+        ]
+        for buckets in ((from_s0, from_s1), (from_s1, from_s0)):
+            sim = ShardSimulator(chain(4), part, shard_id=1)
+            seen = []
 
-        class Recorder(Node):
-            def handle_control(self, sender, message):
-                seen.append(message)
+            class Recorder(Node):
+                def handle_control(self, sender, message):
+                    seen.append(message)
 
-        sim.bind(Recorder("s3"))
-        sim.inject([
-            (0.5, KIND_CONTROL, "s1", "s3", 0, "from-s1", None),
-            (0.5, KIND_CONTROL, "s0", "s3", 1, "s0-second", None),
-            (0.25, KIND_CONTROL, "s1", "s3", 1, "early", None),
-            (0.5, KIND_CONTROL, "s0", "s3", 0, "s0-first", None),
-        ])
-        sim.run_window(1.0)
-        assert seen == ["early", "s0-first", "s0-second", "from-s1"]
+            sim.bind(Recorder("s3"))
+            sim.inject([entry for bucket in buckets for entry in bucket])
+            sim.run_window(1.0)
+            assert seen == ["early", "s0-first", "s0-second", "from-s1"]
 
     def test_outbox_is_bucketed_by_destination_with_earliest_arrival(self):
         part = partition_topology(chain(4), shards=4)
@@ -259,7 +265,7 @@ class TestWindowedEngine:
         outbox = sim.take_outbox()
         assert sorted(outbox) == [part.owner["s1"], part.owner["s2"]]
         earliest, entries = outbox[part.owner["s2"]]
-        assert [entry[5] for entry in entries] == ["later", "again"]
+        assert [entry[4] for entry in entries] == ["later", "again"]
         assert earliest == sim.control_latency_s
         assert outbox[part.owner["s1"]][0] == 1e-6
         assert sim.take_outbox() == {}

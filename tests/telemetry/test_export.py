@@ -1,17 +1,10 @@
-"""Tests for telemetry exports: JSON snapshot, Chrome trace, summary."""
+"""Tests for the run bundle's runtime part and its Chrome-trace view."""
 
 import json
 
 import pytest
 
-from repro.telemetry import (
-    Telemetry,
-    chrome_trace,
-    dump_json,
-    snapshot,
-    summary,
-    write_chrome_trace,
-)
+from repro.telemetry import Telemetry, chrome_trace, run_bundle, write_run
 
 
 def worked_telemetry() -> Telemetry:
@@ -27,30 +20,31 @@ def worked_telemetry() -> Telemetry:
 
 class TestSnapshot:
     def test_document_shape(self):
-        doc = snapshot(worked_telemetry())
-        assert doc["active"] is True
+        doc = run_bundle(worked_telemetry())["runtime"]
         assert doc["metrics"]["counters"]["net.link.tx_packets{link=a->b}"] == 3.0
         assert doc["spans_dropped"] == 0
         names = [s["name"] for s in doc["spans"]]
         assert names == ["pisa.stage", "pisa.parse"]
-        stage = doc["spans"][0]
+        stage, parse = doc["spans"]
         assert stage["depth"] == 1
         assert stage["args"] == {"table": "ipv4_lpm", "hit": True}
         assert stage["wall_duration_s"] >= 0.0
+        # Wall offsets count from the earliest span start.
+        assert parse["wall_start_s"] == 0.0 < stage["wall_start_s"]
 
     def test_snapshot_includes_global_collectors(self):
-        doc = snapshot(Telemetry())
-        assert "evidence.verify_cache.hit_rate" in doc["metrics"]["gauges"]
+        doc = run_bundle(Telemetry())
+        assert "evidence.verify_cache.hit_rate" in doc["runtime"]["metrics"]["gauges"]
 
     def test_dump_json_round_trips(self, tmp_path):
-        path = dump_json(worked_telemetry(), tmp_path / "tel.json")
+        path = write_run(run_bundle(worked_telemetry()), tmp_path / "RUN.json")
         doc = json.loads(path.read_text())
-        assert doc["metrics"]["gauges"]["net.sim.packets_dropped"] == 1.0
+        assert doc["runtime"]["metrics"]["gauges"]["net.sim.packets_dropped"] == 1.0
 
 
 class TestChromeTrace:
     def test_complete_events_and_thread_names(self):
-        doc = chrome_trace(worked_telemetry())
+        doc = chrome_trace(run_bundle(worked_telemetry()))
         completes = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         metas = [e for e in doc["traceEvents"] if e["ph"] == "M"]
         assert {e["name"] for e in completes} == {"pisa.parse", "pisa.stage"}
@@ -61,7 +55,7 @@ class TestChromeTrace:
             assert event["cat"] == "pisa"
 
     def test_sim_timebase(self):
-        doc = chrome_trace(worked_telemetry(), timebase="sim")
+        doc = chrome_trace(run_bundle(worked_telemetry()), timebase="sim")
         assert doc["otherData"]["timebase"] == "sim"
         # Same-event work is instantaneous in simulated time.
         completes = [e for e in doc["traceEvents"] if e["ph"] == "X"]
@@ -69,43 +63,9 @@ class TestChromeTrace:
 
     def test_bad_timebase_rejected(self):
         with pytest.raises(ValueError, match="timebase"):
-            chrome_trace(Telemetry(), timebase="lunar")
+            chrome_trace(run_bundle(Telemetry()), timebase="lunar")
 
     def test_write_is_valid_json(self, tmp_path):
-        path = write_chrome_trace(worked_telemetry(), tmp_path / "trace.json")
-        doc = json.loads(path.read_text())
-        assert "traceEvents" in doc
-
-
-class TestSummary:
-    def test_mentions_everything_recorded(self):
-        text = summary(worked_telemetry())
-        assert "net.link.tx_packets{link=a->b}" in text
-        assert "net.sim.packets_dropped" in text
-        assert "ra.appraise_seconds{appraiser=A}" in text
-        assert "pisa.stage" in text
-
-    def test_empty_telemetry(self):
-        tel = Telemetry(active=False)
-        assert summary(tel) == "(no telemetry recorded)"
-
-    def test_max_rows_truncates(self):
-        tel = Telemetry()
-        for i in range(5):
-            tel.counter(f"c{i}").inc()
-        text = summary(tel, max_rows=2)
-        assert "... 3 more" in text
-
-
-class TestAutoDump:
-    def test_flush_writes_only_what_was_registered(self, tmp_path):
-        tel = worked_telemetry()
-        assert tel.flush() == []
-        tel.auto_dump(
-            json_path=tmp_path / "t.json",
-            trace_path=tmp_path / "t_trace.json",
-        )
-        written = tel.flush()
-        assert [p.name for p in written] == ["t.json", "t_trace.json"]
-        for path in written:
-            json.loads(path.read_text())
+        path = write_run(run_bundle(worked_telemetry()), tmp_path / "RUN.json")
+        doc = chrome_trace(json.loads(path.read_text()))
+        assert "traceEvents" in json.loads(json.dumps(doc))

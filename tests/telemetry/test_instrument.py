@@ -125,7 +125,7 @@ class TestUseCaseEndToEnd:
 
     def test_uc2_run_is_fully_observed(self):
         from repro.core.usecases import run_path_authentication
-        from repro.telemetry import snapshot
+        from repro.telemetry import run_bundle
 
         tel = Telemetry()
         previous = use_default(tel)
@@ -138,7 +138,7 @@ class TestUseCaseEndToEnd:
             use_default(previous)
         assert home.access_granted and not away.access_granted
 
-        doc = snapshot(tel)
+        doc = run_bundle(tel)["runtime"]
         gauges = doc["metrics"]["gauges"]
         # Per-switch evidence-block gauges for both chain switches.
         for switch in ("s1", "s2"):

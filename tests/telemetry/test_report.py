@@ -1,19 +1,23 @@
-"""Tests for the post-run audit report CLI (`python -m repro.telemetry.report`)."""
+"""Tests for the post-run report CLI (`python -m repro.telemetry.report`)."""
 
 import json
 
 import pytest
 
-from repro.telemetry import AuditKind, Check, Telemetry, TraceContext, dump_audit
-from repro.telemetry.export import dump_json
+from repro.telemetry import (
+    AuditKind,
+    Check,
+    Telemetry,
+    TraceContext,
+    run_bundle,
+    write_run,
+)
 from repro.telemetry.report import (
-    chrome_trace_from_snapshot,
-    load_audit,
+    load_run,
     main,
     overview,
     render_report,
 )
-from repro.telemetry.timeseries import dump_timeseries, timeseries_snapshot
 
 TID = "abcdef012345"
 
@@ -40,27 +44,34 @@ def worked_telemetry() -> Telemetry:
     return tel
 
 
+def with_stats(doc, **stats):
+    """A bundle as a sharded run would carry it: with merged stats."""
+    doc["deterministic"]["stats"] = stats
+    return doc
+
+
 @pytest.fixture
 def audit_path(tmp_path):
-    return dump_audit(worked_telemetry(), tmp_path / "audit.json")
+    """A run bundle of :func:`worked_telemetry` (no sharded run)."""
+    return write_run(run_bundle(worked_telemetry()), tmp_path / "RUN.json")
 
 
 class TestLoadAudit:
     def test_round_trips(self, audit_path):
-        doc = load_audit(audit_path)
-        assert doc["schema"] == "repro.audit/v1"
-        assert len(doc["events"]) == 5
+        doc = load_run(audit_path)
+        assert doc["schema"] == "repro.run/v1"
+        assert len(doc["deterministic"]["journal"]) == 5
 
     def test_rejects_non_audit_documents(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text(json.dumps({"metrics": {}}))
-        with pytest.raises(ValueError, match="no 'events' key"):
-            load_audit(path)
+        with pytest.raises(ValueError, match="no schema"):
+            load_run(path)
 
 
 class TestRendering:
     def test_overview_counts(self, audit_path):
-        text = overview(load_audit(audit_path))
+        text = overview(load_run(audit_path))
         assert "events:   5" in text
         assert "traces:   1" in text
         assert "verdicts: 1 (1 rejected)" in text
@@ -68,29 +79,30 @@ class TestRendering:
         assert AuditKind.VERDICT_ISSUED in text  # by-kind table
 
     def test_report_includes_narrative_and_untraced_note(self, audit_path):
-        text = render_report(load_audit(audit_path))
+        text = render_report(load_run(audit_path))
         assert f"trace {TID}:" in text
         assert "verdict REJECTED" in text
         assert "1 events carry no trace" in text
 
     def test_single_trace_filter(self, audit_path):
-        text = render_report(load_audit(audit_path), trace=TID)
+        text = render_report(load_run(audit_path), trace=TID)
         assert f"trace {TID}:" in text
         assert "carry no trace" not in text
 
     def test_overview_without_stats_omits_congestion_block(self, audit_path):
-        assert "congestion & recovery" not in overview(load_audit(audit_path))
+        assert "congestion & recovery" not in overview(load_run(audit_path))
 
     def test_overview_surfaces_congestion_stats(self, audit_path):
-        stats = {
-            "queue_drops": 12,
-            "ecn_marked": 34,
-            "pause_frames": 5,
-            "local_resends": 7,
-            "recovery_retransmits": 7,
-            "recovery_held": 2,
-        }
-        text = overview(load_audit(audit_path), stats=stats)
+        doc = with_stats(
+            load_run(audit_path),
+            queue_drops=12,
+            ecn_marked=34,
+            pause_frames=5,
+            local_resends=7,
+            recovery_retransmits=7,
+            recovery_held=2,
+        )
+        text = overview(doc)
         assert "congestion & recovery:" in text
         assert "queue drops" in text and "12" in text
         assert "ECN marks" in text and "34" in text
@@ -99,17 +111,17 @@ class TestRendering:
         assert "recovery retransmits" in text
 
     def test_overview_defaults_missing_stat_keys_to_zero(self, audit_path):
-        text = overview(load_audit(audit_path), stats={})
+        text = overview(with_stats(load_run(audit_path)))
         assert "congestion & recovery:" in text
         assert "queue drops" in text
 
 
 class TestChromeReconstruction:
-    def test_flow_events_from_snapshot(self, tmp_path):
-        snapshot_path = dump_json(worked_telemetry(), tmp_path / "tel.json")
-        doc = chrome_trace_from_snapshot(json.loads(snapshot_path.read_text()))
+    def test_flow_events_from_snapshot(self, audit_path, capsys):
+        assert main(["chrome", str(audit_path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
         assert doc["otherData"]["schema"] == "repro.trace/v1"
-        assert doc["otherData"]["timebase"] == "sim"
+        assert doc["otherData"]["timebase"] == "wall"
         flows = [e for e in doc["traceEvents"] if e["ph"] in ("s", "t")]
         assert [f["id"] for f in flows] == [TID]
         assert flows[0]["ph"] == "s"  # the first occurrence starts the flow
@@ -117,49 +129,45 @@ class TestChromeReconstruction:
 
 class TestMain:
     def test_renders_report(self, audit_path, capsys):
-        assert main([str(audit_path)]) == 0
-        out = capsys.readouterr().out
-        assert "audit report (repro.audit/v1)" in out
-        assert f"trace {TID}:" in out
+        for argv in ([str(audit_path)], ["report", str(audit_path)]):
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert "audit report (repro.run/v1)" in out
+            assert f"trace {TID}:" in out
 
-    def test_chrome_out_requires_telemetry(self, audit_path, tmp_path):
-        with pytest.raises(SystemExit):
-            main([str(audit_path), "--chrome-out", str(tmp_path / "t.json")])
+    def test_chrome_out_requires_telemetry(self, tmp_path, capsys):
+        # The chrome view reads spans from a run bundle's runtime part;
+        # a bare audit journal has none.
+        path = tmp_path / "audit.json"
+        path.write_text(json.dumps({"schema": "repro.audit/v1", "events": []}))
+        assert main(["chrome", str(path)]) == 2
+        assert "repro.run/v1" in capsys.readouterr().err
+
+    def test_chrome_out_writes_trace(self, audit_path, capsys):
+        assert main(["chrome", str(audit_path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert any(e["ph"] == "s" for e in doc["traceEvents"])
 
     def test_stats_flag_adds_congestion_block(
         self, audit_path, tmp_path, capsys
     ):
-        stats_path = tmp_path / "stats.json"
-        stats_path.write_text(json.dumps({
-            "queue_drops": 3, "pause_frames": 1, "local_resends": 2,
-        }))
-        assert main([str(audit_path), "--stats", str(stats_path)]) == 0
+        path = write_run(
+            with_stats(
+                load_run(audit_path),
+                queue_drops=3, pause_frames=1, local_resends=2,
+            ),
+            tmp_path / "with_stats.json",
+        )
+        assert main([str(path)]) == 0
         out = capsys.readouterr().out
         assert "congestion & recovery:" in out
         assert "queue drops" in out
 
-    def test_stats_flag_rejects_non_object(self, audit_path, tmp_path, capsys):
-        stats_path = tmp_path / "stats.json"
-        stats_path.write_text("[1, 2, 3]")
-        assert main([str(audit_path), "--stats", str(stats_path)]) == 2
-        assert "not a stats export" in capsys.readouterr().err
-
-    def test_chrome_out_writes_trace(self, audit_path, tmp_path, capsys):
-        tel_path = dump_json(worked_telemetry(), tmp_path / "tel.json")
-        out_path = tmp_path / "stitched.json"
-        assert main([
-            str(audit_path),
-            "--telemetry", str(tel_path),
-            "--chrome-out", str(out_path),
-        ]) == 0
-        doc = json.loads(out_path.read_text())
-        assert any(e["ph"] == "s" for e in doc["traceEvents"])
-        assert "chrome trace written" in capsys.readouterr().out
-
 
 @pytest.fixture
 def timeseries_path(tmp_path):
-    doc = timeseries_snapshot(
+    doc = run_bundle(Telemetry())
+    doc["deterministic"].update(
         frames=[
             {"w": 0, "t": 0.002, "v": {"net.link.tx_packets{link=a:1->b:1}": 3.0}},
             {"w": 2, "t": 0.006, "v": {
@@ -177,16 +185,14 @@ def timeseries_path(tmp_path):
         ],
         rules=[{"name": "drops", "type": "threshold", "metric": "net.link.dropped"}],
     )
-    path = tmp_path / "TIMESERIES.json"
-    dump_timeseries(doc, path)
-    return path
+    return write_run(doc, tmp_path / "RUN.json")
 
 
 class TestTimelineSubcommand:
     def test_renders_sparklines(self, timeseries_path, capsys):
         assert main(["timeline", str(timeseries_path)]) == 0
         out = capsys.readouterr().out
-        assert "timeline (repro.timeseries/v1)" in out
+        assert "timeline (repro.run/v1)" in out
         assert "net.link.tx_packets{link=a:1->b:1}" in out
         assert "total 4" in out
 
@@ -229,14 +235,18 @@ class TestErrorExits:
         assert "not valid JSON" in capsys.readouterr().err
 
     def test_schema_mismatch(self, tmp_path, capsys):
+        # The retired audit and timeseries exports are named, not read.
         wrong = tmp_path / "wrong.json"
-        wrong.write_text(json.dumps({"schema": "repro.audit/v1"}))
-        assert main(["timeline", str(wrong)]) == 2
-        err = capsys.readouterr().err
-        assert "repro.audit/v1" in err and "repro.timeseries/v1" in err
+        for schema in ("repro.audit/v1", "repro.timeseries/v1"):
+            wrong.write_text(json.dumps({"schema": schema, "events": []}))
+            for view in ("report", "timeline", "health"):
+                assert main([view, str(wrong)]) == 2
+                err = capsys.readouterr().err
+                assert err.count("\n") == 1
+                assert schema in err and "repro.run/v1" in err
 
     def test_audit_document_without_events(self, tmp_path, capsys):
         wrong = tmp_path / "wrong.json"
         wrong.write_text(json.dumps({"metrics": {}}))
         assert main([str(wrong)]) == 2
-        assert "no 'events' key" in capsys.readouterr().err
+        assert "repro.run/v1" in capsys.readouterr().err

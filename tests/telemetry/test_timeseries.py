@@ -8,13 +8,16 @@ eviction accounting, canonical stream merging, and the idempotence of
 the gauge collectors the recorder's cumulative view depends on.
 """
 
+import json
+
 import pytest
 
 from repro.net.headers import ip_to_int
 from repro.net.host import Host
+from repro.net.shardrun import ScenarioSpec, run_sharded
 from repro.net.simulator import NetworkError, Simulator
 from repro.net.topology import Topology
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, run_bundle
 from repro.telemetry.instrument import collect_globals, collect_simulator
 from repro.telemetry.timeseries import (
     FlightRecorder,
@@ -25,8 +28,6 @@ from repro.telemetry.timeseries import (
     install_recorder,
     merge_frame_streams,
     renumber_frame_times,
-    timeseries_export,
-    timeseries_snapshot,
 )
 
 
@@ -249,13 +250,31 @@ class TestStreamMerging:
 
 class TestExportDocument:
     def test_runtime_section_excluded_from_canonical_export(self):
-        frames = [{"w": 0, "t": 1.0, "v": {"x": 1.0}}]
-        with_runtime = timeseries_snapshot(
-            frames, 1.0, runtime={"busy_s": 0.123}
-        )
-        without = timeseries_snapshot(frames, 1.0)
-        assert "runtime" in with_runtime
-        assert timeseries_export(with_runtime) == timeseries_export(without)
+        # The recorder's wall-clock runtime (backlog, busy seconds)
+        # rides in the run bundle's runtime part, never beside the
+        # frames in its deterministic part.
+        def build(sim):
+            h1 = Host("h1", mac=1, ip=ip_to_int("10.0.0.1"))
+            sim.bind(h1)
+            sim.bind(Host("h2", mac=2, ip=ip_to_int("10.0.0.2")))
+            for i in range(4):
+                sim.schedule(i * 1e-3, lambda: h1.send_udp(
+                    dst_mac=2, dst_ip=ip_to_int("10.0.0.2"),
+                    src_port=1000, dst_port=2000, payload=b"x",
+                ))
+
+        topo = Topology()
+        topo.add_node("h1", kind="host")
+        topo.add_node("h2", kind="host")
+        topo.add_link("h1", 1, "h2", 1)
+        run = run_sharded(ScenarioSpec(
+            topology=topo, build=build, sampling=SamplingSpec(interval_s=1e-3)
+        ))
+        doc = run_bundle(run.telemetry, run)
+        assert doc["deterministic"]["frames"] == run.frames != []
+        assert set(doc["runtime"]["frames_runtime"][0]) == {"backlog", "busy_s"}
+        canonical = json.dumps(doc["deterministic"])
+        assert "busy_s" not in canonical and "backlog" not in canonical
 
 
 class TestCollectorIdempotence:

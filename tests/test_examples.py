@@ -37,26 +37,26 @@ def test_examples_exist():
 
 
 def test_quickstart_exports_valid_chrome_trace(tmp_path):
-    """An observed quickstart run writes a loadable Chrome trace with
-    at least one complete (ph="X") pipeline span."""
+    """An observed quickstart run writes a run bundle whose ``chrome``
+    view is a loadable Chrome trace with at least one complete
+    (ph="X") pipeline span."""
     import json
 
-    trace_path = tmp_path / "trace.json"
-    result = subprocess.run(
-        [
-            sys.executable,
-            str(EXAMPLES_DIR / "quickstart.py"),
-            "--trace-out", str(trace_path),
-        ],
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert result.returncode == 0, (
-        f"quickstart --trace-out failed:\n"
-        f"{result.stdout[-2000:]}\n{result.stderr[-2000:]}"
-    )
-    document = json.loads(trace_path.read_text())
+    run_path = tmp_path / "RUN.json"
+    for argv in (
+        [str(EXAMPLES_DIR / "quickstart.py"), "--run-out", str(run_path)],
+        ["-m", "repro.telemetry.report", "chrome", str(run_path)],
+    ):
+        result = subprocess.run(
+            [sys.executable, *argv],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, (
+            f"{argv} failed:\n{result.stdout[-2000:]}\n{result.stderr[-2000:]}"
+        )
+    document = json.loads(result.stdout)
     completes = [e for e in document["traceEvents"] if e.get("ph") == "X"]
     assert completes, "trace has no complete spans"
     for event in completes:
