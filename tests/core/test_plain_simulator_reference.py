@@ -34,7 +34,12 @@ from repro.telemetry.timeseries import (
 )
 from repro.telemetry.tracing import reset_trace_ids
 
-from tests.core.test_run_signatures import CONGESTED, LEAF_SPINE
+from tests.core.test_run_signatures import (
+    CHAOS_SEED,
+    CONGESTED,
+    LEAF_SPINE,
+    TRAFFIC_CHAOS,
+)
 
 MAX_EVENTS = 8_000_000
 
@@ -80,6 +85,7 @@ SPECS = {
         fabric_traffic_spec(CONGESTED, sampling=fabric_sampling_spec()),
         3,
     ),
+    "traffic-chaos": (TRAFFIC_CHAOS, CHAOS_SEED),
     "traffic-batched": (
         fabric_traffic_spec(
             FatTreeShape(

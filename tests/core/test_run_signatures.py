@@ -17,8 +17,10 @@ outside the signature by construction: none of the hashed exports
 carries them.
 """
 
+import dataclasses
 import hashlib
 import json
+from functools import partial
 from typing import Dict
 
 import pytest
@@ -28,15 +30,19 @@ from repro.core.fabric import (
     FabricShape,
     FatTreeShape,
     fabric_sampling_spec,
+    fabric_traffic_spec,
     run_fabric,
     run_fabric_traffic,
     standard_fabric_rules,
 )
 from repro.core.usecases import run_config_assurance
+from repro.faults import FaultInjector, FaultPlan
 from repro.net.qdisc import QueueConfig, RecoveryConfig
 from repro.net.routing import RoutingMode
+from repro.net.shardrun import run_sharded
 from repro.pera.config import BatchingSpec
-from repro.telemetry import run_bundle
+from repro.telemetry import AuditKind, run_bundle
+from repro.telemetry.metrics import parse_name
 
 LEAF_SPINE = FabricShape(leaves=8, spines=2, hosts_per_leaf=2, flows_per_host=4)
 
@@ -51,6 +57,37 @@ CONGESTED = FatTreeShape(
     incast_fan_in=8,
     corrupt_link_rate=0.3,
     routing=RoutingMode.FLOWLET,
+)
+
+#: The fat tree under link chaos, at its smallest shape on which both
+#: faults below drop packets. Pod–core uplinks are the cut links at
+#: shards 2 and 4, so the drops happen where the shards meet.
+CHAOS_SHAPE = FatTreeShape(bulk_flows=10, web_sessions=0, attested_flows=0)
+CHAOS_SEED = 7
+LOSSY_UPLINK = ("p00a00", "zcore00")
+FLAPPING_UPLINK = ("p01a01", "zcore03")
+
+
+def _with_link_chaos(sim, build):
+    """``build``, then mid-run loss on one pod–core uplink and a
+    two-cycle flap on another."""
+    ctx = build(sim)
+    plan = FaultPlan(seed=sim.seed)
+    plan.link_loss(20e-6, *LOSSY_UPLINK, rate=0.4)
+    plan.link_loss(120e-6, *LOSSY_UPLINK, rate=0.0)
+    plan.link_flap(
+        40e-6, *FLAPPING_UPLINK, down_s=15e-6, up_s=30e-6, cycles=2
+    )
+    FaultInjector(plan).attach(sim)
+    return ctx
+
+
+TRAFFIC_CHAOS_CLEAN = fabric_traffic_spec(
+    CHAOS_SHAPE, sampling=fabric_sampling_spec()
+)
+TRAFFIC_CHAOS = dataclasses.replace(
+    TRAFFIC_CHAOS_CLEAN,
+    build=partial(_with_link_chaos, build=TRAFFIC_CHAOS_CLEAN.build),
 )
 
 
@@ -102,6 +139,26 @@ def _traffic(shape, seed, rules, shards, backend):
         },
         "alerts": run.health.alerts,
     })
+
+
+def _merged_outputs(outputs):
+    """The per-shard harvest outputs as one shard-count-invariant dict:
+    counts summed, per-flow and per-switch maps merged."""
+    merged = {}
+    for out in outputs:
+        for key, value in out.items():
+            if isinstance(value, dict):
+                merged.setdefault(key, {}).update(value)
+            elif isinstance(value, int):
+                merged[key] = merged.get(key, 0) + value
+    return merged
+
+
+def _traffic_spec(spec, shards, backend):
+    sharded = run_sharded(
+        spec, shards=shards, backend=backend, seed=CHAOS_SEED
+    )
+    return _signature(sharded, _merged_outputs(sharded.outputs))
 
 
 def _chaos(shards, backend):
@@ -171,6 +228,15 @@ CAMPAIGNS = {
             "summary": "bb7e884f67f4cf7a0c7a7e0f9a22d8f6e5f2de4868eceb0c0be7d87ec92f46e5",
         },
     ),
+    "traffic-chaos": (
+        partial(_traffic_spec, TRAFFIC_CHAOS),
+        {
+            "stats": "d12ab9b1b36562157e0d6cd44583b6d0b4f00cecd5cdc708704a3113bb028a1e",
+            "journal": "74022b4c4f1b16c1223d346242e26c58f3f85a734d402788ad9b5b776d5f4af6",
+            "frames": "2a8d56c019a0cce3e5652be3f46adedbc3fab856e7b6d0479b6e163cf28d7377",
+            "summary": "fa5f34cadbcf706d2dfed80d04dd39ada09c0916e193c50699af31f04e62b4dd",
+        },
+    ),
     "chaos-athens": (
         _chaos,
         {
@@ -215,8 +281,50 @@ def test_mp_signature_matches_golden(name):
 
 
 def test_signature_sees_the_run():
-    # The goldens would be vacuous if the signature ignored its input.
-    assert _fabric(True, 1, "inline") != _fabric(False, 1, "inline")
+    # The goldens would be vacuous if the signature ignored its input:
+    # the link chaos moves every part of the same spec's signature.
+    chaos = _traffic_spec(TRAFFIC_CHAOS, 1, "inline")
+    assert chaos != CAMPAIGNS["traffic-clean"][1]
+    clean = _traffic_spec(TRAFFIC_CHAOS_CLEAN, 1, "inline")
+    for part in ("stats", "journal", "frames", "summary"):
+        assert chaos[part] != clean[part], part
+
+
+def test_link_chaos_actually_fired():
+    """The traffic-chaos golden is vacuous unless both faults fire and
+    drop packets, and unless the drops land on shard-cut links."""
+    on_link = {
+        node: link for link in (LOSSY_UPLINK, FLAPPING_UPLINK) for node in link
+    }
+    for shards in (1, 2, 4):
+        sharded = run_sharded(TRAFFIC_CHAOS, shards=shards, seed=CHAOS_SEED)
+        assert sharded.stats.packets_dropped > 0
+        faults = sorted(
+            (event.detail["fault"], event.detail["target"])
+            for event in sharded.telemetry.audit.events
+            if event.kind in (AuditKind.FAULT_INJECTED, AuditKind.FAULT_CLEARED)
+        )
+        assert faults == sorted(
+            [("link_loss", "|".join(LOSSY_UPLINK))] * 2
+            + [("link_down", "|".join(FLAPPING_UPLINK))] * 2
+            + [("link_up", "|".join(FLAPPING_UPLINK))] * 2
+        )
+        dropped = {}
+        for key, count in sharded.metrics["counters"].items():
+            name, labels = parse_name(key)
+            labels = dict(labels)
+            if name == "net.link.dropped" and labels["reason"] in (
+                "fault_link_loss", "fault_link_down",
+            ):
+                link = on_link[labels["node"]]
+                dropped[link] = dropped.get(link, 0) + count
+        assert set(dropped) == {LOSSY_UPLINK, FLAPPING_UPLINK}
+        if shards > 1:
+            cut = {
+                tuple(sorted((link.node_a, link.node_b)))
+                for link in sharded.partition.cut_links
+            }
+            assert set(dropped) <= cut
 
 
 def _chaos_run(shards, backend):
