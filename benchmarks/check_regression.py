@@ -5,7 +5,8 @@ and fails (exit 1) when any watched benchmark's median slowed down by
 more than the threshold (default 25%). Watched benchmarks are the
 hot-path suites the repository makes throughput claims about:
 ``bench_fig3_pipeline``, ``bench_substrate_crypto``, the sharded
-event-core scaling run ``bench_shard_scaling``, the million-packet
+event-core scaling run ``bench_shard_scaling`` (the ledger's k=4
+fat-tree ``fabric_bulk`` inputs at 1/2/4 shards), the million-packet
 fat-tree campaign ``bench_fabric_traffic``, and the congested
 tail-FCT campaign ``bench_fct_congestion``.
 
@@ -28,7 +29,7 @@ The gate also enforces two same-machine budgets recorded in the
   ``--max-sampling-overhead`` (default 0.03 — docs/MONITORING.md's <3%
   promise);
 - the shard engine's tax: any ``inline_x2_over_x1_wall``
-  (``bench_shard_scaling``'s fat-tree bulk row: 2 shards over 1, both
+  (``bench_shard_scaling``'s inline-ratio row: 2 shards over 1, both
   in one process) must stay at or below
   :data:`MAX_INLINE_X2_OVER_X1_WALL` (the engine reads ~1.1–1.25;
   docs/SHARDING.md).

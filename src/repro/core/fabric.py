@@ -1,26 +1,23 @@
-"""Leaf–spine traffic fabric: the sharded runner's scale workload.
+"""The fat-tree attested-traffic campaign.
 
-A two-tier fabric of :class:`StaticFabricSwitch` nodes (analytic O(1)
-next-hop tables — the fabric is regular, so routing needs no BFS) with
-every host streaming packets to its partner host half the fabric away.
-Every flow crosses the spine tier, which is exactly where
-:func:`repro.net.sharding.partition_topology` cuts, so this workload
-maximally exercises the cross-shard path.
+A k-ary fat-tree of *attesting* switches (``MultipathFabricSwitch``)
+carries a seeded flow-level workload: elephant/mice and web mixes in
+the fast forwarding path, plus a handful of attested flows whose
+packets ride compiled AP1 path policies through the full PISA+PERA
+pipeline. ECMP (or flowlet) selection spreads bulk traffic over the
+equal-cost uplink sets; attested traffic always selects statelessly,
+so the control plane can predict, and compile a policy for, the exact
+path. Optional knobs add congestion (queues, ECN, PFC, incast), a
+corrupting hop masked by link-local recovery, epoch-batched evidence
+and a rogue-program swap.
 
-This module feeds three consumers:
-
-- ``benchmarks/bench_shard_scaling.py`` — pkts/sec vs shard count on a
-  100+-switch fabric,
-- ``tests/core/test_sharded_determinism.py`` — the seed-sweep
-  byte-identity contract, including the chaos variant with an
-  installed :class:`~repro.faults.FaultPlan`,
-- the CI chaos-smoke job, which replays the campaign at ``shards=2``
-  on the multiprocessing backend.
-
-Send times are staggered so no two hosts transmit at the same instant.
-Same-time arrivals at one destination would still replay alike at any
-shard count (docs/SHARDING.md, "Same-time deliveries"); the stagger
-stays because every pinned campaign is generated with it.
+The campaign is one :class:`~repro.net.shardrun.ScenarioSpec`
+(:func:`fabric_traffic_spec`) run by :func:`run_fabric_traffic`; any
+shard count and backend reproduces the 1-shard run byte for byte, and
+the run-signature goldens in ``tests/core/test_run_signatures.py`` pin
+it clean, congested and under link chaos. The performance ledger's
+``fabric_*`` workloads and ``benchmarks/bench_shard_scaling.py`` run
+it too.
 """
 
 from __future__ import annotations
@@ -49,7 +46,6 @@ from repro.net.routing import (
     predict_multipath_path,
 )
 from repro.net.shardrun import ScenarioSpec, ShardedResult, run_sharded
-from repro.net.simulator import Node
 from repro.telemetry.health import (
     AbsenceRule,
     HealthReport,
@@ -60,7 +56,7 @@ from repro.telemetry.health import (
 )
 from repro.telemetry.timeseries import SamplingSpec
 from repro.net.qdisc import QueueConfig
-from repro.net.topology import Topology, fat_tree, leaf_spine
+from repro.net.topology import Topology, fat_tree
 from repro.pera.config import (
     BatchingSpec,
     CompositionMode,
@@ -83,227 +79,6 @@ from repro.workload.mixes import (
     incast_mix,
     web_session_mix,
 )
-
-#: Gap between a host's consecutive sends.
-_ROUND_GAP_S = 50e-6
-
-
-class StaticFabricSwitch(Node):
-    """A forwarding-only switch with a precomputed dst-ip → port map.
-
-    No attestation, no telemetry of its own — this is the dataplane
-    load generator, so per-packet work stays O(1) and benchmark numbers
-    measure the event engine, not the switch model.
-    """
-
-    def __init__(self, name: str, ports_by_dst_ip: Dict[int, int]) -> None:
-        super().__init__(name)
-        self.ports_by_dst_ip = ports_by_dst_ip
-        self.packets_forwarded = 0
-        self.packets_dropped_unroutable = 0
-
-    def handle_packet(self, packet: Packet, in_port: int) -> None:
-        if packet.ipv4 is None:
-            return
-        port = self.ports_by_dst_ip.get(packet.ipv4.dst)
-        if port is None:
-            self.packets_dropped_unroutable += 1
-            return
-        self.packets_forwarded += 1
-        self.sim.transmit(self.name, port, packet)
-
-
-@dataclass(frozen=True)
-class FabricShape:
-    """Dimensions of one leaf–spine fabric workload."""
-
-    leaves: int = 8
-    spines: int = 2
-    hosts_per_leaf: int = 2
-    flows_per_host: int = 4
-
-    @property
-    def switch_count(self) -> int:
-        return self.leaves + self.spines
-
-    @property
-    def host_count(self) -> int:
-        return self.leaves * self.hosts_per_leaf
-
-    @property
-    def packets_offered(self) -> int:
-        return self.host_count * self.flows_per_host
-
-
-def _host_ip(leaf_index: int, host_index: int) -> int:
-    return ip_to_int(f"10.{leaf_index % 250}.{host_index % 250}.1")
-
-
-def _fabric_names(shape: FabricShape) -> Tuple[List[str], List[str]]:
-    width = max(2, len(str(max(shape.leaves, shape.spines) - 1)))
-    leaf_names = [f"leaf{i:0{width}d}" for i in range(shape.leaves)]
-    spine_names = [f"spine{i:0{width}d}" for i in range(shape.spines)]
-    return leaf_names, spine_names
-
-
-def fabric_topology(shape: FabricShape) -> Topology:
-    return leaf_spine(shape.leaves, shape.spines, shape.hosts_per_leaf)
-
-
-def _fabric_chaos_plan(seed: int, shape: FabricShape) -> FaultPlan:
-    """Mid-run turbulence on two uplinks: extra loss on one, a flap on
-    another — enough to drop packets through the shard-invariant fault
-    streams without silencing the fabric."""
-    leaf_names, spine_names = _fabric_names(shape)
-    plan = FaultPlan(seed=seed)
-    plan.link_loss(2 * _ROUND_GAP_S, leaf_names[0], spine_names[0], rate=0.4)
-    plan.link_loss(
-        (shape.flows_per_host + 2) * _ROUND_GAP_S,
-        leaf_names[0],
-        spine_names[0],
-        rate=0.0,
-    )
-    if shape.leaves > 1:
-        plan.link_flap(
-            3 * _ROUND_GAP_S,
-            leaf_names[1],
-            spine_names[-1],
-            down_s=0.6 * _ROUND_GAP_S,
-            up_s=1.3 * _ROUND_GAP_S,
-            cycles=2,
-        )
-    return plan
-
-
-def _fabric_build(sim, shape: FabricShape, chaos: bool):
-    """Bind the full fabric into ``sim`` and schedule every flow.
-
-    Runs identically on every shard; ownership gates single out who
-    actually transmits. Each host ``(leaf l, slot j)`` streams
-    ``flows_per_host`` packets to the host at the same slot half the
-    fabric away — every packet crosses a spine, i.e. the shard cut.
-    """
-    leaf_names, spine_names = _fabric_names(shape)
-    hosts: List[Tuple[int, int, str]] = [
-        (li, j, f"h-{leaf}-{j}")
-        for li, leaf in enumerate(leaf_names)
-        for j in range(shape.hosts_per_leaf)
-    ]
-    ip_of = {name: _host_ip(li, j) for li, j, name in hosts}
-    mac_of = {name: index + 1 for index, (_, _, name) in enumerate(hosts)}
-
-    for li, leaf in enumerate(leaf_names):
-        table: Dict[int, int] = {}
-        for lj, j, name in hosts:
-            if lj == li:
-                table[ip_of[name]] = 1 + j
-            else:
-                # Deterministic ECMP: the destination leaf picks the
-                # spine, so both directions of a flow agree on nothing
-                # but the math.
-                table[ip_of[name]] = (
-                    shape.hosts_per_leaf + 1 + (lj % shape.spines)
-                )
-        sim.bind(StaticFabricSwitch(leaf, table))
-    for spine in spine_names:
-        table = {ip_of[name]: 1 + lj for lj, _, name in hosts}
-        sim.bind(StaticFabricSwitch(spine, table))
-
-    host_objs: Dict[str, Host] = {}
-    for li, j, name in hosts:
-        host = Host(name, mac=mac_of[name], ip=ip_of[name])
-        sim.bind(host)
-        host_objs[name] = host
-
-    injector = None
-    if chaos:
-        injector = FaultInjector(_fabric_chaos_plan(sim.seed, shape))
-        injector.attach(sim)
-
-    half = max(1, shape.leaves // 2)
-    stagger = _ROUND_GAP_S / (len(hosts) + 1)
-    for round_index in range(shape.flows_per_host):
-        for host_index, (li, j, name) in enumerate(hosts):
-            peer = f"h-{leaf_names[(li + half) % shape.leaves]}-{j}"
-            when = round_index * _ROUND_GAP_S + host_index * stagger
-            sim.schedule_on(
-                name,
-                when,
-                lambda s=host_objs[name], ip=ip_of[peer], mac=mac_of[peer],
-                seq=round_index: s.send_udp(
-                    dst_mac=mac, dst_ip=ip,
-                    src_port=40000, dst_port=9000,
-                    payload=seq.to_bytes(2, "big"),
-                ),
-            )
-    return {"hosts": host_objs, "injector": injector, "shape": shape}
-
-
-def _fabric_harvest(sim, ctx):
-    delivered = {
-        name: len(host.received)
-        for name, host in ctx["hosts"].items()
-        if sim.owns(name)
-    }
-    return {
-        "delivered": sum(delivered.values()),
-        "delivered_by_host": delivered,
-    }
-
-
-def fabric_spec(shape: FabricShape, chaos: bool = False) -> ScenarioSpec:
-    """The fabric workload as a runner-ready :class:`ScenarioSpec`."""
-    return ScenarioSpec(
-        topology=partial(fabric_topology, shape),
-        build=partial(_fabric_build, shape=shape, chaos=chaos),
-        harvest=_fabric_harvest,
-    )
-
-
-@dataclass
-class FabricRunResult:
-    """Merged outcome of one sharded fabric run."""
-
-    shape: FabricShape
-    delivered: int
-    result: ShardedResult
-
-    @property
-    def packets_transmitted(self) -> int:
-        return self.result.stats.packets_transmitted
-
-
-def run_fabric(
-    shape: Optional[FabricShape] = None,
-    shards: int = 1,
-    backend: str = "inline",
-    seed: int = 0,
-    chaos: bool = False,
-    telemetry_active: bool = True,
-) -> FabricRunResult:
-    """Run the fabric workload sharded and return the merged result."""
-    shape = shape or FabricShape()
-    result = run_sharded(
-        fabric_spec(shape, chaos=chaos),
-        shards=shards,
-        backend=backend,
-        seed=seed,
-        telemetry_active=telemetry_active,
-    )
-    delivered = sum(out["delivered"] for out in result.outputs)
-    return FabricRunResult(shape=shape, delivered=delivered, result=result)
-
-
-# --- fat-tree attested traffic campaign --------------------------------------
-#
-# The second, heavier consumer of this module: a k-ary fat-tree of
-# *attesting* switches (``MultipathFabricSwitch``) carrying a seeded
-# flow-level workload — elephant/mice and web mixes in the fast
-# forwarding path, plus a handful of attested flows whose packets ride
-# compiled path policies through the full PISA+PERA pipeline. ECMP
-# spreads bulk traffic over the equal-cost uplink sets; attested
-# traffic always selects statelessly so the control plane can predict
-# (and therefore compile a policy for) the exact path.
 
 _ATTESTED_FLOW_BASE = 1_000_000
 _WEB_FLOW_BASE = 500_000
@@ -874,10 +649,10 @@ def _percentile(sorted_values: List[float], q: float) -> float:
     return sorted_values[rank - 1]
 
 
-#: The fabric flight-recorder cadence: 50µs windows (one host send
-#: round), so the ~0.5ms campaign yields a dozen-plus frames and the
-#: ECMP spread is visible while flows are still in flight.
-FABRIC_SAMPLE_INTERVAL_S = _ROUND_GAP_S
+#: The fabric flight-recorder cadence: 50µs windows, so the ~0.5ms
+#: campaign yields a dozen-plus frames and the ECMP spread is visible
+#: while flows are still in flight.
+FABRIC_SAMPLE_INTERVAL_S = 50e-6
 
 
 def fabric_sampling_spec() -> SamplingSpec:
@@ -1109,17 +884,11 @@ def run_fabric_traffic(
 
 __all__ = [
     "FABRIC_SAMPLE_INTERVAL_S",
-    "FabricShape",
-    "FabricRunResult",
     "FabricTrafficResult",
     "FatTreeShape",
     "MultipathFabricSwitch",
-    "StaticFabricSwitch",
     "fabric_sampling_spec",
-    "fabric_spec",
-    "fabric_topology",
     "fabric_traffic_spec",
-    "run_fabric",
     "run_fabric_traffic",
     "standard_fabric_rules",
 ]

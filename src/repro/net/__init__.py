@@ -29,7 +29,6 @@ from repro.net.topology import (
     fat_tree,
     fabric_pod_map,
     ring_topology,
-    leaf_spine,
 )
 from repro.net.simulator import Simulator, Node, SimStats
 from repro.net.sharding import Partition, ShardSimulator, partition_topology
@@ -73,7 +72,6 @@ __all__ = [
     "fat_tree",
     "fabric_pod_map",
     "ring_topology",
-    "leaf_spine",
     "Simulator",
     "SimStats",
     "Node",

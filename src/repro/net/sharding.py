@@ -147,7 +147,7 @@ def partition_topology(
 
     Anchors (non-host nodes) are sorted by name and cut into
     contiguous, balanced chunks — deterministic, and for the canned
-    topologies (chains, leaf–spine with zero-padded names) contiguity
+    topologies (chains, zero-padded switch names) contiguity
     follows the physical layout, keeping the cut small. Hosts join the
     shard of their lowest-named assigned neighbor, so an edge host
     never sits across a one-hop boundary from its switch.

@@ -234,61 +234,6 @@ def ring_topology(
     return topo
 
 
-def leaf_spine(
-    leaves: int,
-    spines: int,
-    hosts_per_leaf: int = 2,
-    leaf_spine_latency_s: float = 2e-6,
-    host_latency_s: float = 1e-6,
-    bandwidth_bps: float = 10e9,
-    parallel_links: int = 1,
-) -> Topology:
-    """A two-tier leaf–spine fabric: every leaf uplinks to every spine.
-
-    Names: leaves ``leaf0..``, spines ``spine0..``, hosts
-    ``h-<leaf>-<i>`` (zero-padded so lexicographic order == numeric
-    order — the shard partitioner groups by sorted names). Ports on a
-    leaf: downlinks ``1..hosts_per_leaf``, then ``parallel_links``
-    uplinks per spine at ``hosts_per_leaf+1 + si*parallel_links + p``
-    towards ``spine<si>``; a spine faces ``leaf<li>`` on ports
-    ``1 + li*parallel_links + p``. With ``parallel_links == 1`` this
-    reduces exactly to the original single-link convention. Leaf–spine
-    links default to a slightly higher latency than host links: the
-    fabric's min cross-shard latency sets the conservative lookahead
-    window, and uplinks are the natural shard cut.
-    """
-    if leaves < 1 or spines < 1:
-        raise NetworkError("leaf_spine needs at least one leaf and one spine")
-    if hosts_per_leaf < 0:
-        raise NetworkError(f"negative hosts_per_leaf: {hosts_per_leaf}")
-    if parallel_links < 1:
-        raise NetworkError(f"parallel_links must be >= 1, got {parallel_links}")
-    topo = Topology()
-    width = max(2, len(str(max(leaves, spines) - 1)))
-    leaf_names = [f"leaf{i:0{width}d}" for i in range(leaves)]
-    spine_names = [f"spine{i:0{width}d}" for i in range(spines)]
-    for name in leaf_names + spine_names:
-        topo.add_node(name, kind="switch")
-    for li, leaf in enumerate(leaf_names):
-        for si, spine in enumerate(spine_names):
-            for p in range(parallel_links):
-                topo.add_link(
-                    leaf,
-                    hosts_per_leaf + 1 + si * parallel_links + p,
-                    spine,
-                    1 + li * parallel_links + p,
-                    leaf_spine_latency_s,
-                    bandwidth_bps,
-                )
-        for i in range(hosts_per_leaf):
-            host = f"h-{leaf}-{i}"
-            topo.add_node(host, kind="host")
-            topo.add_link(
-                leaf, 1 + i, host, 1, host_latency_s, bandwidth_bps
-            )
-    return topo
-
-
 def fat_tree(
     k: int = 4,
     hosts_per_edge: Optional[int] = None,

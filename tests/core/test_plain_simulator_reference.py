@@ -7,7 +7,7 @@ campaign any other way. This file keeps one second opinion:
 :class:`~repro.net.simulator.Simulator` — one heap, no windows, no
 barriers, no merge — and the test below checks that ``shards=1`` under
 the runner reproduces it on stats, harvest output, audit journal and
-frames, for each of the four campaign specs.
+frames, for every campaign spec below.
 """
 
 import json
@@ -18,7 +18,6 @@ from repro.core.chaos import chaos_sampling_spec, chaos_spec
 from repro.core.fabric import (
     FatTreeShape,
     fabric_sampling_spec,
-    fabric_spec,
     fabric_traffic_spec,
 )
 from repro.core.usecases import config_assurance_spec
@@ -37,7 +36,6 @@ from repro.telemetry.tracing import reset_trace_ids
 from tests.core.test_run_signatures import (
     CHAOS_SEED,
     CONGESTED,
-    LEAF_SPINE,
     TRAFFIC_CHAOS,
 )
 
@@ -80,7 +78,6 @@ def run_on_plain_simulator(spec, seed=0):
 
 #: id -> (spec, seed): each campaign spec, in its most hostile form.
 SPECS = {
-    "fabric-chaos": (fabric_spec(LEAF_SPINE, chaos=True), 0),
     "traffic-congested": (
         fabric_traffic_spec(CONGESTED, sampling=fabric_sampling_spec()),
         3,

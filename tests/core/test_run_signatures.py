@@ -27,11 +27,9 @@ import pytest
 
 from repro.core.chaos import run_chaos_athens, standard_chaos_rules
 from repro.core.fabric import (
-    FabricShape,
     FatTreeShape,
     fabric_sampling_spec,
     fabric_traffic_spec,
-    run_fabric,
     run_fabric_traffic,
     standard_fabric_rules,
 )
@@ -43,8 +41,6 @@ from repro.net.shardrun import run_sharded
 from repro.pera.config import BatchingSpec
 from repro.telemetry import AuditKind, run_bundle
 from repro.telemetry.metrics import parse_name
-
-LEAF_SPINE = FabricShape(leaves=8, spines=2, hosts_per_leaf=2, flows_per_host=4)
 
 CONGESTED = FatTreeShape(
     queue=QueueConfig(
@@ -106,13 +102,6 @@ def _signature(sharded, summary) -> Dict[str, str]:
         name: hashlib.sha256(text.encode()).hexdigest()
         for name, text in parts.items()
     }
-
-
-def _fabric(chaos, shards, backend):
-    run = run_fabric(
-        LEAF_SPINE, shards=shards, backend=backend, seed=0, chaos=chaos
-    )
-    return _signature(run.result, {"delivered": run.delivered})
 
 
 def _traffic(shape, seed, rules, shards, backend):
@@ -189,24 +178,6 @@ def _uc1(batching, shards, backend):
 
 #: name -> (runner taking (shards, backend), golden part digests).
 CAMPAIGNS = {
-    "fabric": (
-        lambda s, b: _fabric(False, s, b),
-        {
-            "stats": "7a3dc25360842e1dfe475a53405a117b1467ab817f3b3dc96dcac07d2d955f24",
-            "journal": "b4052712bac19678eb56eb0377b648f309adc4d8181610df92dc0ed9aea90108",
-            "frames": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
-            "summary": "95eb864e2709128c81c23197e54ecf1fcc024812283c1ce3899d67c095ea874f",
-        },
-    ),
-    "fabric-chaos": (
-        lambda s, b: _fabric(True, s, b),
-        {
-            "stats": "a51236929117abbeaa6995a0c76a49942608a0a0bf1db24d75a093fdfabf63d0",
-            "journal": "6e94d54ddb474980c6fffd8c73d887bd5ce1128cae9932df6a658ae2b063db0a",
-            "frames": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
-            "summary": "31d09245863ffed585840f393d11ab68d65d042e644371d28388dd35bb4a3f40",
-        },
-    ),
     "traffic-clean": (
         lambda s, b: _traffic(FatTreeShape(), 7, standard_fabric_rules(), s, b),
         {

@@ -1,9 +1,9 @@
-"""Fat-tree / leaf–spine generators and pod-aware shard partitioning."""
+"""The fat-tree generator and pod-aware shard partitioning."""
 
 import pytest
 
 from repro.net.sharding import partition_topology
-from repro.net.topology import fabric_pod_map, fat_tree, leaf_spine
+from repro.net.topology import fabric_pod_map, fat_tree, linear_topology
 from repro.util.errors import NetworkError
 
 
@@ -68,28 +68,6 @@ class TestFabricPodMap:
         topo.add_node("oddball")  # one off-convention switch: no map
         assert fabric_pod_map(topo) == {}
 
-    def test_leaf_spine_has_no_pods(self):
-        assert fabric_pod_map(leaf_spine(2, 2)) == {}
-
-
-class TestLeafSpineParallelLinks:
-    def test_parallel_uplinks_wired(self):
-        topo = leaf_spine(2, 2, hosts_per_leaf=1, parallel_links=2)
-        # leaf0 uplinks: spine0 on ports 2,3 and spine1 on ports 4,5.
-        assert topo.neighbor("leaf00", 2)[0] == "spine00"
-        assert topo.neighbor("leaf00", 3)[0] == "spine00"
-        assert topo.neighbor("leaf00", 4)[0] == "spine01"
-        assert topo.neighbor("leaf00", 5)[0] == "spine01"
-
-    def test_single_link_matches_legacy_convention(self):
-        single = leaf_spine(2, 2, hosts_per_leaf=2, parallel_links=1)
-        assert single.neighbor("leaf00", 3)[0] == "spine00"
-        assert single.neighbor("spine01", 2)[0] == "leaf01"
-
-    def test_invalid_parallel_links(self):
-        with pytest.raises(NetworkError):
-            leaf_spine(2, 2, parallel_links=0)
-
 
 class TestPodAwarePartitioning:
     def test_no_pod_is_ever_split(self):
@@ -142,20 +120,15 @@ class TestPodAwarePartitioning:
         assert part.shard_count <= 5  # 4 pods + the core block
 
     def test_explicit_pods_override(self):
-        topo = leaf_spine(2, 2, hosts_per_leaf=1)
-        pods = {
-            "leaf00": "g0",
-            "spine00": "g0",
-            "leaf01": "g1",
-            "spine01": "g1",
-        }
+        topo = linear_topology(4)  # alone it chunks s1 s2 | s3 s4
+        pods = {"s1": "g0", "s3": "g0", "s2": "g1", "s4": "g1"}
         part = partition_topology(topo, 2, pods=pods)
-        assert part.owner["leaf00"] == part.owner["spine00"]
-        assert part.owner["leaf01"] == part.owner["spine01"]
-        assert part.owner["leaf00"] != part.owner["leaf01"]
+        assert part.owner["s1"] == part.owner["s3"]
+        assert part.owner["s2"] == part.owner["s4"]
+        assert part.owner["s1"] != part.owner["s2"]
 
     def test_legacy_chunking_preserved_without_pods(self):
-        topo = leaf_spine(4, 2, hosts_per_leaf=1)
+        topo = linear_topology(6)
         part = partition_topology(topo, 2)
         anchors = sorted(
             n for n in topo.node_names if topo.kind_of(n) != "host"

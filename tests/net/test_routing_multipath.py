@@ -10,7 +10,7 @@ from repro.net.routing import (
     shortest_path,
     stable_flow_hash,
 )
-from repro.net.topology import Topology, leaf_spine
+from repro.net.topology import Topology, fat_tree
 from repro.util.errors import NetworkError
 
 
@@ -209,30 +209,30 @@ class TestFlowletTable:
 
 
 class TestAllPairsNextHops:
-    def test_leaf_spine_equal_cost_uplinks(self):
-        topo = leaf_spine(2, 2, hosts_per_leaf=1)
+    def test_fat_tree_equal_cost_uplinks(self):
+        topo = fat_tree(4)
         table = all_pairs_next_hops(topo)
-        # Cross-leaf: both spine uplinks tie; ports come back sorted.
-        assert table[("leaf00", "h-leaf01-0")] == (2, 3)
+        # Cross-pod: both aggregation uplinks tie; ports come back sorted.
+        assert table[("p00e00", "h-p01e00-0")] == (3, 4)
         # Local host: single access port.
-        assert table[("leaf00", "h-leaf00-0")] == (1,)
-        # Spines see each leaf's host on exactly one downlink.
-        assert table[("spine00", "h-leaf01-0")] == (2,)
+        assert table[("p00e00", "h-p00e00-0")] == (1,)
+        # A core sees each pod's host on exactly one downlink.
+        assert table[("zcore00", "h-p01e00-0")] == (2,)
 
     def test_destinations_subset(self):
-        topo = leaf_spine(2, 2, hosts_per_leaf=1)
-        table = all_pairs_next_hops(topo, destinations=["h-leaf00-0"])
-        assert all(dst == "h-leaf00-0" for _, dst in table)
+        topo = fat_tree(4)
+        table = all_pairs_next_hops(topo, destinations=["h-p00e00-0"])
+        assert all(dst == "h-p00e00-0" for _, dst in table)
 
     def test_unknown_destination_rejected(self):
-        topo = leaf_spine(2, 2, hosts_per_leaf=1)
+        topo = fat_tree(4)
         with pytest.raises(NetworkError):
             all_pairs_next_hops(topo, destinations=["nope"])
 
 
 class TestPredictMultipathPath:
     def test_walk_matches_selector_choices(self):
-        topo = leaf_spine(3, 2, hosts_per_leaf=1)
+        topo = fat_tree(4)
         table = all_pairs_next_hops(topo)
         selectors = {}
 
@@ -241,19 +241,19 @@ class TestPredictMultipathPath:
 
         key = ("10.0.0.1", "10.0.2.1", 17, 5555, 80)
         path = predict_multipath_path(
-            topo, table, "h-leaf00-0", "h-leaf02-0", key, selector_for
+            topo, table, "h-p00e00-0", "h-p02e00-0", key, selector_for
         )
-        assert path[0] == "h-leaf00-0" and path[-1] == "h-leaf02-0"
-        assert len(path) == 5  # host, leaf, spine, leaf, host
+        assert path[0] == "h-p00e00-0" and path[-1] == "h-p02e00-0"
+        assert len(path) == 7  # host, edge, agg, core, agg, edge, host
         # Re-walk: stateless selection is reproducible.
         again = predict_multipath_path(
-            topo, table, "h-leaf00-0", "h-leaf02-0", key, selector_for
+            topo, table, "h-p00e00-0", "h-p02e00-0", key, selector_for
         )
         assert again == path
-        # The spine actually chosen is the one the leaf's selector picks.
-        members = table[("leaf00", "h-leaf02-0")]
-        port = selector_for("leaf00").pick(members, key)
-        assert topo.neighbor("leaf00", port)[0] == path[2]
+        # The agg actually chosen is the one the edge's selector picks.
+        members = table[("p00e00", "h-p02e00-0")]
+        port = selector_for("p00e00").pick(members, key)
+        assert topo.neighbor("p00e00", port)[0] == path[2]
 
     def test_no_next_hop_raises(self):
         topo = Topology()

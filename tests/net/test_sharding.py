@@ -1,7 +1,7 @@
 """Unit tests for the sharded simulation core.
 
 Covers the partitioner (balanced contiguous anchor chunks, host
-adoption, lookahead derivation), the ``leaf_spine`` canned fabric, the
+adoption, lookahead derivation), the
 windowed shard engine with its ownership gates and lookahead guard,
 ``SimStats.merge`` algebra, and the canonical audit-journal merge.
 The end-to-end byte-identity contract lives in
@@ -25,7 +25,7 @@ from repro.net.sharding import (
 )
 from repro.net.shardrun import ScenarioSpec, run_sharded
 from repro.net.simulator import Node, SimStats, Simulator
-from repro.net.topology import Topology, leaf_spine
+from repro.net.topology import Topology, fat_tree
 from repro.telemetry.audit import merge_audit_events
 from repro.util.errors import NetworkError
 
@@ -98,54 +98,10 @@ class TestPartitionTopology:
             partition_topology(chain(2), shards=0)
 
     def test_partition_is_deterministic(self):
-        a = partition_topology(leaf_spine(6, 2), shards=4)
-        b = partition_topology(leaf_spine(6, 2), shards=4)
+        a = partition_topology(fat_tree(4), shards=4)
+        b = partition_topology(fat_tree(4), shards=4)
         assert a.owner == b.owner
         assert a.lookahead_s == b.lookahead_s
-
-
-class TestLeafSpine:
-    def test_shape(self):
-        topo = leaf_spine(4, 2, hosts_per_leaf=3)
-        switches = topo.nodes_of_kind("switch")
-        hosts = topo.nodes_of_kind("host")
-        assert len(switches) == 6
-        assert len(hosts) == 12
-        # Every leaf uplinks to every spine, plus one link per host.
-        assert len(topo.links) == 4 * 2 + 12
-
-    def test_port_conventions(self):
-        topo = leaf_spine(3, 2, hosts_per_leaf=2)
-        # Leaf downlinks 1..hosts_per_leaf, uplinks after.
-        assert topo.neighbor("leaf00", 1) == ("h-leaf00-0", 1)
-        assert topo.neighbor("leaf00", 2) == ("h-leaf00-1", 1)
-        assert topo.neighbor("leaf00", 3) == ("spine00", 1)
-        assert topo.neighbor("leaf00", 4) == ("spine01", 1)
-        # Spine port 1+li faces leaf li.
-        assert topo.neighbor("spine01", 3) == ("leaf02", 4)
-
-    def test_names_zero_padded_for_lexicographic_order(self):
-        topo = leaf_spine(12, 2)
-        leaves = [n for n in topo.node_names if n.startswith("leaf")]
-        assert leaves == sorted(leaves)
-        assert "leaf02" in leaves and "leaf11" in leaves
-
-    def test_uplinks_slower_than_host_links(self):
-        topo = leaf_spine(2, 1)
-        latencies = {
-            frozenset((l.node_a, l.node_b)): l.latency_s for l in topo.links
-        }
-        assert latencies[frozenset(("leaf00", "spine00"))] > latencies[
-            frozenset(("h-leaf00-0", "leaf00"))
-        ]
-
-    def test_degenerate_shapes_rejected(self):
-        with pytest.raises(NetworkError):
-            leaf_spine(0, 1)
-        with pytest.raises(NetworkError):
-            leaf_spine(1, 0)
-        with pytest.raises(NetworkError):
-            leaf_spine(1, 1, hosts_per_leaf=-1)
 
 
 def make_packet():

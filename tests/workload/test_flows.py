@@ -6,7 +6,7 @@ import pytest
 
 from repro.net.headers import ip_to_int
 from repro.net.simulator import Simulator
-from repro.net.topology import leaf_spine
+from repro.net.topology import Topology
 from repro.util.errors import NetworkError
 from repro.workload.flows import (
     FLOW_PAYLOAD_MIN_BYTES,
@@ -65,7 +65,14 @@ def small_fabric():
     from repro.pisa.programs import ipv4_forwarding_program
     from repro.pisa.switch import PisaSwitch
 
-    topo = leaf_spine(2, 1, hosts_per_leaf=2)
+    topo = Topology()
+    for switch in ("leaf00", "leaf01", "spine00"):
+        topo.add_node(switch)
+    for li, leaf in enumerate(("leaf00", "leaf01")):
+        topo.add_link(leaf, 3, "spine00", 1 + li, latency_s=2e-6)
+        for j in range(2):
+            topo.add_node(f"h-{leaf}-{j}", kind="host")
+            topo.add_link(leaf, 1 + j, f"h-{leaf}-{j}", 1)
     sim = Simulator(topo, seed=1)
     sinks = {}
     for i, (leaf, j) in enumerate(
