@@ -19,12 +19,14 @@ What counts as a use:
 
 An allow-list entry for a class covers its methods too. An entry goes
 stale — and fails the suite — once its name is gone or has gained a
-user.
+user, or once a ``ROADMAP <n>`` its reason cites is no longer listed
+under ``## Open items`` in ROADMAP.md.
 """
 
 import ast
 import functools
 import pathlib
+import re
 from collections import defaultdict
 
 import repro
@@ -44,7 +46,8 @@ ALLOWED = {
         "ROADMAP 10(b): does a rule raise within two windows of each fault "
         "family (docs/MONITORING.md)",
     "repro.core.chaos.standard_chaos_rules":
-        "the chaos run-signature golden pins its alerts (ROADMAP 1 re-mints it)",
+        "ROADMAP 10(b): the rule set chaos_alert_coverage scores; the "
+        "chaos run-signature golden pins its alerts",
     "repro.core.policies.ap2_scanner_audit": "Table 1 AP2, the UC4 scanner audit",
     "repro.core.relying_party.RelyingParty.lint":
         "ROADMAP 9(c)(i): the pre-flight check the fail-early path test joins",
@@ -60,8 +63,8 @@ ALLOWED = {
     "repro.faults.plan.FaultPlan.tamper_evidence":
         "ROADMAP 10(a): the on-the-wire tamper attack of the catalogue",
     "repro.net.controller.RoutingController.provision":
-        "ROADMAP 11: its /32 host routes cannot be adopted without moving "
-        "every TABLES digest",
+        "ROADMAP 9(a): installs the ipv4_lpm entries dataplane_policy "
+        "reads back, on any topology",
     "repro.net.packet.Packet.tcp_packet":
         "ROADMAP 5(b): TCP packets for the parser/deparser round trip",
     "repro.net.routing.FlowletTable.serial_of":
@@ -93,13 +96,15 @@ ALLOWED = {
     "repro.pisa.runtime.P4Runtime.subscribe_digest":
         "P4Runtime digest stream, the controller end of emit_digest",
     "repro.telemetry.audit.AuditJournal.for_trace":
-        "ROADMAP 1(a): joins the dataplane and harvest journals of UC1",
+        "ROADMAP 5(d): one packet's journal, where a mutated signed byte "
+        "must raise exactly one check.failed",
     "repro.telemetry.health.HealthReport.first_raise_window":
         "ROADMAP 10(b): detection latency in sample windows",
     "repro.telemetry.instrument.use_default":
-        "ROADMAP 1(a): installs the ambient telemetry harvest appraisers use",
+        "ROADMAP 15(b): installs the ambient telemetry that item keeps or "
+        "deletes",
     "repro.telemetry.instrument.reset_default":
-        "ROADMAP 1(a): re-reads REPRO_TELEMETRY for the ambient telemetry",
+        "ROADMAP 15(b): re-reads REPRO_TELEMETRY for the ambient telemetry",
     "repro.telemetry.schema.validate_strict":
         "ROADMAP 7(c): the guard behind docs/schemas/ for exported documents",
     "repro.util.clock.SimClock.advance":
@@ -213,6 +218,25 @@ def test_every_public_name_has_a_user():
 def test_allow_list_has_no_stale_entries():
     assert all(reason.strip() for reason in ALLOWED.values())
     assert not stale_entries(ALLOWED, *census(ROOT))
+
+
+def open_roadmap_items(text):
+    """Item numbers listed under ``## Open items`` in ROADMAP.md."""
+    section = text.split("\n## Open items", 1)[1].split("\n## ", 1)[0]
+    return {int(n) for n in re.findall(r"^(\d+)\. \*\*", section, re.M)}
+
+
+def test_allow_list_cites_only_open_roadmap_items():
+    open_items = open_roadmap_items((ROOT / "ROADMAP.md").read_text())
+    cited = {
+        name: {int(n) for n in re.findall(r"ROADMAP (\d+)", reason)}
+        for name, reason in ALLOWED.items()
+    }
+    assert not {
+        name: sorted(items - open_items)
+        for name, items in cited.items()
+        if items - open_items
+    }
 
 
 def _tree(tmp_path, files):
