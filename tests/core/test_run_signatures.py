@@ -143,7 +143,7 @@ def _merged_outputs(outputs):
     return merged
 
 
-def _traffic_spec(spec, shards, backend):
+def _spec_signature(spec, shards, backend):
     sharded = run_sharded(
         spec, shards=shards, backend=backend, seed=CHAOS_SEED
     )
@@ -200,7 +200,7 @@ CAMPAIGNS = {
         },
     ),
     "traffic-chaos": (
-        partial(_traffic_spec, TRAFFIC_CHAOS),
+        partial(_spec_signature, TRAFFIC_CHAOS),
         {
             "stats": "d12ab9b1b36562157e0d6cd44583b6d0b4f00cecd5cdc708704a3113bb028a1e",
             "journal": "74022b4c4f1b16c1223d346242e26c58f3f85a734d402788ad9b5b776d5f4af6",
@@ -254,9 +254,9 @@ def test_mp_signature_matches_golden(name):
 def test_signature_sees_the_run():
     # The goldens would be vacuous if the signature ignored its input:
     # the link chaos moves every part of the same spec's signature.
-    chaos = _traffic_spec(TRAFFIC_CHAOS, 1, "inline")
+    chaos = _spec_signature(TRAFFIC_CHAOS, 1, "inline")
     assert chaos != CAMPAIGNS["traffic-clean"][1]
-    clean = _traffic_spec(TRAFFIC_CHAOS_CLEAN, 1, "inline")
+    clean = _spec_signature(TRAFFIC_CHAOS_CLEAN, 1, "inline")
     for part in ("stats", "journal", "frames", "summary"):
         assert chaos[part] != clean[part], part
 
