@@ -18,6 +18,7 @@ carries them.
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 from functools import partial
@@ -305,7 +306,10 @@ def _chaos_run(shards, backend):
     return run.sharded, run.health
 
 
+@functools.lru_cache(maxsize=None)
 def _congested_run(shards, backend):
+    """One congested campaign per (shards, backend), shared by the tests
+    below; neither mutates what it reads."""
     run = run_fabric_traffic(
         CONGESTED,
         shards=shards,
@@ -337,3 +341,30 @@ def test_run_bundle_carries_the_signed_bytes(name, runner):
             )
         parts.add(json.dumps(doc, sort_keys=True))
     assert len(parts) == 1
+
+
+#: Per-link and per-port counters whose sum is one ``SimStats`` field.
+CONSERVED = {
+    "net.link.tx_packets": "packets_transmitted",
+    "net.link.tx_bytes": "bytes_transmitted",
+    "net.qdisc.ecn_marked": "ecn_marked",
+    "net.qdisc.pause_frames": "pause_frames",
+}
+
+
+@pytest.mark.parametrize("shards, backend", [
+    (1, "inline"), (2, "inline"), (4, "inline"), (2, "mp"),
+])
+def test_congested_counters_sum_to_the_stats(shards, backend):
+    """The labelled telemetry counters are outside the golden digests:
+    pin them to the stats they itemise, at every shard count."""
+    sharded, _ = _congested_run(shards, backend)
+    sums = dict.fromkeys(CONSERVED, 0.0)
+    for key, value in sharded.metrics["counters"].items():
+        name, _ = parse_name(key)
+        if name in sums:
+            sums[name] += value
+    stats = sharded.stats
+    assert stats.ecn_marked and stats.pause_frames and stats.local_resends
+    for name, field in CONSERVED.items():
+        assert sums[name] == getattr(stats, field), name

@@ -1,5 +1,6 @@
 """Tests for the packet model."""
 
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.net.headers import IPPROTO_UDP, RA_UDP_PORT, RaShimHeader, ip_to_int
 from repro.net.packet import Packet
+from repro.telemetry.tracing import TraceContext
 from repro.util.errors import CodecError
 
 
@@ -128,3 +130,73 @@ class TestEncodeCaching:
         warm.encode()
         assert cold == warm
         assert hash(cold) == hash(warm)
+
+
+IPS = st.integers(0, 2**32 - 1)
+PORTS = st.integers(0, 65535)
+SHIMS = st.builds(
+    RaShimHeader,
+    flags=st.integers(0, 7),
+    hop_count=st.integers(0, 16),
+    body=st.binary(max_size=96),
+)
+
+
+@st.composite
+def any_packet(draw):
+    """A UDP (with or without a shim) or TCP packet, built directly or
+    decoded from its own wire bytes."""
+    payload = draw(st.binary(max_size=96))
+    if draw(st.booleans()):
+        pkt = Packet.udp_packet(
+            1, 2, draw(IPS), draw(IPS), draw(PORTS), draw(PORTS),
+            payload=payload, ra_shim=draw(st.none() | SHIMS),
+        )
+    else:
+        pkt = Packet.tcp_packet(
+            1, 2, draw(IPS), draw(IPS), draw(PORTS), draw(PORTS),
+            payload=payload, flags=draw(st.integers(0, 255)),
+        )
+    return Packet.decode(pkt.encode()) if draw(st.booleans()) else pkt
+
+
+def _mutations(pkt, shim):
+    """Every derived packet a switch or queue makes of ``pkt``."""
+    out = [
+        pkt.with_trace(TraceContext("t", hop=1, origin="h")),
+        pkt.with_ecn(),
+    ]
+    if pkt.udp is not None:
+        out += [pkt.with_shim(shim), pkt.with_shim(None)]
+    return out
+
+
+class TestWireLengthCache:
+    """``wire_length`` is memoised on the instance; whatever was read,
+    encoded or pickled first, it must equal the encoded length."""
+
+    @given(any_packet(), SHIMS, st.booleans(), st.booleans())
+    def test_wire_length_is_the_encoded_length(self, pkt, shim, read, encode):
+        if read:
+            pkt.wire_length  # memoise before deriving
+        if encode:
+            pkt.encode()
+        assert pkt.wire_length == len(pkt.encode())
+        for derived in _mutations(pkt, shim):
+            if read:
+                derived.wire_length
+            assert derived.wire_length == len(derived.encode())
+            # A derived packet's derived packets too (add, replace, strip).
+            for again in _mutations(derived, shim):
+                assert again.wire_length == len(again.encode())
+
+    @given(any_packet(), st.booleans())
+    def test_pickle_round_trip_keeps_the_length(self, pkt, read):
+        if read:
+            pkt.wire_length
+        copy = pickle.loads(pickle.dumps(pkt))
+        assert copy == pkt
+        assert copy.wire_length == pkt.wire_length == len(copy.encode())
+        if copy.udp is not None:
+            stripped = copy.with_shim(None)
+            assert stripped.wire_length == len(stripped.encode())

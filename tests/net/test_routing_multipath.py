@@ -1,6 +1,8 @@
 """Multipath routing: tie-breaks, flow hashing, ECMP and flowlets."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.net.routing import (
     EcmpSelector,
@@ -206,6 +208,49 @@ class TestFlowletTable:
         assert (a.repicks, a.congestion_repicks) == (
             b.repicks, b.congestion_repicks
         )
+
+
+FIELDS = st.none() | st.integers(0, 2**32 - 1)
+FLOW_KEYS = st.tuples(
+    FIELDS, FIELDS, st.none() | st.integers(0, 255),
+    st.none() | st.integers(0, 65535), st.none() | st.integers(0, 65535),
+)
+#: One packet: (flow index, time step, ECN-marked).
+STEPS = st.lists(
+    st.tuples(st.integers(0, 3), st.floats(0.0, 40e-6), st.booleans()),
+    min_size=1, max_size=40,
+)
+
+
+class TestFlowletHashDifferential:
+    """A flowlet pick is ``stable_flow_hash(seed, *key, serial)`` modulo
+    the member count, bit for bit, whatever the table keeps per flow —
+    across idle-gap expiry (steps up to twice the gap), packet-budget
+    exhaustion (budgets 1-4) and congestion nudges (ECN-marked steps)."""
+
+    @given(
+        seed=st.integers(-(2**70), 2**70),
+        keys=st.lists(FLOW_KEYS, min_size=1, max_size=4, unique=True),
+        members=st.lists(
+            st.integers(1, 64), min_size=1, max_size=8, unique=True
+        ).map(tuple),
+        budget=st.integers(0, 4),
+        steps=STEPS,
+    )
+    def test_pick_is_the_flow_hash_of_its_serial(
+        self, seed, keys, members, budget, steps
+    ):
+        table = FlowletTable(
+            seed, idle_gap_s=20e-6, flowlet_n_packets=budget
+        )
+        now = 0.0
+        for index, step, congested in steps:
+            key = keys[index % len(keys)]
+            now += step
+            port = table.pick(members, key, now, congested=congested)
+            serial = table.serial_of(key)
+            expected = stable_flow_hash(seed, *key, serial) % len(members)
+            assert port == members[expected]
 
 
 class TestAllPairsNextHops:
