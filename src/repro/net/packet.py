@@ -10,6 +10,7 @@ parser on real bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 from repro.net.headers import (
@@ -169,9 +170,13 @@ class Packet:
 
     # --- accessors -------------------------------------------------------
 
-    @property
+    @cached_property
     def wire_length(self) -> int:
-        """Total frame length in bytes (without re-encoding)."""
+        """Total frame length in bytes (without re-encoding).
+
+        Memoised on the instance like :meth:`encode`: every hop reads
+        it several times (queue depth, serialization, counters).
+        """
         cached = self.__dict__.get("_wire")
         if cached is not None:
             return len(cached)
@@ -221,25 +226,25 @@ class Packet:
     def with_trace(self, trace: Optional[TraceContext]) -> "Packet":
         """Return a copy carrying ``trace`` as ancillary metadata.
 
-        Trace context never reaches the wire, so the cached encoded
-        form (if any) is carried over to the copy.
+        Trace context never reaches the wire, so the memoised encoded
+        form and wire length (if any) are carried over to the copy.
         """
-        updated = replace(self, trace=trace)
-        cached = self.__dict__.get("_wire")
-        if cached is not None:
-            object.__setattr__(updated, "_wire", cached)
-        return updated
+        return self._with_metadata(trace=trace)
 
     def with_ecn(self, marked: bool = True) -> "Packet":
         """Return a copy carrying the congestion-experienced mark.
 
         Like :meth:`with_trace`, the mark never reaches the wire, so
-        the cached encoded form is carried over.
+        the memoised encoded form and wire length are carried over.
         """
-        updated = replace(self, ecn=marked)
-        cached = self.__dict__.get("_wire")
-        if cached is not None:
-            object.__setattr__(updated, "_wire", cached)
+        return self._with_metadata(ecn=marked)
+
+    def _with_metadata(self, **changes: object) -> "Packet":
+        updated = replace(self, **changes)
+        memo = self.__dict__
+        for name in ("_wire", "wire_length"):
+            if name in memo:
+                updated.__dict__[name] = memo[name]
         return updated
 
     def __repr__(self) -> str:  # keep simulator logs readable

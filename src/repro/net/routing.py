@@ -227,7 +227,7 @@ class FlowletTable:
         #: congestion actually moved flows.
         self.congestion_repicks = 0
         # flow key -> [last_seen_s, packets_in_flowlet, serial,
-        #              last_congestion_repick_s]
+        #              last_congestion_repick_s, key_seed]
         self._state: Dict[tuple, List[float]] = {}
 
     def serial_of(self, flow_key: tuple) -> int:
@@ -247,7 +247,13 @@ class FlowletTable:
             raise NetworkError("cannot select from an empty member set")
         state = self._state.get(flow_key)
         if state is None:
-            state = [now_s, 0.0, 0.0, float("-inf")]
+            # FNV-1a is sequential, so hashing (seed, *key, serial) is
+            # hashing the serial alone from the state H the key leaves
+            # behind; stable_flow_hash starts from ``offset ^ seed``, so
+            # the seed ``H ^ offset`` starts it at H. The key is hashed
+            # once per flow, not once per packet, with the same result.
+            key_seed = stable_flow_hash(self.seed, *flow_key) ^ _FNV_OFFSET
+            state = [now_s, 0.0, 0.0, float("-inf"), key_seed]
             self._state[flow_key] = state
         else:
             expired = now_s - state[0] > self.idle_gap_s
@@ -269,9 +275,7 @@ class FlowletTable:
                         self.congestion_repicks += 1
             state[0] = now_s
         state[1] += 1
-        index = stable_flow_hash(
-            self.seed, *flow_key, int(state[2])
-        ) % len(members)
+        index = stable_flow_hash(state[4], int(state[2])) % len(members)
         return members[index]
 
 
