@@ -31,8 +31,12 @@ KEY_LEN = 32
 # A point in extended homogeneous coordinates (X, Y, Z, T), x = X/Z,
 # y = Y/Z, x*y = T/Z.
 _Point = Tuple[int, int, int, int]
+# A table entry: the same point in precomputed affine form
+# (y − x, y + x, 2d·x·y), the form one mixed addition consumes.
+_Cached = Tuple[int, int, int]
 
 _IDENTITY: _Point = (0, 1, 1, 0)
+_D2 = 2 * _D % _P
 
 
 def _sha512(data: bytes) -> bytes:
@@ -42,7 +46,7 @@ def _sha512(data: bytes) -> bytes:
 def _inv(x: int) -> int:
     """``x⁻¹ mod p`` by CPython's extended Euclid: ~18 µs where the
     Fermat power ``x^(p−2)`` takes ~140 µs (python 3.11, x86-64), paid
-    once in every point compression.
+    once in every point compression and once per prepared table.
 
     Raises ``ValueError`` for ``x ≡ 0``, which has no inverse.
     """
@@ -87,6 +91,9 @@ def _recover_x(y: int, sign_bit: int) -> int:
 
 
 def _point_add(p: _Point, q: _Point) -> _Point:
+    """``p + q`` for two projective points (add-2008-hwcd-3, Hisil et
+    al.): complete on edwards25519, 9 multiplications, one of them the
+    three-factor ``2·t1·t2·d``."""
     x1, y1, z1, t1 = p
     x2, y2, z2, t2 = q
     a = (y1 - x1) * (y2 - x2) % _P
@@ -121,6 +128,60 @@ def _point_negate(p: _Point) -> _Point:
     return (_P - x if x else 0, y, z, _P - t if t else 0)
 
 
+def _madd(p: _Point, q: _Cached) -> _Point:
+    """``p + q`` for a table entry ``q`` (madd-2008-hwcd-3).
+
+    The same complete formula as :func:`_point_add` with ``Z₂ = 1``:
+    ``q``'s ``y − x``, ``y + x`` and ``2d·x·y`` were computed when the
+    table was built, so an addition costs 7 multiplications, none of
+    them three-factor. Every table in this module holds entries of this
+    form (the precomputed form of the Ed25519 paper, Bernstein et al.,
+    2012).
+    """
+    x1, y1, z1, t1 = p
+    ym, yp, t2d = q
+    a = (y1 - x1) * ym % _P
+    b = (y1 + x1) * yp % _P
+    c = t1 * t2d % _P
+    d = z1 + z1
+    e, f, g, h = b - a, d - c, d + c, b + a
+    return (e * f % _P, g * h % _P, f * g % _P, e * h % _P)
+
+
+def _cached_negate(q: _Cached) -> _Cached:
+    """``−q``: ``x → −x`` swaps ``y − x`` and ``y + x`` and negates
+    ``2d·x·y``, with no multiplication."""
+    ym, yp, t2d = q
+    return (yp, ym, _P - t2d)
+
+
+def _prepare(points: Sequence[_Point]) -> List[_Cached]:
+    """Every point in precomputed affine form, for one field inversion.
+
+    Montgomery's trick: invert the product of all ``Z`` once, then peel
+    each ``1/Z`` off it walking back, 3 multiplications per point; each
+    entry takes 3 more. One inversion costs about as much as 40
+    multiplications, so a table pays it once, not once per entry.
+    """
+    prefix: List[int] = []
+    product = 1
+    for point in points:
+        prefix.append(product)
+        product = product * point[2] % _P
+    inverse = _inv(product)
+    cached: List[_Cached] = [(1, 1, 0)] * len(points)
+    for index in range(len(points) - 1, -1, -1):
+        x, y, z, t = points[index]
+        zinv = inverse * prefix[index] % _P
+        inverse = inverse * z % _P
+        cached[index] = (
+            (y - x) * zinv % _P,
+            (y + x) * zinv % _P,
+            t * zinv * _D2 % _P,
+        )
+    return cached
+
+
 def _point_mul(scalar: int, point: _Point) -> _Point:
     result = _IDENTITY
     addend = point
@@ -134,47 +195,63 @@ def _point_mul(scalar: int, point: _Point) -> _Point:
 
 # --- fixed-base scalar multiplication (signing hot path) ---------------
 #
-# Signing multiplies the *base point* by two scalars per signature; a
-# precomputed window table turns each of those from ~256 doublings +
-# ~128 additions into at most 31 additions with no doublings at all.
-# The window was widened from 4 to 8 bits for the batch-verification
-# work: every batched check pays exactly one fixed-base multiplication
-# (the ``(Σ z_i·s_i)·B`` term), and single verification now routes its
-# ``s·B`` half through this table too, so the wider window pays off on
-# both the signing and the appraisal hot paths. The table is built
-# lazily on first use (~8k point additions, tens of milliseconds) so
-# merely importing the module stays cheap.
+# Signing multiplies the *base point* by one scalar per signature; a
+# precomputed window table turns that from ~256 doublings + ~128
+# additions into at most 32 mixed additions with no doublings at all.
+# The window is 8 bits: every batched check pays exactly one fixed-base
+# multiplication (the ``(Σ z_i·s_i)·B`` term), and single verification
+# routes its ``s·B`` half through this table too, so the wide window
+# pays off on both the signing and the appraisal hot paths.
+#
+# Digits are signed, read straight off the bytes: adding 128 to every
+# base-256 digit of ``s mod L`` (one addition of 0x8080…80) makes byte
+# ``u`` of the sum stand for the digit ``u − 128`` in ``[−128, 127]``,
+# so window ``j``'s row holds ``(u − 128)·2^(8j)·B`` at index ``u`` and
+# the loop needs no carry. Only ``1·P … 128·P`` are computed per window,
+# by mixed additions of ``P``; the negative half is their negation,
+# which costs no multiplication. Each window is brought to affine form
+# with one inversion, together with ``256·P``, the next window's base.
+# The table is built lazily on first use (~4k mixed additions, tens of
+# milliseconds) so merely importing the module stays cheap.
 
 _WINDOW_BITS = 8
-_WINDOWS = 32  # ceil(256 / _WINDOW_BITS): covers clamped 255-bit scalars
-_BASE_TABLE: "list" = []
+_WINDOWS = 32  # 8-bit windows over s mod L plus the digit offset
+_DIGIT_ZERO = 1 << (_WINDOW_BITS - 1)  # byte 128 stands for digit 0
+_DIGIT_OFFSET = int.from_bytes(bytes([_DIGIT_ZERO]) * _WINDOWS, "little")
+_BASE_TABLE: List[Tuple[_Cached, ...]] = []
 
 
 def _build_base_table() -> None:
-    point = _BASE  # defined below; the table is only built lazily
+    step = _prepare([_BASE])[0]
     for _ in range(_WINDOWS):
-        row = [_IDENTITY, point]
-        acc = point
-        for _ in range(2, 1 << _WINDOW_BITS):
-            acc = _point_add(acc, point)
-            row.append(acc)
-        _BASE_TABLE.append(tuple(row))
-        for _ in range(_WINDOW_BITS):
-            point = _point_double(point)
+        multiples = []
+        acc = _IDENTITY
+        for _ in range(_DIGIT_ZERO):
+            acc = _madd(acc, step)
+            multiples.append(acc)
+        multiples.append(_point_double(acc))
+        *positive, step = _prepare(multiples)
+        negative = [_cached_negate(entry) for entry in reversed(positive)]
+        _BASE_TABLE.append(tuple(negative + [(1, 1, 0)] + positive[:-1]))
 
 
 def _base_mul(scalar: int) -> _Point:
-    """``scalar * B`` via the precomputed window table."""
+    """``scalar * B`` via the precomputed window table: one mixed
+    addition, inlined, per non-zero signed digit."""
     if not _BASE_TABLE:
         _build_base_table()
-    result = _IDENTITY
-    mask = (1 << _WINDOW_BITS) - 1
-    for window in range(_WINDOWS):
-        nibble = scalar & mask
-        if nibble:
-            result = _point_add(result, _BASE_TABLE[window][nibble])
-        scalar >>= _WINDOW_BITS
-    return result
+    x, y, z, t = _IDENTITY
+    digits = (scalar % _L + _DIGIT_OFFSET).to_bytes(_WINDOWS, "little")
+    for row, digit in zip(_BASE_TABLE, digits):
+        if digit != _DIGIT_ZERO:
+            ym, yp, t2d = row[digit]
+            a = (y - x) * ym % _P
+            b = (y + x) * yp % _P
+            c = t * t2d % _P
+            d = z + z
+            e, f, g, h = b - a, d - c, d + c, b + a
+            x, y, z, t = e * f % _P, g * h % _P, f * g % _P, e * h % _P
+    return (x, y, z, t)
 
 
 # --- sparse wNAF recoding and interleaved multi-scalar multiplication --
@@ -195,10 +272,12 @@ def _base_mul(scalar: int) -> _Point:
 #
 # R-points are fresh per signature: ``_multi_mul`` takes them as
 # *fresh* terms, a bare ``(scalar, point)`` with no table. A small check
-# builds each a width-5 table, where table cost and additions balance.
-# A large one (``_BUCKET_MIN`` terms or more) sums them by Pippenger's
-# bucket method instead, which pays ~1 addition per term per c-bit
-# window and no tables at all — see ``_bucket_windows``.
+# builds each a width-5 table, where table cost and additions balance;
+# all of one check's tables share one inversion. A large one
+# (``_BUCKET_MIN`` terms or more) sums them by Pippenger's bucket method
+# instead, which pays ~1 addition per term per c-bit window and no
+# tables at all — see ``_bucket_windows``. Every table entry, cached or
+# fresh, is in precomputed form, so the chain adds by ``_madd`` only.
 
 _NAF_WIDTH = 5  # per-check R-point tables: 8 odd multiples
 _KEY_WIDTH = 8  # cached key tables: 64 odd multiples per half
@@ -212,7 +291,7 @@ _HALF_MASK = (1 << _HALF_BITS) - 1
 _BUCKET_MIN = 64
 
 # A multi-scalar term: (scalar, odd multiples of P, their wNAF width).
-_Term = Tuple[int, Sequence[_Point], int]
+_Term = Tuple[int, Sequence[_Cached], int]
 # A fresh term: (scalar, P), with no table.
 _Fresh = Tuple[int, _Point]
 
@@ -241,14 +320,18 @@ def _wnaf(scalar: int, width: int) -> List[Tuple[int, int]]:
     return digits
 
 
-def _odd_multiples(point: _Point, width: int = _NAF_WIDTH) -> Tuple[_Point, ...]:
-    """``(1P, 3P, 5P, ..., (2^(width-1) - 1)P)`` — the wNAF table."""
-    count = 1 << (width - 2)
-    table = [point]
+def _odd_chain(point: _Point, width: int) -> List[_Point]:
+    """``(1P, 3P, 5P, ..., (2^(width-1) - 1)P)`` in projective form."""
+    chain = [point]
     twice = _point_double(point)
-    for _ in range(count - 1):
-        table.append(_point_add(table[-1], twice))
-    return tuple(table)
+    for _ in range((1 << (width - 2)) - 1):
+        chain.append(_point_add(chain[-1], twice))
+    return chain
+
+
+def _odd_multiples(point: _Point, width: int = _NAF_WIDTH) -> Tuple[_Cached, ...]:
+    """The wNAF table of ``point``: its odd multiples, prepared."""
+    return tuple(_prepare(_odd_chain(point, width)))
 
 
 def _bucket_width(count: int, bits: int) -> int:
@@ -261,7 +344,7 @@ def _bucket_width(count: int, bits: int) -> int:
 
 
 def _bucket_windows(
-    fresh: Sequence[_Fresh], buckets: Dict[int, List[_Point]]
+    fresh: Sequence[_Fresh], buckets: Dict[int, List[_Cached]]
 ) -> None:
     """Add ``Σ scalar·P`` over ``fresh`` into ``buckets``, by window.
 
@@ -269,10 +352,12 @@ def _bucket_windows(
     digits in ``(-2^(c-1), 2^(c-1)]``; a digit above the range borrows
     from the next window, so ``bits // c + 1`` windows hold even an
     all-ones top window's carry. Per window, every term adds ``±P`` into
-    the bucket of its digit's magnitude, and a running sum from the top
-    bucket down weights bucket ``d`` by ``d``: ~1 addition per term plus
-    2 per bucket, no doublings. The window's sum lands in ``buckets`` at
-    bit ``c·j``, so the caller's one doubling chain does the shifting.
+    the bucket of its digit's magnitude — a mixed addition of ``P``'s
+    prepared form, all of them prepared by one inversion — and a running
+    sum from the top bucket down weights bucket ``d`` by ``d``: ~1
+    addition per term plus 2 per bucket, no doublings. The window sums
+    are prepared by one more inversion and land in ``buckets`` at bit
+    ``c·j``, so the caller's one doubling chain does the shifting.
     """
     bits = max(scalar.bit_length() for scalar, _ in fresh)
     width = _bucket_width(len(fresh), bits)
@@ -281,8 +366,7 @@ def _bucket_windows(
     mask = full - 1
     windows = bits // width + 1
     digits: List[List[int]] = []
-    signed: List[Tuple[_Point, _Point]] = []
-    for scalar, point in fresh:
+    for scalar, _ in fresh:
         row = []
         carry = 0
         for _ in range(windows):
@@ -291,19 +375,24 @@ def _bucket_windows(
             carry = digit > half
             row.append(digit - full if carry else digit)
         digits.append(row)
-        signed.append((point, _point_negate(point)))
+    points = [point for _, point in fresh]
+    signed = [
+        (point, _point_negate(point), cached, _cached_negate(cached))
+        for point, cached in zip(points, _prepare(points))
+    ]
+    totals: List[Tuple[int, _Point]] = []
     for window in range(windows):
         slots: List[Optional[_Point]] = [None] * half  # digit d at d - 1
-        for row, (point, negated) in zip(digits, signed):
+        for row, (point, negated, cached, cached_neg) in zip(digits, signed):
             digit = row[window]
             if digit > 0:
-                entry = point
+                first, entry = point, cached
             elif digit < 0:
-                entry, digit = negated, -digit
+                first, entry, digit = negated, cached_neg, -digit
             else:
                 continue
             held = slots[digit - 1]
-            slots[digit - 1] = entry if held is None else _point_add(held, entry)
+            slots[digit - 1] = first if held is None else _madd(held, entry)
         running: Optional[_Point] = None
         total: Optional[_Point] = None
         for held in reversed(slots):
@@ -312,7 +401,11 @@ def _bucket_windows(
             if running is not None:
                 total = running if total is None else _point_add(total, running)
         if total is not None:
-            buckets.setdefault(window * width, []).append(total)
+            totals.append((window * width, total))
+    if totals:
+        cached_totals = _prepare([total for _, total in totals])
+        for (position, _), entry in zip(totals, cached_totals):
+            buckets.setdefault(position, []).append(entry)
 
 
 def _multi_mul(
@@ -324,28 +417,34 @@ def _multi_mul(
     Every digit's table entry is bucketed by bit position up front, so
     the one shared doubling chain touches only positions with work
     instead of scanning every term per doubling. Fewer than
-    ``_BUCKET_MIN`` fresh terms get width-5 tables and join ``terms``;
-    more are summed per window by :func:`_bucket_windows`, whose window
-    sums join the same positions and the same chain.
+    ``_BUCKET_MIN`` fresh terms get width-5 tables, prepared together by
+    one inversion, and join ``terms``; more are summed per window by
+    :func:`_bucket_windows`, whose window sums join the same positions
+    and the same chain. Every entry is added by one mixed addition.
     """
-    buckets: Dict[int, List[_Point]] = {}
+    buckets: Dict[int, List[_Cached]] = {}
     if len(fresh) >= _BUCKET_MIN:
         _bucket_windows(fresh, buckets)
     elif fresh:
+        count = 1 << (_NAF_WIDTH - 2)
+        flat = _prepare(
+            [entry for _, point in fresh for entry in _odd_chain(point, _NAF_WIDTH)]
+        )
         terms = [
-            (scalar, _odd_multiples(point), _NAF_WIDTH) for scalar, point in fresh
+            (scalar, flat[index * count : (index + 1) * count], _NAF_WIDTH)
+            for index, (scalar, _) in enumerate(fresh)
         ] + list(terms)
     for scalar, table, width in terms:
         for position, digit in _wnaf(scalar, width):
             entry = (
-                table[digit >> 1] if digit > 0 else _point_negate(table[-digit >> 1])
+                table[digit >> 1] if digit > 0 else _cached_negate(table[-digit >> 1])
             )
             buckets.setdefault(position, []).append(entry)
     result = _IDENTITY
     for position in range(max(buckets, default=-1), -1, -1):
         result = _point_double(result)
         for entry in buckets.get(position, ()):
-            result = _point_add(result, entry)
+            result = _madd(result, entry)
     return result
 
 
@@ -521,7 +620,8 @@ class VerifyKey:
         ``scalar = lo + 2^128·hi`` multiplies the fixed bases ``-A`` and
         ``-2^128·A``, whose width-8 odd-multiple tables are built on
         first use and cached with the point: a registry key pays their
-        ~130 doublings and 126 additions once, not once per check.
+        ~130 doublings, 126 additions and two inversions once, not once
+        per check.
         """
         tables = self.__dict__.get("_tables")
         if tables is None:

@@ -374,7 +374,9 @@ class TestMultiScalarEquivalence:
             table = _odd_multiples(point, width)
             assert len(table) == 1 << (width - 2)
             for i, entry in enumerate(table):
-                assert _point_equal(entry, _point_mul(2 * i + 1, point))
+                assert _point_equal(
+                    ed25519._madd(_IDENTITY, entry), _point_mul(2 * i + 1, point)
+                )
 
     def test_wnaf_mul_matches_generic_ladder(self):
         point = _point_mul(31337, _BASE)
@@ -427,8 +429,10 @@ class TestMultiScalarEquivalence:
         (_, low, _), (_, high, _) = key._neg_terms(1)
         (_, low_again, _), (_, high_again, _) = key._neg_terms(2)
         assert low is low_again and high is high_again
-        assert _point_equal(low[0], key.neg_point())
-        assert _point_equal(high[0], _point_mul(1 << 128, key.neg_point()))
+        assert _point_equal(ed25519._madd(_IDENTITY, low[0]), key.neg_point())
+        assert _point_equal(
+            ed25519._madd(_IDENTITY, high[0]), _point_mul(1 << 128, key.neg_point())
+        )
 
 
 def _fresh_terms(scalars):
@@ -487,8 +491,9 @@ class TestBucketedMultiScalar:
         by_window = _IDENTITY
         for position, sums in buckets.items():
             for window_sum in sums:
+                window_point = ed25519._madd(_IDENTITY, window_sum)
                 by_window = ed25519._point_add(
-                    by_window, _point_mul(1 << position, window_sum)
+                    by_window, _point_mul(1 << position, window_point)
                 )
         assert _point_equal(by_window, expected)
 
