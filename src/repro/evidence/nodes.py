@@ -403,8 +403,16 @@ class HopEvidence(Evidence):
     # --- signing --------------------------------------------------------
 
     def sign_with(self, keys: KeyPair) -> "HopEvidence":
-        """Return a copy carrying ``keys``' signature."""
-        return replace(self, signature=keys.sign(self.signed_payload()))
+        """Return a copy carrying ``keys``' signature.
+
+        The signature does not cover itself, so the copy shares the
+        payload bytes just signed instead of encoding them again for
+        its wire form.
+        """
+        payload = self.signed_payload()
+        signed = replace(self, signature=keys.sign(payload))
+        object.__setattr__(signed, "_payload", payload)
+        return signed
 
     def signature_item(self, signer: Optional[str] = None) -> BatchVerifyItem:
         """The ``(signer, payload, signature, payload digest)`` a

@@ -216,11 +216,28 @@ class Packet:
         old_len = self.ra_shim.wire_length if self.ra_shim is not None else 0
         new_len = shim.wire_length if shim is not None else 0
         delta = new_len - old_len
-        return replace(
-            self,
+        # Built field by field: every attested hop takes this path, and
+        # ``dataclasses.replace`` re-inspects the fields on each call.
+        udp, ip = self.udp, self.ipv4
+        return type(self)(
+            eth=self.eth,
+            ipv4=Ipv4Header(
+                src=ip.src,
+                dst=ip.dst,
+                protocol=ip.protocol,
+                ttl=ip.ttl,
+                total_length=ip.total_length + delta,
+                identification=ip.identification,
+                dscp=ip.dscp,
+            ),
+            udp=UdpHeader(
+                src_port=udp.src_port, dst_port=udp.dst_port, length=udp.length + delta
+            ),
+            tcp=self.tcp,
             ra_shim=shim,
-            udp=replace(self.udp, length=self.udp.length + delta),
-            ipv4=replace(self.ipv4, total_length=self.ipv4.total_length + delta),
+            payload=self.payload,
+            trace=self.trace,
+            ecn=self.ecn,
         )
 
     def with_trace(self, trace: Optional[TraceContext]) -> "Packet":

@@ -35,6 +35,7 @@ from repro.evidence.nodes import (
     KIND_HOP,
     InertiaClass,
 )
+from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.util.errors import CodecError
 from repro.util.tlv import Tlv, TlvCodec
 
@@ -159,6 +160,30 @@ def test_record_stack_round_trips_from_memoryview(hops):
     assert decoded == hops
     for original, roundtripped in zip(hops, decoded):
         assert roundtripped.payload_digest() == original.payload_digest()
+
+
+def test_signing_encodes_the_payload_once():
+    """The signed copy shares the payload bytes it was signed over, and
+    its wire form is what a fresh encode of the signed record gives."""
+    hop = HopEvidence(
+        place="s1", measurements=((InertiaClass.PROGRAM, b"m" * 8),), sequence=3
+    )
+    signed = hop.sign_with(KeyPair.generate("s1"))
+    assert signed.__dict__["_payload"] is hop.signed_payload()
+    fresh = HopEvidence(
+        place="s1",
+        measurements=hop.measurements,
+        sequence=3,
+        signature=signed.signature,
+    )
+    assert signed.wire == fresh.wire
+    assert signed.verify(_registry_of(KeyPair.generate("s1")))
+
+
+def _registry_of(pair):
+    registry = KeyRegistry()
+    registry.register_pair(pair)
+    return registry
 
 
 @settings(max_examples=100, deadline=None)

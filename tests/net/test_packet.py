@@ -1,13 +1,20 @@
 """Tests for the packet model."""
 
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.net.headers import IPPROTO_UDP, RA_UDP_PORT, RaShimHeader, ip_to_int
+from repro.net.headers import (
+    IPPROTO_UDP,
+    RA_UDP_PORT,
+    Ipv4Header,
+    RaShimHeader,
+    UdpHeader,
+    ip_to_int,
+)
 from repro.net.packet import Packet
 from repro.telemetry.tracing import TraceContext
 from repro.util.errors import CodecError
@@ -89,6 +96,44 @@ class TestPacketOperations:
         pkt2 = pkt.with_shim(RaShimHeader(body=b"b" * 8))
         assert pkt2.wire_length == pkt.wire_length + 4
         assert Packet.decode(pkt2.encode()) == pkt2
+
+    @given(
+        st.binary(max_size=32),
+        st.none() | st.binary(max_size=32),
+        st.integers(0, 63),
+        st.booleans(),
+    )
+    def test_with_shim_matches_replacing_every_field(self, old, new, dscp, ecn):
+        """``with_shim`` builds the headers field by field; it must give
+        what ``dataclasses.replace`` gives, ancillary metadata included."""
+        pkt = make_udp(shim=RaShimHeader(body=old))
+        pkt = replace(
+            pkt, ipv4=replace(pkt.ipv4, dscp=dscp, identification=7, ttl=9)
+        ).with_trace(TraceContext("t", hop=2, origin="h"))
+        pkt = pkt.with_ecn(ecn)
+        shim = None if new is None else RaShimHeader(body=new)
+        delta = (shim.wire_length if shim else 0) - pkt.ra_shim.wire_length
+        expected = replace(
+            pkt,
+            ra_shim=shim,
+            udp=replace(pkt.udp, length=pkt.udp.length + delta),
+            ipv4=replace(pkt.ipv4, total_length=pkt.ipv4.total_length + delta),
+        )
+        derived = pkt.with_shim(shim)
+        assert derived == expected and derived.encode() == expected.encode()
+        assert derived.trace is pkt.trace and derived.ecn == pkt.ecn
+
+    def test_with_shim_names_every_header_field(self):
+        """A field added to these headers must be carried by
+        ``with_shim`` too; this list is the one it copies."""
+        assert [f.name for f in fields(Ipv4Header)] == [
+            "src", "dst", "protocol", "ttl", "total_length", "identification",
+            "dscp",
+        ]
+        assert [f.name for f in fields(UdpHeader)] == ["src_port", "dst_port", "length"]
+        assert [f.name for f in fields(Packet)] == [
+            "eth", "ipv4", "udp", "tcp", "ra_shim", "payload", "trace", "ecn",
+        ]
 
     def test_with_shim_on_tcp_rejected(self):
         pkt = Packet.tcp_packet(1, 2, 3, 4, 80, 443)
