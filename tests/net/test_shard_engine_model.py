@@ -294,7 +294,7 @@ def _empty_windows_wall(backlog_size, windows=2000):
         sim.run_window(float(w + 1))
         sim.next_event_time()
     elapsed = perf_counter() - started
-    assert len(sim._backlog) == backlog_size
+    assert len(sim._queue) == backlog_size
     return elapsed
 
 
