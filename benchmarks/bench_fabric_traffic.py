@@ -13,8 +13,8 @@ replays the identical campaign on 1 shard inline and asserts the
 merged SimStats and audit journals are byte-identical — the
 determinism contract of docs/SHARDING.md at million-packet scale.
 Flow completion time percentiles, ECMP load spread, and appraisal
-verdict counts land in ``BENCH_results.json`` (via the report table)
-and in ``FABRIC_summary.json`` for CI artifact upload.
+verdict counts land in the report table and in ``FABRIC_summary.json``
+for CI artifact upload.
 """
 
 import gc
@@ -212,7 +212,7 @@ def test_fabric_traffic_report(benchmark):
 # time (~1.5s) dwarfs timer noise, small enough to run six times.
 OVERHEAD_SHAPE = FatTreeShape(bulk_flows=1_200, web_sessions=60)
 
-#: Gate enforced by check_regression.py: sampling must cost <3%.
+#: Sampling must cost <3% (docs/MONITORING.md); asserted below.
 MAX_SAMPLING_OVERHEAD = 0.03
 
 OVERHEAD_ROUNDS = 3
@@ -233,36 +233,35 @@ def _timed_overhead_run(sampling):
 
 
 def test_fabric_sampling_overhead(benchmark):
-    """Timed: the sampled campaign; extra_info carries the overhead
+    """Timed: the first round's sampled campaign; asserts the overhead
     fraction vs the identical unsampled run (min-of-N each,
     interleaved so drift hits both configurations alike)."""
     off_s, on_s = [], []
-    frames = 0
-    for _ in range(OVERHEAD_ROUNDS):
+    for round_ in range(OVERHEAD_ROUNDS):
         base, wall_off = _timed_overhead_run(None)
-        sampled, wall_on = _timed_overhead_run(fabric_sampling_spec())
+        if round_ == 0:
+            sampled, wall_on = benchmark.pedantic(
+                _timed_overhead_run,
+                args=(fabric_sampling_spec(),),
+                rounds=1,
+                iterations=1,
+            )
+        else:
+            sampled, wall_on = _timed_overhead_run(fabric_sampling_spec())
         off_s.append(wall_off)
         on_s.append(wall_on)
         # Sampling must not perturb the campaign itself.
         assert sampled.forwarded == base.forwarded
         assert sampled.fct_s == base.fct_s
-        frames = len(sampled.frames)
     overhead = (min(on_s) - min(off_s)) / min(off_s)
-
-    # The timed row re-runs the sampled configuration so the median
-    # lands in BENCH_results.json for the regression gate.
-    result = benchmark.pedantic(
-        lambda: _timed_overhead_run(fabric_sampling_spec())[0],
-        rounds=1,
-        iterations=1,
-    )
-    assert result.frames, "sampling produced no frames"
+    frames = len(sampled.frames)
+    assert frames, "sampling produced no frames"
     benchmark.extra_info["sampling_overhead_frac"] = round(overhead, 4)
     benchmark.extra_info["sampling_interval_us"] = round(
         fabric_sampling_spec().interval_s * 1e6, 1
     )
     benchmark.extra_info["frames"] = frames
-    benchmark.extra_info["forwarded"] = result.forwarded
+    benchmark.extra_info["forwarded"] = sampled.forwarded
 
     # The CI artifact: the same campaign once more under the standard
     # health rules, written as its repro.run/v1 bundle (rendered by
@@ -286,10 +285,10 @@ def test_fabric_sampling_overhead(benchmark):
         [
             f"unsampled best-of-{OVERHEAD_ROUNDS}: {min(off_s):.3f}s; "
             f"sampled: {min(on_s):.3f}s",
-            f"overhead: {overhead:+.2%} (gate: <{MAX_SAMPLING_OVERHEAD:.0%} "
-            "in check_regression.py)",
+            f"overhead: {overhead:+.2%} (gate: <{MAX_SAMPLING_OVERHEAD:.0%})",
             f"frames: {frames} at "
             f"{fabric_sampling_spec().interval_s * 1e6:.0f}us cadence; "
             f"health alerts: {len(monitored.health.alerts)}",
         ],
     )
+    assert overhead < MAX_SAMPLING_OVERHEAD

@@ -24,9 +24,8 @@ corruption pressure vs the effective end-to-end loss rate (zero) and
 the resend latency each recovered flow actually paid, measured as the
 per-flow FCT delta against the byte-identical clean run.
 
-Everything lands in ``BENCH_results.json`` (regression-gated by
-``check_regression.py``) and ``CONGESTION_summary.json`` for CI
-artifact upload.
+Everything lands in the report tables and ``CONGESTION_summary.json``
+for CI artifact upload.
 """
 
 import gc

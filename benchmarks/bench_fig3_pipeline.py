@@ -162,9 +162,9 @@ def test_fig3_batched_speedup(benchmark):
     between the two attested modes — measured interleaved under the
     same machine conditions — while a plain no-RA switch anchors the
     absolute overhead ratios, which are *reported* (extra_info + table)
-    but gated baseline-relative by check_regression.py rather than as
-    machine-dependent wall-clock constants here. All rates land in
-    ``extra_info`` so BENCH_results.json shows them side by side.
+    rather than gated as machine-dependent wall-clock constants here;
+    the chained mode's speed is gated by the ledger's ``switch_fig3``
+    workload.
     """
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     per_packet = EvidenceConfig(composition=CompositionMode.CHAINED)
@@ -216,6 +216,5 @@ def test_fig3_batched_speedup(benchmark):
     # extra_info and the table only: interpreter wall-clock constants
     # shift with machine and load, so pinning them here would flake on
     # slow runners and mask regressions on fast ones. Wall-clock
-    # regressions are gated baseline-relative by check_regression.py
-    # (this module is a watched suite); re-baselining = regenerating
-    # BENCH_results.json on the reference runner (see docs/CRYPTO.md).
+    # regressions are the ledger's to catch (``switch_fig3``, parent and
+    # change run on one machine by ``run.py compare``).

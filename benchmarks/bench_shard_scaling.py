@@ -30,8 +30,8 @@ sharding exists to shrink. Every timing in this file, benchmark
 
 One more row runs the campaign at 1 and 2 shards *inline* and records
 their wall ratio: with no pipe and no second process anywhere,
-whatever 2 shards cost over 1 is the engine's own per-window work.
-``check_regression.py`` gates that ratio.
+whatever 2 shards cost over 1 is the engine's own per-window work,
+asserted at or below :data:`MAX_INLINE_X2_OVER_X1_WALL`.
 """
 
 import gc
@@ -54,6 +54,10 @@ SHARD_COUNTS = (1, 2, 4)
 
 #: Acceptance floor: critical-path throughput at 4 shards over 1 shard.
 MIN_SCALING_X4 = 2.0
+
+#: Ceiling on 2-shard inline wall over 1-shard inline wall, same
+#: inputs, same process: what the window engine itself may cost.
+MAX_INLINE_X2_OVER_X1_WALL = 1.5
 
 #: The ledger's ``fabric_bulk`` inputs (benchmarks/ledger/workloads.py).
 BULK_SHAPE = FatTreeShape(
@@ -110,7 +114,6 @@ def _timed(fn, rounds=ROUNDS):
 
 
 def test_shard_scaling_monolith(benchmark):
-    # Named for the committed baseline row in BENCH_results.json.
     output = benchmark(_bare_event_loop)
     benchmark.extra_info["cpu_count"] = os.cpu_count()
     benchmark.extra_info["packets"] = output["forwarded"]
@@ -140,23 +143,24 @@ def test_shard_scaling_sharded(benchmark, shards):
 
 
 def test_shard_scaling_fat_tree_bulk_inline(benchmark):
-    """Timed: the 2-shard inline run; extra_info carries its wall over
-    the identical 1-shard run (noise floor of each, interleaved so
+    """Timed: the first round's 2-shard inline run; asserts its wall
+    over the identical 1-shard run (noise floor of each, interleaved so
     host drift hits both alike)."""
     walls = {1: [], 2: []}
     forwarded = set()
-    for _ in range(ROUNDS):
+    for round_ in range(ROUNDS):
         for shards in walls:
-            [(result, wall)] = _timed(lambda: _run(shards), rounds=1)
+            if round_ == 0 and shards == 2:  # the timed row
+                [(result, wall)] = benchmark.pedantic(
+                    _timed, args=(lambda: _run(2), 1), rounds=1, iterations=1
+                )
+            else:
+                [(result, wall)] = _timed(lambda: _run(shards), rounds=1)
             walls[shards].append(wall)
             forwarded.add(result.forwarded)
     assert len(forwarded) == 1, "shard count changed the campaign"
     floor = {shards: _noise_floor(walls[shards]) for shards in walls}
     ratio = floor[2] / floor[1]
-
-    # The timed row re-runs the 2-shard configuration so its median
-    # lands in BENCH_results.json for the regression gate.
-    result = benchmark.pedantic(lambda: _run(2), rounds=1, iterations=1)
     benchmark.extra_info["cpu_count"] = os.cpu_count()
     benchmark.extra_info["packets"] = result.forwarded
     benchmark.extra_info["windows"] = result.result.windows
@@ -175,8 +179,14 @@ def test_shard_scaling_fat_tree_bulk_inline(benchmark):
         f"Shard engine tax, k={BULK_SHAPE.k} fat-tree bulk "
         f"({result.forwarded} forwarded pkts, seed {BULK_SEED}, "
         f"cpu_count={os.cpu_count()})",
-        [*table(rows), "", f"inline x2 over x1 wall: {ratio:.2f}"],
+        [
+            *table(rows),
+            "",
+            f"inline x2 over x1 wall: {ratio:.2f} "
+            f"(gate: <={MAX_INLINE_X2_OVER_X1_WALL})",
+        ],
     )
+    assert ratio <= MAX_INLINE_X2_OVER_X1_WALL
 
 
 def test_shard_scaling_report(benchmark):

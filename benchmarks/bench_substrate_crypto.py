@@ -182,8 +182,8 @@ def test_ed25519_batch_sweep(benchmark):
     per-key scalar merging is possible, and a harvest-sized queue of
     1280 over 20 signers (the fat-tree campaign's one in-band flush,
     whose ``R`` terms are summed by buckets). Curves land in
-    ``extra_info`` (regression-gated via BENCH_results.json) and in
-    ``CRYPTO_summary.json`` for CI artifact upload. The headline gate:
+    ``extra_info`` and in ``CRYPTO_summary.json`` for CI artifact
+    upload. The headline gate:
     at batch size 64 the batched path must stay clearly cheaper per
     signature than sequential ``VerifyKey.verify`` (≥2.5×).
     """

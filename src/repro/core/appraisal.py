@@ -35,7 +35,7 @@ from repro.util.errors import CodecError
 from repro.pisa.program import DataplaneProgram
 from repro.ra.nonce import NonceManager
 from repro.telemetry.audit import AuditKind, Check, explain_verdict
-from repro.telemetry.instrument import Telemetry, default_telemetry
+from repro.telemetry.instrument import NULL_TELEMETRY, Telemetry
 from repro.telemetry.tracing import TraceContext
 
 
@@ -183,9 +183,7 @@ class PathAppraiser:
         self.name = name
         self.policy = policy
         self.nonces = nonces
-        self.telemetry = (
-            telemetry if telemetry is not None else default_telemetry()
-        )
+        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.appraisals_performed = 0
         # Trace of the appraisal in flight (for per-check audit events).
         self._current_trace: Optional[TraceContext] = None

@@ -244,10 +244,9 @@ def run_config_assurance(
     sharded runner (:mod:`repro.net.shardrun`) on ``shards`` event
     loops of the chosen ``backend`` (``shards=1`` inline is the
     baseline); the merged :class:`~repro.net.shardrun.ShardedResult`,
-    with the run's audit journal and metrics, is in ``.sharded``. That
-    journal is the dataplane's: the harvest-time appraiser is built
-    without a telemetry argument, so its ``verdict.issued`` /
-    ``check.failed`` events go to the ambient default telemetry.
+    with the run's audit journal and metrics, is in ``.sharded``. The
+    harvest-time appraiser is built on the run's telemetry, so its
+    ``verdict.issued`` / ``check.failed`` events are in that journal too.
     """
     result = run_sharded(
         config_assurance_spec(

@@ -37,9 +37,9 @@ from repro.net.qdisc import QdiscEngine
 from repro.net.topology import Topology
 from repro.telemetry.audit import AuditKind
 from repro.telemetry.instrument import (
+    NULL_TELEMETRY,
     Telemetry,
     collect_simulator,
-    default_telemetry,
 )
 from repro.telemetry.tracing import TraceContext
 from repro.util.clock import SimClock
@@ -180,7 +180,7 @@ class Simulator:
         self.clock = SimClock()
         self.stats = SimStats()
         self.control_latency_s = control_latency_s
-        self.telemetry = telemetry if telemetry is not None else default_telemetry()
+        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.telemetry.bind_clock(self.clock)
         self.seed = seed
         # (node, port) -> _Egress, read by both transmit paths.

@@ -29,7 +29,7 @@ from repro.evidence import (
 from repro.ra.claims import AppraisalVerdict, Claim
 from repro.ra.nonce import NonceManager
 from repro.telemetry.audit import AuditKind, classify_failure
-from repro.telemetry.instrument import Telemetry, default_telemetry
+from repro.telemetry.instrument import NULL_TELEMETRY, Telemetry
 
 
 @dataclass
@@ -65,9 +65,7 @@ class Appraiser:
         self.anchors = anchors
         self.policy = policy
         self.nonces = nonces
-        self.telemetry = (
-            telemetry if telemetry is not None else default_telemetry()
-        )
+        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.appraisals_performed = 0
 
     def appraise(

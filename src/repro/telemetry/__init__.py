@@ -25,11 +25,11 @@ programmable dataplane is actually running; this subsystem gives the
 and :mod:`~repro.telemetry.export` writes a run as one schema-versioned
 ``repro.run/v1`` bundle, which the four views of
 :mod:`~repro.telemetry.report` (report, timeline, health, chrome) read
-back. Instrumented layers (net, pisa, pera, ra, core) bind to
-:func:`~repro.telemetry.instrument.default_telemetry`, which is a
-no-op null object unless ``REPRO_TELEMETRY=1`` is set or a telemetry
-instance is passed / installed explicitly — disabled observability
-costs one branch per site. See ``docs/TELEMETRY.md``.
+back. Instrumented layers (net, pisa, pera, ra, core) bind to the
+telemetry passed to them, and to the no-op
+:data:`~repro.telemetry.instrument.NULL_TELEMETRY` when none is —
+disabled observability costs one branch per site. See
+``docs/TELEMETRY.md``.
 """
 
 from repro.telemetry.audit import (
@@ -52,14 +52,9 @@ from repro.telemetry.export import (
 from repro.telemetry.instrument import (
     NULL_TELEMETRY,
     Telemetry,
-    collect_globals,
     collect_node,
     collect_simulator,
     collect_verify_cache,
-    default_telemetry,
-    global_telemetry,
-    reset_default,
-    use_default,
 )
 from repro.telemetry.metrics import (
     DEFAULT_LATENCY_BUCKETS,
@@ -94,10 +89,6 @@ from repro.telemetry.tracing import (
 __all__ = [
     "Telemetry",
     "NULL_TELEMETRY",
-    "default_telemetry",
-    "global_telemetry",
-    "use_default",
-    "reset_default",
     "MetricsRegistry",
     "Counter",
     "Gauge",
@@ -108,7 +99,6 @@ __all__ = [
     "collect_simulator",
     "collect_node",
     "collect_verify_cache",
-    "collect_globals",
     "RUN_SCHEMA",
     "run_bundle",
     "write_run",

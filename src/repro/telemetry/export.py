@@ -39,7 +39,7 @@ import pathlib
 import sys
 from typing import Dict, List, Optional, Union
 
-from repro.telemetry.instrument import Telemetry, collect_globals
+from repro.telemetry.instrument import Telemetry, collect_verify_cache
 
 Pathish = Union[str, pathlib.Path]
 
@@ -77,10 +77,9 @@ def run_bundle(telemetry: Telemetry, run=None, health=None) -> Dict[str, object]
 
     ``run`` is the run's :class:`~repro.net.shardrun.ShardedResult`
     (stats, frames, shard layout), ``health`` its health pass; a run
-    without them (a plain ``Simulator``, a benchmark session) leaves
-    those sections empty.
+    without them (a plain ``Simulator``) leaves those sections empty.
     """
-    collect_globals(telemetry)
+    collect_verify_cache(telemetry)
     records = telemetry.spans.records
     origin = min((span.wall_start for span in records), default=0.0)
     spans = [

@@ -6,15 +6,13 @@ never the reverse at module scope. The collectors below reach into
 simulator/switch/appraiser state purely by ``getattr`` duck typing, so
 no import cycle can form.
 
-Three ways instrumentation reaches a :class:`Telemetry`:
+Two ways instrumentation reaches a :class:`Telemetry`:
 
 1. **Explicit**: pass ``telemetry=`` to ``Simulator`` / appraisers.
-2. **Ambient**: everything defaults to :func:`default_telemetry`,
-   which is the inert :data:`NULL_TELEMETRY` unless the
-   ``REPRO_TELEMETRY`` environment variable is set (or a test/tool
-   installed one via :func:`use_default`). With the null object, the
-   entire subsystem costs one predictable branch per hot-path site.
-3. **Collectors**: existing stats structs (``SimStats``, ``RaStats``,
+   Nothing passed means the inert :data:`NULL_TELEMETRY`; with the
+   null object, the entire subsystem costs one predictable branch per
+   hot-path site.
+2. **Collectors**: existing stats structs (``SimStats``, ``RaStats``,
    cache stats, the shared verify cache) are snapshotted into labeled
    gauges at collection points instead of double-counting on the hot
    path — :func:`collect_simulator` runs automatically at the end of
@@ -23,7 +21,6 @@ Three ways instrumentation reaches a :class:`Telemetry`:
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Tuple
 
 from repro.telemetry.audit import (
@@ -42,9 +39,6 @@ from repro.telemetry.metrics import (
 )
 from repro.telemetry.spans import DEFAULT_MAX_SPANS, NULL_SPAN, SpanRecorder
 from repro.util.clock import SimClock
-
-ENV_VAR = "REPRO_TELEMETRY"
-
 
 class Telemetry:
     """One observability domain: metrics, spans, and the audit journal.
@@ -137,53 +131,6 @@ class Telemetry:
 
 #: The inert instance everything uses when observability is off.
 NULL_TELEMETRY = Telemetry(active=False)
-
-_global: Optional[Telemetry] = None
-_default: Optional[Telemetry] = None
-
-
-def global_telemetry() -> Telemetry:
-    """The process-wide active instance (created on first use).
-
-    Benchmarks and long sessions funnel every simulator into this one
-    registry so a single export describes the whole run.
-    """
-    global _global
-    if _global is None:
-        _global = Telemetry(active=True)
-    return _global
-
-
-def default_telemetry() -> Telemetry:
-    """What ambient instrumentation binds to when nothing is passed.
-
-    Resolution order: an instance installed via :func:`use_default`;
-    else :func:`global_telemetry` when ``REPRO_TELEMETRY`` is set to a
-    truthy value; else :data:`NULL_TELEMETRY`. The environment check
-    is cached — call :func:`reset_default` to re-read it.
-    """
-    global _default
-    if _default is None:
-        flag = os.environ.get(ENV_VAR, "").strip().lower()
-        if flag and flag not in ("0", "false", "off", "no"):
-            _default = global_telemetry()
-        else:
-            _default = NULL_TELEMETRY
-    return _default
-
-
-def use_default(telemetry: Optional[Telemetry]) -> Optional[Telemetry]:
-    """Install the ambient default (tests, tools); returns the previous."""
-    global _default
-    previous = _default
-    _default = telemetry
-    return previous
-
-
-def reset_default() -> None:
-    """Forget the cached ambient default (environment is re-read)."""
-    global _default
-    _default = None
 
 
 # --- collectors: stats structs -> labeled gauges -------------------------------
@@ -315,20 +262,10 @@ def collect_verify_cache(telemetry: Telemetry) -> None:
     g("evidence.verify_cache.size").set(len(shared_cache))
 
 
-def collect_globals(telemetry: Telemetry) -> None:
-    """Snapshot all process-wide shared state (exports call this)."""
-    collect_verify_cache(telemetry)
-
-
 __all__ = [
     "Telemetry",
     "NULL_TELEMETRY",
-    "global_telemetry",
-    "default_telemetry",
-    "use_default",
-    "reset_default",
     "collect_simulator",
     "collect_node",
     "collect_verify_cache",
-    "collect_globals",
 ]

@@ -23,7 +23,7 @@ from repro.pera.switch import PeraSwitch
 from repro.pisa.programs import ipv4_forwarding_program
 from repro.pisa.runtime import TableEntry
 from repro.pisa.tables import MatchKey, MatchKind
-from repro.telemetry import AuditKind, Telemetry, use_default
+from repro.telemetry import AuditKind, Telemetry
 
 KEYS = KeyPair.generate("s1")
 
@@ -142,7 +142,7 @@ class TestEpochBatcher:
             BatchingSpec(max_records=0)
 
 
-def build_batched_chain(spec, switch_count=1, out_of_band=False):
+def build_batched_chain(spec, switch_count=1, out_of_band=False, telemetry=None):
     """h-src — s1..sN — h-dst with chained+batched PERA switches."""
     config = EvidenceConfig(
         composition=CompositionMode.CHAINED, batching=spec
@@ -151,7 +151,7 @@ def build_batched_chain(spec, switch_count=1, out_of_band=False):
     if out_of_band:
         topo.add_node("appraiser", kind="host")
         topo.add_link("appraiser", 1, "s1", 9)
-    sim = Simulator(topo)
+    sim = Simulator(topo, telemetry=telemetry)
     src = Host("h-src", mac=0x1, ip=ip_to_int("10.0.0.1"))
     dst = Host("h-dst", mac=0x2, ip=ip_to_int("10.0.1.1"))
     sim.bind(src)
@@ -246,15 +246,13 @@ class TestBatchedSwitchInBand:
 
     def test_epoch_sealed_audit_event(self):
         telemetry = Telemetry(active=True)
-        previous = use_default(telemetry)
-        try:
-            spec = BatchingSpec(max_records=2, max_delay_s=0.0)
-            sim, src, dst, switches, _ = build_batched_chain(spec)
-            for _ in range(2):
-                send_ra_packet(src, dst)
-            sim.run()
-        finally:
-            use_default(previous)
+        spec = BatchingSpec(max_records=2, max_delay_s=0.0)
+        sim, src, dst, switches, _ = build_batched_chain(
+            spec, telemetry=telemetry
+        )
+        for _ in range(2):
+            send_ra_packet(src, dst)
+        sim.run()
         sealed = [
             e for e in telemetry.audit.events
             if e.kind == AuditKind.EPOCH_SEALED

@@ -1,55 +1,28 @@
 """Tests for telemetry wiring: defaults, collectors, end-to-end runs."""
 
-import pytest
-
-from repro.telemetry import (
-    NULL_TELEMETRY,
-    Telemetry,
-    default_telemetry,
-    global_telemetry,
-    reset_default,
-    use_default,
-)
-from repro.telemetry.instrument import ENV_VAR
-
-
-@pytest.fixture(autouse=True)
-def _isolated_default():
-    """Leave the ambient default exactly as this test found it."""
-    previous = use_default(None)
-    yield
-    use_default(previous)
+from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 
 class TestDefaultResolution:
-    def test_default_is_null_without_env(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        reset_default()
-        assert default_telemetry() is NULL_TELEMETRY
-        assert not default_telemetry().active
+    def test_default_is_null_without_env(self):
+        """Nothing passed means the null object, for each of the three
+        constructors that take ``telemetry=``. Nothing can change that
+        default: there is no installed one, and no module reads the
+        environment (``tests/test_layering.py``)."""
+        from repro.core.appraisal import PathAppraisalPolicy, PathAppraiser
+        from repro.crypto.keys import KeyRegistry
+        from repro.net.simulator import Simulator
+        from repro.net.topology import linear_topology
+        from repro.ra.appraiser import AppraisalPolicy, Appraiser
 
-    def test_env_var_enables_global(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "1")
-        reset_default()
-        assert default_telemetry() is global_telemetry()
-        assert default_telemetry().active
-
-    def test_falsey_env_values_stay_null(self, monkeypatch):
-        for value in ("0", "false", "off", "no", ""):
-            monkeypatch.setenv(ENV_VAR, value)
-            reset_default()
-            assert default_telemetry() is NULL_TELEMETRY
-
-    def test_use_default_overrides_and_restores(self):
-        mine = Telemetry()
-        previous = use_default(mine)
-        try:
-            assert default_telemetry() is mine
-        finally:
-            use_default(previous)
-
-    def test_global_is_a_singleton(self):
-        assert global_telemetry() is global_telemetry()
+        built = [
+            Simulator(linear_topology(1)),
+            PathAppraiser("a", PathAppraisalPolicy(anchors=KeyRegistry())),
+            Appraiser("a", KeyRegistry(), AppraisalPolicy()),
+        ]
+        for instance in built:
+            assert instance.telemetry is NULL_TELEMETRY
+        assert not NULL_TELEMETRY.active
 
 
 class TestGatedAccessors:
@@ -109,34 +82,45 @@ class TestSimulatorIntegration:
         from repro.net.simulator import Simulator
         from repro.net.topology import linear_topology
 
-        sim = Simulator(linear_topology(1))  # ambient default: null
+        sim = Simulator(linear_topology(1))  # nothing passed: null
         assert sim.telemetry is NULL_TELEMETRY
         sim.run()
         assert len(NULL_TELEMETRY.metrics) == 0
 
 
 class TestUseCaseEndToEnd:
-    """Acceptance: an ambient-enabled UC2 run (a use case built on a
-    plain ``Simulator``, which resolves the ambient default) yields
-    per-switch evidence counters, pipeline-stage spans and the
-    verify-cache hit rate — without the use case knowing telemetry
-    exists. Campaigns under the sharded runner carry a private
-    ``Telemetry`` instead (``result.sharded.telemetry``)."""
+    """Acceptance: a UC2 run (the chain ``run_path_authentication``
+    builds, home path and unknown path) observed through one explicit
+    ``Telemetry`` yields per-switch evidence counters, pipeline-stage
+    spans, verdict counters and the verify-cache hit rate. Campaigns
+    under the sharded runner carry a private ``Telemetry`` instead
+    (``result.sharded.telemetry``)."""
 
     def test_uc2_run_is_fully_observed(self):
-        from repro.core.usecases import run_path_authentication
+        from repro.core.fleet import attested_chain
+        from repro.net.simulator import Simulator
+        from repro.net.topology import linear_topology
+        from repro.pisa.programs import ipv4_forwarding_program
+        from repro.pera.config import CompositionMode, EvidenceConfig
         from repro.telemetry import run_bundle
 
         tel = Telemetry()
-        previous = use_default(tel)
-        try:
-            home = run_path_authentication(switch_count=2)
-            away = run_path_authentication(
-                switch_count=2, from_home_path=False
+
+        def path_authentication(known):
+            sim = Simulator(linear_topology(2), telemetry=tel)
+            chain = attested_chain(
+                sim,
+                [ipv4_forwarding_program() for _ in range(2)],
+                config=EvidenceConfig(composition=CompositionMode.CHAINED),
             )
-        finally:
-            use_default(previous)
-        assert home.access_granted and not away.access_granted
+            appraiser = chain.appraiser(known=known, telemetry=tel)
+            policy, shim = chain.ap1()
+            packet = chain.probe(sim, shim, b"login-attempt", 4000, 443)
+            return appraiser.appraise_packet(packet, compiled=policy)
+
+        home = path_authentication(known=None)
+        away = path_authentication(known=1)
+        assert home.accepted and not away.accepted
 
         doc = run_bundle(tel)["runtime"]
         gauges = doc["metrics"]["gauges"]

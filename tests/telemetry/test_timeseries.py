@@ -18,7 +18,7 @@ from repro.net.shardrun import ScenarioSpec, run_sharded
 from repro.net.simulator import NetworkError, Simulator
 from repro.net.topology import Topology
 from repro.telemetry import Telemetry, run_bundle
-from repro.telemetry.instrument import collect_globals, collect_simulator
+from repro.telemetry.instrument import collect_simulator, collect_verify_cache
 from repro.telemetry.timeseries import (
     FlightRecorder,
     SamplingSpec,
@@ -303,9 +303,9 @@ class TestCollectorIdempotence:
         collect_simulator(tel, sim)
         assert tel.metrics.snapshot() == once
 
-    def test_collect_globals_twice_is_stable(self):
+    def test_collect_verify_cache_twice_is_stable(self):
         tel = Telemetry(active=True)
-        collect_globals(tel)
+        collect_verify_cache(tel)
         once = tel.metrics.snapshot()
-        collect_globals(tel)
+        collect_verify_cache(tel)
         assert tel.metrics.snapshot() == once

@@ -170,3 +170,50 @@ def test_the_assembly_guard_sees_a_planted_violation(tmp_path):
         "chain endpoint", "compile_policy_for_path",
     ]
     assert set(_identifiers(module)) & DELETED == {"_pera_chain"}
+
+
+# --- no environment knobs in the library --------------------------------------
+#
+# Configuration reaches ``repro`` as arguments. A module that reads the
+# environment makes a run depend on the shell it was started from.
+
+ENV_ACCESS = {"environ", "getenv", "putenv"}
+
+
+def _environment_access(path):
+    """``(name, line)`` for each ``os.environ``/``getenv``/``putenv``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in ENV_ACCESS
+            and getattr(node.value, "id", None) == "os"
+        ):
+            yield f"os.{node.attr}", node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            for alias in node.names:
+                if alias.name in ENV_ACCESS:
+                    yield f"os.{alias.name}", node.lineno
+
+
+def test_the_library_reads_no_environment():
+    offenders = [
+        f"{path.relative_to(ROOT)}:{lineno} reads {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for name, lineno in _environment_access(path)
+    ]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_the_environment_guard_sees_a_planted_violation(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import os\n"
+        "from os import getenv\n"
+        "FLAG = os.environ.get('X')\n"
+        "os.putenv('X', '1')\n"
+        "HERE = os.path.dirname(__file__)\n"
+    )
+    assert sorted(_environment_access(module), key=lambda found: found[1]) == [
+        ("os.getenv", 2), ("os.environ", 3), ("os.putenv", 4),
+    ]
