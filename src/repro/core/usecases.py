@@ -510,8 +510,7 @@ def run_audit_trail(c2_flows: int = 3, benign_flows: int = 5) -> AuditTrailResul
 
     def on_cpu(ctx):
         matches.append(bytes(ctx.payload))
-        switch.ra_stats.packets_attested += 1
-        switch._send_out_of_band(switch._produce_record(ctx, []))
+        switch.attest(ctx)
 
     switch.handle_cpu_packet = on_cpu
 

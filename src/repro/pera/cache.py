@@ -106,6 +106,11 @@ class EvidenceCache(Generic[V]):
             expires_at=self._clock.now + ttl,
         )
 
+    def peek(self, inertia: InertiaClass) -> Optional[V]:
+        """The value stored for ``inertia``, fresh or not; no stats."""
+        entry = self._entries.get(inertia)
+        return None if entry is None else entry.value
+
     def invalidate(self, inertia: Optional[InertiaClass] = None) -> None:
         if inertia is None:
             self._entries.clear()

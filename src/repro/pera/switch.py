@@ -17,8 +17,9 @@ cache avoids exactly the operations a real ASIC would want to avoid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.crypto.hashing import HashChain
 from repro.crypto.keys import KeyPair
@@ -34,11 +35,7 @@ from repro.evidence.codec import (
     decode_record_stack,
     encode_record_stack,
 )
-from repro.evidence.nodes import (
-    BatchedHopEvidence,
-    HopEvidence,
-    hop_link_digest,
-)
+from repro.evidence.nodes import HopEvidence, hop_link_digest
 from repro.pera.sampling import Sampler
 from repro.pisa.pipeline import DROP_PORT, PacketContext
 from repro.pisa.switch import PisaSwitch
@@ -74,6 +71,31 @@ class RaStats:
     records_batched: int = 0
 
 
+@dataclass(frozen=True)
+class HopPlan:
+    """What the Fig. 3 Evidence block does at one hop.
+
+    A :class:`PeraSwitch` builds its own plan once, from its constructor
+    arguments; a policy hop (``NetworkAwarePeraSwitch``) hands the block
+    its hop directive's plan instead. The block reads the design point,
+    the delivery and the ▶ test from the plan alone.
+    """
+
+    config: EvidenceConfig
+    #: Send the record to ``to`` instead of pushing it into the shim.
+    out_of_band: bool = False
+    #: The appraiser of out-of-band records and of in-band mirror copies.
+    to: Optional[str] = None
+    #: A policy hop's ▶ test (NetKAT source, "" for none) and its policy.
+    test_text: str = ""
+    policy_id: str = ""
+
+    @cached_property
+    def cache_tag(self) -> bytes:
+        """The state tag a cached record is kept under: its detail."""
+        return self.config.detail.value.encode()
+
+
 class PeraSwitch(PisaSwitch):
     """A PISA switch extended with remote attestation."""
 
@@ -89,14 +111,14 @@ class PeraSwitch(PisaSwitch):
         mirror_out_of_band: bool = False,
     ) -> None:
         super().__init__(name)
-        self.config = config or EvidenceConfig()
+        self._plan = HopPlan(
+            config or EvidenceConfig(), out_of_band, appraiser_node
+        )
         self.keys = KeyPair.generate(name)
         self.engine = MeasurementEngine(
             hardware_identity or f"asic-serial-{name}".encode()
         )
         self.sampler = Sampler(self.config.sampling)
-        self.appraiser_node = appraiser_node
-        self.out_of_band = out_of_band
         self.pseudonym = pseudonym
         # Retry/backoff for out-of-band evidence the control channel
         # rejects at send time (crashed appraiser, stripped channel).
@@ -122,6 +144,22 @@ class PeraSwitch(PisaSwitch):
         self.evidence_gate: Optional[
             Callable[[PacketContext, List[HopEvidence]], bool]
         ] = None
+
+    @property
+    def config(self) -> EvidenceConfig:
+        return self._plan.config
+
+    @property
+    def appraiser_node(self) -> Optional[str]:
+        return self._plan.to
+
+    @property
+    def out_of_band(self) -> bool:
+        return self._plan.out_of_band
+
+    @out_of_band.setter
+    def out_of_band(self, value: bool) -> None:
+        self._plan = replace(self._plan, out_of_band=value)
 
     # --- lifecycle -----------------------------------------------------------
 
@@ -152,7 +190,7 @@ class PeraSwitch(PisaSwitch):
 
         A program install invalidates everything; a table write
         invalidates table evidence, and also the cached signed record
-        when the active detail level folds table digests into it.
+        when it measured the tables.
         """
         if self._cache is None:
             return
@@ -160,7 +198,11 @@ class PeraSwitch(PisaSwitch):
             self.cache.invalidate()
         elif kind == "table":
             self.cache.invalidate(InertiaClass.TABLES)
-            if InertiaClass.TABLES in self.config.detail.inertia_classes:
+            cached = self.cache.peek(InertiaClass.PROGRAM)
+            if (
+                cached is not None
+                and cached.measurement_for(InertiaClass.TABLES) is not None
+            ):
                 self.cache.invalidate(InertiaClass.PROGRAM)
 
     @property
@@ -180,20 +222,13 @@ class PeraSwitch(PisaSwitch):
             )
         return self._batcher
 
-    @property
-    def _batched_mode(self) -> bool:
-        """Epoch batching only replaces *per-packet* signatures.
-
-        Cacheable pointwise evidence already reuses one signed record;
-        batching it would only add proof bytes for nothing.
-        """
-        return (
-            self.config.batching is not None and self.config.per_packet_signature
-        )
-
     # --- packet path ------------------------------------------------------------
 
-    def process_context(self, ctx: PacketContext) -> PacketContext:
+    def process_context(
+        self, ctx: PacketContext, plan: Optional[HopPlan] = None
+    ) -> PacketContext:
+        """The pipeline, then the Evidence block run to ``plan`` (by
+        default this switch's own)."""
         ctx = super().process_context(ctx)
         if ctx.egress_spec == DROP_PORT:
             return ctx
@@ -201,10 +236,9 @@ class PeraSwitch(PisaSwitch):
         wants_ra = ctx.mark_ra or (packet is not None and packet.ra_shim is not None)
         if not wants_ra:
             return ctx
+        plan = plan or self._plan
         tel = self.telemetry
-        trace = (
-            packet.trace if tel.active and packet is not None else None
-        )
+        trace = packet.trace if tel.active and packet is not None else None
         records = self.inspect_evidence(packet)
         if tel.active and records:
             tel.audit_event(
@@ -225,27 +259,60 @@ class PeraSwitch(PisaSwitch):
                 )
             ctx.egress_spec = DROP_PORT
             return ctx
+        if plan.test_text and not self._test_holds(plan, ctx):
+            # Fail early: no attestation effort, but the hop still
+            # counts itself so the appraiser sees path coverage.
+            _count_hop(ctx)
+            return ctx
         now = self.sim.clock.now if self.sim is not None else 0.0
         flow_key = packet.five_tuple if packet is not None else ()
         if not self.sampler.should_attest(now, flow_key):
             self.ra_stats.packets_skipped_by_sampling += 1
-            if packet is not None and packet.ra_shim is not None:
-                ctx.packet = packet.with_shim(packet.ra_shim.with_hop())
+            _count_hop(ctx)
             return ctx
-        record = self._produce_record(ctx, records)
+        self.attest(ctx, records, plan, trace)
+        return ctx
+
+    def _test_holds(self, plan: HopPlan, ctx: PacketContext) -> bool:
+        """A policy hop's ▶ test; :class:`NetworkAwarePeraSwitch`
+        evaluates it (a switch's own plan carries none)."""
+        return True
+
+    def attest(
+        self,
+        ctx: PacketContext,
+        prior_records: Sequence[HopEvidence] = (),
+        plan: Optional[HopPlan] = None,
+        trace=None,
+    ) -> None:
+        """Fig. 3 Create/Compose, then deliver the record per ``plan``
+        (by default this switch's own): now, or when its epoch seals."""
+        plan = plan or self._plan
+        record = self._produce_record(ctx, prior_records, plan)
         self.ra_stats.packets_attested += 1
-        if self._batched_mode and not record.signature:
-            self._enqueue_batched(ctx, record, trace)
-            return ctx
-        if self.out_of_band:
-            self._send_out_of_band(record, trace=trace)
-            if packet is not None and packet.ra_shim is not None:
-                ctx.packet = packet.with_shim(packet.ra_shim.with_hop())
+        if plan.out_of_band:
+            _count_hop(ctx)  # the packet moves on; its evidence travels apart
+        if record.signature:
+            self._deliver(ctx, record, plan, trace)
+        else:
+            self._enqueue_batched(ctx, record, plan, trace)
+
+    def _deliver(
+        self, ctx: PacketContext, record: HopEvidence, plan: HopPlan, trace
+    ) -> None:
+        """Fig. 3 (E) out-of-band send, or (D) in-band push plus the
+        audit mirror; a packet parked for its epoch is emitted here."""
+        packet = ctx.packet
+        if plan.out_of_band:
+            self._send_out_of_band(record, plan.to, trace)
         elif packet is not None and packet.ra_shim is not None:
             ctx.packet = self._push_in_band(packet, record)
-            if self.mirror_out_of_band and self.appraiser_node is not None:
-                self._send_out_of_band(record, trace=trace)
-        return ctx
+            if self.mirror_out_of_band and plan.to is not None:
+                self._send_out_of_band(record, plan.to, trace)
+        if ctx.parked and self.sim is not None:
+            # Past the parked check in :meth:`emit`; the flag stays set
+            # so the frame that parked the packet does not emit it again.
+            PisaSwitch.emit(self, ctx)
 
     # --- the Evidence block -----------------------------------------------------
 
@@ -279,7 +346,10 @@ class PeraSwitch(PisaSwitch):
             )
 
     def _produce_record(
-        self, ctx: PacketContext, prior_records: List[HopEvidence]
+        self,
+        ctx: PacketContext,
+        prior_records: Sequence[HopEvidence],
+        plan: HopPlan,
     ) -> HopEvidence:
         """Fig. 3 'Create/Compose': build this hop's signed record.
 
@@ -291,22 +361,31 @@ class PeraSwitch(PisaSwitch):
         """
         tel = self.telemetry
         if not tel.active:  # skip even the null-span plumbing per packet
-            return self._produce_record_inner(ctx, prior_records, NULL_SPAN, None)
+            return self._produce_record_inner(
+                ctx, prior_records, plan, NULL_SPAN, None
+            )
         trace = getattr(ctx.packet, "trace", None)
         tags = trace.span_args() if trace is not None else {}
         with tel.span("pera.attest", track=self.name, **tags) as span:
-            record = self._produce_record_inner(ctx, prior_records, span, trace)
+            record = self._produce_record_inner(
+                ctx, prior_records, plan, span, trace
+            )
         return record
 
     def _produce_record_inner(
-        self, ctx: PacketContext, prior_records: List[HopEvidence], span, trace
+        self,
+        ctx: PacketContext,
+        prior_records: Sequence[HopEvidence],
+        plan: HopPlan,
+        span,
+        trace,
     ) -> HopEvidence:
-        config = self.config
+        config = plan.config
         tel = self.telemetry
         cost = self.pipeline.cost_model if self.runtime.pipeline else None
         cacheable = not config.per_packet_signature
         if cacheable:
-            cached = self.cache.get(InertiaClass.PROGRAM, b"")
+            cached = self.cache.get(InertiaClass.PROGRAM, plan.cache_tag)
             if cached is not None:
                 self.ra_stats.records_from_cache += 1
                 span.note(cached=True)
@@ -391,10 +470,12 @@ class PeraSwitch(PisaSwitch):
             chain_head=chain_head,
             packet_digest=packet_digest,
         )
-        if self._batched_mode:
+        if config.batching is not None and not cacheable:
             # Epoch-batched: the record stays unsigned here; the epoch
             # batcher signs one Merkle root over the whole epoch and the
-            # per-epoch accounting happens in _on_epoch_sealed.
+            # per-epoch accounting happens in _on_epoch_sealed. Batching
+            # replaces only per-packet signatures: a cacheable record
+            # already reuses one signature, and proofs would add bytes.
             record = unsigned
         elif tel.active:
             sign_tags = trace.span_args() if trace is not None else {}
@@ -426,7 +507,7 @@ class PeraSwitch(PisaSwitch):
                 sequence=record.sequence,
             )
         if cacheable:
-            self.cache.put(InertiaClass.PROGRAM, b"", record)
+            self.cache.put(InertiaClass.PROGRAM, plan.cache_tag, record)
         return record
 
     def _push_in_band(self, packet: Packet, record: HopEvidence) -> Packet:
@@ -453,23 +534,18 @@ class PeraSwitch(PisaSwitch):
     # --- epoch batching (config.batching) ---------------------------------
 
     def _enqueue_batched(
-        self,
-        ctx: PacketContext,
-        record: HopEvidence,
-        trace,
-        oob: Optional[bool] = None,
-        oob_target: Optional[str] = None,
+        self, ctx: PacketContext, record: HopEvidence, plan: HopPlan, trace
     ) -> None:
         """Queue an unsigned record for the open epoch.
 
-        Out-of-band mode forwards the packet immediately (hop count
-        bumps now; the evidence follows at seal time). In-band mode
+        Out-of-band mode forwards the packet immediately (its hop count
+        already bumped); the evidence follows at seal time. In-band mode
         *parks* the packet — its shim must carry the proof-bearing
         record, which only exists once the epoch root is signed — and
-        releases it from :meth:`_release_in_band` when the epoch seals.
+        the seal's :meth:`_deliver` pushes the record and emits it.
         """
         batcher = self.epoch_batcher
-        spec = self.config.batching
+        spec = plan.config.batching
         if batcher.open_count == 0 and self.sim is not None:
             self._epoch_opened_at = (batcher.epoch_id, self.sim.clock.now)
         if (
@@ -486,52 +562,15 @@ class PeraSwitch(PisaSwitch):
             self.sim.schedule(
                 spec.max_delay_s, lambda: self._seal_epoch_if(epoch_id)
             )
-        send_oob = self.out_of_band if oob is None else oob
-        target = oob_target or self.appraiser_node
         packet = ctx.packet
-        if send_oob:
-            if packet is not None and packet.ra_shim is not None:
-                ctx.packet = packet.with_shim(packet.ra_shim.with_hop())
-
-            def release(batched: BatchedHopEvidence) -> None:
-                previous_target = self.appraiser_node
-                self.appraiser_node = target
-                try:
-                    self._send_out_of_band(batched, trace=trace)
-                finally:
-                    self.appraiser_node = previous_target
-
-        elif packet is not None and packet.ra_shim is not None:
-            ctx._epoch_parked = True
-
-            def release(batched: BatchedHopEvidence) -> None:
-                self._release_in_band(ctx, batched, trace)
-
-        else:
-
-            def release(batched: BatchedHopEvidence) -> None:
-                return None
-
-        batcher.add(record, release)
+        has_shim = packet is not None and packet.ra_shim is not None
+        if has_shim and not plan.out_of_band:
+            ctx.parked = True
+        batcher.add(
+            record, lambda batched: self._deliver(ctx, batched, plan, trace)
+        )
         if batcher.open_count >= spec.max_records:
             self._seal_epoch("count")
-
-    def _release_in_band(
-        self, ctx: PacketContext, batched: BatchedHopEvidence, trace
-    ) -> None:
-        """Push the proof-bearing record and forward the parked packet.
-
-        Emission goes through :class:`PisaSwitch`'s ``emit`` directly:
-        the parked flag stays set, so the ``handle_packet`` frame that
-        parked this context (still on the stack during a count-triggered
-        seal) will not emit it a second time.
-        """
-        if ctx.packet is not None and ctx.packet.ra_shim is not None:
-            ctx.packet = self._push_in_band(ctx.packet, batched)
-            if self.mirror_out_of_band and self.appraiser_node is not None:
-                self._send_out_of_band(batched, trace=trace)
-        if self.sim is not None:
-            PisaSwitch.emit(self, ctx)
 
     def _seal_epoch(self, reason: str) -> None:
         self.epoch_batcher.seal(reason=reason, on_sealed=self._on_epoch_sealed)
@@ -612,21 +651,24 @@ class PeraSwitch(PisaSwitch):
 
     def emit(self, ctx: PacketContext) -> None:
         """Suppress emission for packets parked awaiting an epoch seal."""
-        if getattr(ctx, "_epoch_parked", False):
+        if ctx.parked:
             return
         super().emit(ctx)
 
-    def _send_out_of_band(self, record: HopEvidence, trace=None) -> None:
-        """Fig. 3 (E): evidence leaves separately, to the appraiser.
+    def _send_out_of_band(
+        self, record: HopEvidence, to: Optional[str], trace=None
+    ) -> None:
+        """Fig. 3 (E): evidence leaves separately, to the appraiser ``to``.
 
         ``send_control`` refusing the message (crashed appraiser,
         stripped channel) is no longer silent: failures are counted,
         and with a :class:`RetryPolicy` configured the switch re-offers
-        the record on the simulator's clock with exponential backoff —
-        journaled as ``recovery.retry`` / ``recovery.recovered`` /
-        ``recovery.gave_up`` so the audit trail tells the whole story.
+        the record to the same target on the simulator's clock with
+        exponential backoff — journaled as ``recovery.retry`` /
+        ``recovery.recovered`` / ``recovery.gave_up`` so the audit trail
+        tells the whole story.
         """
-        if self.sim is None or self.appraiser_node is None:
+        if self.sim is None or to is None:
             raise PipelineError(
                 f"switch {self.name!r} has no out-of-band appraiser configured"
             )
@@ -637,21 +679,17 @@ class PeraSwitch(PisaSwitch):
                 self.name,
                 trace=trace,
                 digest=record.content_digest,
-                to=self.appraiser_node,
+                to=to,
             )
         delivered = self.sim.send_control(
-            self.name,
-            self.appraiser_node,
-            record,
-            size_hint=len(record.wire),
-            trace=trace,
+            self.name, to, record, size_hint=len(record.wire), trace=trace
         )
         if not delivered:
             self.ra_stats.oob_send_failures += 1
-            self._schedule_oob_retry(record, trace, attempt=1)
+            self._schedule_oob_retry(record, to, trace, attempt=1)
 
     def _schedule_oob_retry(
-        self, record: HopEvidence, trace, attempt: int
+        self, record: HopEvidence, to: str, trace, attempt: int
     ) -> None:
         policy = self.retry_policy
         tel = self.telemetry
@@ -663,7 +701,7 @@ class PeraSwitch(PisaSwitch):
                     self.name,
                     trace=trace,
                     digest=record.content_digest,
-                    to=self.appraiser_node,
+                    to=to,
                     attempts=attempt,
                 )
             return
@@ -675,18 +713,14 @@ class PeraSwitch(PisaSwitch):
                 self.name,
                 trace=trace,
                 digest=record.content_digest,
-                to=self.appraiser_node,
+                to=to,
                 attempt=attempt,
                 delay_s=delay,
             )
 
         def retry() -> None:
             delivered = self.sim.send_control(
-                self.name,
-                self.appraiser_node,
-                record,
-                size_hint=len(record.wire),
-                trace=trace,
+                self.name, to, record, size_hint=len(record.wire), trace=trace
             )
             if delivered:
                 self.ra_stats.oob_recovered += 1
@@ -696,12 +730,12 @@ class PeraSwitch(PisaSwitch):
                         self.name,
                         trace=trace,
                         digest=record.content_digest,
-                        to=self.appraiser_node,
+                        to=to,
                         attempts=attempt,
                     )
             else:
                 self.ra_stats.oob_send_failures += 1
-                self._schedule_oob_retry(record, trace, attempt + 1)
+                self._schedule_oob_retry(record, to, trace, attempt + 1)
 
         self.sim.schedule(delay, retry)
 
@@ -711,3 +745,10 @@ class PeraSwitch(PisaSwitch):
         """Skew this switch's evidence-cache clock (clock-skew fault)."""
         base = self.sim.clock if self.sim is not None else SimClock()
         self.cache.bind_clock(SkewedClock(base, skew_s))
+
+
+def _count_hop(ctx: PacketContext) -> None:
+    """Bump the shim's hop count for a hop whose record is not pushed."""
+    packet = ctx.packet
+    if packet is not None and packet.ra_shim is not None:
+        ctx.packet = packet.with_shim(packet.ra_shim.with_hop())

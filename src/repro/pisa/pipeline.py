@@ -10,7 +10,7 @@ calls "tuned to balance performance and security".
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.net.packet import Packet
 from repro.pisa.actions import ActionCall, Primitive
@@ -55,7 +55,10 @@ class PacketContext:
     clone_spec: Optional[int] = None
     mark_ra: bool = False
     cost: float = 0.0
-    trace: List[str] = field(default_factory=list)
+    # Tables whose lookup hit (a policy test's ``hit_<table>`` facts).
+    hits: Set[str] = field(default_factory=set)
+    # Held back until its evidence epoch seals; emission skips it.
+    parked: bool = False
 
     @classmethod
     def from_packet(cls, packet: Packet, ingress_port: int) -> "PacketContext":
@@ -267,9 +270,8 @@ class Pipeline:
         values = [ctx.field_value(name) for name in spec.key_fields]
         action_call, hit = table.lookup(values)
         ctx.cost += self.cost_model.table_lookup
-        ctx.trace.append(
-            f"{spec.name}:{'hit' if hit else 'miss'}->{action_call.action.name}"
-        )
+        if hit:
+            ctx.hits.add(spec.name)
         self._execute(action_call, ctx)
         terminal = {Primitive.DROP, Primitive.TO_CPU}
         done = ctx.egress_spec in (DROP_PORT, CPU_PORT) and any(

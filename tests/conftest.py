@@ -5,7 +5,7 @@ the suite keeps its time budget. ``nightly`` is the deeper search the
 scheduled CI job runs over the verifier stack::
 
     python -m pytest --hypothesis-profile=nightly tests/crypto tests/evidence \
-        tests/pera tests/test_fuzz_decoders.py
+        tests/pera tests/test_fuzz_decoders.py tests/core/test_evidence_block.py
 
 A test that pins its own ``max_examples`` keeps it under either
 profile; the stateful models and every test that does not are the ones

@@ -52,6 +52,7 @@ class TestPipelineExecution:
         ctx = PacketContext.from_packet(make_packet(dst="192.168.0.1"), 1)
         pipeline.process(ctx)
         assert ctx.egress_spec == DROP_PORT
+        assert ctx.hits == set()
 
     def test_cost_accumulates(self):
         pipeline = routed_pipeline()
@@ -63,7 +64,8 @@ class TestPipelineExecution:
         pipeline = routed_pipeline()
         ctx = PacketContext.from_packet(make_packet(), 1)
         pipeline.process(ctx)
-        assert ctx.trace == ["ipv4_lpm:hit->forward"]
+        assert ctx.hits == {"ipv4_lpm"}
+        assert ctx.egress_spec == 2
 
     def test_firewall_drop_beats_forwarding(self):
         pipeline = Pipeline(firewall_program())
