@@ -55,9 +55,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.telemetry.audit import AuditKind
+from repro.telemetry.metrics import LabelItems
 from repro.util.errors import NetworkError
 
 
@@ -157,13 +158,14 @@ class EgressQueue:
     sender stamps on frames; ``release_floor_s`` is the earliest time
     a later packet may arrive downstream without overtaking a
     recovered one. ``egress`` is the simulator's record of the port
-    (node, link, peer), ``watermarks`` its node's PFC state.
+    (node, link, peer), ``watermarks`` its node's PFC state,
+    ``ecn_marks`` the packets this queue marked.
     """
 
     __slots__ = (
         "egress", "config", "watermarks", "fifo", "depth_bytes",
         "depth_packets", "busy", "paused", "release_floor_s", "held_streak",
-        "tx_seq",
+        "tx_seq", "ecn_marks",
     )
 
     def __init__(self, egress, watermarks: "_Watermarks") -> None:
@@ -178,6 +180,7 @@ class EgressQueue:
         self.release_floor_s = 0.0
         self.held_streak = 0
         self.tx_seq = 0
+        self.ecn_marks = 0
 
 
 class _Watermarks:
@@ -207,8 +210,9 @@ class QdiscEngine:
 
     Created lazily by :meth:`repro.net.simulator.Simulator.transmit`
     the first time a queued link is used. The engine calls back into
-    the simulator for scheduling, stats, drops and the wire-out step,
-    so the sharded engine's outbox routing applies unchanged.
+    the simulator for scheduling, drops and the wire-out step, so the
+    sharded engine's outbox routing applies unchanged; it keeps its
+    own ECN and PFC counts (:meth:`counter_tallies`).
     """
 
     def __init__(self, sim) -> None:
@@ -217,6 +221,9 @@ class QdiscEngine:
         #: Aggregate buffered bytes per node — the PFC watermark input.
         self.node_depth: Dict[str, int] = {}
         self._watermarks: Dict[str, _Watermarks] = {}
+        #: ``(node, port)`` -> ``[pause, resume]`` frames sent up that
+        #: port's link.
+        self.pfc_frames: Dict[Tuple[str, int], List[int]] = {}
 
     # --- enqueue --------------------------------------------------------------
 
@@ -238,7 +245,6 @@ class QdiscEngine:
             queue.depth_packets + 1 > config.capacity_packets
             or queue.depth_bytes + wire > config.capacity_bytes
         ):
-            sim.stats.queue_drops += 1
             sim._count_drop(egress.node, "queue_full", packet)
             return False
         if (
@@ -247,13 +253,7 @@ class QdiscEngine:
             and not packet.ecn
         ):
             packet = packet.with_ecn()
-            sim.stats.ecn_marked += 1
-            if sim.telemetry.active:
-                sim.telemetry.counter(
-                    "net.qdisc.ecn_marked",
-                    node=egress.node,
-                    port=str(egress.port),
-                ).inc()
+            queue.ecn_marks += 1
         queue.fifo.append((packet, resend_budget))
         queue.depth_bytes += wire
         queue.depth_packets += 1
@@ -348,7 +348,7 @@ class QdiscEngine:
                         egress.node, "recovery_hold_overflow", packet
                     )
                     return self._hold_port(queue, busy_for)
-                sim.stats.recovery_held += 1
+                sim.recovery_held += 1
                 arrival = queue.release_floor_s
             else:
                 queue.held_streak = 0
@@ -411,20 +411,9 @@ class QdiscEngine:
     def _send_pause(self, node: str, port: int, link, paused: bool) -> None:
         """Emit a pause/resume frame up ``link`` towards the upstream
         endpoint, delivered after the link's propagation latency."""
-        sim = self.sim
+        self.pfc_frames.setdefault((node, port), [0, 0])[0 if paused else 1] += 1
         peer, peer_port = link.other_end(node)
-        if paused:
-            sim.stats.pause_frames += 1
-        if sim.telemetry.active:
-            name = (
-                "net.qdisc.pause_frames"
-                if paused
-                else "net.qdisc.resume_frames"
-            )
-            sim.telemetry.counter(
-                name, link=f"{peer}:{peer_port}->{node}:{port}"
-            ).inc()
-        sim._schedule_pause_delivery(peer, peer_port, paused, link.latency_s)
+        self.sim._schedule_pause_delivery(peer, peer_port, paused, link.latency_s)
 
     def on_pause(self, node: str, port: int, paused: bool) -> None:
         """A pause/resume frame arrived at ``node``'s egress port
@@ -442,6 +431,23 @@ class QdiscEngine:
             self._serve(queue)
 
     # --- introspection --------------------------------------------------------
+
+    def counter_tallies(self) -> Iterator[Tuple[str, LabelItems, int]]:
+        """ECN marks per queue and PFC frames per link, for
+        :meth:`repro.net.simulator.Simulator.counter_tallies`."""
+        for queue in self.queues.values():
+            if queue.ecn_marks:
+                egress = queue.egress
+                labels = (("node", egress.node), ("port", str(egress.port)))
+                yield "net.qdisc.ecn_marked", labels, queue.ecn_marks
+        topology = self.sim.topology
+        for (node, port), (pauses, resumes) in self.pfc_frames.items():
+            peer, peer_port = topology.link_at(node, port).other_end(node)
+            labels = (("link", f"{peer}:{peer_port}->{node}:{port}"),)
+            if pauses:
+                yield "net.qdisc.pause_frames", labels, pauses
+            if resumes:
+                yield "net.qdisc.resume_frames", labels, resumes
 
     def owned_depths(self) -> List[Tuple[str, int, int]]:
         """Sorted ``(node, port, depth_bytes)`` for owned queues — the

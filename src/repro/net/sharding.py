@@ -533,18 +533,18 @@ class ShardSimulator(Simulator):
         """End-of-run accounting (idempotent).
 
         Mirrors the monolith ``run``'s ``finally`` block: fold the
-        processed-event count into stats and snapshot simulator gauges.
+        processed-event count into stats and write the counts and
+        gauges into the registry.
         """
         if self._finalized:
             return
         self._finalized = True
         if self._recorder is not None:
-            # Close the residual window before gauges are collected so
-            # the frame stream reflects exactly the simulated activity
-            # (collector gauges never enter frames anyway, but the
-            # ordering keeps finalize single-pass).
+            # Close the residual window before the collector writes the
+            # registry, so the frame stream reflects exactly the
+            # simulated activity and finalize stays single-pass.
             self._recorder.finish(self.clock.now)
-        self.stats.events_processed += self._processed_accum
+        self.events_processed += self._processed_accum
         if self.telemetry.active:
             from repro.telemetry.instrument import collect_simulator
 

@@ -12,15 +12,18 @@ Two ways instrumentation reaches a :class:`Telemetry`:
    Nothing passed means the inert :data:`NULL_TELEMETRY`; with the
    null object, the entire subsystem costs one predictable branch per
    hot-path site.
-2. **Collectors**: existing stats structs (``SimStats``, ``RaStats``,
-   cache stats, the shared verify cache) are snapshotted into labeled
-   gauges at collection points instead of double-counting on the hot
-   path — :func:`collect_simulator` runs automatically at the end of
-   every ``Simulator.run`` when telemetry is active.
+2. **Collectors**: counts kept where the engine keeps them (the
+   simulator's per-port, per-node and per-pair tallies; ``SimStats``,
+   ``RaStats``, cache stats, the shared verify cache) are written into
+   the registry at collection points instead of counted twice on the
+   hot path — :func:`collect_simulator` runs automatically at the end
+   of every ``Simulator.run`` when telemetry is active, and the flight
+   recorder reads the network tallies at each tick.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Optional, Tuple
 
 from repro.telemetry.audit import (
@@ -136,45 +139,32 @@ NULL_TELEMETRY = Telemetry(active=False)
 # --- collectors: stats structs -> labeled gauges -------------------------------
 
 
-def collect_simulator(telemetry: Telemetry, sim) -> None:
-    """Snapshot a simulator and every bound node into the registry.
+def _gauge_fields(telemetry: Telemetry, prefix: str, record, **labels) -> None:
+    """One gauge per field of the stats dataclass ``record``, named
+    ``prefix`` + the field name."""
+    for f in fields(record):
+        telemetry.gauge(prefix + f.name, **labels).set(getattr(record, f.name))
 
-    Runs automatically at the end of ``Simulator.run`` when telemetry
-    is active. Values are *gauges* — point-in-time copies of the
-    owning stats structs, last writer wins per label set — so a
-    process that runs many simulators reports each one's final state
-    without double counting.
+
+def collect_simulator(telemetry: Telemetry, sim) -> None:
+    """Write a simulator's counts and every bound node into the registry.
+
+    Runs automatically at the end of ``Simulator.run`` (and in a
+    shard's ``finalize``) when telemetry is active. The labelled
+    network counters are set from the records that hold them
+    (``sim.counter_tallies()``); the ``net.sim.*``, ``faults.*`` and
+    node values are gauges. Both are point-in-time copies, last writer
+    wins per label set, so a process that runs many simulators reports
+    each one's final state without double counting.
     """
     if not telemetry.active:
         return
-    stats = sim.stats
-    g = telemetry.gauge
-    g("net.sim.packets_transmitted").set(stats.packets_transmitted)
-    g("net.sim.bytes_transmitted").set(stats.bytes_transmitted)
-    g("net.sim.packets_dropped").set(stats.packets_dropped)
-    g("net.sim.control_messages").set(stats.control_messages)
-    g("net.sim.control_bytes").set(stats.control_bytes)
-    g("net.sim.control_dropped").set(stats.control_dropped)
-    g("net.sim.events_processed").set(stats.events_processed)
-    g("net.sim.local_resends").set(getattr(stats, "local_resends", 0))
-    g("net.sim.queue_drops").set(getattr(stats, "queue_drops", 0))
-    g("net.sim.ecn_marked").set(getattr(stats, "ecn_marked", 0))
-    g("net.sim.pause_frames").set(getattr(stats, "pause_frames", 0))
-    g("net.sim.recovery_retransmits").set(
-        getattr(stats, "recovery_retransmits", 0)
-    )
-    g("net.sim.recovery_held").set(getattr(stats, "recovery_held", 0))
-    faults = getattr(sim, "faults", None)
-    fault_stats = getattr(faults, "stats", None)
+    for name, labels, value in sim.counter_tallies():
+        telemetry.counter(name, **dict(labels)).value = float(value)
+    _gauge_fields(telemetry, "net.sim.", sim.stats)
+    fault_stats = getattr(getattr(sim, "faults", None), "stats", None)
     if fault_stats is not None:
-        g("faults.injected").set(fault_stats.injected)
-        g("faults.cleared").set(fault_stats.cleared)
-        g("faults.extra_losses").set(fault_stats.extra_losses)
-        g("faults.link_down_drops").set(fault_stats.link_down_drops)
-        g("faults.packets_corrupted").set(fault_stats.packets_corrupted)
-        g("faults.records_stripped").set(fault_stats.records_stripped)
-        g("faults.control_stripped").set(fault_stats.control_stripped)
-        g("faults.control_tampered").set(fault_stats.control_tampered)
+        _gauge_fields(telemetry, "faults.", fault_stats)
     owns = getattr(sim, "owns", None)
     for name in getattr(sim, "bound_nodes", []):
         # Sharded runs bind foreign *replicas* for world visibility;
@@ -198,54 +188,11 @@ def collect_node(telemetry: Telemetry, node) -> None:
         g("pisa.total_cost", switch=switch).set(node.total_cost)
     ra_stats = getattr(node, "ra_stats", None)
     if ra_stats is not None:  # PeraSwitch and up
-        g("pera.packets_attested", switch=switch).set(ra_stats.packets_attested)
-        g("pera.packets_skipped_by_sampling", switch=switch).set(
-            ra_stats.packets_skipped_by_sampling
-        )
-        g("pera.measurements_taken", switch=switch).set(
-            ra_stats.measurements_taken
-        )
-        g("pera.records_created", switch=switch).set(ra_stats.records_created)
-        g("pera.records_from_cache", switch=switch).set(
-            ra_stats.records_from_cache
-        )
-        g("pera.signatures_produced", switch=switch).set(
-            ra_stats.signatures_produced
-        )
-        g("pera.out_of_band_sent", switch=switch).set(ra_stats.out_of_band_sent)
-        g("pera.oob_send_failures", switch=switch).set(
-            getattr(ra_stats, "oob_send_failures", 0)
-        )
-        g("pera.oob_retries", switch=switch).set(
-            getattr(ra_stats, "oob_retries", 0)
-        )
-        g("pera.oob_recovered", switch=switch).set(
-            getattr(ra_stats, "oob_recovered", 0)
-        )
-        g("pera.oob_gave_up", switch=switch).set(
-            getattr(ra_stats, "oob_gave_up", 0)
-        )
-        g("pera.undecodable_evidence", switch=switch).set(
-            getattr(ra_stats, "undecodable_evidence", 0)
-        )
-        g("pera.evidence_bytes_added", switch=switch).set(
-            ra_stats.evidence_bytes_added
-        )
-        g("pera.epochs_sealed", switch=switch).set(
-            getattr(ra_stats, "epochs_sealed", 0)
-        )
-        g("pera.records_batched", switch=switch).set(
-            getattr(ra_stats, "records_batched", 0)
-        )
-        g("pera.gated_drops", switch=switch).set(ra_stats.gated_drops)
+        _gauge_fields(telemetry, "pera.", ra_stats, switch=switch)
         g("pera.ra_cost", switch=switch).set(node.ra_cost)
-        cache = node.cache
-        g("pera.cache.hits", switch=switch).set(cache.stats.hits)
-        g("pera.cache.misses", switch=switch).set(cache.stats.misses)
-        g("pera.cache.invalidations", switch=switch).set(
-            cache.stats.invalidations
-        )
-        g("pera.cache.hit_rate", switch=switch).set(cache.stats.hit_rate)
+        cache = node.cache.stats
+        _gauge_fields(telemetry, "pera.cache.", cache, switch=switch)
+        g("pera.cache.hit_rate", switch=switch).set(cache.hit_rate)
 
 
 def collect_verify_cache(telemetry: Telemetry) -> None:
@@ -255,11 +202,9 @@ def collect_verify_cache(telemetry: Telemetry) -> None:
     from repro.evidence.verify import shared_cache  # lazy: higher layer
 
     stats = shared_cache.stats
-    g = telemetry.gauge
-    g("evidence.verify_cache.hits").set(stats.hits)
-    g("evidence.verify_cache.misses").set(stats.misses)
-    g("evidence.verify_cache.hit_rate").set(stats.hit_rate)
-    g("evidence.verify_cache.size").set(len(shared_cache))
+    _gauge_fields(telemetry, "evidence.verify_cache.", stats)
+    telemetry.gauge("evidence.verify_cache.hit_rate").set(stats.hit_rate)
+    telemetry.gauge("evidence.verify_cache.size").set(len(shared_cache))
 
 
 __all__ = [

@@ -32,8 +32,14 @@ def _label_items(labels: Mapping[str, object]) -> LabelItems:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
+@functools.lru_cache(maxsize=None)
 def render_name(name: str, labels: LabelItems) -> str:
-    """``name{k=v,...}`` — the flat key used in snapshots and tables."""
+    """``name{k=v,...}`` — the flat key used in snapshots and tables.
+
+    Memoised like :func:`parse_name`, and for the same reason: the
+    flight recorder's probes name the same closed key set at every
+    tick, so each key is rendered once per process.
+    """
     if not labels:
         return name
     inner = ",".join(f"{k}={v}" for k, v in labels)
@@ -64,12 +70,13 @@ def parse_name(flat: str) -> Tuple[str, LabelItems]:
 class Counter:
     """A monotonically increasing count (events, packets, bytes)."""
 
-    __slots__ = ("name", "labels", "value")
+    __slots__ = ("name", "labels", "flat", "value")
     kind = "counter"
 
     def __init__(self, name: str, labels: LabelItems = ()) -> None:
         self.name = name
         self.labels = labels
+        self.flat = render_name(name, labels)
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
@@ -82,12 +89,13 @@ class Counter:
 class Gauge:
     """A value that goes up and down (queue depth, cache size)."""
 
-    __slots__ = ("name", "labels", "value")
+    __slots__ = ("name", "labels", "flat", "value")
     kind = "gauge"
 
     def __init__(self, name: str, labels: LabelItems = ()) -> None:
         self.name = name
         self.labels = labels
+        self.flat = render_name(name, labels)
         self.value = 0.0
 
     def set(self, value: float) -> None:
@@ -108,7 +116,7 @@ class Histogram:
     enough for per-appraisal latencies.
     """
 
-    __slots__ = ("name", "labels", "buckets", "counts", "sum", "count")
+    __slots__ = ("name", "labels", "flat", "buckets", "counts", "sum", "count")
     kind = "histogram"
 
     def __init__(
@@ -122,6 +130,7 @@ class Histogram:
             raise ValueError(f"histogram buckets must be sorted: {chosen}")
         self.name = name
         self.labels = labels
+        self.flat = render_name(name, labels)
         self.buckets = chosen
         self.counts: List[int] = [0] * (len(chosen) + 1)
         self.sum = 0.0
@@ -237,9 +246,8 @@ class MetricsRegistry:
             "gauges": {},
             "histograms": {},
         }
-        for (name, labels), metric in sorted(self._metrics.items()):
-            flat = render_name(name, labels)
-            out[metric.kind + "s"][flat] = metric.snapshot()
+        for _key, metric in sorted(self._metrics.items()):
+            out[metric.kind + "s"][metric.flat] = metric.snapshot()
         return out
 
     def absorb_snapshot(self, snap: Mapping[str, Mapping[str, object]]) -> None:
