@@ -44,14 +44,6 @@ class VerifyCacheStats:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def snapshot(self) -> dict:
-        """Flat dict view (telemetry collectors and exports use this)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class _Pending:

@@ -41,15 +41,6 @@ class CacheStats:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def snapshot(self) -> dict:
-        """Flat dict view (telemetry collectors and exports use this)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "invalidations": self.invalidations,
-            "hit_rate": self.hit_rate,
-        }
-
 
 class EvidenceCache(Generic[V]):
     """Per-inertia-class evidence cache with TTL + state invalidation."""

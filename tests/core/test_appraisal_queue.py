@@ -96,7 +96,7 @@ def _both_ways(queue, appraiser, cache):
         outcomes.append((
             verdicts,
             [event.as_dict() for event in telemetry.audit.events],
-            cache.stats.snapshot(),
+            replace(cache.stats),
             list(cache._verdicts.items()),
         ))
     return outcomes
@@ -117,7 +117,7 @@ class TestQueueEqualsSequential:
         verdicts, journal, stats, _ = _assert_same(queue, appraiser, cache)
         assert [v.accepted for v in verdicts] == [True] * 3 + [False] * 3
         assert any(e["kind"] == "check.failed" for e in journal)
-        assert stats["misses"] == 18
+        assert stats.misses == 18
 
     def test_uc1_epoch_batched_roots_hit_within_the_queue(self, cache):
         queue, appraiser = _uc1(
@@ -127,13 +127,13 @@ class TestQueueEqualsSequential:
         verdicts, _, stats, _ = _assert_same(queue, appraiser, cache)
         assert all(v.accepted for v in verdicts)
         # One root per (switch, epoch): 2 switches x 2 epochs.
-        assert (stats["misses"], stats["hits"]) == (4, 8)
+        assert (stats.misses, stats.hits) == (4, 8)
 
     def test_pointwise_cached_records_hit_within_the_queue(self, cache):
         queue, appraiser = _pointwise()
         verdicts, _, stats, _ = _assert_same(queue, appraiser, cache)
         assert all(v.accepted for v in verdicts)
-        assert stats["hits"] > 0
+        assert stats.hits > 0
 
     def test_sampled_path(self, cache):
         queue, appraiser = _uc1(

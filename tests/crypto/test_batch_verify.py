@@ -579,7 +579,7 @@ class TestMemoizedBatchParity:
         batched = registry_verify_batch(registry, items, cache=batched_cache)
 
         assert batched == sequential
-        assert batched_cache.stats.snapshot() == sequential_cache.stats.snapshot()
+        assert batched_cache.stats == sequential_cache.stats
         assert list(batched_cache._verdicts.items()) == list(
             sequential_cache._verdicts.items()
         )

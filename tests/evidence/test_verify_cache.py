@@ -91,7 +91,7 @@ class TestSignatureCache:
         batched = SignatureCache(maxsize=2)
         assert batched.verify_batch(anchors, batch) == [True] * 4
         assert (batched.stats.hits, batched.stats.misses) == (0, 4)
-        assert batched.stats.snapshot() == sequential.stats.snapshot()
+        assert batched.stats == sequential.stats
         assert list(batched._verdicts.items()) == list(
             sequential._verdicts.items()
         )
