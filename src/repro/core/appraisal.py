@@ -309,29 +309,22 @@ class PathAppraiser:
     ) -> PathVerdict:
         """Reject a packet whose shim yields no record stack to judge:
         one ``check.failed`` (shim), one rejecting verdict."""
-        tel = self.telemetry
-        if tel.active:
-            tel.audit_event(
+        verdict = PathVerdict(
+            accepted=False,
+            failures=(message,),
+            hop_count=hop_count,
+            trace_id=trace.trace_id if trace is not None else None,
+        )
+        if self.telemetry.active:
+            self.telemetry.audit_event(
                 AuditKind.CHECK_FAILED,
                 self.name,
                 trace=trace,
                 check=Check.SHIM,
                 message=message,
             )
-            tel.audit_event(
-                AuditKind.VERDICT_ISSUED,
-                self.name,
-                trace=trace,
-                accepted=False,
-                records=0,
-                failures=1,
-            )
-        return PathVerdict(
-            accepted=False,
-            failures=(message,),
-            hop_count=hop_count,
-            trace_id=trace.trace_id if trace is not None else None,
-        )
+            self._emit_verdict_event(verdict, [], trace)
+        return verdict
 
     def appraise_unavailable(
         self, reason: str, trace: Optional[TraceContext] = None
@@ -363,15 +356,7 @@ class PathAppraiser:
                 check=Check.AVAILABILITY,
                 message=message,
             )
-            tel.audit_event(
-                AuditKind.VERDICT_ISSUED,
-                self.name,
-                trace=trace,
-                accepted=verdict.accepted,
-                records=0,
-                failures=len(verdict.failures),
-                degraded=True,
-            )
+            self._emit_verdict_event(verdict, [], trace, degraded=True)
         return verdict
 
     def _check_packet_binding(
@@ -435,11 +420,11 @@ class PathAppraiser:
         """Appraise a record stack; the shared core of both entry points.
 
         With telemetry active, each appraisal runs inside a
-        ``core.appraise`` span and feeds a verdict counter plus a
-        wall-clock verification-latency histogram; every failed check
-        lands in the audit journal tagged with ``trace``.
-        ``_emit_verdict`` lets :meth:`appraise_packet` defer the final
-        VERDICT_ISSUED event until after its binding checks, and
+        ``core.appraise`` span and feeds a wall-clock
+        verification-latency histogram; every failed check lands in the
+        audit journal tagged with ``trace``. ``_emit_verdict`` lets
+        :meth:`appraise_packet` defer the final VERDICT_ISSUED event
+        (and its count) until after its binding checks, and
         ``_sig_ok`` hands in signature verdicts a queue already settled.
         """
         if not self.telemetry.active:
@@ -464,11 +449,6 @@ class PathAppraiser:
         self.telemetry.histogram(
             "core.path_appraise_sim_seconds", appraiser=self.name
         ).observe(self.telemetry.spans.clock.now - sim_started)
-        self.telemetry.counter(
-            "core.path_verdicts",
-            appraiser=self.name,
-            accepted=verdict.accepted,
-        ).inc()
         if _emit_verdict:
             self._emit_verdict_event(verdict, records, trace)
         return verdict
@@ -478,7 +458,13 @@ class PathAppraiser:
         verdict: PathVerdict,
         records: List[HopEvidence],
         trace: Optional[TraceContext],
+        **detail: object,
     ) -> None:
+        """Journal ``verdict`` and count it in ``core.path_verdicts``:
+        the one place a path verdict is issued."""
+        self.telemetry.counter(
+            "core.path_verdicts", appraiser=self.name, accepted=verdict.accepted
+        ).inc()
         self.telemetry.audit_event(
             AuditKind.VERDICT_ISSUED,
             self.name,
@@ -487,6 +473,7 @@ class PathAppraiser:
             accepted=verdict.accepted,
             records=verdict.records_checked,
             failures=len(verdict.failures),
+            **detail,
         )
 
     def _appraise_records(

@@ -80,12 +80,12 @@ def standard_chaos_rules() -> List[object]:
     run): dataplane drops for loss/flap, control-channel drops for the
     appraiser outage, rejected path verdicts for compromise/tamper,
     and the injector's own change-event counter for clock skew and
-    packet corruption — two faults whose dataplane symptom is
-    invisible in the Athens composition (``TRAFFIC_PATH`` never
-    consults the time cache, and appraisal runs off the uncorrupted
-    control-plane reports, so a payload bit flip on the egress edge
-    changes no verdict). The fail-rate ratio is the SLO-style smoothed
-    view over a trailing three windows.
+    packet corruption. Clock skew has no dataplane symptom in the
+    Athens composition (``TRAFFIC_PATH`` never consults the time
+    cache); a payload bit flip fails the traffic-path binding check,
+    so it also raises the verdict rules, but only the change-event
+    rule names it. The fail-rate ratio is the SLO-style smoothed view
+    over a trailing three windows.
     """
     return [
         ThresholdRule(name="dataplane-drops", metric="net.link.dropped"),
