@@ -205,6 +205,25 @@ class TestSimulatorIntegration:
         )
         assert sim_rec.recorder.frames, "sampling should have recorded"
 
+    def test_frames_replay_to_the_counters_across_runs(self):
+        """The network counts reach the registry only when a run ends;
+        frames sampled after one run must still see the live counts."""
+        sim, h1 = self._sim()
+        recorder = install_recorder(sim, SamplingSpec(interval_s=1e-3))
+        for i in range(4):
+            sim.schedule(i * 1e-3, lambda s=i: self._send(h1, s))
+        sim.run(until=1.5e-3)  # collect_simulator writes 2 packets
+        sim.run()
+        recorder.finish(sim.clock.now)
+        tx = "net.link.tx_packets{link=h1:1->h2:1}"
+        # One packet per 1 ms window, each in the window it was sent in.
+        assert [frame["v"].get(tx) for frame in recorder.frames] == [1.0] * 4
+        counters = sim.telemetry.metrics.snapshot()["counters"]
+        replayed = cumulative_at(recorder.frames, recorder.frames[-1]["w"])
+        assert counters[tx] == 4.0
+        for key, value in counters.items():
+            assert replayed[key] == value, key
+
     def test_install_recorder_twice_raises(self):
         sim, _ = self._sim()
         install_recorder(sim, SamplingSpec(interval_s=1.0))
