@@ -701,7 +701,6 @@ def standard_fabric_rules(
             name="queue-depth",
             metric="net.qdisc.depth_bytes",
             threshold=queue_depth_bytes,
-            aggregate="max",
         ),
         ThresholdRule(
             name="pause-storm",

@@ -56,19 +56,6 @@ class TestThresholdRule:
         report = evaluate_health(frames, [rule], interval_s=1.0)
         assert report.first_raise_window("rejects") == 1
 
-    def test_over_windows_requires_a_streak(self):
-        rule = ThresholdRule(
-            name="sustained", metric="m", threshold=0.0, over_windows=2
-        )
-        frames = frames_from(
-            (0, {"m": 1.0}),
-            (1, {"other": 1.0}),  # streak broken
-            (2, {"m": 1.0}),
-            (3, {"m": 1.0}),      # second consecutive breach -> raise
-        )
-        report = evaluate_health(frames, [rule], interval_s=1.0)
-        assert report.first_raise_window("sustained") == 3
-
     def test_absent_windows_count_as_zero_deltas(self):
         rule = ThresholdRule(name="drops", metric="m")
         frames = frames_from(
@@ -110,32 +97,20 @@ class TestLevelRule:
         report = evaluate_health(frames, [rule], interval_s=1.0)
         assert report.first_raise_window("depth") == 0
 
-    def test_sum_aggregate_bounds_total(self):
-        rule = LevelRule(
-            name="depth", metric="q.depth", threshold=5.0, aggregate="sum"
-        )
+    def test_level_is_the_worst_key_not_the_total(self):
+        """Two keys at 3 sum past the threshold, but no one queue does."""
+        rule = LevelRule(name="depth", metric="q.depth", threshold=5.0)
         frames = frames_from(
             (0, {"q.depth{node=a}": 3.0, "q.depth{node=b}": 3.0}),
         )
         report = evaluate_health(frames, [rule], interval_s=1.0)
-        assert report.first_raise_window("depth") == 0
-        # max aggregate over the same frames stays quiet (worst key 3).
-        quiet = evaluate_health(
-            frames,
-            [LevelRule(name="depth", metric="q.depth", threshold=5.0)],
-            interval_s=1.0,
-        )
-        assert quiet.alerts == []
+        assert report.alerts == []
 
     def test_no_matching_series_stays_silent(self):
         rule = LevelRule(name="depth", metric="q.depth", threshold=0.0)
         frames = frames_from((0, {"other": 100.0}))
         report = evaluate_health(frames, [rule], interval_s=1.0)
         assert report.alerts == []
-
-    def test_rejects_unknown_aggregate(self):
-        with pytest.raises(ValueError):
-            LevelRule(name="x", metric="m", threshold=1.0, aggregate="avg")
 
 
 class TestRatioRule:
