@@ -258,24 +258,36 @@ def node_cache_probe(sim) -> Probe:
     ``switch=`` label is emitted by exactly one shard and frame merges
     stay exact. (``hit_rate`` is derived, not cumulative — the report
     side recomputes it from hits/misses.)
+
+    The switches and their keys are resolved at the first tick: a run's
+    nodes are bound when its scenario is built, before the recorder is
+    installed.
     """
+    switches: Optional[List[tuple]] = None
 
     def probe() -> Iterable[Tuple[str, float]]:
-        owns = getattr(sim, "owns", None)
-        for name in getattr(sim, "bound_nodes", []):
-            if owns is not None and not owns(name):
-                continue
-            node = sim.node(name)
-            if getattr(node, "ra_stats", None) is None:
-                continue
+        nonlocal switches
+        if switches is None:
+            switches = []
+            owns = getattr(sim, "owns", None)
+            for name in getattr(sim, "bound_nodes", []):
+                if owns is not None and not owns(name):
+                    continue
+                node = sim.node(name)
+                if getattr(node, "ra_stats", None) is None:
+                    continue
+                labels = (("switch", name),)
+                switches.append((
+                    node,
+                    render_name("pera.cache.hits", labels),
+                    render_name("pera.cache.misses", labels),
+                    render_name("pera.cache.invalidations", labels),
+                ))
+        for node, hits, misses, invalidations in switches:
             stats = node.cache.stats
-            labels = (("switch", name),)
-            yield render_name("pera.cache.hits", labels), stats.hits
-            yield render_name("pera.cache.misses", labels), stats.misses
-            yield (
-                render_name("pera.cache.invalidations", labels),
-                stats.invalidations,
-            )
+            yield hits, stats.hits
+            yield misses, stats.misses
+            yield invalidations, stats.invalidations
 
     return probe
 
