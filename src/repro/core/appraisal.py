@@ -34,7 +34,12 @@ from repro.evidence.verify import registry_verify_batch
 from repro.util.errors import CodecError
 from repro.pisa.program import DataplaneProgram
 from repro.ra.nonce import NonceManager
-from repro.telemetry.audit import AuditKind, Check, explain_verdict
+from repro.telemetry.audit import (
+    AuditKind,
+    Check,
+    CheckFailures,
+    explain_verdict,
+)
 from repro.telemetry.instrument import NULL_TELEMETRY, Telemetry
 from repro.telemetry.tracing import TraceContext
 
@@ -148,24 +153,6 @@ class PathVerdict:
         return explain_verdict(self, events)
 
 
-class _Failures(List[str]):
-    """A failure sink that remembers which check produced each message.
-
-    Checks keep appending plain strings (their public behaviour is
-    unchanged); the sink labels each with the check being run so the
-    audit journal can report failures structurally.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.current: str = Check.OTHER
-        self.detailed: List[Tuple[str, str]] = []
-
-    def append(self, message: str) -> None:
-        super().append(message)
-        self.detailed.append((self.current, message))
-
-
 #: A packet's decoded record stack, or why its shim yields none.
 _Stack = Union[List[HopEvidence], str]
 
@@ -248,7 +235,7 @@ class PathAppraiser:
             _emit_verdict=False,
             _sig_ok=sig_ok,
         )
-        binding_failures = _Failures()
+        binding_failures = CheckFailures()
         binding_failures.current = Check.BINDING
         self._check_packet_binding(packet, records, binding_failures)
         if binding_failures:
@@ -486,7 +473,7 @@ class PathAppraiser:
     ) -> PathVerdict:
         self.appraisals_performed += 1
         self._current_trace = trace
-        failures = _Failures()
+        failures = CheckFailures()
         failures.current = Check.SIGNATURE
         self._check_signatures(records, failures, sig_ok)
         failures.current = Check.MEASUREMENT

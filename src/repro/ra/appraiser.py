@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.crypto.keys import KeyRegistry
 from repro.evidence import (
@@ -28,7 +28,7 @@ from repro.evidence import (
 )
 from repro.ra.claims import AppraisalVerdict, Claim
 from repro.ra.nonce import NonceManager
-from repro.telemetry.audit import AuditKind, classify_failure
+from repro.telemetry.audit import AuditKind, Check, CheckFailures
 from repro.telemetry.instrument import NULL_TELEMETRY, Telemetry
 
 
@@ -100,14 +100,6 @@ class Appraiser:
                 appraiser=self.name,
                 accepted=verdict.accepted,
             ).inc()
-            for failure in verdict.failures:
-                self.telemetry.audit_event(
-                    AuditKind.CHECK_FAILED,
-                    self.name,
-                    digest=evidence.content_digest,
-                    check=classify_failure(failure),
-                    message=failure,
-                )
             self.telemetry.audit_event(
                 AuditKind.VERDICT_ISSUED,
                 self.name,
@@ -123,7 +115,7 @@ class Appraiser:
         self, evidence: Evidence, claim: Optional[Claim] = None
     ) -> AppraisalVerdict:
         self.appraisals_performed += 1
-        failures: List[str] = []
+        failures = CheckFailures()
         checked_measurements = 0
 
         # 1. Signatures: every SignedEvidence node must verify against
@@ -131,6 +123,7 @@ class Appraiser:
         #    settled by one memoized batch (keyed on each node's cached
         #    content digest, so re-appraising known evidence skips the
         #    Ed25519 math); failures are reported in walk order.
+        failures.current = Check.SIGNATURE
         signed = evidence.find_signatures()
         checked_signatures = len(signed)
         verdicts = registry_verify_batch(
@@ -147,6 +140,7 @@ class Appraiser:
                 failures.append(f"missing required signature from {signer!r}")
 
         # 2. Measurements against reference values.
+        failures.current = Check.MEASUREMENT
         for node in evidence.walk():
             if isinstance(node, MeasurementEvidence):
                 expected = self.policy.reference_values.get(
@@ -167,6 +161,7 @@ class Appraiser:
                     )
 
         # 3. Nonce freshness.
+        failures.current = Check.NONCE
         if self.policy.require_nonce:
             nonce_nodes = [
                 node for node in evidence.walk()
@@ -185,6 +180,15 @@ class Appraiser:
                     for node in nonce_nodes:
                         self.nonces.consume(node.value)
 
+        if self.telemetry.active:
+            for check, message in failures.detailed:
+                self.telemetry.audit_event(
+                    AuditKind.CHECK_FAILED,
+                    self.name,
+                    digest=evidence.content_digest,
+                    check=check,
+                    message=message,
+                )
         return AppraisalVerdict(
             accepted=not failures,
             claim=claim,

@@ -38,7 +38,6 @@ from repro.telemetry.audit import (
     AuditKind,
     Check,
     NULL_JOURNAL,
-    classify_failure,
     explain_verdict,
     narrative,
 )
@@ -113,7 +112,6 @@ __all__ = [
     "Check",
     "NULL_JOURNAL",
     "TRACE_SCHEMA",
-    "classify_failure",
     "narrative",
     "explain_verdict",
     "FlightRecorder",

@@ -26,7 +26,9 @@ does nothing and allocates nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import (
+    Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from repro.util.clock import SimClock
 from repro.util.ring import RingBuffer
@@ -84,38 +86,23 @@ class Check:
     OTHER = "other"
 
 
-def classify_failure(message: str) -> str:
-    """Map a free-text appraisal failure onto a :class:`Check` name.
+class CheckFailures(List[str]):
+    """A failure sink that remembers which check produced each message.
 
-    Used where failures are still built as strings (the Copland-side
-    :class:`~repro.ra.appraiser.Appraiser`); the path appraiser reports
-    check names structurally instead.
+    An appraiser sets :attr:`current` to the :class:`Check` it is about
+    to run, and its checks append plain strings (the verdict's
+    ``failures``); :attr:`detailed` pairs each with its check so the
+    audit journal reports failures structurally.
     """
-    text = message.lower()
-    if "signature" in text or "signer" in text:
-        return Check.SIGNATURE
-    if "nonce" in text:
-        return Check.NONCE
-    if "chain" in text or "reorder" in text:
-        return Check.CHAIN
-    if "packet digest" in text or "spliced onto" in text:
-        return Check.BINDING
-    if "measurement" in text or "reference value" in text:
-        return Check.MEASUREMENT
-    if "stripped" in text or "hops" in text or "records but" in text:
-        return Check.COVERAGE
-    if "function" in text:
-        return Check.FUNCTION
-    if "shim" in text:
-        return Check.SHIM
-    if (
-        "unreachable" in text
-        or "unavailable" in text
-        or "timed out" in text
-        or "no response" in text
-    ):
-        return Check.AVAILABILITY
-    return Check.OTHER
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.current: str = Check.OTHER
+        self.detailed: List[Tuple[str, str]] = []
+
+    def append(self, message: str) -> None:
+        super().append(message)
+        self.detailed.append((self.current, message))
 
 
 @dataclass(frozen=True)
@@ -504,9 +491,9 @@ __all__ = [
     "AuditJournal",
     "AuditKind",
     "Check",
+    "CheckFailures",
     "DEFAULT_MAX_EVENTS",
     "NULL_JOURNAL",
-    "classify_failure",
     "event_from_dict",
     "explain_verdict",
     "merge_audit_events",

@@ -13,6 +13,7 @@ from repro.ra.appraiser import AppraisalPolicy, Appraiser
 from repro.ra.certificates import Certificate, CertificateStore
 from repro.ra.claims import AppraisalVerdict, Claim
 from repro.ra.nonce import NonceManager
+from repro.telemetry import AuditKind, Check, Telemetry
 from repro.util.errors import VerificationError
 
 
@@ -55,7 +56,7 @@ class TestNonceManager:
 
 
 class TestAppraiser:
-    def build(self, require_nonce=False, strict=False):
+    def build(self, require_nonce=False, strict=False, telemetry=None):
         switch_keys = KeyPair.generate("Switch")
         anchors = KeyRegistry()
         anchors.register_pair(switch_keys)
@@ -70,6 +71,7 @@ class TestAppraiser:
                 strict=strict,
             ),
             nonces=nonces,
+            telemetry=telemetry,
         )
         return appraiser, switch_keys, nonces
 
@@ -148,6 +150,32 @@ class TestAppraiser:
         )
         verdict = appraiser.appraise(signed)
         assert not verdict.accepted
+
+    def test_journals_the_check_that_found_each_failure(self):
+        tel = Telemetry(active=True)
+        appraiser, keys, nonces = self.build(require_nonce=True, telemetry=tel)
+        signed = make_evidence(signer=keys, nonce=nonces.issue())
+        appraiser.appraise(SignedEvidence(
+            evidence=signed.evidence, place=signed.place, signature=bytes(64),
+        ))
+        appraiser.appraise(
+            make_evidence(value=b"evil", signer=keys, nonce=nonces.issue())
+        )
+        replayed = make_evidence(signer=keys, nonce=nonces.issue())
+        assert appraiser.appraise(replayed).accepted
+        appraiser.appraise(replayed)
+        failed = [
+            (event.detail["check"], event.detail["message"])
+            for event in tel.audit.events
+            if event.kind == AuditKind.CHECK_FAILED
+        ]
+        assert failed == [
+            (Check.SIGNATURE, "signature by 'Switch' failed verification"),
+            (Check.SIGNATURE, "missing required signature from 'Switch'"),
+            (Check.MEASUREMENT, "measurement of 'Program' by 'attest' "
+             "does not match the reference value"),
+            (Check.NONCE, "nonce replayed"),
+        ]
 
     def test_verdict_describe(self):
         appraiser, keys, _ = self.build()

@@ -1,7 +1,5 @@
 """Tests for the attestation audit journal and its renderers."""
 
-import pytest
-
 from repro.telemetry import (
     AuditJournal,
     AuditKind,
@@ -9,7 +7,6 @@ from repro.telemetry import (
     NULL_JOURNAL,
     Telemetry,
     TraceContext,
-    classify_failure,
     explain_verdict,
     narrative,
 )
@@ -91,27 +88,6 @@ class TestTelemetryIntegration:
         tel = Telemetry(active=False)
         assert tel.audit_event(AuditKind.VERDICT_ISSUED, "A") is None
         assert tel.audit is NULL_JOURNAL
-
-
-class TestClassifyFailure:
-    @pytest.mark.parametrize("message, expected", [
-        ("record 0 (s1): signature invalid or signer untrusted",
-         Check.SIGNATURE),
-        ("nonce replayed", Check.NONCE),
-        ("record 1 (s2): chain head does not extend its predecessor",
-         Check.CHAIN),
-        ("record 0 (s1): packet digest does not match this traffic",
-         Check.BINDING),
-        ("PROGRAM measurement does not match the vetted value",
-         Check.MEASUREMENT),
-        ("evidence stripped: 3 attesting hops but only 2 records",
-         Check.COVERAGE),
-        ("path lacks required function 'firewall'", Check.FUNCTION),
-        ("packet carries no RA shim header", Check.SHIM),
-        ("something completely different", Check.OTHER),
-    ])
-    def test_keyword_mapping(self, message, expected):
-        assert classify_failure(message) == expected
 
 
 def _story_journal():
