@@ -88,16 +88,6 @@ class EvidenceConfig:
     # cacheable pointwise evidence already amortizes better than this.
     batching: Optional[BatchingSpec] = None
 
-    def __post_init__(self) -> None:
-        if (
-            self.composition is CompositionMode.TRAFFIC_PATH
-            and InertiaClass.PACKETS not in self.detail.inertia_classes
-            and self.detail is not DetailLevel.EXPANSIVE
-        ):
-            # Traffic-path composition binds evidence to packets; it
-            # implies at least packet digests even at lower detail.
-            pass  # allowed: the switch adds the packet digest implicitly
-
     @property
     def needs_packet_digest(self) -> bool:
         return (
