@@ -261,14 +261,15 @@ def _base_mul(scalar: int) -> _Point:
 # signed-digit (wNAF) recoding cuts the additions of an n-bit scalar
 # from ~n/2 (binary) to ~n/(w+1), at the cost of a per-point table of
 # 2^(w-2) odd multiples. Every term of one check shares one doubling
-# chain, as long as the longest scalar. Two choices keep that chain at
-# <= 129 steps, half of a full-width scalar's:
+# chain, as long as the longest scalar:
 #
-# - randomizers are 128-bit (see ``_batch_randomizers``);
-# - a key scalar ``k`` (< L, 253 bits) splits into ``k_lo + 2^128·k_hi``
-#   and multiplies two fixed bases, ``-A`` and ``-2^128·A``. Their
-#   width-8 tables are built once per ``VerifyKey`` and cached, so a
-#   long-lived registry key pays ~14 additions per half, no doublings.
+# - a key scalar ``k`` (< L, 253 bits) splits into eight 32-bit parts
+#   ``k = Σ 2^(32j)·k_j`` over the fixed bases ``2^(32j)·(-A)``. Their
+#   width-6 tables (16 odd multiples each, 128 entries per key) are
+#   built once per ``VerifyKey`` and cached, so a single check runs a
+#   32-step chain with ~5 additions per part;
+# - randomizers are 128-bit (see ``_batch_randomizers``), so a batch
+#   runs a 128-step chain, the key parts riding along at its low end.
 #
 # R-points are fresh per signature: ``_multi_mul`` takes them as
 # *fresh* terms, a bare ``(scalar, point)`` with no table. A small check
@@ -280,9 +281,10 @@ def _base_mul(scalar: int) -> _Point:
 # fresh, is in precomputed form, so the chain adds by ``_madd`` only.
 
 _NAF_WIDTH = 5  # per-check R-point tables: 8 odd multiples
-_KEY_WIDTH = 8  # cached key tables: 64 odd multiples per half
-_HALF_BITS = 128
-_HALF_MASK = (1 << _HALF_BITS) - 1
+_KEY_WIDTH = 6  # cached key tables: 16 odd multiples per part
+_KEY_PARTS = 8  # 8 parts of 32 bits cover k < L < 2^253
+_PART_BITS = 32
+_PART_MASK = (1 << _PART_BITS) - 1
 # Fresh terms from which buckets replace width-5 tables. Per signature
 # of a 20-signer batch, decompression excluded (2-core x86-64 host,
 # python 3.11), tables vs buckets: n = 32 299 vs 325 µs, n = 48 268 vs
@@ -512,23 +514,6 @@ def sign(secret: bytes, message: bytes) -> bytes:
     return _sign_expanded(a, prefix, public, message)
 
 
-def _split_signature(signature: bytes) -> Optional[Tuple[_Point, int]]:
-    """Decode ``(R, s)`` from a 64-byte signature, or ``None``.
-
-    The structural rejections — an R that is not a curve point, a
-    non-canonical ``s >= L`` — are hoisted here so the single and
-    batched verification paths reject exactly the same inputs.
-    """
-    try:
-        r_point = _point_decompress(signature[:32])
-    except CryptoError:
-        return None
-    s = int.from_bytes(signature[32:], "little")
-    if s >= _L:
-        return None
-    return r_point, s
-
-
 def _challenge(public: bytes, message: bytes, signature: bytes) -> int:
     """The RFC 8032 challenge scalar ``k = H(R || A || M) mod L``."""
     return int.from_bytes(_sha512(signature[:32] + public + message), "little") % _L
@@ -539,22 +524,56 @@ def _mul_by_cofactor(p: _Point) -> _Point:
     return _point_double(_point_double(_point_double(p)))
 
 
-def _check_single(key: "VerifyKey", r_point: _Point, s: int, k: int) -> bool:
-    """The cofactored single check on a decoded ``(R, s)`` and challenge.
+def _check_single(
+    key: "VerifyKey",
+    signature: bytes,
+    s: int,
+    k: int,
+    r_point: Optional[_Point] = None,
+) -> bool:
+    """The cofactored single check of ``signature`` under ``key``, for
+    its ``s < L`` and challenge ``k``.
 
-    Cofactored (RFC 8032 §5.1.7's "[8][S]B = [8]R + [8][k]A'" variant):
-    compute s*B + k*(-A) - R and multiply by the cofactor before
-    comparing to the identity. Cofactorless single verification cannot
-    agree with any batched check (Chalkias et al., "Taming the Many
-    EdDSAs"): a signer can plant a small-order torsion point in R that
-    only the batch randomizers cancel. Clearing the 8-torsion on *both*
-    paths makes the accept sets provably identical. ``s·B`` comes from
-    the fixed-base window table; ``k·(-A)`` is one <= 129-step chain
-    over the key's two cached half-width tables.
+    The equation is RFC 8032 §5.1.7's cofactored variant, "[8][S]B =
+    [8]R + [8][k]A'": ``[8](R' − R) == 0`` for ``R' = s·B + k·(−A)``.
+    Cofactorless single verification cannot agree with any batched
+    check (Chalkias et al., "Taming the Many EdDSAs"): a signer can
+    plant a small-order torsion point in R that only the batch
+    randomizers cancel. Clearing the 8-torsion on *both* paths makes
+    the accept sets provably identical.
+
+    ``R'`` is compared first: when its encoding equals the signature's
+    ``R`` bytes, ``R`` decodes to ``R'`` and the equation holds, so an
+    honest signature is accepted without decompressing ``R`` (a
+    252-bit exponentiation). Only on a mismatch is ``R`` decoded —
+    unless the caller already holds it as ``r_point`` — and the
+    equation evaluated; an ``R`` that is not a point rejects. ``s·B``
+    comes from the fixed-base window table; ``k·(−A)`` is one 32-step
+    chain over the key's eight cached part tables.
     """
     candidate = _point_add(_base_mul(s), _multi_mul(key._neg_terms(k)))
+    if _point_compress(candidate) == signature[:32]:
+        return True
+    if r_point is None:
+        try:
+            r_point = _point_decompress(signature[:32])
+        except CryptoError:
+            return False
     diff = _point_add(candidate, _point_negate(r_point))
     return _point_equal(_mul_by_cofactor(diff), _IDENTITY)
+
+
+def _screen(key: "VerifyKey", signature: bytes) -> Optional[int]:
+    """The structural screen both verification paths run up front:
+    ``s`` when ``key`` decodes to a point and ``s < L``, else ``None``.
+    ``R`` is left encoded; it is decoded only where a point is needed.
+    """
+    try:
+        key.point()
+    except CryptoError:
+        return None
+    s = int.from_bytes(signature[32:], "little")
+    return s if s < _L else None
 
 
 def verify(public: bytes, message: bytes, signature: bytes) -> bool:
@@ -615,27 +634,28 @@ class VerifyKey:
         return cached
 
     def _neg_terms(self, scalar: int) -> List[_Term]:
-        """``scalar·(-A)`` as two multi-scalar terms of <= 128 bits.
+        """``scalar·(-A)`` as eight multi-scalar terms of 32 bits.
 
-        ``scalar = lo + 2^128·hi`` multiplies the fixed bases ``-A`` and
-        ``-2^128·A``, whose width-8 odd-multiple tables are built on
-        first use and cached with the point: a registry key pays their
-        ~130 doublings, 126 additions and two inversions once, not once
-        per check.
+        ``scalar = Σ 2^(32j)·part_j`` multiplies the fixed bases
+        ``2^(32j)·(-A)``, ``j < 8``, whose width-6 odd-multiple tables
+        are built on first use and cached with the point: a registry
+        key pays their ~350 doublings and additions and eight inversions
+        once, not once per check. The terms of a scalar below ``L`` span
+        a chain of at most 32 steps.
         """
         tables = self.__dict__.get("_tables")
         if tables is None:
-            high = self.neg_point()
-            for _ in range(_HALF_BITS):
-                high = _point_double(high)
-            tables = (
-                _odd_multiples(self.neg_point(), _KEY_WIDTH),
-                _odd_multiples(high, _KEY_WIDTH),
-            )
+            parts = []
+            base = self.neg_point()
+            for _ in range(_KEY_PARTS):
+                parts.append(_odd_multiples(base, _KEY_WIDTH))
+                for _ in range(_PART_BITS):
+                    base = _point_double(base)
+            tables = tuple(parts)
             object.__setattr__(self, "_tables", tables)
         return [
-            (scalar & _HALF_MASK, tables[0], _KEY_WIDTH),
-            (scalar >> _HALF_BITS, tables[1], _KEY_WIDTH),
+            ((scalar >> (_PART_BITS * part)) & _PART_MASK, table, _KEY_WIDTH)
+            for part, table in enumerate(tables)
         ]
 
     def verify(self, message: bytes, signature: bytes) -> bool:
@@ -643,15 +663,11 @@ class VerifyKey:
             raise CryptoError(
                 f"signature must be {SIGNATURE_LEN} bytes, got {len(signature)}"
             )
-        try:
-            self.point()
-        except CryptoError:
-            return False
-        split = _split_signature(signature)
-        if split is None:
+        s = _screen(self, signature)
+        if s is None:
             return False
         k = _challenge(self.key_bytes, message, signature)
-        return _check_single(self, *split, k)
+        return _check_single(self, signature, s, k)
 
 
 @dataclass(frozen=True)
@@ -732,8 +748,18 @@ _BATCH_DOMAIN = b"repro.crypto/batch-verify/v1"
 BatchItem = Tuple[Union[bytes, VerifyKey], bytes, bytes]
 
 # Internal prepared member: (caller index, key, message, signature,
-# R point, s scalar, challenge k).
-_Prepared = Tuple[int, VerifyKey, bytes, bytes, _Point, int, int]
+# R point, s scalar, challenge k). R is ``None`` until the member joins
+# a group that batches.
+_Prepared = Tuple[int, VerifyKey, bytes, bytes, Optional[_Point], int, int]
+
+# Groups below this size settle member by member. A batch pays a fixed
+# 128-step chain, eight key terms per distinct signer and an R
+# decompression per member that an honest single check skips. Per
+# signature (2-core x86-64 host, python 3.11), one batch check beats
+# singles from n ≈ 10 over 4 signers and from n ≈ 26 over 20 (n = 16:
+# 286 vs 328 µs over 4, 363 vs 324 µs over 20; docs/CRYPTO.md has the
+# table). 16 sits between, costing at most ~14 % on either side.
+_BATCH_MIN = 16
 
 
 def _batch_randomizers(members: Sequence[_Prepared]) -> List[int]:
@@ -796,24 +822,23 @@ def _resolve_batch(
     results: List[bool],
     stats: Optional[Dict[str, int]],
 ) -> None:
-    """Split a failing group until every verdict is settled.
+    """Settle every member's verdict, batching where it pays.
 
-    A passing group accepts all members at once. A failing group that
-    spans several signers splits by signer first, so one bad switch
-    (UC1's rogue) is isolated in one step and a stack of distinct
-    signers goes straight to singles. A failing one-signer group halves.
-    A group of one is decided by :func:`_check_single` on its already
-    decoded ``R``, ``s`` and challenge — the equation
-    ``VerifyKey.verify`` evaluates — so every ``False`` verdict is an
-    exact single-signature decision.
+    A group below ``_BATCH_MIN`` settles member by member through
+    :func:`_check_single` — the equation ``VerifyKey.verify`` evaluates
+    — on its screened ``s`` and challenge, and on its ``R`` if already
+    decoded. A larger group's members all carry a decoded ``R``; it is
+    checked by one multi-scalar equation. A passing group accepts all
+    members at once. A failing group that spans several signers splits
+    by signer first, so one bad switch (UC1's rogue) is isolated in one
+    step; a failing one-signer group halves. Every ``False`` verdict is
+    an exact single-signature decision.
     """
-    if not members:
-        return
-    if len(members) == 1:
-        index, key, _, _, r_point, s, k = members[0]
-        if stats is not None:
-            stats["single_checks"] = stats.get("single_checks", 0) + 1
-        results[index] = _check_single(key, r_point, s, k)
+    if len(members) < _BATCH_MIN:
+        for index, key, _, signature, r_point, s, k in members:
+            if stats is not None:
+                stats["single_checks"] = stats.get("single_checks", 0) + 1
+            results[index] = _check_single(key, signature, s, k, r_point)
         return
     if _check_batch(members, stats):
         for member in members:
@@ -835,19 +860,23 @@ def verify_batch(
     items: Sequence[BatchItem],
     stats: Optional[Dict[str, int]] = None,
 ) -> List[bool]:
-    """Verify many Ed25519 signatures with one multi-scalar check.
+    """Verify many Ed25519 signatures, with one multi-scalar check
+    where there are enough of them.
 
     Returns one boolean per item, in order. Unlike the single-signature
     :func:`verify` — which raises :class:`CryptoError` for structurally
     malformed inputs — a batch cannot raise on behalf of one member, so
     malformed keys or signatures fold to ``False`` (the same fold the
     memoized verify cache applies). All other inputs reject identically
-    to the single path: the structural screen is the shared
-    :func:`_split_signature` / point decompression, and failing batches
-    split down to exact single checks (see :func:`_resolve_batch`).
+    to the single path: the screen up front is the single path's
+    :func:`_screen` (a decodable key, ``s < L``); ``R`` is decoded only
+    for a group that batches, where an ``R`` that is not a point folds
+    to ``False``, as :func:`_check_single` rejects it. Small groups and
+    failing batches settle by exact single checks (see
+    :func:`_resolve_batch`).
 
     ``stats``, when provided, accumulates ``batch_checks`` (multi-scalar
-    equations evaluated) and ``single_checks`` (size-one decisions).
+    equations evaluated) and ``single_checks`` (per-member decisions).
     """
     results: List[bool] = [False] * len(items)
     prepared: List[_Prepared] = []
@@ -859,15 +888,19 @@ def verify_batch(
                 continue
         if len(signature) != SIGNATURE_LEN:
             continue
-        try:
-            key.point()
-        except CryptoError:
+        s = _screen(key, signature)
+        if s is None:
             continue
-        split = _split_signature(signature)
-        if split is None:
-            continue
-        r_point, s = split
         k = _challenge(key.key_bytes, message, signature)
-        prepared.append((index, key, bytes(message), bytes(signature), r_point, s, k))
+        prepared.append((index, key, bytes(message), bytes(signature), None, s, k))
+    if len(prepared) >= _BATCH_MIN:
+        decoded: List[_Prepared] = []
+        for index, key, message, signature, _, s, k in prepared:
+            try:
+                r_point = _point_decompress(signature[:32])
+            except CryptoError:
+                continue
+            decoded.append((index, key, message, signature, r_point, s, k))
+        prepared = decoded
     _resolve_batch(prepared, results, stats)
     return results

@@ -156,26 +156,27 @@ class TestBatchVerify:
             ]
 
     def test_distinct_signers_go_straight_to_singles(self):
-        """A 5-hop stack: one key per switch, the last hop forged. The
-        failing batch splits by signer into five exact single checks."""
+        """A 5-hop stack: one key per switch, the last hop forged. Five
+        members are below the batching crossover, so they settle as five
+        exact single checks and no batch equation is tried."""
         forged = _forge(_batch(5, _signers(5)), 4)
         stats = {}
         results = verify_batch(forged, stats)
         assert results == [True, True, True, True, False]
         assert results == [k.verify(m, s) for k, m, s in forged]
-        assert stats == {"batch_checks": 1, "single_checks": 5}
+        assert stats == {"single_checks": 5}
 
     def test_one_bad_signer_is_isolated_by_signer_first(self):
-        """64 items over 4 signers, one forgery: the whole batch, one
-        check per signer group, then halving inside the failing group of
-        16 (8, 4, 2: two checks each) down to the forged member and its
-        sibling, both decided by exact single checks."""
+        """64 items over 4 signers, one forgery: the whole batch, then
+        one check per signer group of 16. The failing group halves into
+        two groups of 8, below the batching crossover, whose 16 members
+        are decided by exact single checks."""
         forged = _forge(_batch(64, _signers(4)), 42)
         stats = {}
         expected = [True] * 64
         expected[42] = False
         assert verify_batch(forged, stats) == expected
-        assert stats == {"batch_checks": 1 + 4 + 2 * 3, "single_checks": 2}
+        assert stats == {"batch_checks": 1 + 4, "single_checks": 16}
 
     def test_forgeries_under_two_signers_are_both_isolated(self):
         items = _batch(64, _signers(4))
@@ -290,11 +291,13 @@ class TestCofactoredTorsionParity:
 
 class TestRandomizerDeterminism:
     def _prepared(self, items):
-        """Mirror verify_batch's screening to build prepared members."""
+        """Mirror verify_batch's screening and R decoding to build the
+        members of a group that batches."""
         prepared = []
         for index, (key, message, signature) in enumerate(items):
-            split = ed25519._split_signature(signature)
-            r_point, s = split
+            r_point = ed25519._point_decompress(signature[:32])
+            s = int.from_bytes(signature[32:], "little")
+            assert s < _L
             k = ed25519._challenge(key.key_bytes, message, signature)
             prepared.append((index, key, message, signature, r_point, s, k))
         return prepared
@@ -334,10 +337,15 @@ class TestMultiScalarEquivalence:
     must agree with the generic double-and-add ladder."""
 
     SCALARS = [1, 2, 3, 7, 0xDEADBEEF, _L - 1, (1 << 252) + 12345, _L // 3]
-    # Where the 128-bit split of a key scalar can go wrong.
+    # Where the 32-bit parts of a key scalar can go wrong.
     BOUNDARY = [
         0,
         1,
+        (1 << 32) - 1,
+        1 << 32,
+        (1 << 224) - 1,  # seven full parts, the top one empty
+        1 << 224,
+        sum(0xFFFFFFFF << (64 * j) for j in range(4)),  # alternate parts
         (1 << 128) - 1,
         1 << 128,
         (1 << 128) + 1,
@@ -413,7 +421,7 @@ class TestMultiScalarEquivalence:
         key = _signers(1)[0].verify_key()
         for scalar in self.BOUNDARY + self.SCALARS:
             terms = key._neg_terms(scalar)
-            assert all(part < 1 << 128 for part, _, _ in terms)
+            assert all(part < 1 << 32 for part, _, _ in terms)
             assert _point_equal(
                 _multi_mul(terms), _point_mul(scalar, key.neg_point())
             )
@@ -426,13 +434,15 @@ class TestMultiScalarEquivalence:
         key = _signers(1)[0].verify_key()
         assert _point_equal(key.neg_point(), _point_negate(key.point()))
         assert key.neg_point() is key.neg_point()
-        (_, low, _), (_, high, _) = key._neg_terms(1)
-        (_, low_again, _), (_, high_again, _) = key._neg_terms(2)
-        assert low is low_again and high is high_again
-        assert _point_equal(ed25519._madd(_IDENTITY, low[0]), key.neg_point())
-        assert _point_equal(
-            ed25519._madd(_IDENTITY, high[0]), _point_mul(1 << 128, key.neg_point())
-        )
+        tables = [table for _, table, _ in key._neg_terms(1)]
+        again = [table for _, table, _ in key._neg_terms(2)]
+        assert len(tables) == 8 and sum(len(table) for table in tables) == 128
+        assert all(table is cached for table, cached in zip(tables, again))
+        for part, table in enumerate(tables):
+            assert _point_equal(
+                ed25519._madd(_IDENTITY, table[0]),
+                _point_mul(1 << (32 * part), key.neg_point()),
+            )
 
 
 def _fresh_terms(scalars):
@@ -532,15 +542,15 @@ class TestBucketedMultiScalar:
 
     def test_one_forgery_in_1280_over_20_signers_is_isolated(self):
         """The whole batch, one check per signer (20 groups of 64), then
-        halving inside the failing group: 32, 16, 8, 4, 2 (two checks
-        each) down to the forged member and its sibling, decided by
-        exact single checks."""
+        halving inside the failing group: 32 and 16 (two checks each),
+        then two groups of 8, below the batching crossover, whose 16
+        members are decided by exact single checks."""
         forged = _forge(_batch(1280, _signers(20)), 777)
         stats = {}
         expected = [True] * 1280
         expected[777] = False
         assert verify_batch(forged, stats) == expected
-        assert stats == {"batch_checks": 1 + 20 + 2 * 5, "single_checks": 2}
+        assert stats == {"batch_checks": 1 + 20 + 2 * 2, "single_checks": 16}
 
 
 class TestMemoizedBatchParity:
@@ -635,8 +645,10 @@ def test_randomizer_pin():
     signature = sk.sign(message)
     key = sk.verify_key()
     k = ed25519._challenge(key.key_bytes, message, signature)
-    split = ed25519._split_signature(signature)
-    member = (0, key, message, signature, split[0], split[1], k)
+    r_point = ed25519._point_decompress(signature[:32])
+    s = int.from_bytes(signature[32:], "little")
+    assert s < _L
+    member = (0, key, message, signature, r_point, s, k)
     [z] = _batch_randomizers([member])
     assert z != 0 and z < (1 << 128)
     assert z & 1, "randomizers must be odd (torsion-cancellation guard)"
