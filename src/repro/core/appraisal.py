@@ -155,6 +155,9 @@ class PathVerdict:
 
 #: A packet's decoded record stack, or why its shim yields none.
 _Stack = Union[List[HopEvidence], str]
+#: A stack and its records' settled signature verdicts (``None`` when
+#: the shim yields no stack).
+_Settled = Tuple[_Stack, Optional[List[bool]]]
 
 
 class PathAppraiser:
@@ -172,8 +175,6 @@ class PathAppraiser:
         self.nonces = nonces
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.appraisals_performed = 0
-        # Trace of the appraisal in flight (for per-check audit events).
-        self._current_trace: Optional[TraceContext] = None
 
     # --- entry points ---------------------------------------------------------
 
@@ -191,22 +192,19 @@ class PathAppraiser:
         and verify-cache hit/miss counts are those of calling
         :meth:`appraise_packet` on each packet in turn.
         """
-        stacks = [self._decode(packet) for packet, _ in queue]
-        settled = iter(self._verify_stacks(
-            [stack for stack in stacks if not isinstance(stack, str)]
-        ))
+        settled = self._verify_stacks(
+            [self._decode(packet) for packet, _ in queue]
+        )
         return [
-            self.appraise_packet(packet, compiled, _settled=(
-                stack, None if isinstance(stack, str) else next(settled)
-            ))
-            for (packet, compiled), stack in zip(queue, stacks)
+            self.appraise_packet(packet, compiled, _settled=pair)
+            for (packet, compiled), pair in zip(queue, settled)
         ]
 
     def appraise_packet(
         self,
         packet: Packet,
         compiled: Optional[CompiledPolicy] = None,
-        _settled: Optional[Tuple[_Stack, Optional[List[bool]]]] = None,
+        _settled: Optional[_Settled] = None,
     ) -> PathVerdict:
         """Appraise the evidence a delivered packet carries.
 
@@ -216,49 +214,28 @@ class PathAppraiser:
         so evidence cannot be spliced onto different traffic.
 
         A packet on its own is the one-packet queue of
-        :meth:`appraise_packets`, whose verification runs inside the
-        appraisal. ``_settled`` is the packet's decoded stack (or why
-        it has none) and its signature verdicts, already settled by
-        the queue's flush.
+        :meth:`appraise_packets`. ``_settled`` is the packet's decoded
+        stack (or why it has none) and its signature verdicts, already
+        settled by the queue's flush.
         """
-        tel = self.telemetry
-        trace = packet.trace
-        records, sig_ok = _settled or (self._decode(packet), None)
+        records, sig_ok = _settled or self._verify_stacks([self._decode(packet)])[0]
         hop_count = packet.ra_shim.hop_count if packet.ra_shim is not None else 0
         if isinstance(records, str):  # why the shim yields no stack
-            return self._cannot_appraise(records, trace, hop_count=hop_count)
-        verdict = self.appraise_records(
-            records,
-            hop_count=hop_count,
-            compiled=compiled,
-            trace=trace,
-            _emit_verdict=False,
-            _sig_ok=sig_ok,
+            return self._cannot_appraise(records, packet.trace, hop_count=hop_count)
+        return self._judge(
+            records, sig_ok, hop_count, compiled, packet.trace, packet
         )
-        binding_failures = CheckFailures()
-        binding_failures.current = Check.BINDING
-        self._check_packet_binding(packet, records, binding_failures)
-        if binding_failures:
-            if tel.active:
-                for check, message in binding_failures.detailed:
-                    tel.audit_event(
-                        AuditKind.CHECK_FAILED,
-                        self.name,
-                        trace=trace,
-                        check=check,
-                        message=message,
-                    )
-            verdict = PathVerdict(
-                accepted=False,
-                failures=verdict.failures + tuple(binding_failures),
-                records_checked=verdict.records_checked,
-                hop_count=verdict.hop_count,
-                functions_seen=verdict.functions_seen,
-                trace_id=verdict.trace_id,
-            )
-        if tel.active:
-            self._emit_verdict_event(verdict, records, trace)
-        return verdict
+
+    def appraise_records(
+        self,
+        records: List[HopEvidence],
+        hop_count: int,
+        compiled: Optional[CompiledPolicy] = None,
+        trace: Optional[TraceContext] = None,
+    ) -> PathVerdict:
+        """Appraise a record stack with no packet to bind it to."""
+        [(_, sig_ok)] = self._verify_stacks([records])
+        return self._judge(records, sig_ok, hop_count, compiled, trace)
 
     def _decode(self, packet: Packet) -> _Stack:
         """The packet's record stack, or why it yields none."""
@@ -271,11 +248,11 @@ class PathAppraiser:
             # Corrupted-in-flight evidence must reject, not crash.
             return f"evidence stack undecodable: {exc}"
 
-    def _verify_stacks(
-        self, stacks: Sequence[List[HopEvidence]]
-    ) -> List[List[bool]]:
-        """Every record's signature verdict, per stack, from one
-        memoized batch over all stacks' triples in order.
+    def _verify_stacks(self, stacks: Sequence[_Stack]) -> List[_Settled]:
+        """Pair each stack with its records' signature verdicts (``None``
+        for a shim that yields no stack), all from one memoized batch
+        over the triples in order: every signature is settled before any
+        check runs.
 
         Batched-mode records contribute their epoch-root signature —
         still one real verification per (switch, epoch), now sharing the
@@ -284,12 +261,15 @@ class PathAppraiser:
         items = [
             record.signature_item(self._signer_for(record.place))
             for records in stacks
+            if not isinstance(records, str)
             for record in records
         ]
-        flat = iter(
-            registry_verify_batch(self.policy.anchors, items) if items else []
-        )
-        return [[next(flat) for _ in records] for records in stacks]
+        flat = iter(registry_verify_batch(self.policy.anchors, items))
+        return [
+            (records, None if isinstance(records, str)
+             else [next(flat) for _ in records])
+            for records in stacks
+        ]
 
     def _cannot_appraise(
         self, message: str, trace: Optional[TraceContext], hop_count: int = 0
@@ -395,49 +375,45 @@ class PathAppraiser:
                     return
             body += record.wire
 
-    def appraise_records(
+    def _judge(
         self,
         records: List[HopEvidence],
+        sig_ok: List[bool],
         hop_count: int,
-        compiled: Optional[CompiledPolicy] = None,
-        trace: Optional[TraceContext] = None,
-        _emit_verdict: bool = True,
-        _sig_ok: Optional[List[bool]] = None,
+        compiled: Optional[CompiledPolicy],
+        trace: Optional[TraceContext],
+        packet: Optional[Packet] = None,
     ) -> PathVerdict:
-        """Appraise a record stack; the shared core of both entry points.
+        """Judge a settled record stack and issue its verdict: the one
+        core of both entry points.
 
-        With telemetry active, each appraisal runs inside a
-        ``core.appraise`` span and feeds a wall-clock
-        verification-latency histogram; every failed check lands in the
-        audit journal tagged with ``trace``. ``_emit_verdict`` lets
-        :meth:`appraise_packet` defer the final VERDICT_ISSUED event
-        (and its count) until after its binding checks, and
-        ``_sig_ok`` hands in signature verdicts a queue already settled.
+        With telemetry active, the checks run inside a ``core.appraise``
+        span and feed a wall-clock latency histogram (signatures are
+        settled before it starts); every failed check lands in the audit
+        journal tagged with ``trace``, then the verdict.
         """
-        if not self.telemetry.active:
-            return self._appraise_records(
-                records, hop_count, compiled, trace, _sig_ok
-            )
+        tel = self.telemetry
+        if not tel.active:
+            return self._checks(records, sig_ok, hop_count, compiled, trace, packet)
         started = perf_counter()
-        sim_started = self.telemetry.spans.clock.now
+        sim_started = tel.spans.clock.now
         tags = trace.span_args() if trace is not None else {}
-        with self.telemetry.span(
+        with tel.span(
             "core.appraise", track=self.name, records=len(records), **tags
         ):
-            verdict = self._appraise_records(
-                records, hop_count, compiled, trace, _sig_ok
+            verdict = self._checks(
+                records, sig_ok, hop_count, compiled, trace, packet
             )
-        self.telemetry.histogram(
+        tel.histogram(
             "core.path_appraise_seconds", appraiser=self.name
         ).observe(perf_counter() - started)
         # Sim-clock sibling of the wall-clock histogram above: fully
         # deterministic, so latency distributions join the shard
         # byte-identity checks (see docs/SHARDING.md).
-        self.telemetry.histogram(
+        tel.histogram(
             "core.path_appraise_sim_seconds", appraiser=self.name
-        ).observe(self.telemetry.spans.clock.now - sim_started)
-        if _emit_verdict:
-            self._emit_verdict_event(verdict, records, trace)
+        ).observe(tel.spans.clock.now - sim_started)
+        self._emit_verdict_event(verdict, records, trace)
         return verdict
 
     def _emit_verdict_event(
@@ -463,19 +439,21 @@ class PathAppraiser:
             **detail,
         )
 
-    def _appraise_records(
+    def _checks(
         self,
         records: List[HopEvidence],
+        sig_ok: List[bool],
         hop_count: int,
-        compiled: Optional[CompiledPolicy] = None,
-        trace: Optional[TraceContext] = None,
-        sig_ok: Optional[List[bool]] = None,
+        compiled: Optional[CompiledPolicy],
+        trace: Optional[TraceContext],
+        packet: Optional[Packet],
     ) -> PathVerdict:
+        """Run every check in order, journal the failures, and build
+        the verdict."""
         self.appraisals_performed += 1
-        self._current_trace = trace
         failures = CheckFailures()
         failures.current = Check.SIGNATURE
-        self._check_signatures(records, failures, sig_ok)
+        self._check_signatures(records, failures, sig_ok, trace)
         failures.current = Check.MEASUREMENT
         self._check_measurements(records, failures)
         failures.current = Check.CHAIN
@@ -488,6 +466,9 @@ class PathAppraiser:
             self._check_required_functions(functions, compiled, failures)
             failures.current = Check.NONCE
             self._check_nonce(compiled, failures)
+        if packet is not None:
+            failures.current = Check.BINDING
+            self._check_packet_binding(packet, records, failures)
         tel = self.telemetry
         if tel.active:
             for check, message in failures.detailed:
@@ -516,18 +497,15 @@ class PathAppraiser:
         self,
         records: List[HopEvidence],
         failures: List[str],
-        sig_ok: Optional[List[bool]] = None,
+        sig_ok: List[bool],
+        trace: Optional[TraceContext],
     ) -> None:
         tel = self.telemetry
-        # Unless a queue settled them already, every record's signature
-        # is settled here through one batched multi-scalar check
+        # ``sig_ok`` holds every record's settled signature verdict
         # (:meth:`_verify_stacks`). Batched-mode records then pay two
         # SHA-256 hashes per tree level for the inclusion proof. Failure
         # messages and ``signature.verified`` audit events are emitted in
-        # per-record order, so the journal stays byte-identical to
-        # sequential verification.
-        if sig_ok is None:
-            [sig_ok] = self._verify_stacks([records])
+        # per-record order.
         for index, record in enumerate(records):
             if isinstance(record, BatchedHopEvidence):
                 root_ok = sig_ok[index]
@@ -556,7 +534,7 @@ class PathAppraiser:
                 tel.audit_event(
                     AuditKind.SIGNATURE_VERIFIED,
                     self.name,
-                    trace=self._current_trace,
+                    trace=trace,
                     digest=record.content_digest,
                     ok=ok,
                     place=record.place,

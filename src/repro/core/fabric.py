@@ -49,7 +49,6 @@ from repro.net.shardrun import ScenarioSpec, ShardedResult, run_sharded
 from repro.telemetry.health import (
     AbsenceRule,
     HealthReport,
-    ImbalanceRule,
     LevelRule,
     ThresholdRule,
     run_health_pass,
@@ -63,7 +62,6 @@ from repro.pera.config import (
     DetailLevel,
     EvidenceConfig,
 )
-from repro.pera.inertia import InertiaClass
 from repro.pera.records import verify_record_batch
 from repro.pisa.programs import fabric_multipath_program, fabric_rogue_program
 from repro.util.ids import spawn_seed
@@ -529,7 +527,6 @@ def _fabric_traffic_build(sim, shape: FatTreeShape):
             ctl._install_multipath_on(
                 switch, dsts, nh, "ipv4_lpm", "attacker"
             )
-            switch.notify_state_change(InertiaClass.PROGRAM)
 
         sim.schedule_on(victim, shape.compromise_at_s, _swap)
 
@@ -668,10 +665,6 @@ def standard_fabric_rules(
 
     - ``fabric-drops``: the fabric is lossless by construction, so any
       dataplane drop is an alert.
-    - ``ecmp-imbalance``: per-switch max/mean over cumulative egress
-      link counts; the bound is loose (edge switches mix multipath
-      uplinks with single-host downlinks) but catches a wedged
-      selector sending everything one way.
     - ``epoch-stall``: arms on the first sealed epoch and raises if
       sealing goes silent for three windows mid-run (batched shapes
       only — unbatched runs never arm it).
@@ -686,12 +679,6 @@ def standard_fabric_rules(
     """
     return [
         ThresholdRule(name="fabric-drops", metric="net.link.dropped"),
-        ImbalanceRule(
-            name="ecmp-imbalance",
-            metric="net.link.tx_packets",
-            bound=8.0,
-            min_total=256.0,
-        ),
         AbsenceRule(
             name="epoch-stall",
             metric="pera.epoch_sealed_events",

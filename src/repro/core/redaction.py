@@ -25,6 +25,7 @@ from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.evidence.codec import encode_hop_body
 from repro.evidence.nodes import HopEvidence
+from repro.pera.records import verify_record_batch
 from repro.util.errors import VerificationError
 
 _ROOT_DOMAIN = b"redacted-path-evidence|"
@@ -69,6 +70,14 @@ class RedactedEvidence:
         ):
             failures.append("redaction root signature invalid")
         pseudonym_signers = pseudonym_signers or {}
+        signatures_ok = verify_record_batch(
+            switch_anchors,
+            [item.record for item in self.disclosed],
+            signers=[
+                pseudonym_signers.get(item.record.place, item.record.place)
+                for item in self.disclosed
+            ],
+        )
         for index, item in enumerate(self.disclosed):
             if not item.proof.verify(encode_hop_body(item.record), self.root):
                 failures.append(
@@ -79,8 +88,7 @@ class RedactedEvidence:
                 failures.append(
                     f"disclosed record {index}: inconsistent total count"
                 )
-            signer = pseudonym_signers.get(item.record.place, item.record.place)
-            if not item.record.verify(switch_anchors, signer=signer):
+            if not signatures_ok[index]:
                 failures.append(
                     f"disclosed record {index} ({item.record.place}): "
                     "switch signature invalid"

@@ -49,7 +49,6 @@ from repro.pera.config import (
     DetailLevel,
     EvidenceConfig,
 )
-from repro.pera.inertia import InertiaClass
 from repro.pera.records import verify_record_batch
 from repro.pera.sampling import SamplingMode, SamplingSpec
 from repro.pisa.programs import (
@@ -104,7 +103,6 @@ def _uc1_athens_swap(switch) -> None:
     h-src's traffic to the spy port."""
     bring_up(switch, athens_rogue_program(), "attacker", 99)
     athens_tap(switch, "attacker")
-    switch.notify_state_change(InertiaClass.PROGRAM)
 
 
 # UC1 is a ScenarioSpec for the sharded runner. Every shard builds the
@@ -422,8 +420,11 @@ def run_ddos_mitigation(
         egress = switches[-1]
 
         def gate(ctx, records) -> bool:
-            # Authorization tag: at least one verifiable upstream record.
-            return any(record.verify(anchors) for record in records)
+            # Authorization tag: at least one verifiable upstream record
+            # (one record per call: the scan stops at the first good one).
+            return any(
+                verify_record_batch(anchors, [record])[0] for record in records
+            )
 
         egress.evidence_gate = gate
 

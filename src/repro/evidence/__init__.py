@@ -56,7 +56,6 @@ from repro.evidence.verify import (
     BatchVerifyItem,
     SignatureCache,
     VerifyCacheStats,
-    registry_verify,
     registry_verify_batch,
     shared_cache,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "BatchVerifyItem",
     "SignatureCache",
     "VerifyCacheStats",
-    "registry_verify",
     "registry_verify_batch",
     "shared_cache",
 ]

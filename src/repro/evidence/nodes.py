@@ -31,9 +31,9 @@ from dataclasses import dataclass, field, replace
 from typing import ClassVar, Iterable, Iterator, Optional, Tuple
 
 from repro.crypto.hashing import digest
-from repro.crypto.keys import KeyPair, KeyRegistry
+from repro.crypto.keys import KeyPair
 from repro.crypto.merkle import MerkleProof
-from repro.evidence.verify import BatchVerifyItem, registry_verify
+from repro.evidence.verify import BatchVerifyItem
 from repro.util.tlv import Tlv, TlvCodec
 
 # One TLV-type namespace for evidence nodes. 0x10 and 0x20 match the
@@ -416,22 +416,16 @@ class HopEvidence(Evidence):
 
     def signature_item(self, signer: Optional[str] = None) -> BatchVerifyItem:
         """The ``(signer, payload, signature, payload digest)`` a
-        verifier settles for this record, singly
-        (:func:`registry_verify`) or many at once
-        (:func:`registry_verify_batch`). ``signer`` defaults to the
-        record's own place name."""
+        verifier settles for this record through the memoized batch
+        (:func:`~repro.pera.records.verify_record_batch`, or
+        :func:`registry_verify_batch` beside other triples). ``signer``
+        defaults to the record's own place name."""
         return (
             signer or self.place,
             self.signed_payload(),
             self.signature,
             self.payload_digest(),
         )
-
-    def verify(self, anchors: KeyRegistry, signer: Optional[str] = None) -> bool:
-        """Verify the signature against the anchor of ``signer``.
-        Verdicts are memoized keyed by (key id, payload digest,
-        signature)."""
-        return registry_verify(anchors, *self.signature_item(signer))
 
     def measurement_for(self, inertia: InertiaClass) -> Optional[bytes]:
         for klass, value in self.measurements:
@@ -505,8 +499,8 @@ class BatchedHopEvidence(HopEvidence):
     signature would cover) is the Merkle leaf, so any flipped payload
     byte breaks the proof exactly as it would break a signature. The
     inherited ``signature`` field stays empty: trust flows
-    root-signature → Merkle proof → payload, and :meth:`verify` checks
-    both legs.
+    root-signature → Merkle proof → payload, and
+    :func:`~repro.pera.records.verify_record_batch` checks both legs.
     """
 
     KIND: ClassVar[int] = KIND_BATCHED_HOP
@@ -590,26 +584,16 @@ class BatchedHopEvidence(HopEvidence):
     # --- verification ----------------------------------------------------
 
     def signature_item(self, signer: Optional[str] = None) -> BatchVerifyItem:
-        """The epoch-root signature: the one this record rests on."""
+        """The epoch-root signature: the one this record rests on. The
+        memo keys it on the *epoch payload digest*, shared by every
+        record of the epoch, so an appraiser pays one real Ed25519
+        verification per (switch, epoch)."""
         return (
             signer or self.place,
             self.epoch_payload(),
             self.root_signature,
             self.epoch_payload_digest(),
         )
-
-    def verify_root(
-        self, anchors: KeyRegistry, signer: Optional[str] = None
-    ) -> bool:
-        """Verify the epoch-root signature. The memoized substrate
-        verify is keyed on the *epoch payload digest* — shared by every
-        record of the epoch — so an appraiser pays one real Ed25519
-        verification per (switch, epoch)."""
-        return registry_verify(anchors, *self.signature_item(signer))
-
-    def verify(self, anchors: KeyRegistry, signer: Optional[str] = None) -> bool:
-        """Root signature valid *and* proof binds this payload to it."""
-        return self.verify_root(anchors, signer=signer) and self.proof_ok()
 
     # --- wire form -------------------------------------------------------
 

@@ -11,7 +11,10 @@ signature)``; content-addressed evidence nodes supply the message
 digest already cached, making a repeat verification one dict lookup.
 
 The shared cache is bounded (least-recently-used eviction) so
-long-running appraisers cannot grow without limit.
+long-running appraisers cannot grow without limit. There is one route
+through it: :meth:`SignatureCache.verify_batch` (and
+:func:`registry_verify_batch` over the shared cache); a single
+signature is a one-item batch.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 from repro.crypto import ed25519
 from repro.crypto.hashing import digest
 from repro.crypto.keys import KeyRegistry
-from repro.util.errors import CryptoError
 
 #: One member of a batched verification: ``(owner, message, signature,
 #: message_digest_or_None)``.
@@ -71,32 +73,14 @@ class SignatureCache:
         signature: bytes,
         message_digest: Optional[bytes] = None,
     ) -> bool:
-        """Verify ``signature`` over ``message`` against ``owner``'s
-        anchor in ``anchors``, memoizing the verdict.
+        """One signature through :meth:`verify_batch`, the one route.
 
-        ``message_digest`` lets callers holding a content-addressed
-        node skip re-hashing the message for the cache key; it must be
-        a digest of exactly ``message``.
+        Kept as a name of its own because the performance ledger traces
+        ``SignatureCache.verify`` and ``.verify_batch`` separately.
         """
-        key_obj = anchors.lookup(owner)
-        if key_obj is None:
-            return False  # unknown signers are uncacheable and cheap
-        if message_digest is None:
-            message_digest = digest(message, domain=_CACHE_DOMAIN)
-        cache_key = (key_obj.key_bytes, message_digest, signature)
-        cached = self._verdicts.get(cache_key)
-        if cached is not None:
-            self.stats.hits += 1
-            self._verdicts.move_to_end(cache_key)
-            return cached
-        self.stats.misses += 1
-        try:
-            verdict = key_obj.verify(message, signature)
-        except CryptoError:
-            verdict = False  # malformed signatures are just untrusted
-        self._verdicts[cache_key] = verdict
-        while len(self._verdicts) > self._maxsize:
-            self._verdicts.popitem(last=False)
+        [verdict] = self.verify_batch(
+            anchors, [(owner, message, signature, message_digest)]
+        )
         return verdict
 
     def verify_batch(
@@ -104,20 +88,20 @@ class SignatureCache:
         anchors: KeyRegistry,
         items: Sequence[BatchVerifyItem],
     ) -> List[bool]:
-        """Verify many signatures at once through the memo.
+        """Verify many signatures at once through the memo; every
+        verdict in the package comes from here.
 
-        Semantically identical to calling :meth:`verify` per item in
-        order — same verdicts, same hit/miss accounting, same cache
-        contents and eviction order afterwards, at any ``maxsize``. The
-        items are scanned in order and the memo is mutated as the
-        sequential path would: a miss inserts a pending placeholder
-        (evicting as it goes), and a later item that finds it — an
-        in-batch duplicate — counts as a *hit*, exactly as the
-        sequential path would have found the just-inserted verdict. The
-        only difference is that all misses are settled afterwards by
-        one :func:`repro.crypto.ed25519.verify_batch` multi-scalar check
-        instead of one Ed25519 verification each, and the placeholders
-        still cached are filled with their verdicts.
+        Verifies ``signature`` over ``message`` against ``owner``'s
+        anchor in ``anchors`` per item, in order. ``message_digest``
+        lets callers holding a content-addressed node skip re-hashing
+        the message for the cache key; it must be a digest of exactly
+        ``message``. Unknown signers are ``False`` and uncacheable. A
+        miss inserts a pending placeholder (evicting the least recently
+        used entry as it goes), and a later item that finds it — an
+        in-batch duplicate — counts as a *hit*. All misses are then
+        settled by one :func:`repro.crypto.ed25519.verify_batch` call,
+        which folds malformed signatures to ``False``, and the
+        placeholders still cached are filled with their verdicts.
         """
         # Each item's verdict: a bool, or the placeholder whose crypto
         # slot settles it.
@@ -174,35 +158,16 @@ class SignatureCache:
 shared_cache = SignatureCache()
 
 
-def registry_verify(
-    anchors: KeyRegistry,
-    owner: str,
-    message: bytes,
-    signature: bytes,
-    message_digest: Optional[bytes] = None,
-    cache: Optional[SignatureCache] = None,
-) -> bool:
-    """Memoized drop-in for :meth:`KeyRegistry.verify`."""
-    # Explicit None check: an *empty* cache is falsy (it has __len__)
-    # but must still be honoured as the caller's chosen cache.
-    if cache is None:
-        cache = shared_cache
-    return cache.verify(
-        anchors, owner, message, signature, message_digest=message_digest
-    )
-
-
 def registry_verify_batch(
     anchors: KeyRegistry,
     items: Sequence[BatchVerifyItem],
     cache: Optional[SignatureCache] = None,
 ) -> List[bool]:
-    """Memoized batched counterpart of :func:`registry_verify`.
-
-    One multi-scalar check settles every cache miss in ``items``;
-    verdicts, hit/miss accounting and cache state match a sequence of
-    :func:`registry_verify` calls exactly.
-    """
+    """Memoized drop-in for :meth:`KeyRegistry.verify` over many
+    ``(owner, message, signature, digest_or_None)`` items: one
+    multi-scalar check settles every cache miss."""
+    # Explicit None check: an *empty* cache is falsy (it has __len__)
+    # but must still be honoured as the caller's chosen cache.
     if cache is None:
         cache = shared_cache
     return cache.verify_batch(anchors, items)

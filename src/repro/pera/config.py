@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.pera.inertia import InertiaClass
 from repro.pera.sampling import SamplingSpec
@@ -80,8 +80,6 @@ class EvidenceConfig:
     detail: DetailLevel = DetailLevel.MINIMAL
     composition: CompositionMode = CompositionMode.POINTWISE
     sampling: SamplingSpec = field(default_factory=SamplingSpec)
-    cache_ttls: Optional[Mapping[InertiaClass, float]] = None
-    use_pseudonyms: bool = False
     # Epoch-batched signing: sign one Merkle root per epoch instead of
     # one signature per packet. Only engages on configs that would
     # otherwise sign per packet (chained / traffic-path / expansive);

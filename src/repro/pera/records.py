@@ -4,7 +4,7 @@ A hop record is a :class:`~repro.evidence.nodes.HopEvidence` (or its
 epoch-batched form :class:`~repro.evidence.nodes.BatchedHopEvidence`):
 the switch constructs that type, the codec decodes into it, and the
 appraiser reads it — there is no PERA-side record class. What lives
-here is the batched signature check over a decoded stack; the stack
+here is the one signature check over hop records; the stack
 framing itself is :mod:`repro.evidence.codec`'s, re-exported under the
 names the performance ledger resolves in this module.
 """
@@ -28,14 +28,17 @@ def verify_record_batch(
     signers: Optional[Sequence[Optional[str]]] = None,
     cache: Optional[SignatureCache] = None,
 ) -> List[bool]:
-    """Verify many records' signatures with one batched check.
+    """Verify many records' signatures with one batched check: the one
+    record-level verdict (a caller judging records one at a time passes
+    one-record lists).
 
-    Verdict-for-verdict identical to calling ``record.verify(anchors)``
-    per record (same memo cache, same accounting), but every cache miss
-    — per-record signatures and epoch-root signatures alike — settles
-    in a single multi-scalar Ed25519 check. Batched records still pay
-    their per-record Merkle proof walk, short-circuited exactly like
-    the sequential path (no proof walk under a bad root).
+    Each record is checked against the anchor of its signer (its place
+    unless ``signers`` names another) through the memo cache; every
+    cache miss — per-record signatures and epoch-root signatures alike
+    — settles in a single multi-scalar Ed25519 check. A batched record
+    is good when its epoch-root signature is *and* its Merkle proof
+    binds its payload to that root; the proof is not walked under a bad
+    root.
     """
     items = [
         record.signature_item(signers[index] if signers is not None else None)

@@ -165,25 +165,19 @@ class PeraSwitch(PisaSwitch):
 
     def on_bind(self, sim) -> None:
         super().on_bind(sim)
-        self._cache = EvidenceCache(sim.clock, ttls=self.config.cache_ttls)
+        self._cache = EvidenceCache(sim.clock)
         # Epoch sealing joins the window barrier under sharding: the
         # hook catches a deadline that fell exactly at a window edge
         # (the monolithic engine never fires barrier hooks, and the
         # armed timer event already handles everything in-window).
-        add_hook = getattr(sim, "add_barrier_hook", None)
-        if add_hook is not None:
-            add_hook(self.seal_overdue_epochs)
+        sim.add_barrier_hook(self.seal_overdue_epochs)
 
     @property
     def cache(self) -> EvidenceCache:
         if self._cache is None:
             # Unbound switches (unit tests) get a standalone clock.
-            self._cache = EvidenceCache(SimClock(), ttls=self.config.cache_ttls)
+            self._cache = EvidenceCache(SimClock())
         return self._cache
-
-    def notify_state_change(self, inertia: InertiaClass) -> None:
-        """Invalidate cached evidence after a control-plane write."""
-        self.cache.invalidate(inertia)
 
     def _on_control_change(self, kind: str) -> None:
         """P4Runtime observer: a write happened on this device.

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.crypto.keys import KeyPair, KeyRegistry
-from repro.evidence.verify import registry_verify
+from repro.evidence.verify import registry_verify_batch
 from repro.ra.claims import AppraisalVerdict
 from repro.util.errors import VerificationError
 
@@ -64,12 +64,13 @@ class Certificate:
         Memoized through the substrate verify cache: a certificate
         presented repeatedly (UC5 gating per flow) is verified once.
         """
-        return registry_verify(
-            anchors,
+        [verdict] = registry_verify_batch(anchors, [(
             self.appraiser,
             self.payload(self.appraiser, self.attester, self.nonce, self.accepted),
             self.signature,
-        )
+            None,
+        )])
+        return verdict
 
 
 class CertificateStore:

@@ -29,7 +29,7 @@ from repro.evidence import (
     HashEvidence,
     MeasurementEvidence,
     NonceEvidence,
-    registry_verify,
+    registry_verify_batch,
 )
 from repro.copland.parser import parse_request
 from repro.copland.vm import CoplandVM, Place
@@ -164,7 +164,7 @@ class ProtocolContext:
             signatures = prior.find_signatures()
             switch_signed = any(
                 node.place == "Switch"
-                and registry_verify(self.anchors, *node.signature_item())
+                and registry_verify_batch(self.anchors, [node.signature_item()])[0]
                 for node in signatures
             )
             if not switch_signed:

@@ -65,7 +65,6 @@ from repro.telemetry.metrics import (
 from repro.telemetry.health import (
     AbsenceRule,
     HealthReport,
-    ImbalanceRule,
     RatioRule,
     ThresholdRule,
     evaluate_health,
@@ -120,7 +119,6 @@ __all__ = [
     "merge_frame_streams",
     "AbsenceRule",
     "HealthReport",
-    "ImbalanceRule",
     "RatioRule",
     "ThresholdRule",
     "evaluate_health",

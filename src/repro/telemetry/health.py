@@ -4,8 +4,8 @@ The monitoring story the paper's operational case needs: a compromised
 switch, a lossy link or a dead appraiser should be *detected* by the
 telemetry layer inside the fault window, not reconstructed from the
 journal afterwards. Rules are small frozen declarations — thresholds
-on per-window rates, trailing-window ratios, absence-of-signal,
-load-imbalance bounds and levels — evaluated at every window close
+on per-window rates, trailing-window ratios, absence-of-signal and
+levels — evaluated at every window close
 over the merged frame stream, emitting typed ``alert.raised`` /
 ``alert.cleared`` events that carry the offending values.
 
@@ -31,10 +31,6 @@ clears, and no signal changes nothing. The rules (values are
 - :class:`AbsenceRule` — no signal until its counter has counted
   anything; then a window without matching activity is a breach, and
   activity is compliant.
-- :class:`ImbalanceRule` — groups **cumulative** matching counts by
-  sending switch (the ``link`` label up to the first ``:``) and bounds
-  ``max/mean`` per group once the group has two ports and ``min_total``
-  events; no signal while no group qualifies.
 - :class:`LevelRule` — bounds the worst **cumulative** matching value
   (a reconstructed *level*, not a rate): summing a sampled occupancy
   probe's deltas yields the current occupancy, so this is the rule
@@ -176,47 +172,6 @@ class AbsenceRule(HealthRule):
 
     def raise_detail(self, streak: int) -> Dict[str, object]:
         return {"silent_windows": streak}
-
-
-@dataclass(frozen=True)
-class ImbalanceRule(HealthRule):
-    """Cumulative per-switch ``max/mean`` spread above ``bound``.
-
-    Group key: the matched key's ``link`` label truncated at the first
-    ``:`` — with the simulator's link labels (``sw:port->peer:pport``)
-    that is the sending switch, so the rule bounds ECMP spread across
-    each switch's uplinks. Groups with fewer than two ports or
-    ``min_total`` events are skipped.
-    """
-
-    name: str
-    metric: str
-    bound: float
-    min_total: float = 64.0
-    kind: ClassVar[str] = "imbalance"
-
-    def judge(self, delta, cumulative, history) -> Judgement:
-        grouped: Dict[str, List[float]] = {}
-        for key, value in cumulative.items():
-            metric_name, items = parse_name(key)
-            if metric_name != self.metric:
-                continue
-            link = dict(items).get("link")
-            if link is not None:
-                grouped.setdefault(link.split(":", 1)[0], []).append(value)
-        worst = 0.0
-        for values in grouped.values():
-            if len(values) < 2 or sum(values) < self.min_total:
-                continue
-            mean = sum(values) / len(values)
-            if mean > 0:
-                worst = max(worst, max(values) / mean)
-        if worst > self.bound:
-            return worst, True
-        return worst, (False if worst > 0 else None)
-
-    def raise_detail(self, streak: int) -> Dict[str, object]:
-        return {"threshold": self.bound}
 
 
 @dataclass(frozen=True)
@@ -390,7 +345,6 @@ __all__ = [
     "HEALTH_ACTOR",
     "HealthReport",
     "HealthRule",
-    "ImbalanceRule",
     "LevelRule",
     "RatioRule",
     "ThresholdRule",

@@ -162,17 +162,14 @@ def collect_simulator(telemetry: Telemetry, sim) -> None:
     for name, labels, value in sim.counter_tallies():
         telemetry.counter(name, **dict(labels)).value = float(value)
     _gauge_fields(telemetry, "net.sim.", sim.stats)
-    fault_stats = getattr(getattr(sim, "faults", None), "stats", None)
-    if fault_stats is not None:
-        _gauge_fields(telemetry, "faults.", fault_stats)
-    owns = getattr(sim, "owns", None)
-    for name in getattr(sim, "bound_nodes", []):
+    if sim.faults is not None:
+        _gauge_fields(telemetry, "faults.", sim.faults.stats)
+    for name in sim.bound_nodes:
         # Sharded runs bind foreign *replicas* for world visibility;
         # only the owner shard reports a node, so per-node gauges
         # appear exactly once in the merged snapshot.
-        if owns is not None and not owns(name):
-            continue
-        collect_node(telemetry, sim.node(name))
+        if sim.owns(name):
+            collect_node(telemetry, sim.node(name))
 
 
 def collect_node(telemetry: Telemetry, node) -> None:

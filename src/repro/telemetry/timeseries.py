@@ -269,9 +269,8 @@ def node_cache_probe(sim) -> Probe:
         nonlocal switches
         if switches is None:
             switches = []
-            owns = getattr(sim, "owns", None)
-            for name in getattr(sim, "bound_nodes", []):
-                if owns is not None and not owns(name):
+            for name in sim.bound_nodes:
+                if not sim.owns(name):
                     continue
                 node = sim.node(name)
                 if getattr(node, "ra_stats", None) is None:
@@ -305,10 +304,7 @@ def qdisc_depth_probe(sim) -> Probe:
     """
 
     def probe() -> Iterable[Tuple[str, float]]:
-        depths = getattr(sim, "qdisc_queue_depths", None)
-        if depths is None:
-            return
-        for node, port, depth_bytes in depths():
+        for node, port, depth_bytes in sim.qdisc_queue_depths():
             labels = (("node", node), ("port", str(port)))
             yield render_name("net.qdisc.depth_bytes", labels), float(
                 depth_bytes

@@ -35,7 +35,6 @@ from repro.crypto.keys import KeyRegistry
 from repro.util.errors import CryptoError
 from repro.evidence.verify import (
     SignatureCache,
-    registry_verify,
     registry_verify_batch,
 )
 
@@ -580,15 +579,16 @@ class TestMemoizedBatchParity:
         registry = self._registry(signers)
         items = self._items(signers, 12, forge_at=forge_at)
 
+        truth = [registry.verify(o, m, s) for o, m, s, _ in items]
         sequential_cache = SignatureCache()
         sequential = [
-            registry_verify(registry, o, m, s, message_digest=d, cache=sequential_cache)
+            sequential_cache.verify(registry, o, m, s, message_digest=d)
             for o, m, s, d in items
         ]
         batched_cache = SignatureCache()
         batched = registry_verify_batch(registry, items, cache=batched_cache)
 
-        assert batched == sequential
+        assert batched == sequential == truth
         assert batched_cache.stats == sequential_cache.stats
         assert list(batched_cache._verdicts.items()) == list(
             sequential_cache._verdicts.items()
@@ -626,9 +626,11 @@ class TestMemoizedBatchParity:
             items.append(("sw0", message, signers[0].sign(message), None))
         sequential_cache = SignatureCache(maxsize=4)
         for o, m, s, d in items:
-            registry_verify(registry, o, m, s, message_digest=d, cache=sequential_cache)
+            sequential_cache.verify(registry, o, m, s, message_digest=d)
         batched_cache = SignatureCache(maxsize=4)
-        registry_verify_batch(registry, items, cache=batched_cache)
+        assert registry_verify_batch(registry, items, cache=batched_cache) == [
+            registry.verify(o, m, s) for o, m, s, _ in items
+        ]
         assert list(batched_cache._verdicts.items()) == list(
             sequential_cache._verdicts.items()
         )

@@ -26,6 +26,7 @@ from repro.evidence import (
     encode_hop_body,
     encode_node,
     encode_record_stack,
+    registry_verify_batch,
 )
 from repro.evidence.codec import POLICY_TLV_TYPE, RECORD_TLV_TYPE
 from repro.evidence.nodes import (
@@ -177,7 +178,8 @@ def test_signing_encodes_the_payload_once():
         signature=signed.signature,
     )
     assert signed.wire == fresh.wire
-    assert signed.verify(_registry_of(KeyPair.generate("s1")))
+    anchors = _registry_of(KeyPair.generate("s1"))
+    assert registry_verify_batch(anchors, [signed.signature_item()]) == [True]
 
 
 def _registry_of(pair):

@@ -21,7 +21,7 @@ from repro.evidence import (
     MeasurementEvidence,
     SignedEvidence,
     decode_node,
-    registry_verify,
+    registry_verify_batch,
 )
 from repro.pera.inertia import InertiaClass
 from repro.pera.records import decode_record_stack, encode_record_stack
@@ -82,13 +82,7 @@ class TestCoplandLayer:
 
         anchors = KeyRegistry()
         anchors.register_pair(ks.keypair)
-        assert registry_verify(
-            anchors,
-            result.place,
-            result.signed_payload(),
-            result.signature,
-            message_digest=result.payload_digest(),
-        )
+        assert registry_verify_batch(anchors, [result.signature_item()]) == [True]
 
 
 class TestPeraLayer:

@@ -1,7 +1,7 @@
 """The memoized signature verifier (repro.evidence.verify)."""
 
 from repro.crypto.keys import KeyPair, KeyRegistry
-from repro.evidence import SignatureCache, registry_verify, shared_cache
+from repro.evidence import SignatureCache, registry_verify_batch, shared_cache
 
 
 def make_anchors(*names):
@@ -85,11 +85,11 @@ class TestSignatureCache:
             for i in range(3)
         ]
         batch = [items[0], items[1], items[2], items[0]]
+        truth = [anchors.verify(*item[:3]) for item in batch]
         sequential = SignatureCache(maxsize=2)
-        for item in batch:
-            sequential.verify(anchors, *item[:3])
+        assert [sequential.verify(anchors, *item[:3]) for item in batch] == truth
         batched = SignatureCache(maxsize=2)
-        assert batched.verify_batch(anchors, batch) == [True] * 4
+        assert batched.verify_batch(anchors, batch) == truth == [True] * 4
         assert (batched.stats.hits, batched.stats.misses) == (0, 4)
         assert batched.stats == sequential.stats
         assert list(batched._verdicts.items()) == list(
@@ -114,6 +114,35 @@ class TestSignatureCache:
         assert list(caches[1]._verdicts.items()) == list(
             caches[0]._verdicts.items()
         )
+
+    def test_a_single_is_a_one_item_batch(self, monkeypatch):
+        """A miss makes exactly one ``ed25519.verify_batch`` call and no
+        ``VerifyKey.verify`` call; a hit makes no crypto call at all."""
+        from repro.crypto import ed25519
+
+        anchors, pairs = make_anchors("s1")
+        signature = pairs["s1"].sign(b"m")
+        calls = {"verify_batch": 0, "verify": 0}
+        real_batch, real_verify = ed25519.verify_batch, ed25519.VerifyKey.verify
+
+        def counted_batch(items, stats=None):
+            calls["verify_batch"] += 1
+            assert len(items) == 1
+            return real_batch(items, stats)
+
+        def counted_verify(key, message, signature):
+            calls["verify"] += 1
+            return real_verify(key, message, signature)
+
+        monkeypatch.setattr(ed25519, "verify_batch", counted_batch)
+        monkeypatch.setattr(ed25519.VerifyKey, "verify", counted_verify)
+        cache = SignatureCache()
+        assert cache.verify(anchors, "s1", b"m", signature)
+        assert calls == {"verify_batch": 1, "verify": 0}
+        assert cache.verify(anchors, "s1", b"m", signature)
+        assert calls == {"verify_batch": 1, "verify": 0}
+        assert not cache.verify(anchors, "s1", b"forged", signature)
+        assert calls == {"verify_batch": 2, "verify": 0}
 
     def test_interrupted_batch_leaves_no_placeholder(self, monkeypatch):
         """A crypto call that raises must not leave unsettled entries
@@ -161,9 +190,10 @@ class TestRegistryVerify:
         anchors, pairs = make_anchors("shared-cache-probe")
         message = b"shared payload"
         signature = pairs["shared-cache-probe"].sign(message)
-        registry_verify(anchors, "shared-cache-probe", message, signature)
+        item = ("shared-cache-probe", message, signature, None)
+        registry_verify_batch(anchors, [item])
         hits_before = shared_cache.stats.hits
-        assert registry_verify(anchors, "shared-cache-probe", message, signature)
+        assert registry_verify_batch(anchors, [item]) == [True]
         assert shared_cache.stats.hits == hits_before + 1
 
     def test_private_cache_override(self):
@@ -171,5 +201,7 @@ class TestRegistryVerify:
         message = b"payload"
         signature = pairs["s1"].sign(message)
         private = SignatureCache()
-        assert registry_verify(anchors, "s1", message, signature, cache=private)
+        assert registry_verify_batch(
+            anchors, [("s1", message, signature, None)], cache=private
+        ) == [True]
         assert private.stats.misses == 1

@@ -18,7 +18,7 @@ from repro.core.compiler import compile_policy_for_path
 from repro.core.fleet import attested_chain
 from repro.core.policies import ap1_bank_path_attestation
 from repro.evidence.nodes import BatchedHopEvidence
-from repro.evidence.verify import SignatureCache
+from repro.evidence.verify import SignatureCache, registry_verify_batch
 from repro.net.simulator import Simulator
 from repro.net.topology import linear_topology
 from repro.pera.config import BatchingSpec, CompositionMode, EvidenceConfig
@@ -158,7 +158,9 @@ class TestBatchedTamperMatrix:
             leaf_count=epoch2.leaf_count,
         )
         # The stolen header itself is genuine...
-        assert spliced.verify_root(appraiser.policy.anchors)
+        assert registry_verify_batch(
+            appraiser.policy.anchors, [spliced.signature_item()]
+        ) == [True]
         # ...but it does not commit to this record.
         verdict = appraiser.appraise_records(
             [spliced, stacks[0][1]], hop_count, trace=TRACE
@@ -210,7 +212,7 @@ class TestBatchedTamperMatrix:
         )
         appraiser = _appraiser(switches, program, tel, nonces=nonces)
         replayed = stacks[0]  # byte-identical: no fields touched
-        assert all(r.verify(appraiser.policy.anchors) for r in replayed)
+        assert all(verify_record_batch(appraiser.policy.anchors, replayed))
         verdict = appraiser.appraise_records(
             replayed, hop_count, compiled=compiled, trace=TRACE
         )
@@ -222,9 +224,10 @@ class TestBatchedTamperMatrix:
 
 
 class TestBatchedVsSequentialParity:
-    """``verify_record_batch`` must agree with per-record ``verify``
-    on every tamper variant — the batched crypto path cannot accept a
-    record the sequential path rejects, or vice versa."""
+    """``verify_record_batch`` must agree with the unmemoized
+    ``KeyRegistry.verify`` of each epoch root plus its Merkle proof on
+    every tamper variant — the batched crypto path cannot accept a
+    record a single check rejects, or vice versa."""
 
     def _variants(self, stacks):
         honest = stacks[0]
@@ -258,7 +261,10 @@ class TestBatchedVsSequentialParity:
         stacks, hop_count, switches, program = delivered
         anchors = _appraiser(switches, program, Telemetry()).policy.anchors
         records = self._variants(stacks)
-        sequential = [r.verify(anchors) for r in records]
+        truth = [
+            anchors.verify(*r.signature_item()[:3]) and r.proof_ok()
+            for r in records
+        ]
         batched = verify_record_batch(anchors, records, cache=SignatureCache())
-        assert batched == sequential
-        assert sequential == [True, True, False, False, False, False, False]
+        assert batched == truth
+        assert truth == [True, True, False, False, False, False, False]

@@ -18,7 +18,7 @@ from repro.net.topology import linear_topology
 from repro.pera.config import BatchingSpec, CompositionMode, EvidenceConfig
 from repro.pera.epoch import EpochBatcher
 from repro.pera.inertia import InertiaClass
-from repro.pera.records import decode_record_stack
+from repro.pera.records import decode_record_stack, verify_record_batch
 from repro.pera.switch import PeraSwitch
 from repro.pisa.programs import ipv4_forwarding_program
 from repro.pisa.runtime import TableEntry
@@ -73,7 +73,7 @@ class TestEpochBatcher:
             assert record.epoch_root == sealed.root
             assert record.leaf_index == index
             assert record.leaf_count == 3
-            assert record.verify(anchors)
+            assert verify_record_batch(anchors, [record]) == [True]
 
     def test_on_sealed_fires_before_any_release(self):
         batcher = self.build()
@@ -203,7 +203,7 @@ class TestBatchedSwitchInBand:
         for packet in dst.received_packets:
             (record,) = decode_record_stack(packet.ra_shim.body)
             assert isinstance(record, BatchedHopEvidence)
-            assert record.verify(anchors)
+            assert verify_record_batch(anchors, [record]) == [True]
             epoch_ids.append(record.epoch_id)
         assert epoch_ids == [1, 1, 2, 2]
         stats = switches[0].ra_stats
@@ -290,7 +290,7 @@ class TestBatchedSwitchOutOfBand:
         for _, sender, record in appraiser.control_received:
             assert sender == "s1"
             assert isinstance(record, BatchedHopEvidence)
-            assert record.verify(anchors)
+            assert verify_record_batch(anchors, [record]) == [True]
 
     def test_open_epoch_holds_oob_records_until_flush(self):
         spec = BatchingSpec(max_records=8, max_delay_s=0.0)

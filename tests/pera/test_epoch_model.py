@@ -15,6 +15,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.evidence.nodes import HopEvidence
+from repro.evidence.verify import registry_verify_batch
 from repro.pera.config import BatchingSpec
 from repro.pera.epoch import EpochBatcher, EpochStats
 from repro.pera.inertia import InertiaClass
@@ -66,7 +67,7 @@ class EpochBatcherMachine(RuleBasedStateMachine):
         assert sealed.epoch_id == epoch_id
         assert sealed.leaf_count == len(expected)
         assert [record.sequence for record in fresh] == expected
-        assert fresh[0].verify_root(ANCHORS)
+        assert registry_verify_batch(ANCHORS, [fresh[0].signature_item()]) == [True]
         for index, record in enumerate(fresh):
             assert (record.epoch_id, record.epoch_root) == (epoch_id, sealed.root)
             assert record.leaf_index == index

@@ -19,6 +19,7 @@ from repro.evidence.codec import (
 )
 from repro.evidence.nodes import HopEvidence
 from repro.pera.inertia import InertiaClass
+from repro.pera.records import verify_record_batch
 from repro.pera.sampling import SamplingMode, SamplingSpec
 from repro.pera.switch import PeraSwitch
 from repro.pisa.programs import ipv4_forwarding_program
@@ -56,7 +57,7 @@ class TestHopRecord:
         anchors = KeyRegistry()
         anchors.register_pair(keys)
         record = self.make_record().sign_with(keys)
-        assert record.verify(anchors)
+        assert verify_record_batch(anchors, [record]) == [True]
 
     def test_tampered_measurement_fails_verification(self):
         keys = KeyPair.generate("s1")
@@ -72,15 +73,16 @@ class TestHopRecord:
             packet_digest=record.packet_digest,
             signature=record.signature,
         )
-        assert not tampered.verify(anchors)
+        assert verify_record_batch(anchors, [tampered]) == [False]
 
     def test_verify_with_pseudonym_signer(self):
         keys = KeyPair.generate("s1-real")
         anchors = KeyRegistry()
         anchors.register_pair(keys)
         record = self.make_record(place="pseu-abc").sign_with(keys)
-        assert not record.verify(anchors)  # pseudonym has no anchor
-        assert record.verify(anchors, signer="s1-real")
+        # The pseudonym has no anchor.
+        assert verify_record_batch(anchors, [record]) == [False]
+        assert verify_record_batch(anchors, [record], signers=["s1-real"]) == [True]
 
     def test_measurement_for(self):
         record = self.make_record()
@@ -179,7 +181,7 @@ class TestPeraSwitchInBand:
         for switch in switches:
             anchors.register_pair(switch.keys)
         records = decode_record_stack(dst.received_packets[0].ra_shim.body)
-        assert all(record.verify(anchors) for record in records)
+        assert all(verify_record_batch(anchors, records))
 
     def test_non_ra_traffic_untouched(self):
         sim, src, dst, switches, _ = build_pera_chain(2)
@@ -276,7 +278,7 @@ class TestPeraSwitchInBand:
         assert record.place == "pseu-1234"
         anchors = KeyRegistry()
         anchors.register_pair(switches[0].keys)
-        assert record.verify(anchors, signer="s1")
+        assert verify_record_batch(anchors, [record], signers=["s1"]) == [True]
 
     def test_chained_records_carry_ingress_port(self):
         """Paper UC1: evidence indicates the packet 'reached switch S1
@@ -300,7 +302,16 @@ class TestPeraSwitchInBand:
         sim, src, dst, switches, _ = build_pera_chain(1)
         send_ra_packet(src, dst)
         sim.run()
-        switches[0].notify_state_change(InertiaClass.PROGRAM)
+        # A program install on the live switch: its P4Runtime observer
+        # drops the cached signed record.
+        switches[0].runtime.set_forwarding_pipeline_config(
+            "ctl", ipv4_forwarding_program()
+        )
+        switches[0].runtime.write("ctl", TableEntry(
+            table="ipv4_lpm",
+            keys=(MatchKey(MatchKind.LPM, ip_to_int("10.0.1.0"), prefix_len=24),),
+            action="forward", params=(2,),
+        ))
         send_ra_packet(src, dst)
         sim.run()
         assert switches[0].ra_stats.signatures_produced == 2

@@ -13,7 +13,6 @@ from repro.telemetry.audit import AuditKind, event_from_dict
 from repro.telemetry.health import (
     AbsenceRule,
     HEALTH_ACTOR,
-    ImbalanceRule,
     LevelRule,
     RatioRule,
     ThresholdRule,
@@ -156,31 +155,6 @@ class TestAbsenceRule:
     def test_never_arms_without_activity(self):
         rule = AbsenceRule(name="stall", metric="seals", for_windows=1)
         frames = frames_from((0, {"other": 1.0}), (5, {"other": 1.0}))
-        report = evaluate_health(frames, [rule], interval_s=1.0)
-        assert report.alerts == []
-
-
-class TestImbalanceRule:
-    def test_bounds_max_over_mean_per_group(self):
-        rule = ImbalanceRule(
-            name="ecmp", metric="tx", bound=1.4, min_total=4.0
-        )
-        frames = frames_from(
-            (0, {"tx{link=s1:1->a:1}": 6.0, "tx{link=s1:2->b:1}": 2.0}),
-        )
-        report = evaluate_health(frames, [rule], interval_s=1.0)
-        assert report.first_raise_window("ecmp") == 0
-        detail = report.raised[0]["detail"]
-        assert detail["value"] == pytest.approx(1.5)  # max 6 / mean 4
-        assert detail["threshold"] == pytest.approx(1.4)
-
-    def test_quiet_groups_are_skipped(self):
-        rule = ImbalanceRule(
-            name="ecmp", metric="tx", bound=1.2, min_total=100.0
-        )
-        frames = frames_from(
-            (0, {"tx{link=s1:1->a:1}": 6.0, "tx{link=s1:2->b:1}": 1.0}),
-        )
         report = evaluate_health(frames, [rule], interval_s=1.0)
         assert report.alerts == []
 

@@ -2,7 +2,7 @@
 
 Hypothesis draws a sparse stream of per-window deltas (windows may be
 missing; a missing window is an all-zero delta) over a small key
-alphabet, and a rule list: random rules of all five kinds, optionally
+alphabet, and a rule list: random rules of all four kinds, optionally
 followed by one of the two shipped rule sets. The engine's alerts and
 its ``active`` map must equal a reference written rule by rule from
 docs/MONITORING.md's table, each about ten lines over the whole window
@@ -14,9 +14,6 @@ series:
   is compliant;
 - absence: after the first window with activity, ``for_windows``
   silent windows in a row raise; activity clears;
-- imbalance: per sending switch, cumulative max/mean above ``bound``
-  once the group has two ports and ``min_total`` events; a worst
-  ratio of 0 neither raises nor clears;
 - level: the worst matching *cumulative* value above ``threshold``.
 
 Counter keys only step up, as the recorder's counters do; the gauge
@@ -35,7 +32,6 @@ from repro.core.chaos import standard_chaos_rules
 from repro.core.fabric import standard_fabric_rules
 from repro.telemetry.health import (
     AbsenceRule,
-    ImbalanceRule,
     LevelRule,
     RatioRule,
     ThresholdRule,
@@ -133,27 +129,6 @@ def ref_absence(rule, deltas, cums):
     return out, up
 
 
-def ref_imbalance(rule, deltas, cums):
-    up, out = False, []
-    for w, cum in enumerate(cums):
-        groups = {}
-        for key, value in cum.items():
-            name, labels = parse(key)
-            if name == rule.metric and "link" in labels:
-                groups.setdefault(labels["link"].split(":")[0], []).append(value)
-        worst = max(
-            [0.0] + [max(vs) / (sum(vs) / len(vs)) for vs in groups.values()
-                     if len(vs) >= 2 and sum(vs) >= rule.min_total and sum(vs) > 0]
-        )
-        if worst > rule.bound and not up:
-            up = True
-            out.append((w, "alert.raised", {"value": worst, "threshold": rule.bound}))
-        elif 0 < worst <= rule.bound and up:
-            up = False
-            out.append((w, "alert.cleared", {"value": worst}))
-    return out, up
-
-
 def ref_level(rule, deltas, cums):
     up, out = False, []
     for w, cum in enumerate(cums):
@@ -173,7 +148,6 @@ REFERENCE = {
     ThresholdRule: ref_threshold,
     RatioRule: ref_ratio,
     AbsenceRule: ref_absence,
-    ImbalanceRule: ref_imbalance,
     LevelRule: ref_level,
 }
 
@@ -251,10 +225,6 @@ random_rule = st.one_of(
     # Absence arms on a positive count, which only a counter keeps.
     st.builds(AbsenceRule, name=st.just(""), metric=st.just("m"),
               for_windows=st.integers(1, 3)),
-    # Mostly the gauge: only its groups can fall out of qualification.
-    st.builds(ImbalanceRule, name=st.just(""), metric=st.sampled_from("qqqm"),
-              bound=st.sampled_from([1.0, 1.2, 1.5]),
-              min_total=st.sampled_from([4.0, 64.0])),
     st.builds(LevelRule, name=st.just(""), metric=st.sampled_from(METRICS),
               threshold=level),
 )
